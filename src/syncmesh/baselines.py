@@ -49,27 +49,31 @@ class CentralBaseline:
         self.server_id = server_id
         self.batch_size = batch_size
         self.server_store = LocalStore(server_id)
-        self.client = MeshClient(client_id, self.ops)
+        self.client = MeshClient(client_id)
         self.client.attach(net)
         net.register(server_id, self._on_envelope)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
+        if env.kind not in (MessageKind.INGEST, MessageKind.QUERY):
+            return
+        try:
+            payload = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.INGEST:
-            self.server_store.load_many(self.ops.decode_readings(env.body, env.codec))
-        elif env.kind is MessageKind.QUERY:
-            req = wire.decode_request(env.body)
-            payload = evaluate_query(self.server_store, req)
-            resp = QueryResponse(
-                request_id=req.request_id, payload=payload,
-                contributing_nodes=frozenset({self.server_id}),
-                partial=False, codec=CodecId.FASTLZ)
-            body = self.ops.response_bytes(
-                resp, req.projection, source=f"central|{request_token(req)}")
-            net.send(
-                Envelope(kind=MessageKind.RESPONSE, sender=self.server_id,
-                         receiver=env.sender, body=body, codec=CodecId.FASTLZ,
-                         request_id=req.request_id, payload_tag=resp.payload_kind),
-                now)
+            self.server_store.load_many(payload)
+            return
+        req = payload
+        resp = QueryResponse(
+            request_id=req.request_id,
+            payload=evaluate_query(self.server_store, req),
+            contributing_nodes=frozenset({self.server_id}),
+            partial=False, codec=CodecId.FASTLZ)
+        net.send(
+            self.ops.response_envelope(
+                resp, self.server_id, env.sender, req.projection,
+                source=f"central|{request_token(req)}"),
+            now)
 
     def ingest(self, at: float = 0.0) -> float:
         """Stream every node's readings to the server; returns virtual ms from
@@ -83,7 +87,7 @@ class CentralBaseline:
                     Envelope(kind=MessageKind.INGEST, sender=node_id,
                              receiver=self.server_id, body=body,
                              codec=CodecId.FASTLZ, request_id=f"i{i:06d}",
-                             payload_tag="readings"),
+                             payload_tag="readings", payload=batch),
                     at)
                 sent = True
         if not sent:
@@ -119,7 +123,7 @@ class ShardedBaseline:
         self.gather_timeout_ms = (
             gather_timeout_ms if gather_timeout_ms is not None
             else 2.0 * topology.max_latency_ms() + 100.0)
-        self.client = MeshClient(client_id, self.ops)
+        self.client = MeshClient(client_id)
         self.client.attach(net)
         self._pending: dict[str, _RouterGather] = {}
         net.register(server_id, self._on_router_envelope)
@@ -131,33 +135,40 @@ class ShardedBaseline:
     def _on_shard_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is not MessageKind.QUERY:
             return
-        req = wire.decode_request(env.body)
-        store = self.stores[env.receiver]
-        payload = evaluate_query(store, req)
+        try:
+            req = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # dropped: one bad envelope must not end the run
         resp = QueryResponse(
-            request_id=req.request_id, payload=payload,
+            request_id=req.request_id,
+            payload=evaluate_query(self.stores[env.receiver], req),
             contributing_nodes=frozenset({env.receiver}),
             partial=False, codec=CodecId.FASTLZ)
-        body = self.ops.response_bytes(
-            resp, req.projection, source=f"shard|{env.receiver}|{request_token(req)}")
         net.send(
-            Envelope(kind=MessageKind.RESPONSE, sender=env.receiver,
-                     receiver=env.sender, body=body, codec=CodecId.FASTLZ,
-                     request_id=req.request_id, payload_tag=resp.payload_kind),
+            self.ops.response_envelope(
+                resp, env.receiver, env.sender, req.projection,
+                source=f"shard|{env.receiver}|{request_token(req)}"),
             now)
 
     # -- router --------------------------------------------------------------
 
     def _on_router_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.QUERY:
-            self._route(wire.decode_request(env.body), env.sender, now)
+            try:
+                req = wire.read_payload(env)
+            except wire.MalformedBody:
+                return  # dropped: one bad envelope must not end the run
+            self._route(req, env.sender, now)
         elif env.kind is MessageKind.RESPONSE:
             gather = self._pending.get(env.request_id)
             if gather is None or gather.done or env.sender not in gather.expected:
                 return
             if env.sender in gather.responses:
                 return
-            gather.responses[env.sender] = self.ops.decode_response(env.body, env.codec)
+            try:
+                gather.responses[env.sender] = wire.read_payload(env)
+            except wire.MalformedBody:
+                return  # an undecodable reply counts as no reply
             if len(gather.responses) == len(gather.expected):
                 self._finish(gather, now)
 
@@ -175,7 +186,7 @@ class ShardedBaseline:
             self.net.send(
                 Envelope(kind=MessageKind.QUERY, sender=self.server_id,
                          receiver=shard, body=body, request_id=req.request_id,
-                         payload_tag="query"),
+                         payload_tag="query", payload=forwarded),
                 now)
 
         def fire(_net, at):
@@ -205,14 +216,10 @@ class ShardedBaseline:
             request_id=gather.request.request_id, payload=merged,
             contributing_nodes=contributing,
             partial=bool(gather.timeouts), codec=CodecId.FASTLZ)
-        body = self.ops.response_bytes(
-            resp, gather.request.projection,
-            source=f"router|{token}|{','.join(responders)}")
         self.net.send(
-            Envelope(kind=MessageKind.RESPONSE, sender=self.server_id,
-                     receiver=gather.requester, body=body, codec=CodecId.FASTLZ,
-                     request_id=gather.request.request_id,
-                     payload_tag=resp.payload_kind),
+            self.ops.response_envelope(
+                resp, self.server_id, gather.requester, gather.request.projection,
+                source=f"router|{token}|{','.join(responders)}"),
             now)
 
     def ingest(self, at: float = 0.0) -> float:
@@ -287,7 +294,10 @@ class _P2PCollectClient:
             return
         if env.sender in gather.responses:
             return
-        gather.responses[env.sender] = self.ops.decode_response(env.body, env.codec)
+        try:
+            gather.responses[env.sender] = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # an undecodable reply counts as no reply
         if len(gather.responses) == len(gather.expected):
             self._finish(gather, now)
 
@@ -303,7 +313,7 @@ class _P2PCollectClient:
             net.send(
                 Envelope(kind=MessageKind.QUERY, sender=self.client_id,
                          receiver=peer, body=body, request_id=req.request_id,
-                         payload_tag="query"),
+                         payload_tag="query", payload=stripped),
                 at)
 
         def fire(_net, at_):
@@ -360,33 +370,34 @@ class P2PBaseline:
         self.client.attach(net)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
+        # GOSSIP_ECHO is a protocol ack and carries no new data.
+        if env.kind not in (MessageKind.GOSSIP, MessageKind.QUERY):
+            return
         me = env.receiver
+        try:
+            payload = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.GOSSIP:
-            batch = self.ops.decode_readings(env.body, env.codec)
-            self.replicas[me].apply_batch(batch, env.sender)
+            self.replicas[me].apply_batch(payload, env.sender)
             net.send(
                 Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
                          receiver=env.sender, body=env.body,
                          request_id=env.request_id, payload_tag="echo"),
                 now)
-        elif env.kind is MessageKind.GOSSIP_ECHO:
-            pass  # protocol ack; carries no new data
-        elif env.kind is MessageKind.QUERY:
-            req = wire.decode_request(env.body)
-            payload = self.ops.memo(
-                ("p2p-peer-view", me, request_token(req)),
-                lambda: self.replicas[me].query_range(req.range))
-            resp = QueryResponse(
-                request_id=req.request_id, payload=payload,
-                contributing_nodes=frozenset({me}), partial=False,
-                codec=CodecId.NONE)
-            body = self.ops.response_bytes(
-                resp, req.projection, source=f"p2p-peer|{me}|{request_token(req)}")
-            net.send(
-                Envelope(kind=MessageKind.RESPONSE, sender=me,
-                         receiver=env.sender, body=body, codec=CodecId.NONE,
-                         request_id=req.request_id, payload_tag="readings"),
-                now)
+            return
+        req = payload
+        token = request_token(req)
+        resp = QueryResponse(
+            request_id=req.request_id,
+            payload=self.ops.memo(("p2p-peer-view", me, token),
+                                  lambda: self.replicas[me].query_range(req.range)),
+            contributing_nodes=frozenset({me}), partial=False,
+            codec=CodecId.NONE)
+        net.send(
+            self.ops.response_envelope(resp, me, env.sender, req.projection,
+                                       source=f"p2p-peer|{me}|{token}"),
+            now)
 
     def sync(self, at: float = 0.0) -> float:
         """Push every reading, uncompressed, from its origin to every peer."""
@@ -402,7 +413,8 @@ class P2PBaseline:
                     self.net.send(
                         Envelope(kind=MessageKind.GOSSIP, sender=origin,
                                  receiver=peer, body=body,
-                                 request_id=f"g{i:06d}", payload_tag="readings"),
+                                 request_id=f"g{i:06d}", payload_tag="readings",
+                                 payload=batch),
                         at)
                     sent = True
         if not sent:

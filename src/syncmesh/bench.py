@@ -335,7 +335,7 @@ class SyncMeshSystem:
             node.attach(net, topology)
             self.nodes.append(node)
         self.coordinator_id = self.nodes[0].node_id
-        self.client = MeshClient("client", ops)
+        self.client = MeshClient("client")
         self.client.attach(net)
 
     def ingest(self, at: float = 0.0) -> float:

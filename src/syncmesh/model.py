@@ -98,6 +98,19 @@ class SensorReading:
                 out[name] = getattr(self, name)
         return out
 
+    def projected(self, projection: frozenset[str]) -> "SensorReading":
+        """The reading as `to_json_dict(projection)` carries it: fields outside
+        the projection read None."""
+        if not projection:
+            return self
+        keep = _effective_projection(projection)
+        geo = "geo" in keep
+        return SensorReading(
+            self.node_id, self.sensor_id, self.timestamp,
+            lat=self.lat if geo else None,
+            lon=self.lon if geo else None,
+            **{name: getattr(self, name) for name in NUMERIC_FIELDS if name in keep})
+
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SensorReading":
         geo = obj.get("geo") or {}
@@ -229,8 +242,9 @@ def validate_request(req: QueryRequest) -> None:
 
 @dataclass(frozen=True, slots=True)
 class FieldAggregate:
-    """Per-field aggregate; mean derives from (sum, count) so that merging
-    partial aggregates stays exact."""
+    """Per-field aggregate; mean derives from (sum, count) so that partial
+    aggregates merge. Count, min and max merge exactly; the float sum, and so
+    the mean, depends on the order in which parts are added."""
 
     count: int
     sum: float
@@ -308,7 +322,11 @@ def summarize(readings, fields) -> Summary:
 
 
 def merge_summaries(parts) -> Summary:
-    """Merge partial summaries exactly via (sum, count, min, max) tuples."""
+    """Merge partial summaries field by field via (sum, count, min, max).
+
+    Count, min and max are exact; the float sum is added in part order, so two
+    merge orders of the same readings can differ in the last bits of sum and
+    mean."""
     merged: dict[str, FieldAggregate] = {}
     for part in parts:
         for name, agg in part.fields:

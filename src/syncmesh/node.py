@@ -15,7 +15,6 @@ from .model import (
     Scope,
     Summary,
     TransformerSpec,
-    canonical_json,
     validate_request,
 )
 from .netsim import EndpointKind, Network, Topology
@@ -120,14 +119,6 @@ class TransformerRegistry:
             return fn(readings, spec.params_dict)
         finally:
             self.active[spec.name] -= 1
-
-    def run_encoded(self, spec: TransformerSpec, readings: ReadingSet,
-                    projection=frozenset()) -> bytes:
-        """Run the transformer and return its canonical payload bytes."""
-        payload = self.run(spec, readings)
-        if isinstance(payload, Summary):
-            return canonical_json(payload.to_json_dict())
-        return wire.encode_readings(payload, projection)
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,13 +225,9 @@ class SyncMeshNode:
             self.net.send(
                 Envelope(kind=MessageKind.NOTIFY, sender=self.node_id,
                          receiver=sub.subscriber, body=body,
-                         payload_tag="reading"),
+                         payload_tag="reading",
+                         payload=event.reading.projected(sub.filter)),
                 self.net.clock)
-
-    # -- transformers ------------------------------------------------------------
-
-    def run_transformer(self, spec: TransformerSpec, readings: ReadingSet) -> bytes:
-        return self.registry.run_encoded(spec, readings)
 
     # -- request handling ----------------------------------------------------
 
@@ -262,7 +249,7 @@ class SyncMeshNode:
         self._begin_gather(req, requester, now)
 
     def _evaluate(self, req: QueryRequest) -> "ReadingSet | Summary":
-        readings = self.store.query(req.range, req.projection)
+        readings = self.store.query(req.range)
         if req.transformer is None:
             return readings
         return self.registry.run(req.transformer, readings)
@@ -287,7 +274,8 @@ class SyncMeshNode:
             self.net.send(
                 Envelope(kind=MessageKind.QUERY, sender=self.node_id,
                          receiver=neighbor, body=body,
-                         request_id=req.request_id, payload_tag="query"),
+                         request_id=req.request_id, payload_tag="query",
+                         payload=forwarded),
                 now)
         deadline = now + self.gather_timeout_ms
 
@@ -305,7 +293,10 @@ class SyncMeshNode:
             return
         if env.sender in gather.responses:
             return
-        gather.responses[env.sender] = self.ops.decode_response(env.body, env.codec)
+        try:
+            gather.responses[env.sender] = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # an undecodable reply counts as no reply
         if len(gather.responses) == len(gather.expected):
             self._finalize(gather, now)
 
@@ -334,12 +325,9 @@ class SyncMeshNode:
             contributing_nodes=contributing, partial=partial,
             codec=CodecId.GZIP)
         source = f"{self.node_id}|{request_token(req)}"
-        body = self.ops.response_bytes(resp, req.projection, source=source)
         self.net.send(
-            Envelope(kind=MessageKind.RESPONSE, sender=self.node_id,
-                     receiver=requester, body=body, codec=CodecId.GZIP,
-                     request_id=req.request_id,
-                     payload_tag=resp.payload_kind),
+            self.ops.response_envelope(resp, self.node_id, requester,
+                                       req.projection, source=source),
             now)
 
     # -- envelope dispatch -----------------------------------------------------
@@ -347,18 +335,23 @@ class SyncMeshNode:
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.HEARTBEAT:
             self.on_heartbeat(env.sender, now)
-        elif env.kind is MessageKind.QUERY:
-            req = wire.decode_request(env.body)
-            self.handle_request(req, now, requester=env.sender)
         elif env.kind is MessageKind.RESPONSE:
             self._on_sub_response(env, now)
-        elif env.kind is MessageKind.SUBSCRIBE:
-            spec = wire.decode_subscribe(env.body)
-            self.add_subscription(spec["subscriber"], frozenset(spec.get("filter") or ()))
-        elif env.kind is MessageKind.NOTIFY:
-            reading = wire.decode_reading(env.body)
-            self.store.insert(reading)
+        elif env.kind in _PAYLOAD_KINDS:
+            try:
+                payload = wire.read_payload(env)
+            except wire.MalformedBody:
+                return  # dropped: one bad envelope must not end the run
+            if env.kind is MessageKind.QUERY:
+                self.handle_request(payload, now, requester=env.sender)
+            elif env.kind is MessageKind.SUBSCRIBE:
+                self.add_subscription(payload["subscriber"], payload["filter"])
+            else:
+                self.store.insert(payload)
         # INGEST / GOSSIP / GOSSIP_ECHO are baseline-system kinds.
+
+
+_PAYLOAD_KINDS = (MessageKind.QUERY, MessageKind.SUBSCRIBE, MessageKind.NOTIFY)
 
 
 def _filter_matches(fields: frozenset[str], reading) -> bool:
@@ -380,24 +373,28 @@ def _filter_matches(fields: frozenset[str], reading) -> bool:
 class MeshClient:
     """Client endpoint that records responses as they arrive."""
 
-    def __init__(self, client_id: str = "client", ops: PayloadOps | None = None):
+    def __init__(self, client_id: str = "client"):
         self.client_id = client_id
-        self.ops = ops or PayloadOps()
         self.received: dict[str, tuple[QueryResponse, float]] = {}
 
     def attach(self, net: Network) -> None:
         net.register(self.client_id, self._on_envelope)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
-        if env.kind is MessageKind.RESPONSE:
-            resp = self.ops.decode_response(env.body, env.codec)
-            self.received.setdefault(env.request_id, (resp, now))
+        if env.kind is not MessageKind.RESPONSE:
+            return
+        try:
+            resp = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # dropped: the query then reports no response
+        self.received.setdefault(env.request_id, (resp, now))
 
     def send_query(self, net: Network, target: str, req: QueryRequest, at: float) -> None:
         net.send(
             Envelope(kind=MessageKind.QUERY, sender=self.client_id,
                      receiver=target, body=wire.encode_request(req),
-                     request_id=req.request_id, payload_tag="query"),
+                     request_id=req.request_id, payload_tag="query",
+                     payload=req),
             at)
 
 

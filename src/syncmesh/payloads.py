@@ -2,7 +2,7 @@
 
 These helpers are shared by the mesh node and every baseline so that all
 systems answer queries with identical semantics. `PayloadOps` optionally
-memoizes encode/decode/merge results: all of them are pure functions of
+memoizes encode/merge results: all of them are pure functions of
 deterministic inputs, so repeated benchmark repetitions can reuse work
 without changing any byte that goes on the wire.
 """
@@ -64,7 +64,7 @@ def apply_transformer(spec, readings: ReadingSet) -> "ReadingSet | Summary":
 
 def evaluate_query(store, req: QueryRequest) -> "ReadingSet | Summary":
     """The single-store answer to a query: raw readings, or the transformer output."""
-    readings = store.query(req.range, req.projection)
+    readings = store.query(req.range)
     if req.transformer is None:
         return readings
     return apply_transformer(req.transformer, readings)
@@ -120,46 +120,36 @@ class PayloadOps:
 
     # -- outgoing ----------------------------------------------------------
 
-    def response_bytes(self, resp: QueryResponse, projection=frozenset(),
-                       source: str | None = None) -> bytes:
-        """Compressed canonical body for a response; memoized per source."""
+    def response_envelope(self, resp: QueryResponse, sender: str, receiver: str,
+                          projection=frozenset(),
+                          source: str | None = None) -> wire.Envelope:
+        """RESPONSE envelope for resp: the compressed canonical body, memoized
+        per source, and as payload the response the receiver would decode."""
         def build():
             raw = wire.encode_response(resp, projection)
             return wire.compress(resp.codec, raw)
 
         if source is None:
-            return build()
-        key = ("resp", source, resp.request_id, resp.codec.value,
-               resp.partial, tuple(sorted(resp.contributing_nodes)),
-               tuple(sorted(projection)))
-        return self.memo(key, build)
+            body = build()
+        else:
+            key = ("resp", source, resp.request_id, resp.codec.value,
+                   resp.partial, tuple(sorted(resp.contributing_nodes)),
+                   tuple(sorted(projection)))
+            body = self.memo(key, build)
+        return wire.Envelope(
+            kind=wire.MessageKind.RESPONSE, sender=sender, receiver=receiver,
+            body=body, codec=resp.codec, request_id=resp.request_id,
+            payload_tag=resp.payload_kind,
+            payload=wire.project_response(resp, projection))
 
     def readings_bytes(self, readings: ReadingSet, codec: CodecId,
-                       projection=frozenset(), source: str | None = None) -> bytes:
+                       source: str | None = None) -> bytes:
         def build():
-            return wire.compress(codec, wire.encode_readings(readings, projection))
+            return wire.compress(codec, wire.encode_readings(readings))
 
         if source is None:
             return build()
-        return self.memo(("readings", source, codec.value, tuple(sorted(projection))), build)
-
-    # -- incoming ----------------------------------------------------------
-
-    def decode_response(self, body: bytes, codec: CodecId) -> QueryResponse:
-        def build():
-            return wire.decode_response(wire.decompress(codec, body))
-
-        if self.cache is None:
-            return build()
-        return self.memo(("dec-resp", codec.value, fingerprint(body)), build)
-
-    def decode_readings(self, body: bytes, codec: CodecId) -> ReadingSet:
-        def build():
-            return wire.decode_readings(wire.decompress(codec, body))
-
-        if self.cache is None:
-            return build()
-        return self.memo(("dec-readings", codec.value, fingerprint(body)), build)
+        return self.memo(("readings", source, codec.value), build)
 
     # -- merging -----------------------------------------------------------
 

@@ -103,12 +103,8 @@ class LocalStore:
             self._by_key[(node, sensor, ts)] for ts, sensor, node in self._sorted_index()
         )
 
-    def query(self, time_range: TimeRange, projection: frozenset[str] = frozenset()) -> ReadingSet:
-        """Readings with timestamp in [start, end), in canonical order.
-
-        Projection applies at encode time; it is accepted here so callers can
-        validate it against one surface.
-        """
+    def query(self, time_range: TimeRange) -> ReadingSet:
+        """Readings with timestamp in [start, end), in canonical order."""
         index = self._sorted_index()
         lo = bisect.bisect_left(index, (time_range.start, "", ""))
         hi = bisect.bisect_left(index, (time_range.end, "", ""))

@@ -3,6 +3,10 @@
 Every message travels in an Envelope with a fixed 64-byte header, so traffic
 accounting is exact: wire_size = 64 + len(body). Encoding functions are pure
 and deterministic; equal inputs always produce byte-identical output.
+
+A sender in this process also attaches the object its body encodes, so a
+receiver reads that object through `read_payload` instead of decoding bytes
+that were encoded a moment before. Only the body is ever counted.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ import enum
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import fastlz
 from .model import (
@@ -46,7 +50,9 @@ class Envelope:
     """One framed message between two endpoints.
 
     `payload_tag` is simulation metadata (e.g. "readings" vs "summary") used
-    by traffic assertions; it is not part of the wire layout.
+    by traffic assertions; it is not part of the wire layout. `payload` is the
+    object a receiver gets by decompressing and decoding `body`; senders in
+    this process attach it, and it is neither sent nor counted.
     """
 
     kind: MessageKind
@@ -56,6 +62,7 @@ class Envelope:
     codec: CodecId = CodecId.NONE
     request_id: str = ""
     payload_tag: str | None = field(default=None, compare=False)
+    payload: object = field(default=None, compare=False, repr=False)
 
     @property
     def wire_size(self) -> int:
@@ -145,6 +152,14 @@ def encode_response(resp: QueryResponse, projection: frozenset[str] = frozenset(
     return canonical_json(resp.to_json_dict(projection))
 
 
+def project_response(resp: QueryResponse, projection: frozenset[str]) -> QueryResponse:
+    """The response as `decode_response(encode_response(resp, projection))`
+    returns it: fields outside the projection read None."""
+    if not projection or isinstance(resp.payload, Summary):
+        return resp
+    return replace(resp, payload=tuple(r.projected(projection) for r in resp.payload))
+
+
 def decode_response(data: bytes) -> QueryResponse:
     return QueryResponse.from_json_dict(json.loads(data))
 
@@ -162,8 +177,39 @@ def encode_subscribe(subscriber: str, fields=frozenset()) -> bytes:
 
 
 def decode_subscribe(data: bytes) -> dict:
-    return json.loads(data)
+    obj = json.loads(data)
+    return {"subscriber": obj["subscriber"], "filter": sorted(obj.get("filter") or ())}
 
 
-def payload_tag_of(payload: ReadingSet | Summary) -> str:
-    return "summary" if isinstance(payload, Summary) else "readings"
+class MalformedBody(ValueError):
+    """An envelope body that does not decompress or decode as its kind says."""
+
+
+def _decode_body(kind: MessageKind, data: bytes):
+    if kind is MessageKind.QUERY:
+        return decode_request(data)
+    if kind is MessageKind.RESPONSE:
+        return decode_response(data)
+    if kind is MessageKind.INGEST or kind is MessageKind.GOSSIP:
+        return decode_readings(data)
+    if kind is MessageKind.NOTIFY:
+        return decode_reading(data)
+    if kind is MessageKind.SUBSCRIBE:
+        return decode_subscribe(data)
+    return None  # HEARTBEAT and GOSSIP_ECHO carry nothing a receiver reads
+
+
+def read_payload(env: Envelope):
+    """The object `env.body` encodes.
+
+    That is `env.payload` when the sender attached it. An envelope built from
+    bytes alone is decompressed and decoded by kind; any failure to do so
+    raises MalformedBody, so a receiver can drop the envelope.
+    """
+    if env.payload is not None:
+        return env.payload
+    try:
+        return _decode_body(env.kind, decompress(env.codec, env.body))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError,
+            zlib.error) as exc:
+        raise MalformedBody(f"{env.kind.name} from {env.sender}: {exc!r}") from exc

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from syncmesh.model import SensorReading
+from syncmesh.netsim import Network
+from syncmesh.wire import read_payload
 
 
 def make_reading(rng: random.Random, node_id="node-00", sensor_id=None,
@@ -28,3 +31,34 @@ def make_reading(rng: random.Random, node_id="node-00", sensor_id=None,
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+@pytest.fixture(autouse=True)
+def verify_wire(monkeypatch):
+    """Every envelope sent with an attached object must decode back to it.
+
+    Receivers read the attached object and never the body, so a body that
+    disagrees with it would go unseen. The memo layer hands the same body
+    bytes to many sends, so each distinct body is decoded once per test and
+    later objects sent with it are compared with the last one that passed,
+    which usually shares its parts and compares by identity. Holding the body
+    keeps its id from being reused.
+    """
+    verified: dict[tuple, tuple] = {}
+    send = Network.send
+
+    def checked_send(net, env, at):
+        if env.payload is not None:
+            key = (env.kind, env.codec, id(env.body))
+            seen = verified.get(key)
+            if seen is None:
+                expected = read_payload(dataclasses.replace(env, payload=None))
+            else:
+                expected = seen[1]
+            assert env.payload == expected, (
+                f"{env.kind.name} {env.sender}->{env.receiver}: "
+                "attached payload differs from the decoded body")
+            verified[key] = (env.body, env.payload)
+        return send(net, env, at)
+
+    monkeypatch.setattr(Network, "send", checked_send)

@@ -23,6 +23,7 @@ from syncmesh.bench import (
     trailing_window,
     validate_config,
 )
+from syncmesh import wire
 from syncmesh.model import MS_PER_DAY
 from syncmesh.payloads import fingerprint
 from syncmesh.wire import encode_readings
@@ -195,6 +196,23 @@ class TestRunScenario:
     def test_rows_match_repetitions(self):
         result = run_scenario(small_cfg(repetitions=4))
         assert [row.rep for row in result.rows] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])
+def test_receivers_read_attached_payloads_only(system, monkeypatch):
+    """Every sender attaches the object it encoded, so no receiver falls back
+    to decompressing and decoding a body the same process built."""
+    read_payload = wire.read_payload
+
+    def attached_only(env):
+        assert env.payload is not None, f"{env.kind.name} decoded from bytes"
+        return read_payload(env)
+
+    monkeypatch.setattr(wire, "read_payload", attached_only)
+    for scenario in ("collect", "transform"):
+        result = run_scenario(small_cfg(system=system, scenario=scenario,
+                                        repetitions=1))
+        assert not result.rows[0].partial
 
 
 class TestExport:

@@ -12,7 +12,14 @@ from syncmesh.model import (
     TimeRange,
     TransformerSpec,
 )
-from syncmesh.netsim import Endpoint, EndpointKind, LinkClass, Network, Topology
+from syncmesh.netsim import (
+    Endpoint,
+    EndpointKind,
+    LinkClass,
+    Network,
+    Topology,
+    build_topology,
+)
 from syncmesh.node import (
     MeshClient,
     NeighborModel,
@@ -24,7 +31,7 @@ from syncmesh.node import (
 )
 from syncmesh.payloads import TransformerUnknown
 from syncmesh.store import LocalStore
-from syncmesh.wire import MessageKind, decode_readings, encode_readings, encode_subscribe
+from syncmesh.wire import MessageKind, encode_subscribe
 from syncmesh.wire import Envelope
 
 FULL = TimeRange(1, 10**15)
@@ -236,14 +243,6 @@ class TestHeartbeats:
 
 
 class TestTransformers:
-    def test_identity_encodes_same_set(self, rng):
-        registry = TransformerRegistry()
-        readings = tuple(sorted((make_reading(rng) for _ in range(10)),
-                                key=lambda r: r.sort_key))
-        out = registry.run_encoded(TransformerSpec.of("identity"), readings)
-        assert out == encode_readings(readings)
-        assert decode_readings(out) == readings
-
     def test_downsample_every_kth(self, rng):
         registry = TransformerRegistry()
         readings = tuple(sorted((make_reading(rng, timestamp=i + 1, sensor_id="s")
@@ -405,6 +404,40 @@ class TestTrafficInvariants:
         for req, rng_ in zip(reqs, ranges):
             resp, _ = mesh.client.received[req.request_id]
             assert list(resp.payload) == union_collect(data, rng_.start, rng_.end)
+
+
+class TestMalformedBodies:
+    """An envelope whose body does not decode is dropped; the run goes on."""
+
+    @pytest.mark.parametrize("kind, sender, body", [
+        (MessageKind.QUERY, "client", b"{not json"),
+        (MessageKind.NOTIFY, "node-01", b'{"sensor_id":"s","timestamp":5}'),
+    ], ids=["query-not-json", "notify-without-node-id"])
+    def test_bad_body_is_dropped_and_later_query_answered(self, rng, kind,
+                                                           sender, body):
+        topo = build_topology(3, seed=5)
+        net = Network(topo)
+        nodes = []
+        for node_id in topo.node_ids():
+            store = LocalStore(node_id)
+            store.load_many(make_reading(rng, node_id=node_id) for _ in range(5))
+            node = SyncMeshNode(store)
+            node.attach(net, topo)
+            nodes.append(node)
+        client = MeshClient("client")
+        client.attach(net)
+        for node in nodes:
+            node.broadcast_heartbeat(0.0)
+        stored = [len(node.store) for node in nodes]
+
+        net.send(Envelope(kind=kind, sender=sender, receiver="node-00", body=body), 0.0)
+        net.run_until_quiescent()
+        assert [len(node.store) for node in nodes] == stored
+
+        req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH)
+        resp, _ = run_query(net, client, "node-00", req, net.clock + 500.0)
+        assert resp.partial is False
+        assert len(resp.payload) == sum(stored)
 
 
 def test_node_config_roundtrip():

@@ -6,17 +6,33 @@ from hypothesis import strategies as st
 
 from conftest import make_reading
 from syncmesh import fastlz
-from syncmesh.model import CodecId, merge_reading_sets
+from syncmesh.model import (
+    CodecId,
+    QueryRequest,
+    QueryResponse,
+    Scope,
+    TimeRange,
+    TransformerSpec,
+    merge_reading_sets,
+)
 from syncmesh.wire import (
     HEADER_SIZE,
     Envelope,
+    MalformedBody,
     MessageKind,
     compress,
     decode_envelope,
     decode_readings,
+    decode_response,
     decompress,
     encode_envelope,
+    encode_reading,
     encode_readings,
+    encode_request,
+    encode_response,
+    encode_subscribe,
+    project_response,
+    read_payload,
 )
 
 # Recorded once from the chosen DEFLATE implementation; regression fixture.
@@ -131,3 +147,71 @@ class TestEncodeReadings:
     def test_roundtrip(self, rng):
         readings = merge_reading_sets([[make_reading(rng) for _ in range(25)]])
         assert decode_readings(encode_readings(readings)) == readings
+
+
+class TestReadPayload:
+    def _objects(self, rng):
+        readings = merge_reading_sets([[make_reading(rng) for _ in range(12)]])
+        req = QueryRequest(request_id="q1", range=TimeRange(1, 10**12),
+                           projection=frozenset({"p1"}),
+                           transformer=TransformerSpec.of("downsample", {"k": "2"}),
+                           scope=Scope.MESH)
+        resp = QueryResponse(request_id="q1", payload=readings,
+                             contributing_nodes=frozenset({"node-00", "node-01"}),
+                             codec=CodecId.FASTLZ)
+        return readings, req, resp
+
+    def test_bytes_only_envelope_decodes_by_kind(self, rng):
+        readings, req, resp = self._objects(rng)
+        cases = [
+            (MessageKind.QUERY, CodecId.NONE, encode_request(req), req),
+            (MessageKind.RESPONSE, CodecId.FASTLZ, encode_response(resp), resp),
+            (MessageKind.INGEST, CodecId.FASTLZ, encode_readings(readings), readings),
+            (MessageKind.GOSSIP, CodecId.NONE, encode_readings(readings), readings),
+            (MessageKind.NOTIFY, CodecId.NONE, encode_reading(readings[0]), readings[0]),
+            (MessageKind.SUBSCRIBE, CodecId.NONE, encode_subscribe("node-01", {"p2"}),
+             {"subscriber": "node-01", "filter": ["p2"]}),
+        ]
+        for kind, codec, raw, expected in cases:
+            env = Envelope(kind=kind, sender="a", receiver="b",
+                           body=compress(codec, raw), codec=codec)
+            assert read_payload(env) == expected, kind.name
+
+    def test_attached_payload_is_returned_without_decoding(self, rng):
+        readings, _, _ = self._objects(rng)
+        env = Envelope(kind=MessageKind.GOSSIP, sender="a", receiver="b",
+                       body=b"{not json", payload=readings)
+        assert read_payload(env) is readings
+        assert env == Envelope(kind=MessageKind.GOSSIP, sender="a", receiver="b",
+                               body=b"{not json")
+
+    def test_heartbeat_and_echo_carry_nothing(self):
+        for kind in (MessageKind.HEARTBEAT, MessageKind.GOSSIP_ECHO):
+            assert read_payload(Envelope(kind=kind, sender="a", receiver="b",
+                                         body=b"[]")) is None
+
+    @pytest.mark.parametrize("kind, codec, body", [
+        (MessageKind.QUERY, CodecId.NONE, b"{not json"),
+        (MessageKind.QUERY, CodecId.NONE, b"[]"),
+        (MessageKind.QUERY, CodecId.NONE, b'{"request_id":"q","range":null}'),
+        (MessageKind.NOTIFY, CodecId.NONE, b'{"sensor_id":"s","timestamp":5}'),
+        (MessageKind.NOTIFY, CodecId.NONE, b"\xff\xfe"),
+        (MessageKind.INGEST, CodecId.NONE, b'{"a":1}'),
+        (MessageKind.INGEST, CodecId.FASTLZ, b"\x05ab"),
+        (MessageKind.RESPONSE, CodecId.GZIP, b"not deflate"),
+        (MessageKind.RESPONSE, CodecId.NONE, b'{"payload_kind":"readings"}'),
+        (MessageKind.SUBSCRIBE, CodecId.NONE, b'{"filter":[]}'),
+    ])
+    def test_malformed_body_raises_one_type(self, kind, codec, body):
+        env = Envelope(kind=kind, sender="a", receiver="b", body=body, codec=codec)
+        with pytest.raises(MalformedBody):
+            read_payload(env)
+
+    @pytest.mark.parametrize("projection", [
+        frozenset(), frozenset({"humidity"}), frozenset({"geo", "p1"}),
+        frozenset({"node_id"}),
+    ])
+    def test_project_response_matches_decoded_body(self, rng, projection):
+        _, _, resp = self._objects(rng)
+        decoded = decode_response(encode_response(resp, projection))
+        assert project_response(resp, projection) == decoded
