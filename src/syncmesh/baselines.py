@@ -22,7 +22,14 @@ from .model import (
 )
 from .netsim import Network, Topology
 from .node import MeshClient, run_query
-from .payloads import PayloadOps, apply_transformer, evaluate_query, request_token
+from .payloads import (
+    PayloadOps,
+    all_valid,
+    answerable,
+    apply_transformer,
+    evaluate_query,
+    request_token,
+)
 from .store import LocalStore
 from . import wire
 from .wire import Envelope, MessageKind
@@ -61,9 +68,12 @@ class CentralBaseline:
         except wire.MalformedBody:
             return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.INGEST:
-            self.server_store.load_many(payload)
+            if all_valid(payload):
+                self.server_store.load_many(payload)
             return
         req = payload
+        if not answerable(req):
+            return
         resp = QueryResponse(
             request_id=req.request_id,
             payload=evaluate_query(self.server_store, req),
@@ -139,6 +149,8 @@ class ShardedBaseline:
             req = wire.read_payload(env)
         except wire.MalformedBody:
             return  # dropped: one bad envelope must not end the run
+        if not answerable(req):
+            return
         resp = QueryResponse(
             request_id=req.request_id,
             payload=evaluate_query(self.stores[env.receiver], req),
@@ -158,7 +170,8 @@ class ShardedBaseline:
                 req = wire.read_payload(env)
             except wire.MalformedBody:
                 return  # dropped: one bad envelope must not end the run
-            self._route(req, env.sender, now)
+            if answerable(req):
+                self._route(req, env.sender, now)
         elif env.kind is MessageKind.RESPONSE:
             gather = self._pending.get(env.request_id)
             if gather is None or gather.done or env.sender not in gather.expected:
@@ -387,6 +400,8 @@ class P2PBaseline:
                 now)
             return
         req = payload
+        if not answerable(req):
+            return
         token = request_token(req)
         resp = QueryResponse(
             request_id=req.request_id,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 # Canonical field order of a reading; identity fields are always emitted
 # regardless of projection.
@@ -56,6 +56,10 @@ class SensorReading:
 
     `timestamp` is integer UTC milliseconds. Numeric fields may be None when
     the source row lacked them (absent values never count toward aggregates).
+
+    `_json` holds `canonical_json(self.to_json_dict())`, written by the wire
+    layer the first time the reading is encoded; it is not part of the
+    reading's value, so equality, hash, repr and pickle ignore it.
     """
 
     node_id: str
@@ -68,6 +72,15 @@ class SensorReading:
     temperature: float | None = None
     humidity: float | None = None
     pressure: float | None = None
+    _json: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __getstate__(self):
+        return [getattr(self, name) for name in _READING_STATE]
+
+    def __setstate__(self, state):
+        for name, value in zip(_READING_STATE, state):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_json", None)
 
     @property
     def key(self) -> tuple[str, str, int]:
@@ -126,6 +139,10 @@ class SensorReading:
             humidity=obj.get("humidity"),
             pressure=obj.get("pressure"),
         )
+
+
+# What pickle keeps of a reading: its value, without the kept JSON text.
+_READING_STATE = tuple(f.name for f in fields(SensorReading) if f.init)
 
 
 def _effective_projection(projection: frozenset[str]) -> frozenset[str]:

@@ -22,6 +22,8 @@ from .payloads import (
     BUILTIN_TRANSFORMERS,
     PayloadOps,
     TransformerUnknown,
+    all_valid,
+    answerable,
     request_token,
 )
 from .store import ChangeEvent, LocalStore
@@ -343,10 +345,11 @@ class SyncMeshNode:
             except wire.MalformedBody:
                 return  # dropped: one bad envelope must not end the run
             if env.kind is MessageKind.QUERY:
-                self.handle_request(payload, now, requester=env.sender)
+                if answerable(payload, self.registry.names()):
+                    self.handle_request(payload, now, requester=env.sender)
             elif env.kind is MessageKind.SUBSCRIBE:
                 self.add_subscription(payload["subscriber"], payload["filter"])
-            else:
+            elif all_valid((payload,)):
                 self.store.insert(payload)
         # INGEST / GOSSIP / GOSSIP_ECHO are baseline-system kinds.
 

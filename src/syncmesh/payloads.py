@@ -18,10 +18,13 @@ from .model import (
     QueryResponse,
     ReadingSet,
     Summary,
+    ValidationError,
     canonical_json,
     merge_reading_sets,
     merge_summaries,
     summarize,
+    validate_reading,
+    validate_request,
 )
 from . import wire
 
@@ -60,6 +63,28 @@ def apply_transformer(spec, readings: ReadingSet) -> "ReadingSet | Summary":
     if fn is None:
         raise TransformerUnknown(spec.name)
     return fn(readings, spec.params_dict)
+
+
+def answerable(req: QueryRequest, transformers=BUILTIN_TRANSFORMERS) -> bool:
+    """Whether a received query passes `validate_request` and names no
+    transformer outside `transformers`. Handlers drop a query that does not,
+    so one bad request cannot end the run."""
+    try:
+        validate_request(req)
+    except (ValidationError, TypeError):
+        return False
+    return req.transformer is None or req.transformer.name in transformers
+
+
+def all_valid(readings) -> bool:
+    """Whether every reading passes `validate_reading`. Handlers load none of
+    a received batch that does not."""
+    try:
+        for r in readings:
+            validate_reading(r)
+    except (ValidationError, TypeError):
+        return False
+    return True
 
 
 def evaluate_query(store, req: QueryRequest) -> "ReadingSet | Summary":

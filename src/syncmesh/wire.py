@@ -7,6 +7,10 @@ and deterministic; equal inputs always produce byte-identical output.
 A sender in this process also attaches the object its body encodes, so a
 receiver reads that object through `read_payload` instead of decoding bytes
 that were encoded a moment before. Only the body is ever counted.
+
+An unprojected reading is encoded once: its canonical JSON text is written by
+a fixed template and kept on the reading, and every later readings array,
+response or digest joins the kept texts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 from . import fastlz
 from .model import (
@@ -130,9 +135,50 @@ def decompress(codec: CodecId, data: bytes) -> bytes:
     raise ValueError(f"unknown codec: {codec}")
 
 
+_READING_TEMPLATE = (
+    '{"node_id":%s,"sensor_id":%s,"timestamp":%s,"geo":{"lat":%s,"lon":%s},'
+    '"p1":%s,"p2":%s,"temperature":%s,"humidity":%s,"pressure":%s}')
+
+
+def _json_value(v) -> str:
+    """`v` as `canonical_json` writes it."""
+    cls = type(v)
+    if cls is float:
+        if v - v == 0.0:  # finite; NaN and infinities fall through and raise
+            return float.__repr__(v)
+    elif cls is int:
+        return int.__repr__(v)
+    elif cls is str:
+        return encode_basestring_ascii(v)
+    elif v is None:
+        return "null"
+    return canonical_json(v).decode("ascii")
+
+
+def _reading_json(r: SensorReading) -> bytes:
+    """`canonical_json(r.to_json_dict())`, written on the first call and kept
+    on the reading. A value JSON cannot carry raises ValueError, and nothing
+    is kept."""
+    text = r._json
+    if text is None:
+        v = _json_value
+        text = (_READING_TEMPLATE % (
+            v(r.node_id), v(r.sensor_id), v(r.timestamp), v(r.lat), v(r.lon),
+            v(r.p1), v(r.p2), v(r.temperature), v(r.humidity), v(r.pressure),
+        )).encode("ascii")
+        object.__setattr__(r, "_json", text)
+    return text
+
+
+def _readings_array(readings) -> bytes:
+    return b"[" + b",".join(map(_reading_json, readings)) + b"]"
+
+
 def encode_readings(readings: ReadingSet, projection: frozenset[str] = frozenset()) -> bytes:
     """Canonical JSON array of readings with the projection applied."""
-    return canonical_json([r.to_json_dict(projection) for r in readings])
+    if projection:
+        return canonical_json([r.to_json_dict(projection) for r in readings])
+    return _readings_array(readings)
 
 
 def decode_readings(data: bytes) -> ReadingSet:
@@ -148,8 +194,18 @@ def decode_request(data: bytes) -> QueryRequest:
 
 
 def encode_response(resp: QueryResponse, projection: frozenset[str] = frozenset()) -> bytes:
-    """Uncompressed canonical response body; compress separately per resp.codec."""
-    return canonical_json(resp.to_json_dict(projection))
+    """Uncompressed canonical response body; compress separately per resp.codec.
+
+    Equal to `canonical_json(resp.to_json_dict(projection))`; an unprojected
+    readings payload is spliced in from the texts its readings keep."""
+    if projection or isinstance(resp.payload, Summary):
+        return canonical_json(resp.to_json_dict(projection))
+    return b"".join((
+        b'{"request_id":', canonical_json(resp.request_id),
+        b',"payload_kind":"readings","payload":', _readings_array(resp.payload),
+        b',"contributing_nodes":', canonical_json(sorted(resp.contributing_nodes)),
+        b',"partial":', canonical_json(resp.partial),
+        b',"codec":', canonical_json(resp.codec.name), b"}"))
 
 
 def project_response(resp: QueryResponse, projection: frozenset[str]) -> QueryResponse:
@@ -165,7 +221,9 @@ def decode_response(data: bytes) -> QueryResponse:
 
 
 def encode_reading(reading: SensorReading, projection: frozenset[str] = frozenset()) -> bytes:
-    return canonical_json(reading.to_json_dict(projection))
+    if projection:
+        return canonical_json(reading.to_json_dict(projection))
+    return _reading_json(reading)
 
 
 def decode_reading(data: bytes) -> SensorReading:

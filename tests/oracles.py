@@ -48,3 +48,66 @@ def assert_summary_close(summary, expected, rel=1e-9):
         assert agg.max == exp["max"], name
         assert abs(agg.sum - exp["sum"]) <= rel * max(1.0, abs(exp["sum"])), name
         assert abs(agg.mean - exp["mean"]) <= rel * max(1.0, abs(exp["mean"])), name
+
+
+def reference_compress(data: bytes) -> bytes:
+    """FASTLZ compression as first written: greedy, one byte at a time.
+
+    The library's compressor must emit exactly these tokens. The table is keyed
+    by the 3-byte sequence packed into an int and holds every scanned position
+    plus each match's last position; a match is extended byte by byte.
+    """
+    data = bytes(data)
+    n = len(data)
+    out = bytearray()
+    if n < 4:
+        _reference_literals(out, data, 0, n)
+        return bytes(out)
+    table = {}
+    pos = 0
+    lit_start = 0
+    limit = n - 2
+    while pos < limit:
+        key = data[pos] | (data[pos + 1] << 8) | (data[pos + 2] << 16)
+        candidate = table.get(key)
+        table[key] = pos
+        if candidate is None or pos - candidate > 8192:
+            pos += 1
+            continue
+        length = 3
+        max_len = n - pos
+        while length < max_len and data[candidate + length] == data[pos + length]:
+            length += 1
+        _reference_literals(out, data, lit_start, pos)
+        _reference_match(out, length, pos - candidate)
+        tail = pos + length - 1
+        if tail < limit:
+            table[data[tail] | (data[tail + 1] << 8) | (data[tail + 2] << 16)] = tail
+        pos += length
+        lit_start = pos
+    _reference_literals(out, data, lit_start, n)
+    return bytes(out)
+
+
+def _reference_literals(out, data, start, end):
+    while start < end:
+        run = min(32, end - start)
+        out.append(run - 1)
+        out += data[start : start + run]
+        start += run
+
+
+def _reference_match(out, length, distance):
+    offset = distance - 1
+    while length >= 3:
+        chunk = min(length, 264)
+        if length - chunk in (1, 2):
+            chunk = length - 3
+        if chunk <= 8:
+            out.append(((chunk - 2) << 5) | (offset >> 8))
+            out.append(offset & 0xFF)
+        else:
+            out.append(0xE0 | (offset >> 8))
+            out.append(chunk - 9)
+            out.append(offset & 0xFF)
+        length -= chunk

@@ -28,7 +28,15 @@ from syncmesh.netsim import (
     build_topology,
 )
 from syncmesh.store import LocalStore
-from syncmesh.wire import HEADER_SIZE, MessageKind, encode_readings
+from syncmesh.model import CodecId
+from syncmesh.wire import (
+    HEADER_SIZE,
+    Envelope,
+    MessageKind,
+    compress,
+    encode_readings,
+    encode_request,
+)
 
 FULL = TimeRange(1, 10**15)
 
@@ -308,3 +316,58 @@ class TestCrossSystemEquivalence:
         assert list(got_central.payload) == expected
         assert list(got_sharded.payload) == expected
         assert list(got_p2p.payload) == expected
+
+
+_BAD_QUERIES = {
+    "empty-range": QueryRequest(request_id="bad", range=TimeRange(10, 10),
+                                scope=Scope.MESH),
+    "unknown-transformer": QueryRequest(
+        request_id="bad", range=FULL, scope=Scope.MESH,
+        transformer=TransformerSpec.of("no_such_transformer")),
+}
+
+
+class TestInvalidBodies:
+    """A body that decodes to an invalid request or batch is dropped by every
+    baseline handler; later queries are still answered in full."""
+
+    def _system(self, rng, kind):
+        topo = server_topology(3)
+        net = Network(topo)
+        parts = partitions_for(rng, topo.node_ids(), per_node=10)
+        if kind == "central":
+            system = CentralBaseline(net, topo, parts)
+        elif kind == "sharded":
+            system = ShardedBaseline(net, topo, stores_from(parts))
+        else:
+            system = P2PBaseline(net, topo, parts)
+        system.ingest(0.0)
+        return net, system, parts
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_QUERIES))
+    @pytest.mark.parametrize("kind, receiver", [
+        ("central", "server"), ("sharded", "server"), ("sharded", "node-01"),
+        ("p2p", "node-01")])
+    def test_invalid_query_dropped(self, rng, kind, receiver, bad):
+        net, system, parts = self._system(rng, kind)
+        net.send(Envelope(kind=MessageKind.QUERY, sender="client",
+                          receiver=receiver,
+                          body=encode_request(_BAD_QUERIES[bad])), net.clock)
+        net.run_until_quiescent()
+        assert not [e for e in net.envelope_log
+                    if e.envelope.request_id == "bad" and e.envelope.sender != "client"]
+        resp, _ = system.query(collect_req(), net.clock + 500.0)
+        assert resp.partial is False
+        assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
+
+    def test_central_ingest_with_invalid_reading_loads_none(self, rng):
+        net, system, parts = self._system(rng, "central")
+        stored = len(system.server_store)
+        batch = (make_reading(rng, node_id="node-00", timestamp=7),
+                 SensorReading("node-00", "sensor-x", 9, humidity=200.0))
+        net.send(Envelope(kind=MessageKind.INGEST, sender="node-00",
+                          receiver="server", codec=CodecId.FASTLZ,
+                          body=compress(CodecId.FASTLZ, encode_readings(batch))),
+                 net.clock)
+        net.run_until_quiescent()
+        assert len(system.server_store) == stored

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from syncmesh.bench import (
     validate_config,
 )
 from syncmesh import wire
+from syncmesh.cli import main
 from syncmesh.model import MS_PER_DAY
 from syncmesh.payloads import fingerprint
 from syncmesh.wire import encode_readings
@@ -276,3 +278,18 @@ def test_matrix_configs_cover_grid():
     assert len(configs) == 4 * 2 * 4 * 4
     assert len({(c.system, c.scenario, c.n_nodes, c.window_days)
                 for c in configs}) == len(configs)
+
+
+# sha256 of matrix.csv from `bench matrix --seed 7 --reps 1 --sizes 3`: request
+# times and bytes of every system, scenario and window at 3 nodes. A change to
+# any wire byte or virtual timing moves it.
+GOLDEN_SMALL_MATRIX_SHA256 = (
+    "220c0001e5d526a86ceed9e85020a38d0e0f7584a35f9b97d7c49c5c05246733")
+
+
+def test_small_matrix_output_is_golden(tmp_path):
+    code = main(["matrix", "--seed", "7", "--reps", "1", "--sizes", "3",
+                 "--out", str(tmp_path), "--quiet"])
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SMALL_MATRIX_SHA256

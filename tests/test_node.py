@@ -31,7 +31,7 @@ from syncmesh.node import (
 )
 from syncmesh.payloads import TransformerUnknown
 from syncmesh.store import LocalStore
-from syncmesh.wire import MessageKind, encode_subscribe
+from syncmesh.wire import MessageKind, encode_reading, encode_request, encode_subscribe
 from syncmesh.wire import Envelope
 
 FULL = TimeRange(1, 10**15)
@@ -407,12 +407,21 @@ class TestTrafficInvariants:
 
 
 class TestMalformedBodies:
-    """An envelope whose body does not decode is dropped; the run goes on."""
+    """An envelope whose body does not decode, or decodes to an invalid
+    request or reading, is dropped; the run goes on."""
 
     @pytest.mark.parametrize("kind, sender, body", [
         (MessageKind.QUERY, "client", b"{not json"),
         (MessageKind.NOTIFY, "node-01", b'{"sensor_id":"s","timestamp":5}'),
-    ], ids=["query-not-json", "notify-without-node-id"])
+        (MessageKind.QUERY, "client", encode_request(QueryRequest(
+            request_id="bad", range=TimeRange(10, 10), scope=Scope.MESH))),
+        (MessageKind.QUERY, "client", encode_request(QueryRequest(
+            request_id="bad", range=FULL, scope=Scope.MESH,
+            transformer=TransformerSpec.of("no_such_transformer")))),
+        (MessageKind.NOTIFY, "node-01", encode_reading(SensorReading(
+            "node-01", "sensor-x", 5, humidity=200.0))),
+    ], ids=["query-not-json", "notify-without-node-id", "query-empty-range",
+            "query-unknown-transformer", "notify-humidity-200"])
     def test_bad_body_is_dropped_and_later_query_answered(self, rng, kind,
                                                            sender, body):
         topo = build_topology(3, seed=5)
@@ -433,6 +442,7 @@ class TestMalformedBodies:
         net.send(Envelope(kind=kind, sender=sender, receiver="node-00", body=body), 0.0)
         net.run_until_quiescent()
         assert [len(node.store) for node in nodes] == stored
+        assert client.received == {}
 
         req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH)
         resp, _ = run_query(net, client, "node-00", req, net.clock + 500.0)

@@ -1,18 +1,24 @@
+import hashlib
 import json
+import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_reading
-from syncmesh import fastlz
+from oracles import reference_compress
+from syncmesh import bench, fastlz
 from syncmesh.model import (
     CodecId,
     QueryRequest,
     QueryResponse,
     Scope,
+    SensorReading,
     TimeRange,
     TransformerSpec,
+    canonical_json,
     merge_reading_sets,
 )
 from syncmesh.wire import (
@@ -70,6 +76,16 @@ class TestCodecs:
         assert compress(codec, data) == compress(codec, data)
 
 
+_compressible = st.one_of(
+    st.binary(max_size=3000),
+    st.lists(st.sampled_from([b"a", b"ab", b"abc", b"xyz", b"\x00" * 5,
+                              b'{"node_id":"node-0', b"sensor-", b"12.5,"]),
+             max_size=400).map(b"".join),
+    st.tuples(st.binary(min_size=1, max_size=40), st.integers(1, 300))
+      .map(lambda t: t[0] * t[1]),
+)
+
+
 class TestFastlz:
     @pytest.mark.parametrize("data", [
         b"",
@@ -80,9 +96,12 @@ class TestFastlz:
         b"ab" * 9000,                # distance-2 overlap copies
         bytes(range(256)) * 64,      # distances beyond 8192
         b"x" * 3 + b"y" * 3 + b"x" * 3,
+        b"abcd",
+        b"aaaa",
     ], ids=["empty", "one", "two", "three", "long-run", "overlap",
-            "far-distance", "xyx"])
+            "far-distance", "xyx", "four", "four-same"])
     def test_roundtrip_edges(self, data):
+        assert fastlz.compress(data) == reference_compress(data)
         assert fastlz.decompress(fastlz.compress(data)) == data
 
     def test_incompressible_data_survives(self, rng):
@@ -90,15 +109,104 @@ class TestFastlz:
         out = fastlz.compress(data)
         assert fastlz.decompress(out) == data
 
-    @given(st.binary(max_size=3000))
-    @settings(max_examples=150)
+    @given(_compressible)
+    @settings(max_examples=300)
     def test_roundtrip_property(self, data):
-        assert fastlz.decompress(fastlz.compress(data)) == data
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert fastlz.decompress(out) == data
 
     def test_truncated_stream_rejected(self):
         out = fastlz.compress(b"abcabcabcabc" * 10)
         with pytest.raises(ValueError):
             fastlz.decompress(out[:-1])
+
+
+def _tokens(stream: bytes):
+    """The (length, distance) of every match token in a FASTLZ stream."""
+    out = []
+    i = 0
+    while i < len(stream):
+        ctrl = stream[i]
+        tag = ctrl >> 5
+        if tag == 0:
+            i += (ctrl & 0x1F) + 2
+        elif tag == 7:
+            out.append((stream[i + 1] + 9, (((ctrl & 0x1F) << 8) | stream[i + 2]) + 1))
+            i += 3
+        else:
+            out.append((tag + 2, (((ctrl & 0x1F) << 8) | stream[i + 1]) + 1))
+            i += 2
+    return out
+
+
+def _noise(n: int, seed: int) -> bytes:
+    return random.Random(seed).randbytes(n)
+
+
+# sha256 of fastlz.compress(encode_readings(...)) over the seed-7 synthetic
+# dataset (12 sensors, 30 days, 48 readings a day), taken with the byte-wise
+# compressor and reading encoder.
+SEED7_READINGS_SHA256 = "589e9c76d36b66860023397616db9f6e20ef9ead0b175d7a1760c4c5fb81024e"
+SEED7_FASTLZ_SHA256 = "b833d62f3eac638199c5a75203644dfe7662aca2b4cb48acf46884b5513c9a15"
+
+class TestFastlzTokens:
+    """The word-wise compressor writes the byte-wise reference's tokens."""
+
+    @pytest.mark.parametrize("run", [32, 33])
+    def test_literal_run_before_match(self, run):
+        head = bytes(range(run))
+        data = head + head[:8]
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert _tokens(out) == [(8, run)]
+        assert fastlz.decompress(out) == data
+
+    @pytest.mark.parametrize("length", [8, 9, 263, 264, 265, 266, 529, 600, 1000])
+    def test_match_length(self, length):
+        block = _noise(length, seed=length)
+        data = block + block
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert sum(n for n, _ in _tokens(out)) >= length
+        assert {d for _, d in _tokens(out)} == {length}
+        assert fastlz.decompress(out) == data
+
+    @pytest.mark.parametrize("length", [8, 9, 263, 264, 265, 266, 529, 1000])
+    def test_run_of_one_byte(self, length):
+        data = b"a" * (length + 1)
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert sum(n for n, _ in _tokens(out)) == length
+        assert fastlz.decompress(out) == data
+
+    @pytest.mark.parametrize("bit", range(8))
+    @pytest.mark.parametrize("at", [3, 8, 31, 32, 33, 70])
+    def test_match_ends_at_one_bit_difference(self, bit, at):
+        block = _noise(80, seed=at)
+        other = bytearray(block)
+        other[at] ^= 1 << bit
+        data = block + bytes(other)
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert (at, 80) in _tokens(out)
+        assert fastlz.decompress(out) == data
+
+    @pytest.mark.parametrize("distance, found", [(8192, True), (8193, False)])
+    def test_distance_limit(self, distance, found):
+        block = b"\xfe\xfd\xfc\xfb\xfa\xf9"
+        data = block + _noise(distance - len(block), seed=1).replace(b"\xfe", b"\x00") + block
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert ((len(block), distance) in _tokens(out)) is found
+        assert fastlz.decompress(out) == data
+
+    def test_seed7_dataset_pinned(self):
+        text = bench.generate_synthetic(12, 30, 48, seed=7)
+        _, parts = bench.ingest_csv_text(text, 12)
+        raw = encode_readings(merge_reading_sets(parts.values()))
+        assert hashlib.sha256(raw).hexdigest() == SEED7_READINGS_SHA256
+        assert hashlib.sha256(fastlz.compress(raw)).hexdigest() == SEED7_FASTLZ_SHA256
 
 
 class TestEnvelope:
@@ -147,6 +255,93 @@ class TestEncodeReadings:
     def test_roundtrip(self, rng):
         readings = merge_reading_sets([[make_reading(rng) for _ in range(25)]])
         assert decode_readings(encode_readings(readings)) == readings
+
+
+_ids = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["node-00", "nöde-ü", 'say "hi"', "back\\slash", "\u2603\U0001f600",
+                     "tab\tnew\nline", ""]),
+)
+_values = st.one_of(
+    st.none(),
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 1e300, -1e-300, 5e-324, 2**70, -(2**70), 0.1]),
+)
+_readings = st.builds(
+    SensorReading, node_id=_ids, sensor_id=_ids,
+    timestamp=st.one_of(st.integers(), st.booleans()),
+    lat=_values, lon=_values, p1=_values, p2=_values, temperature=_values,
+    humidity=_values, pressure=_values)
+
+
+def _reference_readings(readings) -> bytes:
+    return canonical_json([r.to_json_dict() for r in readings])
+
+
+class TestReadingText:
+    """Each reading's text is written once, by template, and equals the
+    generic canonical encoding of its JSON dict."""
+
+    @given(st.lists(_readings, max_size=6))
+    @settings(max_examples=200)
+    def test_readings_match_reference(self, readings):
+        want = _reference_readings(readings)
+        assert encode_readings(readings) == want
+        assert encode_readings(readings) == want  # from the kept texts
+        for r in readings:
+            assert encode_reading(r) == canonical_json(r.to_json_dict())
+
+    @given(st.lists(_readings, max_size=6), st.frozensets(_ids, max_size=3),
+           st.booleans(), st.sampled_from(list(CodecId)), _ids)
+    @settings(max_examples=100)
+    def test_response_matches_reference(self, readings, contributing, partial,
+                                        codec, request_id):
+        resp = QueryResponse(request_id=request_id, payload=tuple(readings),
+                             contributing_nodes=contributing, partial=partial,
+                             codec=codec)
+        want = canonical_json(resp.to_json_dict())
+        assert encode_response(resp) == want
+        assert encode_response(resp) == want
+        assert encode_readings(readings) == _reference_readings(readings)
+
+    def test_projection_ignores_kept_text(self, rng):
+        reading = make_reading(rng)
+        full = encode_reading(reading)
+        projection = frozenset({"p1"})
+        assert encode_reading(reading, projection) == canonical_json(
+            reading.to_json_dict(projection))
+        assert encode_readings((reading,), projection) == canonical_json(
+            [reading.to_json_dict(projection)])
+        assert encode_reading(reading) == full
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["lat", "p1", "pressure"])
+    def test_non_finite_raises_every_time(self, bad, field):
+        reading = SensorReading("node-00", "s", 5, **{field: bad})
+        resp = QueryResponse(request_id="q", payload=(reading,))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                encode_reading(reading)
+            with pytest.raises(ValueError):
+                encode_readings((reading,))
+            with pytest.raises(ValueError):
+                encode_response(resp)
+
+    def test_value_unchanged_by_encoding(self, rng):
+        reading = make_reading(rng)
+        twin = SensorReading(**{name: getattr(reading, name) for name in (
+            "node_id", "sensor_id", "timestamp", "lat", "lon", "p1", "p2",
+            "temperature", "humidity", "pressure")})
+        before = (hash(reading), repr(reading), pickle.dumps(reading))
+        encode_readings((reading,))
+        assert reading == twin
+        assert (hash(reading), repr(reading), pickle.dumps(reading)) == before
+        restored = pickle.loads(pickle.dumps(reading))
+        assert restored == reading
+        assert encode_reading(restored) == encode_reading(reading)
 
 
 class TestReadPayload:
