@@ -9,19 +9,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import replace
 
 from .model import (
     CodecId,
     QueryRequest,
     QueryResponse,
     ReadingSet,
-    Scope,
     SensorReading,
     TimeRange,
 )
 from .netsim import Network, Topology
-from .node import MeshClient, run_query
+from .node import Gather, MeshClient, run_query
 from .payloads import (
     PayloadOps,
     all_valid,
@@ -108,16 +107,6 @@ class CentralBaseline:
         return run_query(self.net, self.client, self.server_id, req, at)
 
 
-@dataclass
-class _RouterGather:
-    request: QueryRequest
-    requester: str
-    expected: frozenset[str]
-    responses: dict[str, QueryResponse] = field(default_factory=dict)
-    timeouts: frozenset[str] = frozenset()
-    done: bool = False
-
-
 class ShardedBaseline:
     """Shard-per-node store behind a unifying router at the server endpoint."""
 
@@ -135,7 +124,7 @@ class ShardedBaseline:
             else 2.0 * topology.max_latency_ms() + 100.0)
         self.client = MeshClient(client_id)
         self.client.attach(net)
-        self._pending: dict[str, _RouterGather] = {}
+        self.gather = Gather(server_id)
         net.register(server_id, self._on_router_envelope)
         for node_id in sorted(stores):
             net.register(node_id, self._on_shard_envelope)
@@ -165,75 +154,43 @@ class ShardedBaseline:
     # -- router --------------------------------------------------------------
 
     def _on_router_envelope(self, net: Network, env: Envelope, now: float) -> None:
-        if env.kind is MessageKind.QUERY:
-            try:
-                req = wire.read_payload(env)
-            except wire.MalformedBody:
-                return  # dropped: one bad envelope must not end the run
-            if answerable(req):
-                self._route(req, env.sender, now)
-        elif env.kind is MessageKind.RESPONSE:
-            gather = self._pending.get(env.request_id)
-            if gather is None or gather.done or env.sender not in gather.expected:
-                return
-            if env.sender in gather.responses:
-                return
-            try:
-                gather.responses[env.sender] = wire.read_payload(env)
-            except wire.MalformedBody:
-                return  # an undecodable reply counts as no reply
-            if len(gather.responses) == len(gather.expected):
-                self._finish(gather, now)
+        if env.kind is MessageKind.RESPONSE:
+            self.gather.on_response(env, now)
+            return
+        if env.kind is not MessageKind.QUERY:
+            return
+        try:
+            req = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # dropped: one bad envelope must not end the run
+        if answerable(req):
+            self._route(req, env.sender, now)
 
     def _route(self, req: QueryRequest, requester: str, now: float) -> None:
-        shards = sorted(self.stores)
-        gather = _RouterGather(request=req, requester=requester,
-                               expected=frozenset(shards))
-        self._pending[req.request_id] = gather
-        forwarded = QueryRequest(
-            request_id=req.request_id, range=req.range,
-            projection=req.projection, transformer=req.transformer,
-            scope=Scope.LOCAL)
-        body = wire.encode_request(forwarded)
-        for shard in shards:
+        def finish(responses, timeouts, at):
+            token = request_token(req)
+            responders = tuple(responses)
+            if responses:
+                merged = self.ops.merge(
+                    [r.payload for r in responses.values()],
+                    merge_key=(token, "router", responders))
+            elif req.transformer is not None:
+                merged = apply_transformer(req.transformer, ())
+            else:
+                merged = ()
+            resp = QueryResponse(
+                request_id=req.request_id, payload=merged,
+                contributing_nodes=frozenset().union(
+                    *(r.contributing_nodes for r in responses.values())),
+                partial=bool(timeouts), codec=CodecId.FASTLZ)
             self.net.send(
-                Envelope(kind=MessageKind.QUERY, sender=self.server_id,
-                         receiver=shard, body=body, request_id=req.request_id,
-                         payload_tag="query", payload=forwarded),
-                now)
+                self.ops.response_envelope(
+                    resp, self.server_id, requester, req.projection,
+                    source=f"router|{token}|{','.join(responders)}"),
+                at)
 
-        def fire(_net, at):
-            pending = self._pending.get(req.request_id)
-            if pending is gather and not gather.done:
-                gather.timeouts = gather.expected - frozenset(gather.responses)
-                self._finish(gather, at)
-
-        self.net.call_at(now + self.gather_timeout_ms, fire)
-
-    def _finish(self, gather: _RouterGather, now: float) -> None:
-        gather.done = True
-        self._pending.pop(gather.request.request_id, None)
-        responders = sorted(gather.responses)
-        token = request_token(gather.request)
-        parts = [gather.responses[s].payload for s in responders]
-        if parts:
-            merged = self.ops.merge(parts, merge_key=(token, "router", tuple(responders)))
-        elif gather.request.transformer is not None:
-            merged = apply_transformer(gather.request.transformer, ())
-        else:
-            merged = ()
-        contributing = frozenset().union(
-            *(gather.responses[s].contributing_nodes for s in responders)) \
-            if responders else frozenset()
-        resp = QueryResponse(
-            request_id=gather.request.request_id, payload=merged,
-            contributing_nodes=contributing,
-            partial=bool(gather.timeouts), codec=CodecId.FASTLZ)
-        self.net.send(
-            self.ops.response_envelope(
-                resp, self.server_id, gather.requester, gather.request.projection,
-                source=f"router|{token}|{','.join(responders)}"),
-            now)
+        self.gather.start(self.net, req, sorted(self.stores), now,
+                          self.gather_timeout_ms, finish)
 
     def ingest(self, at: float = 0.0) -> float:
         # Data already lives on the shards.
@@ -284,80 +241,6 @@ class P2PReplica:
         return fingerprint(wire.encode_readings(self.readings()))
 
 
-class _P2PCollectClient:
-    """Queries every peer, deduplicates client-side, optionally aggregates."""
-
-    def __init__(self, client_id: str, peers, ops: PayloadOps,
-                 gather_timeout_ms: float):
-        self.client_id = client_id
-        self.peers = tuple(sorted(peers))
-        self.ops = ops
-        self.gather_timeout_ms = gather_timeout_ms
-        self.received: dict[str, tuple[QueryResponse, float]] = {}
-        self._pending: dict[str, _RouterGather] = {}
-
-    def attach(self, net: Network) -> None:
-        net.register(self.client_id, self._on_envelope)
-
-    def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
-        if env.kind is not MessageKind.RESPONSE:
-            return
-        gather = self._pending.get(env.request_id)
-        if gather is None or gather.done or env.sender not in gather.expected:
-            return
-        if env.sender in gather.responses:
-            return
-        try:
-            gather.responses[env.sender] = wire.read_payload(env)
-        except wire.MalformedBody:
-            return  # an undecodable reply counts as no reply
-        if len(gather.responses) == len(gather.expected):
-            self._finish(gather, now)
-
-    def send_query(self, net: Network, req: QueryRequest, at: float) -> None:
-        gather = _RouterGather(request=req, requester=self.client_id,
-                               expected=frozenset(self.peers))
-        self._pending[req.request_id] = gather
-        stripped = QueryRequest(
-            request_id=req.request_id, range=req.range,
-            projection=req.projection, transformer=None, scope=Scope.LOCAL)
-        body = wire.encode_request(stripped)
-        for peer in self.peers:
-            net.send(
-                Envelope(kind=MessageKind.QUERY, sender=self.client_id,
-                         receiver=peer, body=body, request_id=req.request_id,
-                         payload_tag="query", payload=stripped),
-                at)
-
-        def fire(_net, at_):
-            pending = self._pending.get(req.request_id)
-            if pending is gather and not gather.done:
-                gather.timeouts = gather.expected - frozenset(gather.responses)
-                self._finish(gather, at_)
-
-        net.call_at(at + self.gather_timeout_ms, fire)
-
-    def _finish(self, gather: _RouterGather, now: float) -> None:
-        gather.done = True
-        self._pending.pop(gather.request.request_id, None)
-        responders = sorted(gather.responses)
-        token = request_token(gather.request)
-        parts = [gather.responses[p].payload for p in responders]
-        merged = self.ops.merge(
-            parts, merge_key=(token, "p2p-union", tuple(responders))) if parts else ()
-        if gather.request.transformer is not None:
-            spec = gather.request.transformer
-            merged = self.ops.memo(
-                ("p2p-transform", token, tuple(responders)),
-                lambda: apply_transformer(spec, merged))
-        resp = QueryResponse(
-            request_id=gather.request.request_id, payload=merged,
-            contributing_nodes=frozenset(responders),
-            partial=not responders and bool(self.peers),
-            codec=CodecId.NONE)
-        self.received[gather.request.request_id] = (resp, now)
-
-
 class P2PBaseline:
     """Eventually-consistent full replication over uncompressed gossip."""
 
@@ -378,9 +261,14 @@ class P2PBaseline:
             node_id: P2PReplica() for node_id in sorted(partitions)}
         for node_id in sorted(partitions):
             net.register(node_id, self._on_envelope)
-        self.client = _P2PCollectClient(client_id, self.replicas, self.ops,
-                                        self.gather_timeout_ms)
-        self.client.attach(net)
+        # The client pulls from every peer and merges on its own side.
+        self.gather = Gather(client_id)
+        self.received: dict[str, tuple[QueryResponse, float]] = {}
+        net.register(client_id, self._on_client_envelope)
+
+    def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
+        if env.kind is MessageKind.RESPONSE:
+            self.gather.on_response(env, now)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         # GOSSIP_ECHO is a protocol ack and carries no new data.
@@ -442,11 +330,33 @@ class P2PBaseline:
 
     def client_collect(self, req: QueryRequest, at: float,
                        limit: float = 1e12) -> tuple[QueryResponse, float]:
-        self.client.send_query(self.net, req, at)
+        """Pull the range from every peer without the transformer, then
+        deduplicate and apply the transformer at the client."""
+        def finish(responses, timeouts, done_at):
+            token = request_token(req)
+            responders = tuple(responses)
+            union = self.ops.merge(
+                [r.payload for r in responses.values()],
+                merge_key=(token, "p2p-union", responders)) if responses else ()
+            payload = union
+            if req.transformer is not None:
+                payload = self.ops.memo(
+                    ("p2p-transform", token, responders),
+                    lambda: apply_transformer(req.transformer, union))
+            resp = QueryResponse(
+                request_id=req.request_id, payload=payload,
+                contributing_nodes=frozenset(responders),
+                partial=bool(timeouts) and not responses,
+                codec=CodecId.NONE)
+            self.received[req.request_id] = (resp, done_at)
+
+        self.gather.start(self.net, replace(req, transformer=None),
+                          sorted(self.replicas), at, self.gather_timeout_ms,
+                          finish)
         self.net.run_until_quiescent(limit)
-        if req.request_id not in self.client.received:
+        if req.request_id not in self.received:
             raise RuntimeError(f"no p2p result for {req.request_id}")
-        resp, done_at = self.client.received[req.request_id]
+        resp, done_at = self.received[req.request_id]
         return resp, done_at - at
 
     def query(self, req: QueryRequest, at: float) -> tuple[QueryResponse, float]:

@@ -352,97 +352,41 @@ class SyncMeshSystem:
 
 
 class _PhaseReplay:
-    """Replays a previously simulated ingest phase on a fresh network.
+    """The recorded ingest phase of one system that ships data (central or
+    p2p) on one dataset, installed on later runs instead of re-simulating
+    identical events.
 
-    The outcome (duration, ledger counts, end state) of an ingest/sync phase
-    is a deterministic function of the cache key, so later configurations
-    install the recorded result instead of re-running identical events."""
+    The end state of the phase (the central server store, the p2p replicas)
+    depends on the dataset alone, so the first one built is kept and every
+    run answers from it. The duration and ledger bytes also depend on the
+    latency seed and the bandwidth, so they are kept per (seed, bandwidth)
+    and a new pair simulates the phase once."""
 
-    def __init__(self, net, cache: dict | None, key: tuple | None):
-        self.net = net
-        self.cache = cache
-        self.key = key
+    def __init__(self, state_attr: str):
+        self.state_attr = state_attr
+        self.state = None
+        self.traffic: dict[tuple, tuple[float, dict]] = {}
 
-    def fetch(self):
-        if self.cache is None or self.key is None:
-            return None
-        return self.cache.get(self.key)
-
-    def replay_traffic(self, duration: float, ledger_bytes: dict, at: float) -> None:
-        for bucket, n in ledger_bytes.items():
-            self.net.ledger.bytes[bucket] = self.net.ledger.bytes.get(bucket, 0) + n
-        self.net.clock = max(self.net.clock, at + duration)
-
-    def record(self, duration: float, state) -> None:
-        if self.cache is not None and self.key is not None:
-            self.cache[self.key] = (duration, dict(self.net.ledger.bytes), state)
-
-
-class _CentralRunner:
-    def __init__(self, net, topology, bundle, ops, cfg, gather_timeout_ms,
-                 phase_cache=None, phase_key=None):
-        self.system = CentralBaseline(net, topology, bundle.partitions, ops)
-        self._replay = _PhaseReplay(
-            net, phase_cache, ("central-ingest",) + phase_key if phase_key else None)
-
-    def ingest(self, at: float = 0.0) -> float:
-        hit = self._replay.fetch()
-        if hit is not None:
-            duration, ledger_bytes, server_store = hit
-            self.system.server_store = server_store
-            self._replay.replay_traffic(duration, ledger_bytes, at)
-            return duration
-        duration = self.system.ingest(at)
-        self._replay.record(duration, self.system.server_store)
+    def ingest(self, system, net: Network, key: tuple, at: float = 0.0) -> float:
+        hit = self.traffic.get(key)
+        if hit is None:
+            duration = system.ingest(at)
+            self.traffic[key] = (duration, dict(net.ledger.bytes))
+            if self.state is None:
+                self.state = getattr(system, self.state_attr)
+        else:
+            duration, ledger_bytes = hit
+            for bucket, n in ledger_bytes.items():
+                net.ledger.bytes[bucket] = net.ledger.bytes.get(bucket, 0) + n
+            net.clock = max(net.clock, at + duration)
+        # A state just built is equal to the kept one; dropping it here frees
+        # it by reference count instead of leaving it to the cycle collector.
+        setattr(system, self.state_attr, self.state)
         return duration
 
-    def query(self, req, at):
-        return self.system.query(req, at)
 
-    def close(self) -> None:
-        pass
-
-
-class _ShardedRunner:
-    def __init__(self, net, topology, bundle, ops, cfg, gather_timeout_ms,
-                 phase_cache=None, phase_key=None):
-        self.system = ShardedBaseline(net, topology, bundle.stores, ops,
-                                      gather_timeout_ms=gather_timeout_ms)
-
-    def ingest(self, at: float = 0.0) -> float:
-        return self.system.ingest(at)
-
-    def query(self, req, at):
-        return self.system.query(req, at)
-
-    def close(self) -> None:
-        pass
-
-
-class _P2PRunner:
-    def __init__(self, net, topology, bundle, ops, cfg, gather_timeout_ms,
-                 phase_cache=None, phase_key=None):
-        self.system = P2PBaseline(net, topology, bundle.partitions, ops,
-                                  gather_timeout_ms=gather_timeout_ms)
-        self._replay = _PhaseReplay(
-            net, phase_cache, ("p2p-sync",) + phase_key if phase_key else None)
-
-    def ingest(self, at: float = 0.0) -> float:
-        hit = self._replay.fetch()
-        if hit is not None:
-            duration, ledger_bytes, replicas = hit
-            self.system.replicas = replicas
-            self._replay.replay_traffic(duration, ledger_bytes, at)
-            return duration
-        duration = self.system.sync(at)
-        self._replay.record(duration, self.system.replicas)
-        return duration
-
-    def query(self, req, at):
-        return self.system.client_collect(req, at)
-
-    def close(self) -> None:
-        pass
+# Where each system that ships data keeps its ingest end state.
+_SHIPPED_STATE = {"central": "server_store", "p2p": "replicas"}
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +408,8 @@ class MatrixCaches:
 
     The ingest/sync phase of a repetition is fully determined by (dataset,
     topology seed, bandwidth); configs that differ only in scenario or window
-    replay the recorded outcome instead of re-simulating it."""
+    replay the recorded outcome instead of re-simulating it. `phases` holds
+    one `_PhaseReplay` per (system, dataset)."""
 
     datasets: dict = field(default_factory=dict)
     payloads: dict = field(default_factory=dict)
@@ -533,14 +478,6 @@ def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
     return bundle
 
 
-_RUNNERS = {
-    "syncmesh": None,  # special-cased below: needs stores + node configs
-    "central": _CentralRunner,
-    "sharded": _ShardedRunner,
-    "p2p": _P2PRunner,
-}
-
-
 def _scenario_gather_timeout(cfg: ScenarioConfig, manifest: DatasetManifest) -> float:
     if cfg.gather_timeout_ms is not None:
         return cfg.gather_timeout_ms
@@ -573,6 +510,11 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     gather_timeout = _scenario_gather_timeout(cfg, bundle.manifest)
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")
+    replay = None
+    if cfg.system in _SHIPPED_STATE:
+        replay = caches.phases.setdefault(
+            (cfg.system, bundle.scope_key),
+            _PhaseReplay(_SHIPPED_STATE[cfg.system]))
 
     rows: list[RepetitionRow] = []
     for rep in range(cfg.repetitions):
@@ -583,21 +525,27 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
         if cfg.system == "syncmesh":
             system = SyncMeshSystem(net, topo, bundle.stores, ops, cfg,
                                     gather_timeout_ms=gather_timeout)
+        elif cfg.system == "central":
+            system = CentralBaseline(net, topo, bundle.partitions, ops)
+        elif cfg.system == "sharded":
+            system = ShardedBaseline(net, topo, bundle.stores, ops,
+                                     gather_timeout_ms=gather_timeout)
         else:
-            phase_key = (bundle.scope_key, cfg.seed + rep,
-                         cfg.link_bandwidth_bytes_per_ms)
-            system = _RUNNERS[cfg.system](net, topo, bundle, ops, cfg,
-                                          gather_timeout,
-                                          phase_cache=caches.phases,
-                                          phase_key=phase_key)
+            system = P2PBaseline(net, topo, bundle.partitions, ops,
+                                 gather_timeout_ms=gather_timeout)
         try:
-            ingest_ms = system.ingest(0.0)
+            if replay is None:
+                ingest_ms = system.ingest(0.0)
+            else:
+                ingest_ms = replay.ingest(
+                    system, net, (cfg.seed + rep, cfg.link_bandwidth_bytes_per_ms))
             ingest_phase = net.reset_ledger()
             t_q = net.clock + QUERY_SETTLE_MS
             resp, rtt = system.query(req, t_q)
             query_phase = net.ledger
         finally:
-            system.close()
+            if isinstance(system, SyncMeshSystem):
+                system.close()
         ingest_by_class = ingest_phase.by_class()
         query_by_class = query_phase.by_class()
 

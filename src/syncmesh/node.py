@@ -5,7 +5,8 @@ subscriptions, and heartbeat-driven neighbor availability tracking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .model import (
     CodecId,
@@ -24,6 +25,7 @@ from .payloads import (
     TransformerUnknown,
     all_valid,
     answerable,
+    evaluate_query,
     request_token,
 )
 from .store import ChangeEvent, LocalStore
@@ -99,21 +101,21 @@ class TransformerRegistry:
     """
 
     def __init__(self, builtins: bool = True):
-        self._fns: dict[str, object] = {}
+        self.functions: dict[str, object] = {}
         self.active: dict[str, int] = {}
         if builtins:
             for name, fn in BUILTIN_TRANSFORMERS.items():
                 self.register(name, fn)
 
     def register(self, name: str, fn) -> None:
-        self._fns[name] = fn
+        self.functions[name] = fn
         self.active.setdefault(name, 0)
 
     def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._fns))
+        return tuple(sorted(self.functions))
 
     def run(self, spec: TransformerSpec, readings: ReadingSet) -> "ReadingSet | Summary":
-        fn = self._fns.get(spec.name)
+        fn = self.functions.get(spec.name)
         if fn is None:
             raise TransformerUnknown(spec.name)
         self.active[spec.name] += 1
@@ -128,19 +130,6 @@ class Subscription:
     subscriber: str
     filter: frozenset[str]
     id: str
-
-
-@dataclass
-class _Gather:
-    request: QueryRequest
-    requester: str
-    local_payload: "ReadingSet | Summary"
-    expected: frozenset[str]
-    skipped: frozenset[str]
-    started_at: float
-    responses: dict[str, QueryResponse] = field(default_factory=dict)
-    timeouts: frozenset[str] = frozenset()
-    done: bool = False
 
 
 class SyncMeshNode:
@@ -163,7 +152,7 @@ class SyncMeshNode:
         self.net: Network | None = None
         self.neighbors: NeighborModel | None = None
         self.gather_timeout_ms = self.config.gather_timeout_ms or 0.0
-        self._pending: dict[str, _Gather] = {}
+        self.gather = Gather(self.node_id)
         self._listener = None
         self._sub_seq = 0
 
@@ -241,83 +230,34 @@ class SyncMeshNode:
         requester is answered when it completes (or times out).
         """
         validate_request(req)
+        payload = evaluate_query(self.store, req, run=self.registry.run)
         if req.scope is Scope.LOCAL:
-            payload = self._evaluate(req)
             self._respond(req, requester,
                           payload=payload,
                           contributing=frozenset({self.node_id}),
                           partial=False, now=now)
             return
-        self._begin_gather(req, requester, now)
-
-    def _evaluate(self, req: QueryRequest) -> "ReadingSet | Summary":
-        readings = self.store.query(req.range)
-        if req.transformer is None:
-            return readings
-        return self.registry.run(req.transformer, readings)
-
-    def _begin_gather(self, req: QueryRequest, requester: str, now: float) -> None:
-        local_payload = self._evaluate(req)
         available = self.neighbors.available_at(now)
-        skipped = frozenset(self.neighbors.members) - frozenset(available)
-        gather = _Gather(
-            request=req, requester=requester, local_payload=local_payload,
-            expected=frozenset(available), skipped=skipped, started_at=now)
-        self._pending[req.request_id] = gather
-        if not available:
-            self._finalize(gather, now)
-            return
-        forwarded = QueryRequest(
-            request_id=req.request_id, range=req.range,
-            projection=req.projection, transformer=req.transformer,
-            scope=Scope.LOCAL)
-        body = wire.encode_request(forwarded)
-        for neighbor in available:
-            self.net.send(
-                Envelope(kind=MessageKind.QUERY, sender=self.node_id,
-                         receiver=neighbor, body=body,
-                         request_id=req.request_id, payload_tag="query",
-                         payload=forwarded),
-                now)
-        deadline = now + self.gather_timeout_ms
+        skipped = self.neighbors.members - frozenset(available)
 
-        def fire(_net, at):
-            pending = self._pending.get(req.request_id)
-            if pending is gather and not gather.done:
-                gather.timeouts = gather.expected - frozenset(gather.responses)
-                self._finalize(gather, at)
+        def finish(responses, timeouts, at):
+            # The local payload merges first; a neighbor's reply brings the
+            # nodes that contributed to it.
+            parts = [payload] + [r.payload for r in responses.values()]
+            merged = self.ops.merge(
+                parts, merge_key=(request_token(req), self.node_id,
+                                  tuple(responses)))
+            contributing = frozenset({self.node_id}).union(
+                *(r.contributing_nodes for r in responses.values()))
+            self._respond(req, requester, payload=merged,
+                          contributing=contributing,
+                          partial=bool(skipped or timeouts), now=at)
 
-        self.net.call_at(deadline, fire)
-
-    def _on_sub_response(self, env: Envelope, now: float) -> None:
-        gather = self._pending.get(env.request_id)
-        if gather is None or gather.done or env.sender not in gather.expected:
-            return
-        if env.sender in gather.responses:
-            return
-        try:
-            gather.responses[env.sender] = wire.read_payload(env)
-        except wire.MalformedBody:
-            return  # an undecodable reply counts as no reply
-        if len(gather.responses) == len(gather.expected):
-            self._finalize(gather, now)
-
-    def _finalize(self, gather: _Gather, now: float) -> None:
-        gather.done = True
-        self._pending.pop(gather.request.request_id, None)
-        responders = sorted(set(gather.responses) - set(gather.timeouts))
-        parts = [gather.local_payload] + [gather.responses[n].payload for n in responders]
-        contributing = frozenset({self.node_id}).union(
-            *(gather.responses[n].contributing_nodes for n in responders)) \
-            if responders else frozenset({self.node_id})
-        token = request_token(gather.request)
-        merged = self.ops.merge(
-            parts,
-            merge_key=(token, self.node_id, tuple(responders)))
-        partial = bool(gather.skipped) or bool(gather.timeouts)
-        self._respond(gather.request, gather.requester,
-                      payload=merged, contributing=contributing,
-                      partial=partial, now=now)
+        if available:
+            self.gather.start(self.net, req, available, now,
+                              self.gather_timeout_ms, finish)
+        else:
+            finish({}, frozenset(), now)
 
     def _respond(self, req: QueryRequest, requester: str,
                  payload: "ReadingSet | Summary", contributing: frozenset[str],
@@ -338,14 +278,14 @@ class SyncMeshNode:
         if env.kind is MessageKind.HEARTBEAT:
             self.on_heartbeat(env.sender, now)
         elif env.kind is MessageKind.RESPONSE:
-            self._on_sub_response(env, now)
+            self.gather.on_response(env, now)
         elif env.kind in _PAYLOAD_KINDS:
             try:
                 payload = wire.read_payload(env)
             except wire.MalformedBody:
                 return  # dropped: one bad envelope must not end the run
             if env.kind is MessageKind.QUERY:
-                if answerable(payload, self.registry.names()):
+                if answerable(payload, self.registry.functions):
                     self.handle_request(payload, now, requester=env.sender)
             elif env.kind is MessageKind.SUBSCRIBE:
                 self.add_subscription(payload["subscriber"], payload["filter"])
@@ -371,6 +311,66 @@ def _filter_matches(fields: frozenset[str], reading) -> bool:
         if getattr(reading, name, None) is None:
             return False
     return True
+
+
+@dataclass
+class _Round:
+    expected: frozenset[str]
+    finish: Callable
+    responses: dict[str, QueryResponse] = field(default_factory=dict)
+
+
+class Gather:
+    """Scatter-gather of LOCAL queries on behalf of one endpoint.
+
+    `start` sends the query, as LOCAL, to every target and sets a deadline.
+    A RESPONSE counts only from a target, only its first reply, and only if
+    its body decodes. `finish(responses, timeouts, now)` then runs exactly
+    once: when every target has replied, or when the deadline fires. It gets
+    the replies keyed by sender in sorted order and the targets that timed
+    out; what they mean is the owner's to decide.
+    """
+
+    def __init__(self, sender: str):
+        self.sender = sender
+        self._pending: dict[str, _Round] = {}
+
+    def start(self, net: Network, req: QueryRequest, targets, now: float,
+              timeout_ms: float, finish: Callable) -> None:
+        round_ = _Round(expected=frozenset(targets), finish=finish)
+        self._pending[req.request_id] = round_
+        forwarded = replace(req, scope=Scope.LOCAL)
+        body = wire.encode_request(forwarded)
+        for target in targets:
+            net.send(
+                Envelope(kind=MessageKind.QUERY, sender=self.sender,
+                         receiver=target, body=body,
+                         request_id=req.request_id, payload_tag="query",
+                         payload=forwarded),
+                now)
+
+        def deadline(_net, at):
+            if self._pending.get(req.request_id) is round_:
+                self._close(req.request_id, at)
+
+        net.call_at(now + timeout_ms, deadline)
+
+    def on_response(self, env: Envelope, now: float) -> None:
+        round_ = self._pending.get(env.request_id)
+        if (round_ is None or env.sender not in round_.expected
+                or env.sender in round_.responses):
+            return
+        try:
+            round_.responses[env.sender] = wire.read_payload(env)
+        except wire.MalformedBody:
+            return  # an undecodable reply counts as no reply
+        if len(round_.responses) == len(round_.expected):
+            self._close(env.request_id, now)
+
+    def _close(self, request_id: str, now: float) -> None:
+        round_ = self._pending.pop(request_id)
+        responses = {s: round_.responses[s] for s in sorted(round_.responses)}
+        round_.finish(responses, round_.expected.difference(responses), now)
 
 
 class MeshClient:

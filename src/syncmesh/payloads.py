@@ -66,14 +66,21 @@ def apply_transformer(spec, readings: ReadingSet) -> "ReadingSet | Summary":
 
 
 def answerable(req: QueryRequest, transformers=BUILTIN_TRANSFORMERS) -> bool:
-    """Whether a received query passes `validate_request` and names no
-    transformer outside `transformers`. Handlers drop a query that does not,
-    so one bad request cannot end the run."""
+    """Whether a received query passes `validate_request` and names a
+    transformer of `transformers` (name -> function) that accepts its
+    parameters, judged by a dry run on no readings. Handlers drop a query
+    that does not, so one bad request cannot end the run."""
     try:
         validate_request(req)
-    except (ValidationError, TypeError):
+        spec = req.transformer
+        if spec is not None:
+            fn = transformers.get(spec.name)
+            if fn is None:
+                return False
+            fn((), spec.params_dict)
+    except (ValueError, TypeError):
         return False
-    return req.transformer is None or req.transformer.name in transformers
+    return True
 
 
 def all_valid(readings) -> bool:
@@ -87,12 +94,14 @@ def all_valid(readings) -> bool:
     return True
 
 
-def evaluate_query(store, req: QueryRequest) -> "ReadingSet | Summary":
-    """The single-store answer to a query: raw readings, or the transformer output."""
+def evaluate_query(store, req: QueryRequest,
+                   run=apply_transformer) -> "ReadingSet | Summary":
+    """The single-store answer to a query: raw readings, or the output of
+    `run(transformer, readings)`."""
     readings = store.query(req.range)
     if req.transformer is None:
         return readings
-    return apply_transformer(req.transformer, readings)
+    return run(req.transformer, readings)
 
 
 def merge_payloads(parts) -> "ReadingSet | Summary":

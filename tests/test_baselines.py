@@ -274,7 +274,6 @@ class TestP2PCollect:
     def test_one_peer_down_still_complete(self, rng):
         net, parts, system = self._synced(rng)
         system.gather_timeout_ms = 300.0
-        system.client.gather_timeout_ms = 300.0
         net.set_available("node-02", False)
         resp, _ = system.client_collect(collect_req(), net.clock + 100.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
@@ -324,6 +323,15 @@ _BAD_QUERIES = {
     "unknown-transformer": QueryRequest(
         request_id="bad", range=FULL, scope=Scope.MESH,
         transformer=TransformerSpec.of("no_such_transformer")),
+    "downsample-k-0": QueryRequest(
+        request_id="bad", range=FULL, scope=Scope.MESH,
+        transformer=TransformerSpec.of("downsample", {"k": "0"})),
+    "downsample-k-not-int": QueryRequest(
+        request_id="bad", range=FULL, scope=Scope.MESH,
+        transformer=TransformerSpec.of("downsample", {"k": "x"})),
+    "aggregate-unknown-field": QueryRequest(
+        request_id="bad", range=FULL, scope=Scope.MESH,
+        transformer=TransformerSpec.of("aggregate_mean", {"fields": "bogus"})),
 }
 
 

@@ -25,8 +25,10 @@ from syncmesh.bench import (
     validate_config,
 )
 from syncmesh import wire
+from syncmesh.baselines import CentralBaseline, P2PBaseline
 from syncmesh.cli import main
 from syncmesh.model import MS_PER_DAY
+from syncmesh.netsim import Network, build_topology
 from syncmesh.payloads import fingerprint
 from syncmesh.wire import encode_readings
 
@@ -198,6 +200,39 @@ class TestRunScenario:
     def test_rows_match_repetitions(self):
         result = run_scenario(small_cfg(repetitions=4))
         assert [row.rep for row in result.rows] == [0, 1, 2, 3]
+
+    def test_shared_caches_keep_one_ingest_end_state_per_dataset(self):
+        """The end state of an ingest does not depend on the latency seed, so
+        later configurations install the first one recorded, whatever their
+        seed; only duration and bytes are kept per (seed, bandwidth)."""
+        caches = MatrixCaches()
+        for system in ("central", "p2p"):
+            for scenario in ("collect", "transform"):
+                for window in (1, 7):
+                    cfg = small_cfg(system=system, scenario=scenario,
+                                    window_days=window, repetitions=3)
+                    shared = run_scenario(cfg, caches).rows
+                    assert shared == run_scenario(cfg, MatrixCaches()).rows
+        assert sorted(caches.phases) == [("central", "syn|7|3"), ("p2p", "syn|7|3")]
+        for replay in caches.phases.values():
+            assert sorted(replay.traffic) == [(7, 1250.0), (8, 1250.0), (9, 1250.0)]
+
+        # The kept state equals the one each later seed builds itself, LWW
+        # versions included.
+        partitions = caches.datasets[("synthetic", 7, 3)].partitions
+        for seed in (8, 9):
+            topo = build_topology(3, seed=seed, with_server=True,
+                                  bandwidth_bytes_per_ms=1250.0)
+            central = CentralBaseline(Network(topo), topo, partitions)
+            central.ingest(0.0)
+            assert (central.server_store.all_readings()
+                    == caches.phases[("central", "syn|7|3")].state.all_readings())
+            topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
+            p2p = P2PBaseline(Network(topo), topo, partitions)
+            p2p.sync(0.0)
+            kept = caches.phases[("p2p", "syn|7|3")].state
+            assert {n: r._entries for n, r in p2p.replicas.items()} == \
+                {n: r._entries for n, r in kept.items()}
 
 
 @pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])

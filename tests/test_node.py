@@ -420,8 +420,23 @@ class TestMalformedBodies:
             transformer=TransformerSpec.of("no_such_transformer")))),
         (MessageKind.NOTIFY, "node-01", encode_reading(SensorReading(
             "node-01", "sensor-x", 5, humidity=200.0))),
+        (MessageKind.QUERY, "client", encode_request(QueryRequest(
+            request_id="bad", range=FULL, scope=Scope.MESH,
+            transformer=TransformerSpec.of("downsample", {"k": "0"})))),
+        (MessageKind.QUERY, "client", encode_request(QueryRequest(
+            request_id="bad", range=FULL, scope=Scope.LOCAL,
+            transformer=TransformerSpec.of("downsample", {"k": "0"})))),
+        (MessageKind.QUERY, "client", encode_request(QueryRequest(
+            request_id="bad", range=FULL, scope=Scope.MESH,
+            transformer=TransformerSpec.of("downsample", {"k": "x"})))),
+        (MessageKind.QUERY, "client", encode_request(QueryRequest(
+            request_id="bad", range=FULL, scope=Scope.MESH,
+            transformer=TransformerSpec.of("aggregate_mean",
+                                           {"fields": "bogus"})))),
     ], ids=["query-not-json", "notify-without-node-id", "query-empty-range",
-            "query-unknown-transformer", "notify-humidity-200"])
+            "query-unknown-transformer", "notify-humidity-200",
+            "query-downsample-k-0", "local-query-downsample-k-0",
+            "query-downsample-k-not-int", "query-aggregate-unknown-field"])
     def test_bad_body_is_dropped_and_later_query_answered(self, rng, kind,
                                                            sender, body):
         topo = build_topology(3, seed=5)
