@@ -9,6 +9,8 @@
 
 from __future__ import annotations
 
+import bisect
+import operator
 from dataclasses import replace
 
 from .model import (
@@ -18,6 +20,8 @@ from .model import (
     ReadingSet,
     SensorReading,
     TimeRange,
+    canonical_order,
+    reading_key,
 )
 from .netsim import Network, Topology
 from .node import Gather, MeshClient, run_query
@@ -34,6 +38,8 @@ from . import wire
 from .wire import Envelope, MessageKind
 
 INGEST_BATCH_SIZE = 500
+
+_timestamp = operator.attrgetter("timestamp")
 
 
 def _batches(readings: ReadingSet, size: int):
@@ -201,39 +207,64 @@ class ShardedBaseline:
 
 
 class P2PReplica:
-    """Replicated key-value view with last-write-wins conflict resolution."""
+    """Replicated key-value view with last-write-wins conflict resolution.
+
+    A write's version is (timestamp, writer) and its timestamp is part of the
+    key, so two writes to one key differ only in writer: the greater writer
+    wins and an equal one (a retransmit) keeps the first write. The replica
+    keeps one key -> reading and one key -> writer dict, and caches its
+    readings in canonical order until the next apply changes them.
+    """
 
     def __init__(self):
-        self._entries: dict[tuple, tuple[tuple, SensorReading]] = {}
+        self._readings: dict[tuple, SensorReading] = {}
+        self._writers: dict[tuple, str] = {}
+        self._view: ReadingSet | None = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._readings)
 
     def apply(self, reading: SensorReading, version: tuple) -> bool:
-        """Upsert under LWW; greater (timestamp, writer) version wins."""
-        key = (reading.node_id, reading.sensor_id, reading.timestamp)
-        current = self._entries.get(key)
-        if current is not None and version <= current[0]:
+        """Upsert under LWW; greater (timestamp, writer) version wins.
+        Raises ValueError when the version's timestamp is not the reading's."""
+        timestamp, writer = version
+        if timestamp != reading.timestamp:
+            raise ValueError(f"version timestamp {timestamp} is not the "
+                             f"reading's {reading.timestamp}")
+        key = reading_key(reading)
+        current = self._writers.get(key)
+        if current is not None and writer <= current:
             return False
-        self._entries[key] = (version, reading)
+        self._readings[key] = reading
+        self._writers[key] = writer
+        self._view = None
         return True
 
     def apply_batch(self, readings: ReadingSet, writer: str) -> None:
         """LWW-apply a gossip batch; version is (reading timestamp, writer)."""
-        entries = self._entries
-        for r in readings:
-            key = (r.node_id, r.sensor_id, r.timestamp)
-            version = (r.timestamp, writer)
-            current = entries.get(key)
-            if current is None or version > current[0]:
-                entries[key] = (version, r)
+        by_key = self._readings
+        writers = self._writers
+        for key, r in zip(map(reading_key, readings), readings):
+            current = writers.get(key)
+            if current is None or writer > current:
+                by_key[key] = r
+                writers[key] = writer
+                self._view = None
+
+    def writer(self, key: tuple) -> str | None:
+        """The writer whose write to `key` (node, sensor, timestamp) won."""
+        return self._writers.get(key)
 
     def readings(self) -> ReadingSet:
-        return tuple(sorted((r for _, r in self._entries.values()),
-                            key=lambda r: r.sort_key))
+        if self._view is None:
+            self._view = tuple(sorted(self._readings.values(), key=canonical_order))
+        return self._view
 
     def query_range(self, time_range: TimeRange) -> ReadingSet:
-        return tuple(r for r in self.readings() if time_range.contains(r.timestamp))
+        view = self.readings()
+        lo = bisect.bisect_left(view, time_range.start, key=_timestamp)
+        hi = bisect.bisect_left(view, time_range.end, lo, key=_timestamp)
+        return view[lo:hi]
 
     def digest(self) -> str:
         from .payloads import fingerprint

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 import json
+import operator
 from dataclasses import dataclass, field, fields
 
 # Canonical field order of a reading; identity fields are always emitted
@@ -28,6 +29,11 @@ IDENTITY_FIELDS = ("node_id", "sensor_id", "timestamp")
 NUMERIC_FIELDS = ("p1", "p2", "temperature", "humidity", "pressure")
 
 MS_PER_DAY = 86_400_000
+
+# A reading's deduplication identity and its canonical sort key, both built
+# in C: (node_id, sensor_id, timestamp) and (timestamp, sensor_id, node_id).
+reading_key = operator.attrgetter(*IDENTITY_FIELDS)
+canonical_order = operator.attrgetter("timestamp", "sensor_id", "node_id")
 
 
 class ValidationError(ValueError):
@@ -82,15 +88,10 @@ class SensorReading:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_json", None)
 
-    @property
-    def key(self) -> tuple[str, str, int]:
-        """Deduplication identity within a store."""
-        return (self.node_id, self.sensor_id, self.timestamp)
-
-    @property
-    def sort_key(self) -> tuple[int, str, str]:
-        """Canonical ordering: (timestamp, sensor_id, node_id) ascending."""
-        return (self.timestamp, self.sensor_id, self.node_id)
+    key = property(reading_key, doc="Deduplication identity within a store.")
+    sort_key = property(
+        canonical_order,
+        doc="Canonical ordering: (timestamp, sensor_id, node_id) ascending.")
 
     def value(self, field_name: str) -> float | None:
         if field_name not in NUMERIC_FIELDS:
@@ -363,10 +364,11 @@ def merge_summaries(parts) -> Summary:
 def merge_reading_sets(parts) -> ReadingSet:
     """Union of reading sets, deduplicated by key, in canonical order."""
     by_key: dict[tuple, SensorReading] = {}
+    keep_first = by_key.setdefault
     for part in parts:
-        for r in part:
-            by_key.setdefault(r.key, r)
-    return tuple(sorted(by_key.values(), key=lambda r: r.sort_key))
+        for key, r in zip(map(reading_key, part), part):
+            keep_first(key, r)
+    return tuple(sorted(by_key.values(), key=canonical_order))
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,9 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_reading
-from oracles import assert_summary_close, naive_summary, union_collect
+from oracles import (
+    ReferenceReplica,
+    assert_summary_close,
+    naive_summary,
+    union_collect,
+)
 from syncmesh.baselines import (
     CentralBaseline,
     P2PBaseline,
@@ -242,6 +249,55 @@ class TestP2PSync:
                 replica.apply(reading, version)
             digests.add(replica.digest())
         assert len(digests) == 1
+
+
+# Few keys and writers, so writes collide, retransmit an equal version (with
+# the same or different data) and arrive in any writer order.
+_writers = st.sampled_from(("node-00", "node-01", "node-02"))
+_replica_readings = st.builds(
+    SensorReading, st.sampled_from(("node-00", "node-01")),
+    st.sampled_from(("s0", "s1")), st.integers(1, 4),
+    temperature=st.sampled_from((0.0, 1.0, 2.0)))
+_replica_ops = st.lists(st.one_of(
+    st.tuples(st.just("apply"), _replica_readings, _writers),
+    st.tuples(st.just("batch"), st.lists(_replica_readings, max_size=6), _writers),
+    st.tuples(st.just("query"), st.integers(0, 5), st.integers(1, 5))),
+    max_size=30)
+
+
+class TestP2PReplicaModel:
+    """`P2PReplica` against the tuple-per-entry `ReferenceReplica`."""
+
+    @given(_replica_ops)
+    @settings(max_examples=300)
+    def test_matches_reference(self, ops):
+        replica, reference = P2PReplica(), ReferenceReplica()
+        for op, arg, other in ops:
+            if op == "apply":
+                version = (arg.timestamp, other)
+                assert replica.apply(arg, version) == reference.apply(arg, version)
+            elif op == "batch":
+                replica.apply_batch(tuple(arg), other)
+                reference.apply_batch(arg, other)
+            else:
+                time_range = TimeRange(arg, arg + other)
+                assert (replica.query_range(time_range)
+                        == reference.query_range(time_range))
+        assert replica.readings() == reference.readings()
+        assert len(replica) == len(reference.readings())
+        for r in reference.readings():
+            key = (r.node_id, r.sensor_id, r.timestamp)
+            assert replica.writer(key) == reference.writer(key)
+        assert replica.digest() == reference.digest()
+
+    def test_version_timestamp_must_be_the_readings(self):
+        replica = P2PReplica()
+        reading = SensorReading("node-00", "s0", 1000, temperature=1.0)
+        with pytest.raises(ValueError):
+            replica.apply(reading, (999, "node-01"))
+        assert len(replica) == 0
+        assert replica.apply(reading, (1000, "node-01"))
+        assert replica.writer(("node-00", "s0", 1000)) == "node-01"
 
 
 class TestP2PCollect:

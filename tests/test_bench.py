@@ -218,7 +218,10 @@ class TestRunScenario:
             assert sorted(replay.traffic) == [(7, 1250.0), (8, 1250.0), (9, 1250.0)]
 
         # The kept state equals the one each later seed builds itself, LWW
-        # versions included.
+        # versions included: each reading with the writer whose write won.
+        def lww_state(replica):
+            return [(r, replica.writer(r.key)) for r in replica.readings()]
+
         partitions = caches.datasets[("synthetic", 7, 3)].partitions
         for seed in (8, 9):
             topo = build_topology(3, seed=seed, with_server=True,
@@ -231,8 +234,8 @@ class TestRunScenario:
             p2p = P2PBaseline(Network(topo), topo, partitions)
             p2p.sync(0.0)
             kept = caches.phases[("p2p", "syn|7|3")].state
-            assert {n: r._entries for n, r in p2p.replicas.items()} == \
-                {n: r._entries for n, r in kept.items()}
+            assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
+                {n: lww_state(r) for n, r in kept.items()}
 
 
 @pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])
@@ -328,3 +331,24 @@ def test_small_matrix_output_is_golden(tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_SMALL_MATRIX_SHA256
+
+
+# sha256 of the CSV from `bench run --system p2p --scenario <s> --nodes 12
+# --days 30 --reps 1 --seed 7`: one cold p2p repetition at the size the
+# benchmark's cold-shipped workload measures, where every replica holds all
+# 17,280 readings.
+GOLDEN_P2P_RUN_SHA256 = {
+    "collect": "adc9f71ce00a1ac5a50f8d64a2011ca77016e06daa37a0e60db6c6237f0d0fdd",
+    "transform": "c59021f658e47b593bbe171ccfda70932ef235f4dd8d2011d5dd34073d3a70c4",
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_P2P_RUN_SHA256))
+def test_p2p_run_at_twelve_nodes_is_golden(scenario, tmp_path):
+    out = tmp_path / "run.csv"
+    code = main(["run", "--system", "p2p", "--scenario", scenario,
+                 "--nodes", "12", "--days", "30", "--reps", "1", "--seed", "7",
+                 "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_P2P_RUN_SHA256[scenario]
