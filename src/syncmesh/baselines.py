@@ -9,8 +9,6 @@
 
 from __future__ import annotations
 
-import bisect
-import operator
 from dataclasses import replace
 
 from .model import (
@@ -20,11 +18,12 @@ from .model import (
     ReadingSet,
     SensorReading,
     TimeRange,
-    canonical_order,
+    in_canonical_order,
     reading_key,
+    time_slice,
 )
 from .netsim import Network, Topology
-from .node import Gather, MeshClient, run_query
+from .node import Gather, MeshClient, default_gather_timeout_ms, run_query
 from .payloads import (
     PayloadOps,
     all_valid,
@@ -38,8 +37,6 @@ from . import wire
 from .wire import Envelope, MessageKind
 
 INGEST_BATCH_SIZE = 500
-
-_timestamp = operator.attrgetter("timestamp")
 
 
 def _batches(readings: ReadingSet, size: int):
@@ -127,7 +124,7 @@ class ShardedBaseline:
         self.server_id = server_id
         self.gather_timeout_ms = (
             gather_timeout_ms if gather_timeout_ms is not None
-            else 2.0 * topology.max_latency_ms() + 100.0)
+            else default_gather_timeout_ms(topology))
         self.client = MeshClient(client_id)
         self.client.attach(net)
         self.gather = Gather(server_id)
@@ -219,7 +216,7 @@ class P2PReplica:
     def __init__(self):
         self._readings: dict[tuple, SensorReading] = {}
         self._writers: dict[tuple, str] = {}
-        self._view: ReadingSet | None = None
+        self._ordered: ReadingSet | None = None
 
     def __len__(self) -> int:
         return len(self._readings)
@@ -237,7 +234,7 @@ class P2PReplica:
             return False
         self._readings[key] = reading
         self._writers[key] = writer
-        self._view = None
+        self._ordered = None
         return True
 
     def apply_batch(self, readings: ReadingSet, writer: str) -> None:
@@ -249,22 +246,19 @@ class P2PReplica:
             if current is None or writer > current:
                 by_key[key] = r
                 writers[key] = writer
-                self._view = None
+                self._ordered = None
 
     def writer(self, key: tuple) -> str | None:
         """The writer whose write to `key` (node, sensor, timestamp) won."""
         return self._writers.get(key)
 
     def readings(self) -> ReadingSet:
-        if self._view is None:
-            self._view = tuple(sorted(self._readings.values(), key=canonical_order))
-        return self._view
+        if self._ordered is None:
+            self._ordered = in_canonical_order(self._readings.values())
+        return self._ordered
 
     def query_range(self, time_range: TimeRange) -> ReadingSet:
-        view = self.readings()
-        lo = bisect.bisect_left(view, time_range.start, key=_timestamp)
-        hi = bisect.bisect_left(view, time_range.end, lo, key=_timestamp)
-        return view[lo:hi]
+        return time_slice(self.readings(), time_range)
 
     def digest(self) -> str:
         from .payloads import fingerprint
@@ -287,7 +281,7 @@ class P2PBaseline:
         self.batch_size = batch_size
         self.gather_timeout_ms = (
             gather_timeout_ms if gather_timeout_ms is not None
-            else 2.0 * topology.max_latency_ms() + 100.0)
+            else default_gather_timeout_ms(topology))
         self.replicas: dict[str, P2PReplica] = {
             node_id: P2PReplica() for node_id in sorted(partitions)}
         for node_id in sorted(partitions):
@@ -324,8 +318,7 @@ class P2PBaseline:
         token = request_token(req)
         resp = QueryResponse(
             request_id=req.request_id,
-            payload=self.ops.memo(("p2p-peer-view", me, token),
-                                  lambda: self.replicas[me].query_range(req.range)),
+            payload=self.replicas[me].query_range(req.range),
             contributing_nodes=frozenset({me}), partial=False,
             codec=CodecId.NONE)
         net.send(
@@ -366,14 +359,11 @@ class P2PBaseline:
         def finish(responses, timeouts, done_at):
             token = request_token(req)
             responders = tuple(responses)
-            union = self.ops.merge(
+            payload = self.ops.merge(
                 [r.payload for r in responses.values()],
                 merge_key=(token, "p2p-union", responders)) if responses else ()
-            payload = union
             if req.transformer is not None:
-                payload = self.ops.memo(
-                    ("p2p-transform", token, responders),
-                    lambda: apply_transformer(req.transformer, union))
+                payload = apply_transformer(req.transformer, payload)
             resp = QueryResponse(
                 request_id=req.request_id, payload=payload,
                 contributing_nodes=frozenset(responders),

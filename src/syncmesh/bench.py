@@ -379,8 +379,7 @@ class _PhaseReplay:
             for bucket, n in ledger_bytes.items():
                 net.ledger.bytes[bucket] = net.ledger.bytes.get(bucket, 0) + n
             net.clock = max(net.clock, at + duration)
-        # A state just built is equal to the kept one; dropping it here frees
-        # it by reference count instead of leaving it to the cycle collector.
+        # Every run answers from the kept state, never from one it just built.
         setattr(system, self.state_attr, self.state)
         return duration
 
@@ -546,6 +545,7 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
         finally:
             if isinstance(system, SyncMeshSystem):
                 system.close()
+            net.close()
         ingest_by_class = ingest_phase.by_class()
         query_by_class = query_phase.by_class()
 

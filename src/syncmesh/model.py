@@ -7,6 +7,7 @@ to byte-identical text.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import json
 import operator
@@ -34,6 +35,19 @@ MS_PER_DAY = 86_400_000
 # in C: (node_id, sensor_id, timestamp) and (timestamp, sensor_id, node_id).
 reading_key = operator.attrgetter(*IDENTITY_FIELDS)
 canonical_order = operator.attrgetter("timestamp", "sensor_id", "node_id")
+_timestamp = operator.attrgetter("timestamp")
+
+
+def in_canonical_order(readings) -> "ReadingSet":
+    """The readings as a tuple sorted by `canonical_order`."""
+    return tuple(sorted(readings, key=canonical_order))
+
+
+def time_slice(ordered: "ReadingSet", time_range: "TimeRange") -> "ReadingSet":
+    """Readings of `ordered` (canonical order) with timestamp in [start, end)."""
+    lo = bisect.bisect_left(ordered, time_range.start, key=_timestamp)
+    hi = bisect.bisect_left(ordered, time_range.end, lo, key=_timestamp)
+    return ordered[lo:hi]
 
 
 class ValidationError(ValueError):
@@ -87,11 +101,6 @@ class SensorReading:
         for name, value in zip(_READING_STATE, state):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_json", None)
-
-    key = property(reading_key, doc="Deduplication identity within a store.")
-    sort_key = property(
-        canonical_order,
-        doc="Canonical ordering: (timestamp, sensor_id, node_id) ascending.")
 
     def value(self, field_name: str) -> float | None:
         if field_name not in NUMERIC_FIELDS:
@@ -368,7 +377,7 @@ def merge_reading_sets(parts) -> ReadingSet:
     for part in parts:
         for key, r in zip(map(reading_key, part), part):
             keep_first(key, r)
-    return tuple(sorted(by_key.values(), key=canonical_order))
+    return in_canonical_order(by_key.values())
 
 
 @dataclass(frozen=True, slots=True)

@@ -294,6 +294,13 @@ class Network:
                 item(self, at)
         return self.clock
 
+    def close(self) -> None:
+        """Drop handlers, pending events and log. Handlers hold the systems
+        that hold this network, a cycle only the cycle collector would free."""
+        self._handlers = {}
+        self._queue = []
+        self.envelope_log = []
+
     def reset_ledger(self) -> TrafficLedger:
         """Swap in a fresh ledger (and log segment); returns the old ledger."""
         old = self.ledger

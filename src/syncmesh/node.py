@@ -48,7 +48,7 @@ class NodeConfig:
     node_id: str
     heartbeat_interval_ms: float = DEFAULT_HEARTBEAT_INTERVAL_MS
     heartbeat_timeout_ms: float = DEFAULT_HEARTBEAT_TIMEOUT_MS
-    gather_timeout_ms: float | None = None  # None: 2 * max one-way latency + 100
+    gather_timeout_ms: float | None = None  # None: default_gather_timeout_ms
     registered_transformers: tuple[str, ...] = tuple(sorted(BUILTIN_TRANSFORMERS))
 
     def to_json_dict(self) -> dict:
@@ -163,7 +163,7 @@ class SyncMeshNode:
         members = topology.neighbors_of(self.node_id, EndpointKind.NODE)
         self.neighbors = NeighborModel(members, self.config.heartbeat_timeout_ms)
         if self.config.gather_timeout_ms is None:
-            self.gather_timeout_ms = 2.0 * topology.max_latency_ms() + 100.0
+            self.gather_timeout_ms = default_gather_timeout_ms(topology)
         net.register(self.node_id, self._on_envelope)
         self._listener = self.store.register_listener(self.on_change)
 
@@ -371,6 +371,11 @@ class Gather:
         round_ = self._pending.pop(request_id)
         responses = {s: round_.responses[s] for s in sorted(round_.responses)}
         round_.finish(responses, round_.expected.difference(responses), now)
+
+
+def default_gather_timeout_ms(topology: Topology) -> float:
+    """The gather deadline used when none is configured."""
+    return 2.0 * topology.max_latency_ms() + 100.0
 
 
 class MeshClient:

@@ -20,7 +20,7 @@ from .model import (
     Summary,
     ValidationError,
     canonical_json,
-    canonical_order,
+    in_canonical_order,
     merge_reading_sets,
     merge_summaries,
     summarize,
@@ -48,8 +48,7 @@ def transform_downsample(readings: ReadingSet, params: dict[str, str]) -> Readin
     k = int(params.get("k", "1"))
     if k < 1:
         raise ValueError("downsample step k must be >= 1")
-    ordered = sorted(readings, key=canonical_order)
-    return tuple(ordered[::k])
+    return in_canonical_order(readings)[::k]
 
 
 BUILTIN_TRANSFORMERS = {

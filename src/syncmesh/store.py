@@ -1,13 +1,13 @@
 """Per-node local database: time-indexed readings, aggregation, change stream.
 
-The store is an in-memory ordered map with an optional JSON-lines snapshot.
+The store is an in-memory key -> reading map, its canonical order cached as
+one tuple until the next insert, with an optional JSON-lines snapshot.
 Inserts are idempotent on (node_id, sensor_id, timestamp); each accepted
 insert emits one ChangeEvent to every registered listener, in order.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +19,9 @@ from .model import (
     Summary,
     TimeRange,
     canonical_json,
+    in_canonical_order,
     summarize,
+    time_slice,
     validate_reading,
 )
 
@@ -59,8 +61,7 @@ class LocalStore:
     def __init__(self, node_id: str):
         self.node_id = node_id
         self._by_key: dict[tuple[str, str, int], SensorReading] = {}
-        self._index: list[tuple[int, str, str]] = []
-        self._index_dirty = False
+        self._ordered: ReadingSet | None = None
         self._listeners: list[ListenerHandle] = []
         self._seq = 0
 
@@ -74,7 +75,7 @@ class LocalStore:
         if key in self._by_key:
             return DUPLICATE
         self._by_key[key] = reading
-        self._index_dirty = True
+        self._ordered = None
         self._seq += 1
         event = ChangeEvent(reading=reading, seq=self._seq)
         if self._listeners:
@@ -90,27 +91,15 @@ class LocalStore:
                 n += 1
         return n
 
-    def _sorted_index(self) -> list[tuple[int, str, str]]:
-        if self._index_dirty:
-            self._index = sorted(
-                (ts, sensor, node) for (node, sensor, ts) in self._by_key
-            )
-            self._index_dirty = False
-        return self._index
-
     def all_readings(self) -> ReadingSet:
-        return tuple(
-            self._by_key[(node, sensor, ts)] for ts, sensor, node in self._sorted_index()
-        )
+        """Every reading in canonical order, cached until the next insert."""
+        if self._ordered is None:
+            self._ordered = in_canonical_order(self._by_key.values())
+        return self._ordered
 
     def query(self, time_range: TimeRange) -> ReadingSet:
         """Readings with timestamp in [start, end), in canonical order."""
-        index = self._sorted_index()
-        lo = bisect.bisect_left(index, (time_range.start, "", ""))
-        hi = bisect.bisect_left(index, (time_range.end, "", ""))
-        return tuple(
-            self._by_key[(node, sensor, ts)] for ts, sensor, node in index[lo:hi]
-        )
+        return time_slice(self.all_readings(), time_range)
 
     def aggregate(self, time_range: TimeRange, fields=NUMERIC_FIELDS) -> Summary:
         """Per-field summary over the range; None values are not counted."""

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -24,10 +26,10 @@ from syncmesh.bench import (
     trailing_window,
     validate_config,
 )
-from syncmesh import wire
+from syncmesh import bench, wire
 from syncmesh.baselines import CentralBaseline, P2PBaseline
 from syncmesh.cli import main
-from syncmesh.model import MS_PER_DAY
+from syncmesh.model import MS_PER_DAY, reading_key
 from syncmesh.netsim import Network, build_topology
 from syncmesh.payloads import fingerprint
 from syncmesh.wire import encode_readings
@@ -220,7 +222,7 @@ class TestRunScenario:
         # The kept state equals the one each later seed builds itself, LWW
         # versions included: each reading with the writer whose write won.
         def lww_state(replica):
-            return [(r, replica.writer(r.key)) for r in replica.readings()]
+            return [(r, replica.writer(reading_key(r))) for r in replica.readings()]
 
         partitions = caches.datasets[("synthetic", 7, 3)].partitions
         for seed in (8, 9):
@@ -253,6 +255,29 @@ def test_receivers_read_attached_payloads_only(system, monkeypatch):
         result = run_scenario(small_cfg(system=system, scenario=scenario,
                                         repetitions=1))
         assert not result.rows[0].partial
+
+
+@pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])
+def test_a_finished_repetition_is_freed_without_the_cycle_collector(
+        system, monkeypatch):
+    """Each repetition's network, systems and envelope log are freed by
+    reference counting as soon as the repetition ends."""
+    networks = []
+
+    def recorded_network(topology):
+        net = Network(topology)
+        networks.append(weakref.ref(net))
+        return net
+
+    monkeypatch.setattr(bench, "Network", recorded_network)
+    gc.collect()
+    gc.disable()
+    try:
+        run_scenario(small_cfg(system=system))
+        alive = [ref() is not None for ref in networks]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
 
 
 class TestExport:
@@ -333,22 +358,36 @@ def test_small_matrix_output_is_golden(tmp_path):
     assert digest == GOLDEN_SMALL_MATRIX_SHA256
 
 
-# sha256 of the CSV from `bench run --system p2p --scenario <s> --nodes 12
-# --days 30 --reps 1 --seed 7`: one cold p2p repetition at the size the
-# benchmark's cold-shipped workload measures, where every replica holds all
-# 17,280 readings.
-GOLDEN_P2P_RUN_SHA256 = {
-    "collect": "adc9f71ce00a1ac5a50f8d64a2011ca77016e06daa37a0e60db6c6237f0d0fdd",
-    "transform": "c59021f658e47b593bbe171ccfda70932ef235f4dd8d2011d5dd34073d3a70c4",
+# sha256 of the CSV from `bench run --system <system> --scenario <scenario>
+# --nodes 12 --days 30 --reps 1 --seed 7`: one cold repetition at the size the
+# benchmark's cold-local and cold-shipped workloads measure, where every p2p
+# replica holds all 17,280 readings.
+GOLDEN_RUN_AT_TWELVE_NODES_SHA256 = {
+    ("central", "collect"):
+        "33b0699adfdc95f0229ba39dd40889c02125b2e51e2c6add7a90015e46951dba",
+    ("central", "transform"):
+        "fdcc4f71183a88bb73af37e349d40a02dcb7be9e09997a90fe99042f4f2ea0b4",
+    ("p2p", "collect"):
+        "adc9f71ce00a1ac5a50f8d64a2011ca77016e06daa37a0e60db6c6237f0d0fdd",
+    ("p2p", "transform"):
+        "c59021f658e47b593bbe171ccfda70932ef235f4dd8d2011d5dd34073d3a70c4",
+    ("sharded", "collect"):
+        "ff95e12efb8aede065700123a469b43eca341a06e929095ccda9e21f75ecf460",
+    ("sharded", "transform"):
+        "de5d934a5c1828f39b84bc9fafda483e011076c402daebf8580c5aa7a551944a",
+    ("syncmesh", "collect"):
+        "7f263f528c85f08ed4c1d54029040ee67037964d1c43a05c75d3d558ebeb6d69",
+    ("syncmesh", "transform"):
+        "95e9b1fe886e460b848e748523855a622b4dbc0f60154f09f748b7929d6b1102",
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(GOLDEN_P2P_RUN_SHA256))
-def test_p2p_run_at_twelve_nodes_is_golden(scenario, tmp_path):
+@pytest.mark.parametrize("system,scenario", sorted(GOLDEN_RUN_AT_TWELVE_NODES_SHA256))
+def test_run_at_twelve_nodes_is_golden(system, scenario, tmp_path):
     out = tmp_path / "run.csv"
-    code = main(["run", "--system", "p2p", "--scenario", scenario,
+    code = main(["run", "--system", system, "--scenario", scenario,
                  "--nodes", "12", "--days", "30", "--reps", "1", "--seed", "7",
                  "--out", str(out)])
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == GOLDEN_P2P_RUN_SHA256[scenario]
+    assert digest == GOLDEN_RUN_AT_TWELVE_NODES_SHA256[(system, scenario)]

@@ -20,6 +20,7 @@ from syncmesh.model import (
     TransformerSpec,
     ValidationError,
     canonical_json,
+    canonical_order,
     merge_reading_sets,
     merge_summaries,
     summarize,
@@ -170,7 +171,7 @@ def test_response_roundtrip(readings, partial, as_summary):
 
 @given(st.lists(_readings, min_size=2, max_size=6))
 def test_reading_order_is_total(readings):
-    keys = [r.sort_key for r in readings]
+    keys = [canonical_order(r) for r in readings]
     ordered = sorted(keys)
     # antisymmetry and transitivity on the materialized order
     for i in range(len(ordered) - 1):
@@ -231,7 +232,7 @@ class TestMerge:
     def test_merge_orders_canonically(self, rng):
         readings = [make_reading(rng, sensor_id=f"s{i}") for i in range(20)]
         merged = merge_reading_sets([readings[10:], readings[:10]])
-        assert list(merged) == sorted(readings, key=lambda r: r.sort_key)
+        assert list(merged) == sorted(readings, key=canonical_order)
 
 
 def test_canonical_field_order_in_encoding(rng):

@@ -11,6 +11,8 @@ from syncmesh.model import (
     Summary,
     TimeRange,
     TransformerSpec,
+    canonical_order,
+    reading_key,
 )
 from syncmesh.netsim import (
     Endpoint,
@@ -148,7 +150,7 @@ class TestHandleRequest:
                            projection=frozenset({"humidity"}))
         resp, _ = mesh.mesh_query(req)
         expected = union_collect(data, FULL.start, FULL.end)
-        assert [r.key for r in resp.payload] == [r.key for r in expected]
+        assert list(map(reading_key, resp.payload)) == list(map(reading_key, expected))
         assert [r.humidity for r in resp.payload] == [r.humidity for r in expected]
         # non-projected fields never crossed the wire
         assert all(r.temperature is None and r.lat is None for r in resp.payload)
@@ -246,7 +248,7 @@ class TestTransformers:
     def test_downsample_every_kth(self, rng):
         registry = TransformerRegistry()
         readings = tuple(sorted((make_reading(rng, timestamp=i + 1, sensor_id="s")
-                                 for i in range(10)), key=lambda r: r.sort_key))
+                                 for i in range(10)), key=canonical_order))
         out = registry.run(TransformerSpec.of("downsample", {"k": "2"}), readings)
         assert out == readings[::2]
         assert len(out) == 5

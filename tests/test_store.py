@@ -11,6 +11,7 @@ from syncmesh.model import (
     SensorReading,
     TimeRange,
     ValidationError,
+    canonical_order,
 )
 from syncmesh.store import DUPLICATE, ChangeEvent, Duplicate, LocalStore
 
@@ -87,6 +88,44 @@ class TestQuery:
         assert len(store.query(TimeRange(1, 100))) == 1
         store.insert(make_reading(rng, timestamp=60, sensor_id="b"))
         assert len(store.query(TimeRange(1, 100))) == 2
+
+
+_store_readings = st.builds(
+    SensorReading,
+    node_id=st.sampled_from(("node-00", "node-01")),
+    sensor_id=st.sampled_from(("s1", "s2", "s3")),
+    timestamp=st.integers(1, 6),
+    temperature=st.integers(0, 3).map(float),
+)
+_store_steps = st.lists(st.one_of(
+    st.tuples(st.just("insert"), _store_readings),
+    st.tuples(st.just("query"), st.integers(0, 7), st.integers(0, 7)),
+), max_size=30)
+
+
+@settings(max_examples=300)
+@given(_store_steps)
+def test_interleaved_inserts_and_queries_match_first_writes(steps):
+    """Few keys, so writes repeat keys with other data and share timestamps
+    across sensors, and range bounds often fall on a stored timestamp."""
+    store = LocalStore("node-00")
+    first: dict[tuple, SensorReading] = {}
+
+    def expected(start, end):
+        return tuple(sorted(
+            (r for r in first.values() if start <= r.timestamp < end),
+            key=lambda r: (r.timestamp, r.sensor_id, r.node_id)))
+
+    for step in steps:
+        if step[0] == "insert":
+            r = step[1]
+            store.insert(r)
+            first.setdefault((r.node_id, r.sensor_id, r.timestamp), r)
+        else:
+            _, start, end = step
+            assert store.query(TimeRange(start, end)) == expected(start, end)
+    assert store.all_readings() == expected(0, 8)
+    assert len(store) == len(first)
 
 
 class TestAggregate:
@@ -178,7 +217,7 @@ def test_query_insert_consistency(timestamps):
     store.load_many(readings)
     full = store.query(TimeRange(1, max(timestamps) + 1))
     assert set(full) == readings
-    assert [r.sort_key for r in full] == sorted(r.sort_key for r in readings)
+    assert list(map(canonical_order, full)) == sorted(map(canonical_order, readings))
 
 
 class TestSnapshot:
