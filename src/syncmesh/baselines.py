@@ -30,7 +30,6 @@ from .payloads import (
     answerable,
     apply_transformer,
     evaluate_query,
-    request_token,
 )
 from .store import LocalStore
 from . import wire
@@ -82,9 +81,7 @@ class CentralBaseline:
             contributing_nodes=frozenset({self.server_id}),
             partial=False, codec=CodecId.FASTLZ)
         net.send(
-            self.ops.response_envelope(
-                resp, self.server_id, env.sender, req.projection,
-                source=f"central|{request_token(req)}"),
+            self.ops.response_envelope(req, resp, self.server_id, env.sender),
             now)
 
     def ingest(self, at: float = 0.0) -> float:
@@ -94,7 +91,7 @@ class CentralBaseline:
         for node_id in sorted(self.partitions):
             for i, batch in _batches(self.partitions[node_id], self.batch_size):
                 body = self.ops.readings_bytes(
-                    batch, CodecId.FASTLZ, source=f"ingest|{node_id}|{i}")
+                    node_id, i * self.batch_size, batch, CodecId.FASTLZ)
                 self.net.send(
                     Envelope(kind=MessageKind.INGEST, sender=node_id,
                              receiver=self.server_id, body=body,
@@ -149,9 +146,7 @@ class ShardedBaseline:
             contributing_nodes=frozenset({env.receiver}),
             partial=False, codec=CodecId.FASTLZ)
         net.send(
-            self.ops.response_envelope(
-                resp, env.receiver, env.sender, req.projection,
-                source=f"shard|{env.receiver}|{request_token(req)}"),
+            self.ops.response_envelope(req, resp, env.receiver, env.sender),
             now)
 
     # -- router --------------------------------------------------------------
@@ -171,12 +166,10 @@ class ShardedBaseline:
 
     def _route(self, req: QueryRequest, requester: str, now: float) -> None:
         def finish(responses, timeouts, at):
-            token = request_token(req)
-            responders = tuple(responses)
             if responses:
                 merged = self.ops.merge(
-                    [r.payload for r in responses.values()],
-                    merge_key=(token, "router", responders))
+                    self.server_id, req,
+                    {s: r.payload for s, r in responses.items()})
             elif req.transformer is not None:
                 merged = apply_transformer(req.transformer, ())
             else:
@@ -187,9 +180,7 @@ class ShardedBaseline:
                     *(r.contributing_nodes for r in responses.values())),
                 partial=bool(timeouts), codec=CodecId.FASTLZ)
             self.net.send(
-                self.ops.response_envelope(
-                    resp, self.server_id, requester, req.projection,
-                    source=f"router|{token}|{','.join(responders)}"),
+                self.ops.response_envelope(req, resp, self.server_id, requester),
                 at)
 
         self.gather.start(self.net, req, sorted(self.stores), now,
@@ -315,16 +306,13 @@ class P2PBaseline:
         req = payload
         if not answerable(req):
             return
-        token = request_token(req)
         resp = QueryResponse(
             request_id=req.request_id,
             payload=self.replicas[me].query_range(req.range),
             contributing_nodes=frozenset({me}), partial=False,
             codec=CodecId.NONE)
         net.send(
-            self.ops.response_envelope(resp, me, env.sender, req.projection,
-                                       source=f"p2p-peer|{me}|{token}"),
-            now)
+            self.ops.response_envelope(req, resp, me, env.sender), now)
 
     def sync(self, at: float = 0.0) -> float:
         """Push every reading, uncompressed, from its origin to every peer."""
@@ -335,7 +323,7 @@ class P2PBaseline:
             peers = [p for p in sorted(self.replicas) if p != origin]
             for i, batch in _batches(self.partitions[origin], self.batch_size):
                 body = self.ops.readings_bytes(
-                    batch, CodecId.NONE, source=f"gossip|{origin}|{i}")
+                    origin, i * self.batch_size, batch, CodecId.NONE)
                 for peer in peers:
                     self.net.send(
                         Envelope(kind=MessageKind.GOSSIP, sender=origin,
@@ -357,16 +345,14 @@ class P2PBaseline:
         """Pull the range from every peer without the transformer, then
         deduplicate and apply the transformer at the client."""
         def finish(responses, timeouts, done_at):
-            token = request_token(req)
-            responders = tuple(responses)
             payload = self.ops.merge(
-                [r.payload for r in responses.values()],
-                merge_key=(token, "p2p-union", responders)) if responses else ()
+                self.gather.sender, req,
+                {s: r.payload for s, r in responses.items()}) if responses else ()
             if req.transformer is not None:
                 payload = apply_transformer(req.transformer, payload)
             resp = QueryResponse(
                 request_id=req.request_id, payload=payload,
-                contributing_nodes=frozenset(responders),
+                contributing_nodes=frozenset(responses),
                 partial=bool(timeouts) and not responses,
                 codec=CodecId.NONE)
             self.received[req.request_id] = (resp, done_at)

@@ -29,8 +29,9 @@ from .model import (
 )
 from .netsim import LinkClass, Network, build_topology
 from .node import MeshClient, NodeConfig, SyncMeshNode, run_query
-from .payloads import PayloadOps, request_token
+from .payloads import PayloadOps
 from .store import LocalStore
+from . import netsim
 
 SYSTEMS = ("syncmesh", "central", "sharded", "p2p")
 SCENARIOS = ("collect", "transform")
@@ -397,7 +398,7 @@ class DatasetBundle:
     manifest: DatasetManifest
     partitions: dict
     stores: dict[str, LocalStore]
-    scope_key: str
+    key: tuple  # its key in `MatrixCaches.datasets`
 
 
 @dataclass
@@ -451,10 +452,8 @@ class ScenarioResult:
 def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
     if cfg.dataset == "synthetic":
         key = ("synthetic", cfg.seed, cfg.n_nodes)
-        scope = f"syn|{cfg.seed}|{cfg.n_nodes}"
     else:
         key = ("file", cfg.dataset, cfg.n_nodes)
-        scope = f"file|{cfg.dataset}|{cfg.n_nodes}"
     bundle = caches.datasets.get(key)
     if bundle is not None:
         return bundle
@@ -472,7 +471,7 @@ def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
         store.load_many(readings)
         stores[node_id] = store
     bundle = DatasetBundle(manifest=manifest, partitions=partitions,
-                           stores=stores, scope_key=scope)
+                           stores=stores, key=key)
     caches.datasets[key] = bundle
     return bundle
 
@@ -480,7 +479,9 @@ def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
 def _scenario_gather_timeout(cfg: ScenarioConfig, manifest: DatasetManifest) -> float:
     if cfg.gather_timeout_ms is not None:
         return cfg.gather_timeout_ms
-    timeout = 2.0 * 300.0 + 100.0
+    # The default deadline of a topology whose slowest link is the top of
+    # the latency range (`node.default_gather_timeout_ms`).
+    timeout = 2.0 * netsim.LATENCY_RANGE_MS[1] + 100.0
     bw = cfg.link_bandwidth_bytes_per_ms
     if bw:
         # Headroom for serialization of the largest conceivable transfer.
@@ -505,15 +506,17 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     caches = caches if caches is not None else MatrixCaches()
     bundle = _dataset_bundle(cfg, caches)
     window = trailing_window(bundle.manifest, cfg.window_days)
-    ops = PayloadOps(caches.payloads, scope_key=bundle.scope_key)
+    # One system over one dataset: the namespace of its memo entries and
+    # of its kept ingest end state.
+    scope = (cfg.system, bundle.key)
+    ops = PayloadOps(caches.payloads, scope_key=scope)
     gather_timeout = _scenario_gather_timeout(cfg, bundle.manifest)
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")
     replay = None
     if cfg.system in _SHIPPED_STATE:
         replay = caches.phases.setdefault(
-            (cfg.system, bundle.scope_key),
-            _PhaseReplay(_SHIPPED_STATE[cfg.system]))
+            scope, _PhaseReplay(_SHIPPED_STATE[cfg.system]))
 
     rows: list[RepetitionRow] = []
     for rep in range(cfg.repetitions):
@@ -553,10 +556,7 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
             return sum(ingest_by_class.get(c, 0) + query_by_class.get(c, 0)
                        for c in classes)
 
-        digest = ops.payload_digest(
-            resp.payload,
-            source=f"{cfg.system}|{request_token(req)}|"
-                   f"{','.join(sorted(resp.contributing_nodes))}")
+        digest = ops.payload_digest(resp.payload, req, resp.contributing_nodes)
         rows.append(RepetitionRow(
             rep=rep,
             request_time_ms=rtt,

@@ -102,11 +102,6 @@ class SensorReading:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "_json", None)
 
-    def value(self, field_name: str) -> float | None:
-        if field_name not in NUMERIC_FIELDS:
-            raise KeyError(field_name)
-        return getattr(self, field_name)
-
     def to_json_dict(self, projection: frozenset[str] = frozenset()) -> dict:
         keep = _effective_projection(projection)
         out: dict = {

@@ -232,9 +232,6 @@ class Network:
             raise UnknownEndpoint(endpoint_id)
         self._available[endpoint_id] = available
 
-    def is_available(self, endpoint_id: str) -> bool:
-        return self._available[endpoint_id]
-
     # -- scheduling --------------------------------------------------------
 
     def call_at(self, at: float, fn) -> None:

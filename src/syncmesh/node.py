@@ -26,7 +26,6 @@ from .payloads import (
     all_valid,
     answerable,
     evaluate_query,
-    request_token,
 )
 from .store import ChangeEvent, LocalStore
 from . import wire
@@ -243,10 +242,9 @@ class SyncMeshNode:
         def finish(responses, timeouts, at):
             # The local payload merges first; a neighbor's reply brings the
             # nodes that contributed to it.
-            parts = [payload] + [r.payload for r in responses.values()]
-            merged = self.ops.merge(
-                parts, merge_key=(request_token(req), self.node_id,
-                                  tuple(responses)))
+            parts = {self.node_id: payload} | {
+                s: r.payload for s, r in responses.items()}
+            merged = self.ops.merge(self.node_id, req, parts)
             contributing = frozenset({self.node_id}).union(
                 *(r.contributing_nodes for r in responses.values()))
             self._respond(req, requester, payload=merged,
@@ -266,11 +264,8 @@ class SyncMeshNode:
             request_id=req.request_id, payload=payload,
             contributing_nodes=contributing, partial=partial,
             codec=CodecId.GZIP)
-        source = f"{self.node_id}|{request_token(req)}"
         self.net.send(
-            self.ops.response_envelope(resp, self.node_id, requester,
-                                       req.projection, source=source),
-            now)
+            self.ops.response_envelope(req, resp, self.node_id, requester), now)
 
     # -- envelope dispatch -----------------------------------------------------
 

@@ -4,7 +4,9 @@ These helpers are shared by the mesh node and every baseline so that all
 systems answer queries with identical semantics. `PayloadOps` optionally
 memoizes encode/merge results: all of them are pure functions of
 deterministic inputs, so repeated benchmark repetitions can reuse work
-without changing any byte that goes on the wire.
+without changing any byte that goes on the wire. The memo key of each
+call is built here, from that call's own inputs, never by its caller; a
+cache hit costs one dict lookup and re-encodes nothing.
 """
 
 from __future__ import annotations
@@ -116,32 +118,24 @@ def fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def request_token(req: QueryRequest) -> str:
-    """Stable token for everything that determines a query's answer.
-
-    Cache sources must embed this so two requests over different ranges,
-    projections or transformers can never share an entry.
-    """
-    transformer = "-"
-    if req.transformer is not None:
-        params = ";".join(f"{k}={v}" for k, v in req.transformer.params)
-        transformer = f"{req.transformer.name}({params})"
-    projection = ",".join(sorted(req.projection))
-    return f"{req.range.start}:{req.range.end}|{projection}|{transformer}"
-
-
 class PayloadOps:
     """Response assembly with optional cross-repetition memoization.
 
-    `scope_key` namespaces cache entries by dataset so two scenarios sharing
-    one cache can never collide. With cache=None every call computes afresh.
+    Each method builds its own memo key from its arguments, so a caller
+    passes what it already holds and never writes a key. `scope_key`, set
+    once per scenario run as (system, dataset key), namespaces the entries,
+    so a key names only what varies inside one system's run over one
+    dataset: the request (a frozen `QueryRequest`, compared by value),
+    who sends or merges, and which nodes contributed. Keys of different
+    methods differ in length, so they never meet. With cache=None every
+    call computes afresh.
     """
 
-    def __init__(self, cache: dict | None = None, scope_key: str = ""):
+    def __init__(self, cache: dict | None = None, scope_key=()):
         self.cache = cache
         self.scope_key = scope_key
 
-    def memo(self, key, fn):
+    def memo(self, key: tuple, fn):
         if self.cache is None:
             return fn()
         full = (self.scope_key,) + key
@@ -154,52 +148,48 @@ class PayloadOps:
 
     # -- outgoing ----------------------------------------------------------
 
-    def response_envelope(self, resp: QueryResponse, sender: str, receiver: str,
-                          projection=frozenset(),
-                          source: str | None = None) -> wire.Envelope:
-        """RESPONSE envelope for resp: the compressed canonical body, memoized
-        per source, and as payload the response the receiver would decode."""
+    def response_envelope(self, req: QueryRequest, resp: QueryResponse,
+                          sender: str, receiver: str) -> wire.Envelope:
+        """RESPONSE envelope answering req: the compressed canonical body,
+        projected as req asks, and as payload the response the receiver
+        would decode. The body is the same for every receiver."""
         def build():
-            raw = wire.encode_response(resp, projection)
+            raw = wire.encode_response(resp, req.projection)
             return wire.compress(resp.codec, raw)
 
-        if source is None:
-            body = build()
-        else:
-            key = ("resp", source, resp.request_id, resp.codec.value,
-                   resp.partial, tuple(sorted(resp.contributing_nodes)),
-                   tuple(sorted(projection)))
-            body = self.memo(key, build)
+        body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
+                          resp.codec), build)
         return wire.Envelope(
             kind=wire.MessageKind.RESPONSE, sender=sender, receiver=receiver,
             body=body, codec=resp.codec, request_id=resp.request_id,
             payload_tag=resp.payload_kind,
-            payload=wire.project_response(resp, projection))
+            payload=wire.project_response(resp, req.projection))
 
-    def readings_bytes(self, readings: ReadingSet, codec: CodecId,
-                       source: str | None = None) -> bytes:
-        def build():
-            return wire.compress(codec, wire.encode_readings(readings))
-
-        if source is None:
-            return build()
-        return self.memo(("readings", source, codec.value), build)
+    def readings_bytes(self, sender: str, start: int, batch: ReadingSet,
+                       codec: CodecId) -> bytes:
+        """The compressed encoding of `batch`, the slice of the sender's
+        partition that begins at offset `start`."""
+        return self.memo(
+            (sender, start, len(batch), codec),
+            lambda: wire.compress(codec, wire.encode_readings(batch)))
 
     # -- merging -----------------------------------------------------------
 
-    def merge(self, parts, merge_key: tuple | None = None) -> "ReadingSet | Summary":
-        if merge_key is None:
-            return merge_payloads(parts)
-        return self.memo(("merge",) + merge_key, lambda: merge_payloads(parts))
+    def merge(self, owner: str, req: QueryRequest,
+              parts_by_sender: dict) -> "ReadingSet | Summary":
+        """Merge the parts `owner` holds for req, in the dict's order."""
+        return self.memo((owner, req, tuple(parts_by_sender)),
+                         lambda: merge_payloads(parts_by_sender.values()))
 
     def payload_digest(self, payload: "ReadingSet | Summary",
-                       source: str | None = None) -> str:
-        """Hex digest of the uncompressed canonical payload encoding."""
+                       req: QueryRequest | None = None,
+                       contributing: frozenset[str] = frozenset()) -> str:
+        """Hex digest of the uncompressed canonical payload encoding, the
+        answer to req from the `contributing` nodes. Without a cache the
+        two may be left out."""
         def build():
             if isinstance(payload, Summary):
                 return fingerprint(canonical_json(payload.to_json_dict()))
             return fingerprint(wire.encode_readings(payload))
 
-        if source is None:
-            return build()
-        return self.memo(("digest", source), build)
+        return self.memo((req, contributing), build)

@@ -25,12 +25,14 @@ from syncmesh.bench import (
     run_scenario,
     trailing_window,
     validate_config,
+    _scenario_gather_timeout,
 )
-from syncmesh import bench, wire
+from syncmesh import bench, netsim, wire
 from syncmesh.baselines import CentralBaseline, P2PBaseline
 from syncmesh.cli import main
 from syncmesh.model import MS_PER_DAY, reading_key
 from syncmesh.netsim import Network, build_topology
+from syncmesh.node import default_gather_timeout_ms
 from syncmesh.payloads import fingerprint
 from syncmesh.wire import encode_readings
 
@@ -172,6 +174,22 @@ class TestTrailingWindow:
         assert window.start == 5_000_001 - MS_PER_DAY
 
 
+def test_default_gather_deadline_follows_the_latency_range(monkeypatch):
+    """With no bandwidth term, a scenario's default deadline is the one
+    `default_gather_timeout_ms` gives a topology whose slowest link is the
+    top of `netsim.LATENCY_RANGE_MS`."""
+    cfg = small_cfg(link_bandwidth_bytes_per_ms=None)
+    manifest = DatasetManifest(source="x", row_count=1, malformed_rows=0,
+                               time_start=0, time_end=1,
+                               per_node_counts=(("node-00", 1),))
+    assert _scenario_gather_timeout(cfg, manifest) == 2.0 * 300.0 + 100.0
+    monkeypatch.setattr(netsim, "LATENCY_RANGE_MS", (20.0, 900.0))
+    assert _scenario_gather_timeout(cfg, manifest) == 2.0 * 900.0 + 100.0
+    topo = build_topology(6, seed=7)
+    assert topo.max_latency_ms() > 300.0
+    assert _scenario_gather_timeout(cfg, manifest) >= default_gather_timeout_ms(topo)
+
+
 class TestRunScenario:
     def test_syncmesh_digest_matches_union_oracle(self):
         caches = MatrixCaches()
@@ -206,16 +224,21 @@ class TestRunScenario:
     def test_shared_caches_keep_one_ingest_end_state_per_dataset(self):
         """The end state of an ingest does not depend on the latency seed, so
         later configurations install the first one recorded, whatever their
-        seed; only duration and bytes are kept per (seed, bandwidth)."""
-        caches = MatrixCaches()
-        for system in ("central", "p2p"):
-            for scenario in ("collect", "transform"):
-                for window in (1, 7):
-                    cfg = small_cfg(system=system, scenario=scenario,
-                                    window_days=window, repetitions=3)
-                    shared = run_scenario(cfg, caches).rows
-                    assert shared == run_scenario(cfg, MatrixCaches()).rows
-        assert sorted(caches.phases) == [("central", "syn|7|3"), ("p2p", "syn|7|3")]
+        seed; only duration and bytes are kept per (seed, bandwidth). And no
+        memo entry one configuration leaves changes another's rows, whichever
+        runs first."""
+        configs = [small_cfg(system=system, scenario=scenario,
+                             window_days=window, repetitions=3)
+                   for system in bench.SYSTEMS
+                   for scenario in bench.SCENARIOS
+                   for window in (1, 7)]
+        fresh = [run_scenario(cfg, MatrixCaches()).rows for cfg in configs]
+        for order in (range(len(configs)), reversed(range(len(configs)))):
+            caches = MatrixCaches()
+            for i in order:
+                assert run_scenario(configs[i], caches).rows == fresh[i], configs[i]
+        dataset = ("synthetic", 7, 3)
+        assert sorted(caches.phases) == [("central", dataset), ("p2p", dataset)]
         for replay in caches.phases.values():
             assert sorted(replay.traffic) == [(7, 1250.0), (8, 1250.0), (9, 1250.0)]
 
@@ -224,20 +247,32 @@ class TestRunScenario:
         def lww_state(replica):
             return [(r, replica.writer(reading_key(r))) for r in replica.readings()]
 
-        partitions = caches.datasets[("synthetic", 7, 3)].partitions
+        partitions = caches.datasets[dataset].partitions
         for seed in (8, 9):
             topo = build_topology(3, seed=seed, with_server=True,
                                   bandwidth_bytes_per_ms=1250.0)
             central = CentralBaseline(Network(topo), topo, partitions)
             central.ingest(0.0)
             assert (central.server_store.all_readings()
-                    == caches.phases[("central", "syn|7|3")].state.all_readings())
+                    == caches.phases[("central", dataset)].state.all_readings())
             topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
             p2p = P2PBaseline(Network(topo), topo, partitions)
             p2p.sync(0.0)
-            kept = caches.phases[("p2p", "syn|7|3")].state
+            kept = caches.phases[("p2p", dataset)].state
             assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
                 {n: lww_state(r) for n, r in kept.items()}
+
+    def test_a_second_pass_over_the_matrix_adds_no_memo_entry(self):
+        """Memo keys name only what the work depends on: running every
+        3-node configuration again on the same caches finds each entry the
+        first pass made, and the rows do not change."""
+        caches = MatrixCaches()
+        configs = matrix_configs(7, sizes=(3,), repetitions=2)
+        first = [run_scenario(cfg, caches).rows for cfg in configs]
+        keys = set(caches.payloads)
+        assert len(keys) == 150
+        assert [run_scenario(cfg, caches).rows for cfg in configs] == first
+        assert set(caches.payloads) == keys
 
 
 @pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])

@@ -68,7 +68,8 @@ class Owner:
         resp = QueryResponse(request_id=request_id, payload=payload,
                              contributing_nodes=frozenset({sender}),
                              partial=False, codec=CodecId.NONE)
-        env = PayloadOps().response_envelope(resp, sender, self.id)
+        req = QueryRequest(request_id=request_id, range=FULL)
+        env = PayloadOps().response_envelope(req, resp, sender, self.id)
         self.net.call_at(at, lambda net, now: net.send(env, now))
 
     def garbage_at(self, at, sender, request_id):
