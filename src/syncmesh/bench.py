@@ -12,9 +12,11 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from .baselines import CentralBaseline, P2PBaseline, ShardedBaseline
@@ -48,7 +50,7 @@ SYNTHETIC_EPOCH_S = 1_672_531_200  # 2023-01-01T00:00:00Z
 
 REQUIRED_COLUMNS = ("sensor_id", "lat", "lon", "timestamp", "P1", "P2",
                     "temperature", "humidity")
-OPTIONAL_COLUMNS = ("pressure",)
+_timestamp = operator.attrgetter("timestamp")
 
 
 class ConfigError(ValueError):
@@ -170,21 +172,23 @@ def generate_synthetic(n_sensors: int, days: int, readings_per_sensor_per_day: i
         sensor_ids = [f"sensor-{i:03d}" for i in range(n_sensors)]
     interval_s = 86_400 // readings_per_sensor_per_day
     out = io.StringIO()
-    out.write("sensor_id,lat,lon,timestamp,P1,P2,temperature,humidity,pressure\n")
-    for idx, sensor_id in enumerate(sensor_ids):
+    write = out.write
+    write("sensor_id,lat,lon,timestamp,P1,P2,temperature,humidity,pressure\n")
+    for sensor_id in sensor_ids:
         rng = random.Random(f"{seed}|{sensor_id}")
+        lognormvariate, uniform, gauss = rng.lognormvariate, rng.uniform, rng.gauss
         lat = round(42.55 + rng.random() * 0.3, 5)
         lon = round(23.20 + rng.random() * 0.4, 5)
+        prefix = f"{sensor_id},{lat},{lon},"
         for step in range(days * readings_per_sensor_per_day):
             ts = SYNTHETIC_EPOCH_S + step * interval_s
-            p1 = round(rng.lognormvariate(2.6, 0.7), 2)
-            p2 = round(rng.lognormvariate(2.1, 0.7), 2)
-            temperature = round(rng.uniform(-10.0, 40.0), 2)
-            humidity = round(rng.uniform(0.0, 100.0), 2)
+            p1 = round(lognormvariate(2.6, 0.7), 2)
+            p2 = round(lognormvariate(2.1, 0.7), 2)
+            temperature = round(uniform(-10.0, 40.0), 2)
+            humidity = round(uniform(0.0, 100.0), 2)
             # Every seventh row omits the optional pressure reading.
-            pressure = "" if step % 7 == 3 else f"{rng.gauss(101_325.0, 300.0):.1f}"
-            out.write(f"{sensor_id},{lat},{lon},{ts},{p1},{p2},"
-                      f"{temperature},{humidity},{pressure}\n")
+            pressure = "" if step % 7 == 3 else f"{gauss(101_325.0, 300.0):.1f}"
+            write(f"{prefix}{ts},{p1},{p2},{temperature},{humidity},{pressure}\n")
     return out.getvalue()
 
 
@@ -241,65 +245,65 @@ def ingest_csv_text(text: str, n_nodes: int,
     except StopIteration:
         raise EmptyDataset(f"{source}: no header row")
     columns = {name.strip().lower(): i for i, name in enumerate(header)}
-    index: dict[str, int] = {}
+    positions = []
     for name in REQUIRED_COLUMNS:
         pos = columns.get(name.lower())
         if pos is None:
             raise MissingColumn(name)
-        index[name] = pos
-    for name in OPTIONAL_COLUMNS:
-        pos = columns.get(name.lower())
-        if pos is not None:
-            index[name] = pos
+        positions.append(pos)
+    # A missing pressure column reads as an empty cell in every row.
+    has_pressure = "pressure" in columns
+    if has_pressure:
+        positions.append(columns["pressure"])
+    cells_of = operator.itemgetter(*positions)
 
     node_ids = [f"node-{i:02d}" for i in range(n_nodes)]
     partitions: dict[str, list[SensorReading]] = {n: [] for n in node_ids}
     node_of_sensor: dict[str, str] = {}
-    rows = 0
     malformed = 0
-    t_min: int | None = None
-    t_max: int | None = None
     for raw in reader:
-        if not raw or all(not cell.strip() for cell in raw):
-            continue
+        if not "".join(raw).strip():
+            continue  # a blank row: every cell empty or whitespace
         try:
-            sensor_id = raw[index["sensor_id"]].strip()
+            cells = cells_of(raw)
+            if not has_pressure:
+                cells += ("",)
+            sensor_id, lat, lon, ts, p1, p2, temperature, humidity, pressure = cells
+            sensor_id = sensor_id.strip()
             if not sensor_id:
                 raise ValueError("empty sensor_id")
             node_id = node_of_sensor.get(sensor_id)
             if node_id is None:
                 node_id = node_ids[node_index_for(sensor_id, n_nodes)]
                 node_of_sensor[sensor_id] = node_id
-            reading = SensorReading(
-                node_id=node_id,
-                sensor_id=sensor_id,
-                timestamp=_parse_timestamp_ms(raw[index["timestamp"]]),
-                lat=_parse_float(raw[index["lat"]]),
-                lon=_parse_float(raw[index["lon"]]),
-                p1=_parse_float(raw[index["P1"]]),
-                p2=_parse_float(raw[index["P2"]]),
-                temperature=_parse_float(raw[index["temperature"]]),
-                humidity=_parse_float(raw[index["humidity"]]),
-                pressure=_parse_float(raw[index["pressure"]]) if "pressure" in index else None,
-            )
+            try:
+                # Plain cells; anything else takes the parse helpers below.
+                reading = SensorReading(
+                    node_id, sensor_id, int(ts) * 1000,
+                    float(lat) if lat else None, float(lon) if lon else None,
+                    float(p1) if p1 else None, float(p2) if p2 else None,
+                    float(temperature) if temperature else None,
+                    float(humidity) if humidity else None,
+                    float(pressure) if pressure else None)
+            except ValueError:
+                reading = SensorReading(
+                    node_id, sensor_id, _parse_timestamp_ms(ts),
+                    *map(_parse_float, cells[1:3]),
+                    *map(_parse_float, cells[4:]))
             validate_reading(reading)
         except (ValueError, IndexError):
             malformed += 1
             continue
         partitions[node_id].append(reading)
-        rows += 1
-        if t_min is None or reading.timestamp < t_min:
-            t_min = reading.timestamp
-        if t_max is None or reading.timestamp > t_max:
-            t_max = reading.timestamp
+    rows = sum(map(len, partitions.values()))
     if rows == 0:
         raise EmptyDataset(f"{source}: no ingestible data rows")
     manifest = DatasetManifest(
         source=source,
         row_count=rows,
         malformed_rows=malformed,
-        time_start=t_min,
-        time_end=t_max,
+        time_start=min(map(_timestamp, chain.from_iterable(partitions.values()))),
+        time_end=max(map(_timestamp, chain.from_iterable(partitions.values()))),
         per_node_counts=tuple((n, len(partitions[n])) for n in node_ids),
     )
     return manifest, {n: tuple(rs) for n, rs in partitions.items()}

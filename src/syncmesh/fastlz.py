@@ -12,11 +12,13 @@ Distances are limited to 8192; longer matches are split into multiple tokens.
 Compression is greedy over a single-entry table keyed by each 3-byte
 sequence, so output is never optimal but always decodes to the input exactly.
 The table holds every position the scan visits, plus the last position of
-each match. A match found there is extended 32 bytes at a time: the two runs
-are read as little-endian integers and XOR-ed, and the lowest set bit of a
-non-zero result marks the first byte that differs. This finds the same
-lengths as a byte-by-byte scan with far fewer interpreter steps, so the token
-stream is the one the byte-wise compressor wrote.
+each match. A match found there whose 4th byte differs (over a third of them
+in reading JSON) is settled as 3 bytes by one byte compare. A longer one is
+extended 32 bytes at a time: the two runs are read as little-endian integers
+and XOR-ed, and the lowest set bit of a non-zero result marks the first byte
+that differs. This finds the same lengths as a byte-by-byte scan with far
+fewer interpreter steps, so the token stream is the one the byte-wise
+compressor wrote.
 """
 
 from __future__ import annotations
@@ -37,9 +39,13 @@ def compress(data: bytes) -> bytes:
         return _emit_all_literals(data)
 
     out = bytearray()
+    append = out.append
     table: dict[bytes, int] = {}
     lookup = table.get
     from_bytes = int.from_bytes
+    # The loop runs once per token or unmatched byte: keep its names local.
+    min_match, max_match, max_run, max_distance, word = (
+        _MIN_MATCH, _MAX_MATCH, _MAX_LITERAL_RUN, _MAX_DISTANCE, _WORD)
     pos = 0
     lit_start = 0
     # Last two positions cannot start a 3-byte match.
@@ -48,39 +54,45 @@ def compress(data: bytes) -> bytes:
         key = data[pos : pos + 3]
         candidate = lookup(key)
         table[key] = pos
-        if candidate is None or pos - candidate > _MAX_DISTANCE:
+        if candidate is None or pos - candidate > max_distance:
             pos += 1
             continue
         # The key is the 3 bytes themselves, so candidate starts the same 3
-        # bytes; extend a word at a time, as the module docstring describes.
-        length = _MIN_MATCH
+        # bytes. A 4th byte that differs (or is past the end) settles a
+        # 3-byte match; otherwise extend a word at a time, as the module
+        # docstring describes.
         max_len = n - pos
-        while length < max_len:
-            width = max_len - length
-            if width > _WORD:
-                width = _WORD
-            a = candidate + length
-            b = pos + length
-            diff = (from_bytes(data[a : a + width], "little")
-                    ^ from_bytes(data[b : b + width], "little"))
-            if diff:
-                length += ((diff & -diff).bit_length() - 1) >> 3
-                break
-            length += width
-        run = pos - lit_start
-        if run > _MAX_LITERAL_RUN:
-            _flush_literals(out, data, lit_start, pos)
-        elif run:
-            out.append(run - 1)
-            out += data[lit_start:pos]
+        if max_len > min_match and data[candidate + 3] == data[pos + 3]:
+            length = 4
+            while length < max_len:
+                width = max_len - length
+                if width > word:
+                    width = word
+                a = candidate + length
+                b = pos + length
+                diff = (from_bytes(data[a : a + width], "little")
+                        ^ from_bytes(data[b : b + width], "little"))
+                if diff:
+                    length += ((diff & -diff).bit_length() - 1) >> 3
+                    break
+                length += width
+        else:
+            length = min_match
+        if pos != lit_start:
+            run = pos - lit_start
+            if run > max_run:
+                _flush_literals(out, data, lit_start, pos)
+            else:
+                append(run - 1)
+                out += data[lit_start:pos]
         offset = pos - candidate - 1
         if length <= 8:
-            out.append(((length - 2) << 5) | (offset >> 8))
-            out.append(offset & 0xFF)
-        elif length <= _MAX_MATCH:
-            out.append(0xE0 | (offset >> 8))
-            out.append(length - 9)
-            out.append(offset & 0xFF)
+            append(((length - 2) << 5) | (offset >> 8))
+            append(offset & 0xFF)
+        elif length <= max_match:
+            append(0xE0 | (offset >> 8))
+            append(length - 9)
+            append(offset & 0xFF)
         else:
             _emit_match(out, length, offset + 1)
         # Seed the table at the match tail so adjacent repeats stay findable.

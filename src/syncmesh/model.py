@@ -366,10 +366,17 @@ def merge_summaries(parts) -> Summary:
 
 
 def merge_reading_sets(parts) -> ReadingSet:
-    """Union of reading sets, deduplicated by key, in canonical order."""
+    """Union of reading sets, deduplicated by key, in canonical order.
+
+    A part equal to an earlier one adds nothing, so it is skipped: the p2p
+    client gets the same range from every replica."""
     by_key: dict[tuple, SensorReading] = {}
     keep_first = by_key.setdefault
+    distinct: list = []
     for part in parts:
+        if any(len(part) == len(seen) and part == seen for seen in distinct):
+            continue
+        distinct.append(part)
         for key, r in zip(map(reading_key, part), part):
             keep_first(key, r)
     return in_canonical_order(by_key.values())

@@ -20,6 +20,7 @@ from .model import (
     TimeRange,
     canonical_json,
     in_canonical_order,
+    reading_key,
     summarize,
     time_slice,
     validate_reading,
@@ -84,12 +85,26 @@ class LocalStore:
         return event
 
     def load_many(self, readings) -> int:
-        """Insert many readings; returns how many were new."""
-        n = 0
-        for r in readings:
-            if isinstance(self.insert(r), ChangeEvent):
-                n += 1
-        return n
+        """Insert many readings; returns how many were new.
+
+        The same as `insert` on each in turn. With no listener registered no
+        ChangeEvent is built, but `seq` advances once per new reading, also
+        when an invalid reading stops the load partway."""
+        if self._listeners:
+            return sum(isinstance(self.insert(r), ChangeEvent) for r in readings)
+        by_key = self._by_key
+        keep_first = by_key.setdefault
+        before = len(by_key)
+        try:
+            for r in readings:
+                validate_reading(r)
+                keep_first(reading_key(r), r)
+        finally:
+            added = len(by_key) - before
+            if added:
+                self._ordered = None
+                self._seq += added
+        return added
 
     def all_readings(self) -> ReadingSet:
         """Every reading in canonical order, cached until the next insert."""

@@ -152,3 +152,110 @@ def _reference_match(out, length, distance):
             out.append(chunk - 9)
             out.append(offset & 0xFF)
         length -= chunk
+
+
+def reference_ingest(text, n_nodes, source="<memory>"):
+    """CSV ingest as first written: one helper call per cell, one comparison
+    per row for the time span.
+
+    `syncmesh.bench.ingest_csv_text` must return an equal manifest and equal
+    partitions, and raise the same errors.
+    """
+    import csv
+    import io
+
+    from syncmesh.bench import (
+        REQUIRED_COLUMNS,
+        DatasetManifest,
+        EmptyDataset,
+        MissingColumn,
+        node_index_for,
+    )
+    from syncmesh.model import SensorReading, validate_reading
+
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise EmptyDataset(f"{source}: no header row")
+    columns = {name.strip().lower(): i for i, name in enumerate(header)}
+    index = {}
+    for name in REQUIRED_COLUMNS:
+        pos = columns.get(name.lower())
+        if pos is None:
+            raise MissingColumn(name)
+        index[name] = pos
+    if "pressure" in columns:
+        index["pressure"] = columns["pressure"]
+
+    node_ids = [f"node-{i:02d}" for i in range(n_nodes)]
+    partitions = {n: [] for n in node_ids}
+    rows = 0
+    malformed = 0
+    t_min = None
+    t_max = None
+    for raw in reader:
+        if not raw or all(not cell.strip() for cell in raw):
+            continue
+        try:
+            sensor_id = raw[index["sensor_id"]].strip()
+            if not sensor_id:
+                raise ValueError("empty sensor_id")
+            node_id = node_ids[node_index_for(sensor_id, n_nodes)]
+            reading = SensorReading(
+                node_id=node_id,
+                sensor_id=sensor_id,
+                timestamp=_reference_timestamp_ms(raw[index["timestamp"]]),
+                lat=_reference_float(raw[index["lat"]]),
+                lon=_reference_float(raw[index["lon"]]),
+                p1=_reference_float(raw[index["P1"]]),
+                p2=_reference_float(raw[index["P2"]]),
+                temperature=_reference_float(raw[index["temperature"]]),
+                humidity=_reference_float(raw[index["humidity"]]),
+                pressure=(_reference_float(raw[index["pressure"]])
+                          if "pressure" in index else None),
+            )
+            validate_reading(reading)
+        except (ValueError, IndexError):
+            malformed += 1
+            continue
+        partitions[node_id].append(reading)
+        rows += 1
+        if t_min is None or reading.timestamp < t_min:
+            t_min = reading.timestamp
+        if t_max is None or reading.timestamp > t_max:
+            t_max = reading.timestamp
+    if rows == 0:
+        raise EmptyDataset(f"{source}: no ingestible data rows")
+    manifest = DatasetManifest(
+        source=source,
+        row_count=rows,
+        malformed_rows=malformed,
+        time_start=t_min,
+        time_end=t_max,
+        per_node_counts=tuple((n, len(partitions[n])) for n in node_ids),
+    )
+    return manifest, {n: tuple(rs) for n, rs in partitions.items()}
+
+
+def _reference_timestamp_ms(raw):
+    from datetime import datetime, timezone
+
+    raw = raw.strip()
+    if not raw:
+        raise ValueError("empty timestamp")
+    try:
+        return int(raw) * 1000
+    except ValueError:
+        pass
+    dt = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    if dt.tzinfo is None:
+        dt = dt.replace(tzinfo=timezone.utc)
+    return int(dt.timestamp() * 1000)
+
+
+def _reference_float(raw):
+    raw = raw.strip()
+    if not raw:
+        return None
+    return float(raw)

@@ -218,6 +218,44 @@ class TestP2PSync:
         expected = union_collect(parts, FULL.start, FULL.end)
         assert list(system.replicas["node-00"].readings()) == expected
 
+    def test_synced_replicas_share_one_view(self, rng):
+        n = 3
+        topo = build_topology(n, seed=6, with_server=False)
+        net = Network(topo)
+        parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
+        system = P2PBaseline(net, topo, parts)
+        system.sync(0.0)
+        reference = ReferenceReplica()
+        for origin, readings in parts.items():
+            reference.apply_batch(readings, origin)
+        views = [replica.readings() for replica in system.replicas.values()]
+        assert all(view is views[0] for view in views)
+        assert views[0] == reference.readings()
+        # A later write gives the written replica a view of its own.
+        extra = make_reading(rng, node_id="node-02", sensor_id="extra")
+        changed = system.replicas["node-01"]
+        assert changed.apply(extra, (extra.timestamp, "node-02"))
+        reference.apply(extra, (extra.timestamp, "node-02"))
+        assert changed.readings() is not views[0]
+        assert changed.readings() == reference.readings()
+        assert system.replicas["node-00"].readings() is views[0]
+        assert system.replicas["node-02"].readings() is views[0]
+
+    def test_a_replica_that_missed_gossip_keeps_its_own_view(self, rng):
+        n = 3
+        topo = build_topology(n, seed=6, with_server=False)
+        net = Network(topo)
+        parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
+        system = P2PBaseline(net, topo, parts)
+        net.set_available("node-02", False)  # receives no gossip
+        system.sync(0.0)
+        replicas = system.replicas
+        assert replicas["node-01"].readings() is replicas["node-00"].readings()
+        assert replicas["node-02"].readings() is not replicas["node-00"].readings()
+        alone = ReferenceReplica()
+        alone.apply_batch(parts["node-02"], "node-02")
+        assert replicas["node-02"].readings() == alone.readings()
+
     def test_lww_last_writer_wins_any_order(self):
         base = SensorReading("node-00", "s0", 1000, temperature=1.0)
         contender = SensorReading("node-00", "s0", 1000, temperature=2.0)
@@ -289,6 +327,27 @@ class TestP2PReplicaModel:
             key = (r.node_id, r.sensor_id, r.timestamp)
             assert replica.writer(key) == reference.writer(key)
         assert replica.digest() == reference.digest()
+
+    def test_a_view_is_shared_only_while_readings_are_equal(self):
+        """Same keys with another winning write is not equal."""
+        base = SensorReading("node-00", "s0", 1000, temperature=1.0)
+        other = SensorReading("node-00", "s0", 1000, temperature=2.0)
+        first, differs, same = P2PReplica(), P2PReplica(), P2PReplica()
+        first.apply(base, (1000, "node-00"))
+        differs.apply(other, (1000, "node-01"))
+        same.apply(base, (1000, "node-02"))
+        differs.share_view(first)
+        same.share_view(first)
+        assert differs.readings() == (other,)
+        assert same.readings() is first.readings()
+        # A write to the shared-with replica after the link is seen at read.
+        later, ahead = P2PReplica(), P2PReplica()
+        later.apply(base, (1000, "node-00"))
+        ahead.apply(base, (1000, "node-00"))
+        later.share_view(ahead)
+        ahead.apply(other, (1000, "node-01"))
+        assert later.readings() == (base,)
+        assert ahead.readings() == (other,)
 
     def test_version_timestamp_must_be_the_readings(self):
         replica = P2PReplica()

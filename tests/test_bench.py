@@ -4,8 +4,10 @@ import json
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import union_collect
+from oracles import reference_ingest, union_collect
 from syncmesh.bench import (
     DatasetManifest,
     EmptyDataset,
@@ -79,6 +81,80 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(0, 1, 1, seed=0)
 
+    def test_twelve_node_dataset_pinned(self):
+        """The dataset every 12-node run and golden is built from."""
+        text = generate_synthetic(12, 30, 48, seed=7, balance_across=12)
+        assert hashlib.sha256(text.encode()).hexdigest() == SEED7_12_NODE_CSV_SHA256
+
+
+# sha256 of generate_synthetic(12, 30, 48, seed=7, balance_across=12), taken
+# from the generator that wrote each row to a StringIO.
+SEED7_12_NODE_CSV_SHA256 = (
+    "709759516662541ce6734b04adab5fd8f2a1b0f3dad025c3bc923e6af9730bc0")
+
+_HEADER = ("sensor_id", "lat", "lon", "timestamp", "P1", "P2",
+           "temperature", "humidity", "pressure")
+
+
+def _mostly(valid, odd):
+    """Nine draws in ten from `valid`, so most rows load and the rest are
+    malformed in about one cell."""
+    return st.integers(0, 9).flatmap(lambda i: odd if i == 0 else valid)
+
+
+_pad = _mostly(st.just(""), st.sampled_from((" ", "\t", "  ")))
+_numbers = _mostly(
+    st.one_of(st.integers(0, 99).map(str), st.floats(0, 99, allow_nan=False).map(repr)),
+    st.sampled_from(("", " ", "x", "-1.5", "150", "1e3", "inf", "1_0", "-0.0",
+                     "0x10", "1.5.2")))
+_timestamps = _mostly(
+    st.integers(1, 2 * 10**9).map(str),
+    st.sampled_from(("", "  ", "0", "-3", "1.5", "soon", "2023-01-01T00:00:05",
+                     "2023-01-01T00:00:05Z", "2023-01-01 01:00:05+01:00",
+                     "2023-01-01")))
+_sensors = _mostly(st.sampled_from(("s1", "s2", "sensor-003")),
+                   st.sampled_from(("", "  ")))
+
+
+def _cell(values):
+    return st.tuples(_pad, values, _pad).map("".join)
+
+
+def _cell_for(name):
+    if name == "sensor_id":
+        return _cell(_sensors)
+    if name == "timestamp":
+        return _cell(_timestamps)
+    return _cell(_numbers)
+
+
+@st.composite
+def _csv_texts(draw):
+    names = list(_HEADER)
+    if draw(st.booleans()):
+        names.remove("pressure")
+    names = draw(st.permutations(names))
+    header = [draw(st.tuples(_pad, st.sampled_from((n, n.upper(), n.lower())), _pad)
+                   .map("".join)) for n in names]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(("row",) * 6 + ("blank", "short")))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", ",,", " , ", "\t"))))
+            continue
+        cells = [draw(_cell_for(n)) for n in names]
+        if kind == "short":
+            cells = cells[:draw(st.integers(1, len(cells) - 1))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _ingest_outcome(ingest, text, n_nodes):
+    try:
+        return ingest(text, n_nodes)
+    except (EmptyDataset, MissingColumn) as e:
+        return type(e), str(e)
+
 
 class TestIngestCsv:
     def test_header_only_is_empty_dataset(self):
@@ -128,6 +204,18 @@ class TestIngestCsv:
         manifest, partitions = ingest_csv_text(text, 1)
         reading = partitions["node-00"][0]
         assert reading.timestamp == 1_672_531_205_000
+
+    @settings(max_examples=150, deadline=None)
+    @given(_csv_texts(), st.integers(1, 4))
+    def test_equals_the_reference_ingest(self, text, n_nodes):
+        """Padded, empty and non-numeric cells, blank and short rows, ISO
+        timestamps, and headers reordered, in upper case or without pressure."""
+        assert (_ingest_outcome(ingest_csv_text, text, n_nodes)
+                == _ingest_outcome(reference_ingest, text, n_nodes))
+
+    def test_generated_dataset_equals_the_reference_ingest(self):
+        text = generate_synthetic(6, 3, 24, seed=3, balance_across=3)
+        assert ingest_csv_text(text, 3) == reference_ingest(text, 3)
 
     def test_path_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"

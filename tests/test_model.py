@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_reading
-from oracles import assert_summary_close, naive_summary
+from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh.model import (
     FIELD_NAMES,
     NUMERIC_FIELDS,
@@ -233,6 +234,47 @@ class TestMerge:
         readings = [make_reading(rng, sensor_id=f"s{i}") for i in range(20)]
         merged = merge_reading_sets([readings[10:], readings[:10]])
         assert list(merged) == sorted(readings, key=canonical_order)
+
+
+def _dict_path(parts):
+    """The union as the dict path builds it: first reading per key, sorted."""
+    return union_collect(dict(enumerate(parts)), 0, 10**13)
+
+
+def _same_readings(got, expected):
+    return len(got) == len(expected) and all(a is b for a, b in zip(got, expected))
+
+
+class TestMergeRepeatedParts:
+    """A part equal to an earlier one is skipped; the union does not change."""
+
+    def _part(self, rng, n=30):
+        readings = [make_reading(rng, sensor_id=f"s{i % 5}") for i in range(n)]
+        return tuple(readings + readings[:4])  # keys repeat inside the part
+
+    def test_the_same_object_repeated(self, rng):
+        part = self._part(rng)
+        parts = [part] * 12
+        assert _same_readings(merge_reading_sets(parts), _dict_path(parts))
+
+    def test_equal_but_distinct_tuples(self, rng):
+        first = self._part(rng)
+        copy = tuple(dataclasses.replace(r) for r in first)
+        assert copy == first and copy[0] is not first[0]
+        for parts in ([first, copy], [copy, first], [first, copy, first]):
+            assert _same_readings(merge_reading_sets(parts), _dict_path(parts))
+
+    def test_a_same_length_part_that_differs(self, rng):
+        first = self._part(rng)
+        changed = list(first)
+        changed[3] = dataclasses.replace(changed[3], temperature=-99.0)  # key collides
+        changed[7] = make_reading(rng, sensor_id="s-new")  # a new key
+        changed = tuple(changed)
+        assert len(changed) == len(first) and changed != first
+        for parts in ([first, changed], [changed, first], [first, changed, first]):
+            merged = merge_reading_sets(parts)
+            assert _same_readings(merged, _dict_path(parts))
+            assert changed[7] in merged
 
 
 def test_canonical_field_order_in_encoding(rng):

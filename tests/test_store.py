@@ -205,6 +205,78 @@ class TestListeners:
         readings = [make_reading(rng, timestamp=i + 1) for i in range(20)]
         fresh = store.load_many(readings + readings)
         assert len(events) == fresh == 20
+        assert [(e.reading, e.seq) for e in events] == list(zip(readings, range(1, 21)))
+
+
+_invalid_readings = st.builds(
+    SensorReading, node_id=st.just("node-00"), sensor_id=st.just("s1"),
+    timestamp=st.integers(1, 6), humidity=st.just(150.0))
+
+
+def _insert_loop(store, readings):
+    """What `load_many` must equal: `insert` on each reading in turn."""
+    n = 0
+    for r in readings:
+        n += isinstance(store.insert(r), ChangeEvent)
+    return n
+
+
+def _outcome(load, store, readings):
+    try:
+        return load(store, readings), None
+    except ValidationError as e:
+        return None, e.field
+
+
+class TestLoadMany:
+    @settings(max_examples=300)
+    @given(st.lists(_store_readings, max_size=6),
+           st.lists(st.one_of(_store_readings, _invalid_readings), max_size=20),
+           st.booleans())
+    def test_equals_an_insert_loop(self, before, batch, listen):
+        """New, duplicate and invalid readings in any mix, with or without a
+        listener, on a store whose canonical view is already cached."""
+        loaded, looped = LocalStore("node-00"), LocalStore("node-00")
+        events = {}
+        for store in (loaded, looped):
+            for r in before:
+                store.insert(r)
+            store.all_readings()
+            if listen:
+                seen = events[id(store)] = []
+                store.register_listener(lambda e, seen=seen: seen.append((e.reading, e.seq)))
+        got = _outcome(LocalStore.load_many, loaded, batch)
+        assert got == _outcome(_insert_loop, looped, batch)
+        assert loaded.all_readings() == looped.all_readings()
+        assert all(a is b for a, b in zip(loaded.all_readings(), looped.all_readings()))
+        assert events.get(id(loaded)) == events.get(id(looped))
+        fresh = SensorReading("node-00", "fresh", 99)
+        assert loaded.insert(fresh).seq == looped.insert(fresh).seq
+
+    def test_new_duplicate_and_invalid_without_a_listener(self, rng):
+        readings = [make_reading(rng, timestamp=i + 1, sensor_id=f"s{i}") for i in range(6)]
+        store = LocalStore("node-00")
+        assert store.load_many(readings[:4] + readings[2:]) == 6
+        assert store.load_many(readings) == 0
+        assert store.insert(make_reading(rng, timestamp=50)).seq == 7
+        bad = SensorReading("node-00", "s-bad", 60, humidity=150.0)
+        with pytest.raises(ValidationError):
+            store.load_many([bad])
+        assert len(store) == 7
+        assert store.insert(make_reading(rng, timestamp=70)).seq == 8
+
+    def test_invalid_reading_partway_keeps_the_readings_before_it(self, rng):
+        store = LocalStore("node-00")
+        first = make_reading(rng, timestamp=5, sensor_id="s0")
+        store.insert(first)
+        assert store.all_readings() == (first,)  # the canonical view is cached
+        before = [make_reading(rng, timestamp=ts, sensor_id="s1") for ts in (1, 9)]
+        bad = SensorReading("node-00", "s2", 3, humidity=150.0)
+        after = make_reading(rng, timestamp=2, sensor_id="s3")
+        with pytest.raises(ValidationError):
+            store.load_many([before[0], first, before[1], bad, after])
+        assert store.all_readings() == (before[0], first, before[1])
+        assert store.insert(after).seq == 4
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**9), unique=True,

@@ -181,7 +181,7 @@ class TestFastlzTokens:
         assert fastlz.decompress(out) == data
 
     @pytest.mark.parametrize("bit", range(8))
-    @pytest.mark.parametrize("at", [3, 8, 31, 32, 33, 70])
+    @pytest.mark.parametrize("at", [3, 4, 8, 31, 32, 33, 70])
     def test_match_ends_at_one_bit_difference(self, bit, at):
         block = _noise(80, seed=at)
         other = bytearray(block)
@@ -190,6 +190,15 @@ class TestFastlzTokens:
         out = fastlz.compress(data)
         assert out == reference_compress(data)
         assert (at, 80) in _tokens(out)
+        assert fastlz.decompress(out) == data
+
+    @pytest.mark.parametrize("last, length", [(b"d", 4), (b"e", 3), (b"", 3)])
+    def test_match_at_the_end_of_the_data(self, last, length):
+        """The 4th byte is the last input byte, or there is none."""
+        data = b"abcd" + b"wxyz" + b"abc" + last
+        out = fastlz.compress(data)
+        assert out == reference_compress(data)
+        assert _tokens(out) == [(length, 8)]
         assert fastlz.decompress(out) == data
 
     @pytest.mark.parametrize("distance, found", [(8192, True), (8193, False)])
