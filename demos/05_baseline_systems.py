@@ -17,21 +17,20 @@ req = QueryRequest(request_id="q", range=full, scope=Scope.MESH)
 
 
 def fresh(with_server):
-    topo = build_topology(3, seed=5, with_server=with_server)
-    return topo, Network(topo)
+    return Network(build_topology(3, seed=5, with_server=with_server))
 
 
 # central: everything moves to the cloud first, then the client pulls it back.
-topo, net = fresh(True)
-central = CentralBaseline(net, topo, partitions)
+net = fresh(True)
+central = CentralBaseline(net, partitions)
 ingest_ms = central.ingest(0.0)
 resp, rtt = central.query(req, net.clock + 100.0)
 print(f"central: ingest {ingest_ms:.0f} ms, query {rtt:.0f} ms, "
       f"{net.ledger.total():,} total bytes")
 
 # sharded: data stays put; a router unifies shard answers.
-topo, net = fresh(True)
-sharded = ShardedBaseline(net, topo, {
+net = fresh(True)
+sharded = ShardedBaseline(net, {
     nid: (lambda s: (s.load_many(rs), s)[1])(LocalStore(nid))
     for nid, rs in partitions.items()
 })
@@ -40,8 +39,8 @@ print(f"sharded: no ingest, query {rtt:.0f} ms, "
       f"{net.ledger.total():,} total bytes")
 
 # p2p: full replication, uncompressed, every data envelope echoed back.
-topo, net = fresh(False)
-p2p = P2PBaseline(net, topo, partitions)
+net = fresh(False)
+p2p = P2PBaseline(net, partitions)
 sync_ms = p2p.sync(0.0)
 resp, rtt = p2p.client_collect(req, net.clock + 100.0)
 digests = {r.digest() for r in p2p.replicas.values()}

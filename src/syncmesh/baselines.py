@@ -22,14 +22,15 @@ from .model import (
     reading_key,
     time_slice,
 )
-from .netsim import Network, Topology
-from .node import Gather, MeshClient, default_gather_timeout_ms, run_query
+from .netsim import CLIENT_ID, SERVER_ID, Network
+from .node import QUERY_TIME_LIMIT_MS, Gather, MeshClient, run_query
 from .payloads import (
     PayloadOps,
     all_valid,
     answerable,
     apply_transformer,
     evaluate_query,
+    fingerprint,
 )
 from .store import LocalStore
 from . import wire
@@ -38,28 +39,25 @@ from .wire import Envelope, MessageKind
 INGEST_BATCH_SIZE = 500
 
 
-def _batches(readings: ReadingSet, size: int):
-    for i in range(0, len(readings), size):
-        yield i // size, readings[i : i + size]
+def _batches(readings: ReadingSet):
+    """Each ingest batch with its offset in `readings`."""
+    size = INGEST_BATCH_SIZE
+    for offset in range(0, len(readings), size):
+        yield offset, readings[offset : offset + size]
 
 
 class CentralBaseline:
     """Central cloud store: ingest everything, answer queries server-side."""
 
-    def __init__(self, net: Network, topology: Topology,
-                 partitions: dict[str, ReadingSet],
-                 ops: PayloadOps | None = None,
-                 server_id: str = "server", client_id: str = "client",
-                 batch_size: int = INGEST_BATCH_SIZE):
+    def __init__(self, net: Network, partitions: dict[str, ReadingSet],
+                 ops: PayloadOps | None = None):
         self.net = net
         self.partitions = partitions
         self.ops = ops or PayloadOps()
-        self.server_id = server_id
-        self.batch_size = batch_size
-        self.server_store = LocalStore(server_id)
-        self.client = MeshClient(client_id)
+        self.server_store = LocalStore(SERVER_ID)
+        self.client = MeshClient()
         self.client.attach(net)
-        net.register(server_id, self._on_envelope)
+        net.register(SERVER_ID, self._on_envelope)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind not in (MessageKind.INGEST, MessageKind.QUERY):
@@ -78,24 +76,23 @@ class CentralBaseline:
         resp = QueryResponse(
             request_id=req.request_id,
             payload=evaluate_query(self.server_store, req),
-            contributing_nodes=frozenset({self.server_id}),
+            contributing_nodes=frozenset({SERVER_ID}),
             partial=False, codec=CodecId.FASTLZ)
         net.send(
-            self.ops.response_envelope(req, resp, self.server_id, env.sender),
-            now)
+            self.ops.response_envelope(req, resp, SERVER_ID, env.sender), now)
 
     def ingest(self, at: float = 0.0) -> float:
         """Stream every node's readings to the server; returns virtual ms from
         first send to last delivery."""
         sent = False
         for node_id in sorted(self.partitions):
-            for i, batch in _batches(self.partitions[node_id], self.batch_size):
+            for offset, batch in _batches(self.partitions[node_id]):
                 body = self.ops.readings_bytes(
-                    node_id, i * self.batch_size, batch, CodecId.FASTLZ)
+                    node_id, offset, batch, CodecId.FASTLZ)
                 self.net.send(
                     Envelope(kind=MessageKind.INGEST, sender=node_id,
-                             receiver=self.server_id, body=body,
-                             codec=CodecId.FASTLZ, request_id=f"i{i:06d}",
+                             receiver=SERVER_ID, body=body, codec=CodecId.FASTLZ,
+                             request_id=f"i{offset // INGEST_BATCH_SIZE:06d}",
                              payload_tag="readings", payload=batch),
                     at)
                 sent = True
@@ -104,28 +101,22 @@ class CentralBaseline:
         return self.net.run_until_quiescent() - at
 
     def query(self, req: QueryRequest, at: float) -> tuple[QueryResponse, float]:
-        return run_query(self.net, self.client, self.server_id, req, at)
+        return run_query(self.net, self.client, SERVER_ID, req, at)
 
 
 class ShardedBaseline:
     """Shard-per-node store behind a unifying router at the server endpoint."""
 
-    def __init__(self, net: Network, topology: Topology,
-                 stores: dict[str, LocalStore],
+    def __init__(self, net: Network, stores: dict[str, LocalStore],
                  ops: PayloadOps | None = None,
-                 gather_timeout_ms: float | None = None,
-                 server_id: str = "server", client_id: str = "client"):
+                 gather_timeout_ms: float | None = None):
         self.net = net
         self.stores = stores
         self.ops = ops or PayloadOps()
-        self.server_id = server_id
-        self.gather_timeout_ms = (
-            gather_timeout_ms if gather_timeout_ms is not None
-            else default_gather_timeout_ms(topology))
-        self.client = MeshClient(client_id)
+        self.client = MeshClient()
         self.client.attach(net)
-        self.gather = Gather(server_id)
-        net.register(server_id, self._on_router_envelope)
+        self.gather = Gather(SERVER_ID, gather_timeout_ms)
+        net.register(SERVER_ID, self._on_router_envelope)
         for node_id in sorted(stores):
             net.register(node_id, self._on_shard_envelope)
 
@@ -168,7 +159,7 @@ class ShardedBaseline:
         def finish(responses, timeouts, at):
             if responses:
                 merged = self.ops.merge(
-                    self.server_id, req,
+                    SERVER_ID, req,
                     {s: r.payload for s, r in responses.items()})
             elif req.transformer is not None:
                 merged = apply_transformer(req.transformer, ())
@@ -180,18 +171,16 @@ class ShardedBaseline:
                     *(r.contributing_nodes for r in responses.values())),
                 partial=bool(timeouts), codec=CodecId.FASTLZ)
             self.net.send(
-                self.ops.response_envelope(req, resp, self.server_id, requester),
-                at)
+                self.ops.response_envelope(req, resp, SERVER_ID, requester), at)
 
-        self.gather.start(self.net, req, sorted(self.stores), now,
-                          self.gather_timeout_ms, finish)
+        self.gather.start(self.net, req, sorted(self.stores), now, finish)
 
     def ingest(self, at: float = 0.0) -> float:
         # Data already lives on the shards.
         return 0.0
 
     def query(self, req: QueryRequest, at: float) -> tuple[QueryResponse, float]:
-        return run_query(self.net, self.client, self.server_id, req, at)
+        return run_query(self.net, self.client, SERVER_ID, req, at)
 
 
 class P2PReplica:
@@ -264,35 +253,26 @@ class P2PReplica:
         return time_slice(self.readings(), time_range)
 
     def digest(self) -> str:
-        from .payloads import fingerprint
-
         return fingerprint(wire.encode_readings(self.readings()))
 
 
 class P2PBaseline:
     """Eventually-consistent full replication over uncompressed gossip."""
 
-    def __init__(self, net: Network, topology: Topology,
-                 partitions: dict[str, ReadingSet],
+    def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None,
-                 gather_timeout_ms: float | None = None,
-                 client_id: str = "client",
-                 batch_size: int = INGEST_BATCH_SIZE):
+                 gather_timeout_ms: float | None = None):
         self.net = net
         self.partitions = partitions
         self.ops = ops or PayloadOps()
-        self.batch_size = batch_size
-        self.gather_timeout_ms = (
-            gather_timeout_ms if gather_timeout_ms is not None
-            else default_gather_timeout_ms(topology))
         self.replicas: dict[str, P2PReplica] = {
             node_id: P2PReplica() for node_id in sorted(partitions)}
         for node_id in sorted(partitions):
             net.register(node_id, self._on_envelope)
         # The client pulls from every peer and merges on its own side.
-        self.gather = Gather(client_id)
+        self.gather = Gather(CLIENT_ID, gather_timeout_ms)
         self.received: dict[str, tuple[QueryResponse, float]] = {}
-        net.register(client_id, self._on_client_envelope)
+        net.register(CLIENT_ID, self._on_client_envelope)
 
     def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.RESPONSE:
@@ -333,14 +313,15 @@ class P2PBaseline:
         sent = False
         for origin in sorted(self.partitions):
             peers = [p for p in sorted(self.replicas) if p != origin]
-            for i, batch in _batches(self.partitions[origin], self.batch_size):
+            for offset, batch in _batches(self.partitions[origin]):
                 body = self.ops.readings_bytes(
-                    origin, i * self.batch_size, batch, CodecId.NONE)
+                    origin, offset, batch, CodecId.NONE)
+                request_id = f"g{offset // INGEST_BATCH_SIZE:06d}"
                 for peer in peers:
                     self.net.send(
                         Envelope(kind=MessageKind.GOSSIP, sender=origin,
                                  receiver=peer, body=body,
-                                 request_id=f"g{i:06d}", payload_tag="readings",
+                                 request_id=request_id, payload_tag="readings",
                                  payload=batch),
                         at)
                     sent = True
@@ -357,8 +338,8 @@ class P2PBaseline:
     def ingest(self, at: float = 0.0) -> float:
         return self.sync(at)
 
-    def client_collect(self, req: QueryRequest, at: float,
-                       limit: float = 1e12) -> tuple[QueryResponse, float]:
+    def client_collect(self, req: QueryRequest,
+                       at: float) -> tuple[QueryResponse, float]:
         """Pull the range from every peer without the transformer, then
         deduplicate and apply the transformer at the client."""
         def finish(responses, timeouts, done_at):
@@ -375,9 +356,8 @@ class P2PBaseline:
             self.received[req.request_id] = (resp, done_at)
 
         self.gather.start(self.net, replace(req, transformer=None),
-                          sorted(self.replicas), at, self.gather_timeout_ms,
-                          finish)
-        self.net.run_until_quiescent(limit)
+                          sorted(self.replicas), at, finish)
+        self.net.run_until_quiescent(QUERY_TIME_LIMIT_MS)
         if req.request_id not in self.received:
             raise RuntimeError(f"no p2p result for {req.request_id}")
         resp, done_at = self.received[req.request_id]

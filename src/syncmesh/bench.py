@@ -80,22 +80,10 @@ class ScenarioConfig:
     repetitions: int = DEFAULT_REPETITIONS
     seed: int = 0
     dataset: str = "synthetic"
-    link_bandwidth_bytes_per_ms: float | None = DEFAULT_LINK_BANDWIDTH
-    heartbeat_interval_ms: float = 1000.0
-    heartbeat_timeout_ms: float = 3000.0
-    gather_timeout_ms: float | None = None  # None: derived per scenario
 
-    def node_config_for(self, node_id: str, gather_timeout_ms: float | None) -> NodeConfig:
-        return NodeConfig(
-            node_id=node_id,
-            heartbeat_interval_ms=self.heartbeat_interval_ms,
-            heartbeat_timeout_ms=self.heartbeat_timeout_ms,
-            gather_timeout_ms=gather_timeout_ms,
-        )
-
-    def to_json_dict(self) -> dict:
-        gather = self.gather_timeout_ms
-        node_ids = [f"node-{i:02d}" for i in range(self.n_nodes)]
+    def to_json_dict(self, gather_timeout_ms: float) -> dict:
+        """The config as run, each node record with the gather deadline
+        the run derived (`_scenario_gather_timeout`)."""
         return {
             "system": self.system,
             "scenario": self.scenario,
@@ -104,10 +92,11 @@ class ScenarioConfig:
             "repetitions": self.repetitions,
             "seed": self.seed,
             "dataset": self.dataset,
-            "link_bandwidth_bytes_per_ms": self.link_bandwidth_bytes_per_ms,
+            "link_bandwidth_bytes_per_ms": DEFAULT_LINK_BANDWIDTH,
             "node_configs": [
-                self.node_config_for(node_id, gather).to_json_dict()
-                for node_id in node_ids
+                NodeConfig(node_id=f"node-{i:02d}",
+                           gather_timeout_ms=gather_timeout_ms).to_json_dict()
+                for i in range(self.n_nodes)
             ],
         }
 
@@ -327,20 +316,19 @@ def trailing_window(manifest: DatasetManifest, days: int) -> TimeRange:
 class SyncMeshSystem:
     """Mesh of autonomous nodes; the lowest-id node coordinates client queries."""
 
-    def __init__(self, net: Network, topology, stores: dict[str, LocalStore],
-                 ops: PayloadOps, cfg: ScenarioConfig,
-                 gather_timeout_ms: float | None):
+    def __init__(self, net: Network, stores: dict[str, LocalStore],
+                 ops: PayloadOps, gather_timeout_ms: float | None):
         self.net = net
         self.nodes = []
         for node_id in sorted(stores):
             node = SyncMeshNode(
                 stores[node_id],
-                cfg.node_config_for(node_id, gather_timeout_ms),
+                NodeConfig(node_id=node_id, gather_timeout_ms=gather_timeout_ms),
                 ops=ops)
-            node.attach(net, topology)
+            node.attach(net, net.topology)
             self.nodes.append(node)
         self.coordinator_id = self.nodes[0].node_id
-        self.client = MeshClient("client")
+        self.client = MeshClient()
         self.client.attach(net)
 
     def ingest(self, at: float = 0.0) -> float:
@@ -364,19 +352,19 @@ class _PhaseReplay:
     The end state of the phase (the central server store, the p2p replicas)
     depends on the dataset alone, so the first one built is kept and every
     run answers from it. The duration and ledger bytes also depend on the
-    latency seed and the bandwidth, so they are kept per (seed, bandwidth)
-    and a new pair simulates the phase once."""
+    latency seed, so they are kept per seed and a new seed simulates the
+    phase once."""
 
     def __init__(self, state_attr: str):
         self.state_attr = state_attr
         self.state = None
-        self.traffic: dict[tuple, tuple[float, dict]] = {}
+        self.traffic: dict[int, tuple[float, dict]] = {}
 
-    def ingest(self, system, net: Network, key: tuple, at: float = 0.0) -> float:
-        hit = self.traffic.get(key)
+    def ingest(self, system, net: Network, seed: int, at: float = 0.0) -> float:
+        hit = self.traffic.get(seed)
         if hit is None:
             duration = system.ingest(at)
-            self.traffic[key] = (duration, dict(net.ledger.bytes))
+            self.traffic[seed] = (duration, dict(net.ledger.bytes))
             if self.state is None:
                 self.state = getattr(system, self.state_attr)
         else:
@@ -411,7 +399,7 @@ class MatrixCaches:
     and completed ingest-phase outcomes.
 
     The ingest/sync phase of a repetition is fully determined by (dataset,
-    topology seed, bandwidth); configs that differ only in scenario or window
+    topology seed); configs that differ only in scenario or window
     replay the recorded outcome instead of re-simulating it. `phases` holds
     one `_PhaseReplay` per (system, dataset)."""
 
@@ -480,17 +468,13 @@ def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
     return bundle
 
 
-def _scenario_gather_timeout(cfg: ScenarioConfig, manifest: DatasetManifest) -> float:
-    if cfg.gather_timeout_ms is not None:
-        return cfg.gather_timeout_ms
-    # The default deadline of a topology whose slowest link is the top of
-    # the latency range (`node.default_gather_timeout_ms`).
-    timeout = 2.0 * netsim.LATENCY_RANGE_MS[1] + 100.0
-    bw = cfg.link_bandwidth_bytes_per_ms
-    if bw:
-        # Headroom for serialization of the largest conceivable transfer.
-        timeout += 4.0 * manifest.row_count * 300.0 / bw + 500.0
-    return timeout
+def _scenario_gather_timeout(manifest: DatasetManifest) -> float:
+    """The gather deadline of every scenario run on this dataset: the
+    default deadline of a topology whose slowest link is the top of the
+    latency range (`node.default_gather_timeout_ms`), plus headroom for
+    serializing the largest conceivable transfer."""
+    return (2.0 * netsim.LATENCY_RANGE_MS[1] + 100.0
+            + (4.0 * manifest.row_count * 300.0 / DEFAULT_LINK_BANDWIDTH + 500.0))
 
 
 def _build_request(cfg: ScenarioConfig, window: TimeRange) -> QueryRequest:
@@ -514,7 +498,7 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     # of its kept ingest end state.
     scope = (cfg.system, bundle.key)
     ops = PayloadOps(caches.payloads, scope_key=scope)
-    gather_timeout = _scenario_gather_timeout(cfg, bundle.manifest)
+    gather_timeout = _scenario_gather_timeout(bundle.manifest)
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")
     replay = None
@@ -526,25 +510,21 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     for rep in range(cfg.repetitions):
         topo = build_topology(
             cfg.n_nodes, seed=cfg.seed + rep, with_server=with_server,
-            bandwidth_bytes_per_ms=cfg.link_bandwidth_bytes_per_ms)
+            bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
         net = Network(topo)
         if cfg.system == "syncmesh":
-            system = SyncMeshSystem(net, topo, bundle.stores, ops, cfg,
-                                    gather_timeout_ms=gather_timeout)
+            system = SyncMeshSystem(net, bundle.stores, ops, gather_timeout)
         elif cfg.system == "central":
-            system = CentralBaseline(net, topo, bundle.partitions, ops)
+            system = CentralBaseline(net, bundle.partitions, ops)
         elif cfg.system == "sharded":
-            system = ShardedBaseline(net, topo, bundle.stores, ops,
-                                     gather_timeout_ms=gather_timeout)
+            system = ShardedBaseline(net, bundle.stores, ops, gather_timeout)
         else:
-            system = P2PBaseline(net, topo, bundle.partitions, ops,
-                                 gather_timeout_ms=gather_timeout)
+            system = P2PBaseline(net, bundle.partitions, ops, gather_timeout)
         try:
             if replay is None:
                 ingest_ms = system.ingest(0.0)
             else:
-                ingest_ms = replay.ingest(
-                    system, net, (cfg.seed + rep, cfg.link_bandwidth_bytes_per_ms))
+                ingest_ms = replay.ingest(system, net, cfg.seed + rep)
             ingest_phase = net.reset_ledger()
             t_q = net.clock + QUERY_SETTLE_MS
             resp, rtt = system.query(req, t_q)
@@ -619,7 +599,8 @@ def results_to_json(results) -> str:
     payload = {
         "results": [
             {
-                "config": r.config.to_json_dict(),
+                "config": r.config.to_json_dict(
+                    _scenario_gather_timeout(r.manifest)),
                 "dataset": r.manifest.to_json_dict(),
                 "rows": [
                     {
@@ -725,7 +706,8 @@ def run_matrix(seed: int, out_dir, systems=SYSTEMS, scenarios=SCENARIOS,
     manifest = {
         "seed": seed,
         "repetitions": repetitions,
-        "configs": [cfg.to_json_dict() for cfg in configs],
+        "configs": [r.config.to_json_dict(_scenario_gather_timeout(r.manifest))
+                    for r in results],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")

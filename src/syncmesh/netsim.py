@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from .wire import Envelope, MessageKind
 
 LATENCY_RANGE_MS = (20.0, 300.0)
+CLIENT_ID = "client"
+SERVER_ID = "server"
 
 
 class NoRoute(Exception):
@@ -127,17 +129,16 @@ def _link_latency(seed: int, a: str, b: str) -> float:
 
 
 def build_topology(n_nodes: int, seed: int, with_server: bool = False,
-                   bandwidth_bytes_per_ms: float | None = None,
-                   client_id: str = "client", server_id: str = "server") -> Topology:
+                   bandwidth_bytes_per_ms: float | None = None) -> Topology:
     """Full node mesh plus one client linked to every node (and to the server
     when present); link latencies are drawn deterministically from the seed."""
     topo = Topology()
     node_ids = [f"node-{i:02d}" for i in range(n_nodes)]
     for node_id in node_ids:
         topo.add_endpoint(Endpoint(node_id, EndpointKind.NODE))
-    topo.add_endpoint(Endpoint(client_id, EndpointKind.CLIENT))
+    topo.add_endpoint(Endpoint(CLIENT_ID, EndpointKind.CLIENT))
     if with_server:
-        topo.add_endpoint(Endpoint(server_id, EndpointKind.SERVER))
+        topo.add_endpoint(Endpoint(SERVER_ID, EndpointKind.SERVER))
 
     def connect(a: str, b: str) -> None:
         topo.add_link(a, b, _link_latency(seed, a, b), bandwidth_bytes_per_ms)
@@ -146,11 +147,11 @@ def build_topology(n_nodes: int, seed: int, with_server: bool = False,
         for b in node_ids[i + 1:]:
             connect(a, b)
     for node_id in node_ids:
-        connect(client_id, node_id)
+        connect(CLIENT_ID, node_id)
         if with_server:
-            connect(node_id, server_id)
+            connect(node_id, SERVER_ID)
     if with_server:
-        connect(client_id, server_id)
+        connect(CLIENT_ID, SERVER_ID)
     return topo
 
 
@@ -183,14 +184,6 @@ class TrafficLedger:
         ):
             lines.append(f"{link_class.value},{kind.name},{n}")
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True, slots=True)
-class DeliveryEvent:
-    envelope: Envelope
-    sent_at: float
-    deliver_at: float
-    link_class: LinkClass
 
 
 @dataclass(slots=True)
@@ -238,11 +231,12 @@ class Network:
         """Schedule fn(net, now); ties with equal time run in insertion order."""
         self._push(at, fn)
 
-    def send(self, env: Envelope, at: float) -> DeliveryEvent | None:
+    def send(self, env: Envelope, at: float) -> LogEntry | None:
         """Schedule delivery of env and account its bytes on the link.
 
-        Returns None when the sender is currently unavailable (a down node
-        transmits nothing). Raises NoRoute when the endpoints are unlinked.
+        Returns the logged entry, or None when the sender is currently
+        unavailable (a down node transmits nothing). Raises NoRoute when the
+        endpoints are unlinked.
         """
         link = self.topology.link_between(env.sender, env.receiver)
         if link is None:
@@ -260,8 +254,8 @@ class Network:
         entry = LogEntry(sent_at=at, deliver_at=deliver_at,
                          link_class=link.link_class, envelope=env)
         self.envelope_log.append(entry)
-        self._push(deliver_at, (env, entry))
-        return DeliveryEvent(env, at, deliver_at, link.link_class)
+        self._push(deliver_at, entry)
+        return entry
 
     def _push(self, at: float, item) -> None:
         self._seq += 1
@@ -279,10 +273,10 @@ class Network:
                 raise TimeLimitExceeded(f"events pending beyond t={limit}")
             at, _, item = heapq.heappop(self._queue)
             self.clock = max(self.clock, at)
-            if isinstance(item, tuple):
-                env, entry = item
+            if isinstance(item, LogEntry):
+                env = item.envelope
                 if not self._available[env.receiver]:
-                    entry.delivered = False
+                    item.delivered = False
                     continue
                 handler = self._handlers.get(env.receiver)
                 if handler is not None:

@@ -18,7 +18,7 @@ from .model import (
     TransformerSpec,
     validate_request,
 )
-from .netsim import EndpointKind, Network, Topology
+from .netsim import CLIENT_ID, EndpointKind, Network, Topology
 from .payloads import (
     BUILTIN_TRANSFORMERS,
     PayloadOps,
@@ -150,8 +150,7 @@ class SyncMeshNode:
         self.change_transformer: TransformerSpec | None = None
         self.net: Network | None = None
         self.neighbors: NeighborModel | None = None
-        self.gather_timeout_ms = self.config.gather_timeout_ms or 0.0
-        self.gather = Gather(self.node_id)
+        self.gather = Gather(self.node_id, self.config.gather_timeout_ms)
         self._listener = None
         self._sub_seq = 0
 
@@ -161,8 +160,6 @@ class SyncMeshNode:
         self.net = net
         members = topology.neighbors_of(self.node_id, EndpointKind.NODE)
         self.neighbors = NeighborModel(members, self.config.heartbeat_timeout_ms)
-        if self.config.gather_timeout_ms is None:
-            self.gather_timeout_ms = default_gather_timeout_ms(topology)
         net.register(self.node_id, self._on_envelope)
         self._listener = self.store.register_listener(self.on_change)
 
@@ -252,8 +249,7 @@ class SyncMeshNode:
                           partial=bool(skipped or timeouts), now=at)
 
         if available:
-            self.gather.start(self.net, req, available, now,
-                              self.gather_timeout_ms, finish)
+            self.gather.start(self.net, req, available, now, finish)
         else:
             finish({}, frozenset(), now)
 
@@ -318,7 +314,9 @@ class _Round:
 class Gather:
     """Scatter-gather of LOCAL queries on behalf of one endpoint.
 
-    `start` sends the query, as LOCAL, to every target and sets a deadline.
+    `start` sends the query, as LOCAL, to every target and sets a deadline:
+    `timeout_ms` after the start, or `default_gather_timeout_ms` of the
+    network's topology when that is None.
     A RESPONSE counts only from a target, only its first reply, and only if
     its body decodes. `finish(responses, timeouts, now)` then runs exactly
     once: when every target has replied, or when the deadline fires. It gets
@@ -326,12 +324,13 @@ class Gather:
     out; what they mean is the owner's to decide.
     """
 
-    def __init__(self, sender: str):
+    def __init__(self, sender: str, timeout_ms: float | None = None):
         self.sender = sender
+        self.timeout_ms = timeout_ms
         self._pending: dict[str, _Round] = {}
 
     def start(self, net: Network, req: QueryRequest, targets, now: float,
-              timeout_ms: float, finish: Callable) -> None:
+              finish: Callable) -> None:
         round_ = _Round(expected=frozenset(targets), finish=finish)
         self._pending[req.request_id] = round_
         forwarded = replace(req, scope=Scope.LOCAL)
@@ -348,6 +347,9 @@ class Gather:
             if self._pending.get(req.request_id) is round_:
                 self._close(req.request_id, at)
 
+        timeout_ms = self.timeout_ms
+        if timeout_ms is None:
+            timeout_ms = default_gather_timeout_ms(net.topology)
         net.call_at(now + timeout_ms, deadline)
 
     def on_response(self, env: Envelope, now: float) -> None:
@@ -376,7 +378,7 @@ def default_gather_timeout_ms(topology: Topology) -> float:
 class MeshClient:
     """Client endpoint that records responses as they arrive."""
 
-    def __init__(self, client_id: str = "client"):
+    def __init__(self, client_id: str = CLIENT_ID):
         self.client_id = client_id
         self.received: dict[str, tuple[QueryResponse, float]] = {}
 
@@ -401,12 +403,16 @@ class MeshClient:
             at)
 
 
+# Virtual time by which one query's run must be quiescent: a backstop against
+# a run that never ends, far beyond any deadline.
+QUERY_TIME_LIMIT_MS = 1e12
+
+
 def run_query(net: Network, client: MeshClient, target: str,
-              req: QueryRequest, at: float,
-              limit: float = 1e12) -> tuple[QueryResponse, float]:
+              req: QueryRequest, at: float) -> tuple[QueryResponse, float]:
     """Send one query, run the network to quiescence, return (response, rtt_ms)."""
     client.send_query(net, target, req, at)
-    net.run_until_quiescent(limit)
+    net.run_until_quiescent(QUERY_TIME_LIMIT_MS)
     if req.request_id not in client.received:
         raise RuntimeError(f"no response for {req.request_id}")
     resp, arrived = client.received[req.request_id]

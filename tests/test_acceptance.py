@@ -66,7 +66,7 @@ def _fresh_systems(parts):
     out = {}
     topo = build_topology(len(parts), seed=11, with_server=True)
     net = Network(topo)
-    central = CentralBaseline(net, topo, parts)
+    central = CentralBaseline(net, parts)
     central.ingest(0.0)
     out["central"] = (net, central)
 
@@ -76,11 +76,11 @@ def _fresh_systems(parts):
     for nid, readings in parts.items():
         stores[nid] = LocalStore(nid)
         stores[nid].load_many(readings)
-    out["sharded"] = (net2, ShardedBaseline(net2, topo2, stores))
+    out["sharded"] = (net2, ShardedBaseline(net2, stores))
 
     topo3 = build_topology(len(parts), seed=11, with_server=False)
     net3 = Network(topo3)
-    p2p = P2PBaseline(net3, topo3, parts)
+    p2p = P2PBaseline(net3, parts)
     p2p.sync(0.0)
     out["p2p"] = (net3, p2p)
 
@@ -177,7 +177,7 @@ def test_c04_p2p_amplification(caches):
     n = cfg.n_nodes
     topo = build_topology(n, seed=MASTER_SEED, with_server=False)
     net = Network(topo)
-    system = P2PBaseline(net, topo, bundle.partitions)
+    system = P2PBaseline(net, bundle.partitions)
     system.sync(0.0)
     body_bytes = 0
     envelopes = 0
@@ -212,14 +212,15 @@ def test_c05_scaling_growth(caches):
 def _syncmesh_run(caches, scenario, n_nodes, window_days, send_query=True):
     cfg = ScenarioConfig(system="syncmesh", scenario=scenario, n_nodes=n_nodes,
                          window_days=window_days, repetitions=1, seed=MASTER_SEED)
-    from syncmesh.bench import _dataset_bundle, _scenario_gather_timeout
+    from syncmesh.bench import (DEFAULT_LINK_BANDWIDTH, _dataset_bundle,
+                                _scenario_gather_timeout)
     bundle = _dataset_bundle(cfg, caches)
     topo = build_topology(n_nodes, seed=MASTER_SEED,
-                          bandwidth_bytes_per_ms=cfg.link_bandwidth_bytes_per_ms)
+                          bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
     net = Network(topo)
     from syncmesh.payloads import PayloadOps
-    system = SyncMeshSystem(net, topo, bundle.stores, PayloadOps(), cfg,
-                            gather_timeout_ms=_scenario_gather_timeout(cfg, bundle.manifest))
+    system = SyncMeshSystem(net, bundle.stores, PayloadOps(),
+                            gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
     if send_query:
         window = trailing_window(bundle.manifest, window_days)
         transformer = (TransformerSpec.of("aggregate_mean")
@@ -374,7 +375,7 @@ def test_c10_eventual_consistency(rng):
                         for j in range(200)) for nid in node_ids}
     topo = build_topology(3, seed=2, with_server=False)
     net = Network(topo)
-    system = P2PBaseline(net, topo, parts)
+    system = P2PBaseline(net, parts)
     system.sync(0.0)
     digests = {replica.digest() for replica in system.replicas.values()}
     report(10, schedules_ok == 20 and len(digests) == 1,

@@ -11,6 +11,7 @@ from oracles import (
     naive_summary,
     union_collect,
 )
+from syncmesh import baselines
 from syncmesh.baselines import (
     CentralBaseline,
     P2PBaseline,
@@ -83,7 +84,7 @@ class TestCentral:
     def test_empty_ingest_is_zero(self):
         topo = server_topology(3)
         net = Network(topo)
-        system = CentralBaseline(net, topo, {f"node-{i:02d}": () for i in range(3)})
+        system = CentralBaseline(net, {f"node-{i:02d}": () for i in range(3)})
         assert system.ingest(0.0) == 0.0
         assert net.ledger.total() == 0
 
@@ -96,16 +97,16 @@ class TestCentral:
         topo.add_link("client", "server", 30.0)
         net = Network(topo)
         system = CentralBaseline(
-            net, topo, {"node-00": tuple(make_reading(rng, node_id="node-00",
-                                                      timestamp=i + 1)
-                                         for i in range(100))})
+            net, {"node-00": tuple(make_reading(rng, node_id="node-00",
+                                                timestamp=i + 1)
+                                   for i in range(100))})
         assert system.ingest(0.0) == pytest.approx(80.0)
 
     def test_ingested_store_equals_union_oracle(self, rng):
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)], per_node=600)
-        system = CentralBaseline(net, topo, parts)
+        system = CentralBaseline(net, parts)
         system.ingest(0.0)
         expected = union_collect(parts, FULL.start, FULL.end)
         assert list(system.server_store.all_readings()) == expected
@@ -114,7 +115,7 @@ class TestCentral:
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = CentralBaseline(net, topo, parts)
+        system = CentralBaseline(net, parts)
         system.ingest(0.0)
         net.reset_ledger()
         resp, _ = system.query(collect_req(), net.clock + 100.0)
@@ -131,7 +132,7 @@ class TestCentral:
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = CentralBaseline(net, topo, parts)
+        system = CentralBaseline(net, parts)
         system.ingest(0.0)
         net.reset_ledger()
         system.query(transform_req(), net.clock + 100.0)
@@ -144,7 +145,7 @@ class TestSharded:
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = ShardedBaseline(net, topo, stores_from(parts))
+        system = ShardedBaseline(net, stores_from(parts))
         resp, _ = system.query(collect_req(), 0.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
         assert resp.contributing_nodes == frozenset(parts)
@@ -153,7 +154,7 @@ class TestSharded:
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = ShardedBaseline(net, topo, stores_from(parts))
+        system = ShardedBaseline(net, stores_from(parts))
         resp, _ = system.query(transform_req(), 0.0)
         everything = [r for rs in parts.values() for r in rs]
         assert_summary_close(resp.payload, naive_summary(everything, NUMERIC_FIELDS))
@@ -167,14 +168,14 @@ class TestSharded:
         topo = server_topology(3)
         net = Network(topo)
         system = ShardedBaseline(
-            net, topo, stores_from(partitions_for(rng, ["node-00", "node-01", "node-02"])))
+            net, stores_from(partitions_for(rng, ["node-00", "node-01", "node-02"])))
         assert not hasattr(system, "store")
 
     def test_all_shards_down_gives_partial_empty(self, rng):
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = ShardedBaseline(net, topo, stores_from(parts),
+        system = ShardedBaseline(net, stores_from(parts),
                                  gather_timeout_ms=200.0)
         for nid in parts:
             net.set_available(nid, False)
@@ -185,12 +186,13 @@ class TestSharded:
 
 
 class TestP2PSync:
-    def test_closed_form_amplification(self, rng):
+    def test_closed_form_amplification(self, rng, monkeypatch):
+        monkeypatch.setattr(baselines, "INGEST_BATCH_SIZE", 25)
         n = 3
         topo = build_topology(n, seed=5, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)], per_node=60)
-        system = P2PBaseline(net, topo, parts, batch_size=25)
+        system = P2PBaseline(net, parts)
         system.sync(0.0)
         body_bytes = 0
         envelopes = 0
@@ -211,7 +213,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=6, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, topo, parts)
+        system = P2PBaseline(net, parts)
         system.sync(0.0)
         digests = {nid: replica.digest() for nid, replica in system.replicas.items()}
         assert len(set(digests.values())) == 1
@@ -223,7 +225,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=6, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, topo, parts)
+        system = P2PBaseline(net, parts)
         system.sync(0.0)
         reference = ReferenceReplica()
         for origin, readings in parts.items():
@@ -246,7 +248,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=6, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, topo, parts)
+        system = P2PBaseline(net, parts)
         net.set_available("node-02", False)  # receives no gossip
         system.sync(0.0)
         replicas = system.replicas
@@ -364,7 +366,7 @@ class TestP2PCollect:
         topo = build_topology(n, seed=8, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, topo, parts)
+        system = P2PBaseline(net, parts)
         system.sync(0.0)
         net.reset_ledger()
         return net, parts, system
@@ -388,7 +390,7 @@ class TestP2PCollect:
 
     def test_one_peer_down_still_complete(self, rng):
         net, parts, system = self._synced(rng)
-        system.gather_timeout_ms = 300.0
+        system.gather.timeout_ms = 300.0
         net.set_available("node-02", False)
         resp, _ = system.client_collect(collect_req(), net.clock + 100.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
@@ -412,18 +414,18 @@ class TestCrossSystemEquivalence:
 
         topo = server_topology(3)
         net = Network(topo)
-        central = CentralBaseline(net, topo, parts)
+        central = CentralBaseline(net, parts)
         central.ingest(0.0)
         got_central, _ = central.query(collect_req(), net.clock + 10.0)
 
         topo2 = server_topology(3)
         net2 = Network(topo2)
-        sharded = ShardedBaseline(net2, topo2, stores_from(parts))
+        sharded = ShardedBaseline(net2, stores_from(parts))
         got_sharded, _ = sharded.query(collect_req(), 0.0)
 
         topo3 = build_topology(3, seed=5, with_server=False)
         net3 = Network(topo3)
-        p2p = P2PBaseline(net3, topo3, parts)
+        p2p = P2PBaseline(net3, parts)
         p2p.sync(0.0)
         got_p2p, _ = p2p.client_collect(collect_req(), net3.clock + 10.0)
 
@@ -459,11 +461,11 @@ class TestInvalidBodies:
         net = Network(topo)
         parts = partitions_for(rng, topo.node_ids(), per_node=10)
         if kind == "central":
-            system = CentralBaseline(net, topo, parts)
+            system = CentralBaseline(net, parts)
         elif kind == "sharded":
-            system = ShardedBaseline(net, topo, stores_from(parts))
+            system = ShardedBaseline(net, stores_from(parts))
         else:
-            system = P2PBaseline(net, topo, parts)
+            system = P2PBaseline(net, parts)
         system.ingest(0.0)
         return net, system, parts
 

@@ -244,7 +244,7 @@ class TestValidateConfig:
         validate_config(small_cfg(n_nodes=5, window_days=2), unsafe=True)
 
     def test_config_json_includes_node_records(self):
-        obj = small_cfg().to_json_dict()
+        obj = small_cfg().to_json_dict(1234.5)
         assert len(obj["node_configs"]) == 3
         record = obj["node_configs"][0]
         assert set(record) == {"node_id", "heartbeat_interval_ms",
@@ -263,19 +263,50 @@ class TestTrailingWindow:
 
 
 def test_default_gather_deadline_follows_the_latency_range(monkeypatch):
-    """With no bandwidth term, a scenario's default deadline is the one
-    `default_gather_timeout_ms` gives a topology whose slowest link is the
-    top of `netsim.LATENCY_RANGE_MS`."""
-    cfg = small_cfg(link_bandwidth_bytes_per_ms=None)
-    manifest = DatasetManifest(source="x", row_count=1, malformed_rows=0,
+    """A scenario's deadline is the one `default_gather_timeout_ms` gives a
+    topology whose slowest link is the top of `netsim.LATENCY_RANGE_MS`,
+    plus the time to serialize 4 x 300 bytes per dataset row at
+    `DEFAULT_LINK_BANDWIDTH`, plus 500 ms."""
+    manifest = DatasetManifest(source="x", row_count=1000, malformed_rows=0,
                                time_start=0, time_end=1,
-                               per_node_counts=(("node-00", 1),))
-    assert _scenario_gather_timeout(cfg, manifest) == 2.0 * 300.0 + 100.0
+                               per_node_counts=(("node-00", 1000),))
+    transfer = 4.0 * 1000 * 300.0 / bench.DEFAULT_LINK_BANDWIDTH + 500.0
+    assert transfer == 1460.0
+    assert _scenario_gather_timeout(manifest) == 2.0 * 300.0 + 100.0 + transfer
     monkeypatch.setattr(netsim, "LATENCY_RANGE_MS", (20.0, 900.0))
-    assert _scenario_gather_timeout(cfg, manifest) == 2.0 * 900.0 + 100.0
+    assert _scenario_gather_timeout(manifest) == 2.0 * 900.0 + 100.0 + transfer
     topo = build_topology(6, seed=7)
     assert topo.max_latency_ms() > 300.0
-    assert _scenario_gather_timeout(cfg, manifest) >= default_gather_timeout_ms(topo)
+    assert _scenario_gather_timeout(manifest) >= default_gather_timeout_ms(topo)
+
+
+def _gather_timeouts(config: dict) -> set:
+    return {record["gather_timeout_ms"] for record in config["node_configs"]}
+
+
+def test_manifest_records_the_deadline_each_run_used(tmp_path):
+    """Every node record of a written config holds the gather deadline its
+    run derived from the dataset, in `bench matrix` and `bench run` alike."""
+    assert main(["matrix", "--seed", "7", "--reps", "1", "--sizes", "3",
+                 "--out", str(tmp_path), "--quiet"]) == 0
+    configs = json.loads((tmp_path / "manifest.json").read_text())["configs"]
+    caches = MatrixCaches()
+    dataset = bench._dataset_bundle(small_cfg(), caches).manifest
+    deadline = _scenario_gather_timeout(dataset)
+    assert deadline == 2.0 * 300.0 + 100.0 + (4.0 * 4320 * 300.0 / 1250.0 + 500.0)
+    assert len(configs) == 32
+    assert all(_gather_timeouts(config) == {deadline} for config in configs)
+
+    out = tmp_path / "run.json"
+    assert main(["run", "--system", "syncmesh", "--scenario", "collect",
+                 "--nodes", "6", "--days", "1", "--reps", "1", "--seed", "7",
+                 "--format", "json", "--out", str(out)]) == 0
+    (result,) = json.loads(out.read_text())["results"]
+    dataset = bench._dataset_bundle(small_cfg(n_nodes=6), caches).manifest
+    assert result["dataset"] == dataset.to_json_dict()
+    assert len(result["config"]["node_configs"]) == 6
+    assert _gather_timeouts(result["config"]) == {
+        _scenario_gather_timeout(dataset)}
 
 
 class TestRunScenario:
@@ -312,7 +343,7 @@ class TestRunScenario:
     def test_shared_caches_keep_one_ingest_end_state_per_dataset(self):
         """The end state of an ingest does not depend on the latency seed, so
         later configurations install the first one recorded, whatever their
-        seed; only duration and bytes are kept per (seed, bandwidth). And no
+        seed; only duration and bytes are kept per seed. And no
         memo entry one configuration leaves changes another's rows, whichever
         runs first."""
         configs = [small_cfg(system=system, scenario=scenario,
@@ -328,7 +359,7 @@ class TestRunScenario:
         dataset = ("synthetic", 7, 3)
         assert sorted(caches.phases) == [("central", dataset), ("p2p", dataset)]
         for replay in caches.phases.values():
-            assert sorted(replay.traffic) == [(7, 1250.0), (8, 1250.0), (9, 1250.0)]
+            assert sorted(replay.traffic) == [7, 8, 9]
 
         # The kept state equals the one each later seed builds itself, LWW
         # versions included: each reading with the writer whose write won.
@@ -339,12 +370,12 @@ class TestRunScenario:
         for seed in (8, 9):
             topo = build_topology(3, seed=seed, with_server=True,
                                   bandwidth_bytes_per_ms=1250.0)
-            central = CentralBaseline(Network(topo), topo, partitions)
+            central = CentralBaseline(Network(topo), partitions)
             central.ingest(0.0)
             assert (central.server_store.all_readings()
                     == caches.phases[("central", dataset)].state.all_readings())
             topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
-            p2p = P2PBaseline(Network(topo), topo, partitions)
+            p2p = P2PBaseline(Network(topo), partitions)
             p2p.sync(0.0)
             kept = caches.phases[("p2p", dataset)].state
             assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
@@ -471,6 +502,11 @@ def test_matrix_configs_cover_grid():
 # any wire byte or virtual timing moves it.
 GOLDEN_SMALL_MATRIX_SHA256 = (
     "220c0001e5d526a86ceed9e85020a38d0e0f7584a35f9b97d7c49c5c05246733")
+# sha256 of the manifest.json written next to it: the settings every config
+# ran with, gather deadlines included. A change to any recorded setting
+# moves it.
+GOLDEN_SMALL_MANIFEST_SHA256 = (
+    "b0bcbf43a4ed7d64fd0b01de14880f9e4ffc224e03a587672a4d851a22e9f94d")
 
 
 def test_small_matrix_output_is_golden(tmp_path):
@@ -479,6 +515,8 @@ def test_small_matrix_output_is_golden(tmp_path):
     assert code == 0
     digest = hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN_SMALL_MATRIX_SHA256
+    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SMALL_MANIFEST_SHA256
 
 
 # sha256 of the CSV from `bench run --system <system> --scenario <scenario>

@@ -7,7 +7,12 @@ from conftest import make_reading
 from syncmesh.baselines import P2PBaseline, ShardedBaseline
 from syncmesh.model import CodecId, QueryRequest, QueryResponse, Scope, TimeRange
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import MeshClient, NodeConfig, SyncMeshNode
+from syncmesh.node import (
+    MeshClient,
+    NodeConfig,
+    SyncMeshNode,
+    default_gather_timeout_ms,
+)
 from syncmesh.payloads import PayloadOps
 from syncmesh.store import LocalStore
 from syncmesh.wire import Envelope, MessageKind
@@ -20,15 +25,16 @@ OUTSIDER = "node-03"  # linked to the owner, never asked
 
 class Owner:
     """One gather owner on a 4-node topology whose targets never answer on
-    their own: every reply the owner sees is one the test sends."""
+    their own: every reply the owner sees is one the test sends. The owner
+    is built with `timeout_ms` as its gather deadline (None: the default)."""
 
-    def __init__(self, kind, rng):
+    def __init__(self, kind, rng, timeout_ms=TIMEOUT_MS):
         self.kind = kind
         self.net = Network(build_topology(4, seed=3, with_server=kind == "router"))
         if kind == "node":
             nodes = [SyncMeshNode(LocalStore(f"node-{i:02d}"),
                                   NodeConfig(node_id=f"node-{i:02d}",
-                                             gather_timeout_ms=TIMEOUT_MS,
+                                             gather_timeout_ms=timeout_ms,
                                              heartbeat_timeout_ms=1e9))
                      for i in range(4)]
             for node in nodes:
@@ -41,13 +47,12 @@ class Owner:
             self.client.attach(self.net)
         elif kind == "router":
             system = ShardedBaseline(
-                self.net, self.net.topology,
-                {t: LocalStore(t) for t in TARGETS}, gather_timeout_ms=TIMEOUT_MS)
+                self.net, {t: LocalStore(t) for t in TARGETS},
+                gather_timeout_ms=timeout_ms)
             self.id, self.gather, self.client = "server", system.gather, system.client
         else:
-            system = P2PBaseline(self.net, self.net.topology,
-                                 {t: () for t in TARGETS},
-                                 gather_timeout_ms=TIMEOUT_MS)
+            system = P2PBaseline(self.net, {t: () for t in TARGETS},
+                                 gather_timeout_ms=timeout_ms)
             self.id, self.gather, self.system = "client", system.gather, system
         for target in TARGETS:
             self.net.register(target, lambda net, env, now: None)
@@ -55,12 +60,12 @@ class Owner:
         self.finished = []
         start = self.gather.start
 
-        def counted_start(net, req, targets, now, timeout_ms, finish):
+        def counted_start(net, req, targets, now, finish):
             def counted(responses, timeouts, at):
                 self.finished.append((req.request_id, tuple(responses), timeouts,
                                       at - now))
                 finish(responses, timeouts, at)
-            start(net, req, targets, now, timeout_ms, counted)
+            start(net, req, targets, now, counted)
 
         self.gather.start = counted_start
 
@@ -134,3 +139,19 @@ def test_gather_counts_first_reply_of_each_target_once(rng, kind):
 
     if kind != "p2p":  # the p2p client answers itself, not over the network
         assert len(owner.answers("g1")) == len(owner.answers("g2")) == 1
+
+
+@pytest.mark.parametrize("configured", [None, 1234.5])
+@pytest.mark.parametrize("kind", ["node", "router", "p2p"])
+def test_deadline_is_the_configured_one_or_the_topology_default(rng, kind,
+                                                               configured):
+    """With no deadline configured, a gather that gets no reply finishes at
+    the default of the network's topology; with one configured, at that."""
+    owner = Owner(kind, rng, timeout_ms=configured)
+    default = default_gather_timeout_ms(owner.net.topology)
+    assert default != 1234.5
+    resp = owner.query("d1", owner.net.clock + 100.0)
+    ((request_id, responders, timeouts, elapsed),) = owner.finished
+    assert (request_id, responders, timeouts) == ("d1", (), frozenset(TARGETS))
+    assert elapsed == (default if configured is None else configured)
+    assert resp.payload == () and resp.partial is True
