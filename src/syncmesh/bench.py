@@ -17,7 +17,9 @@ import statistics
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
+from math import cos, exp, log, sin, sqrt, tau
 from pathlib import Path
+from random import Random
 
 from .baselines import CentralBaseline, P2PBaseline, ShardedBaseline
 from .model import (
@@ -51,6 +53,8 @@ SYNTHETIC_EPOCH_S = 1_672_531_200  # 2023-01-01T00:00:00Z
 REQUIRED_COLUMNS = ("sensor_id", "lat", "lon", "timestamp", "P1", "P2",
                     "temperature", "humidity")
 _timestamp = operator.attrgetter("timestamp")
+# `random.normalvariate`'s constant, 4 * exp(-0.5) / sqrt(2.0).
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
 class ConfigError(ValueError):
@@ -150,9 +154,12 @@ def balanced_sensor_ids(n_sensors: int, n_buckets: int) -> list[str]:
 
 def generate_synthetic(n_sensors: int, days: int, readings_per_sensor_per_day: int,
                        seed: int, balance_across: int | None = None) -> str:
-    """Deterministic synthetic air-quality CSV; returns the file text."""
-    import random
+    """Deterministic synthetic air-quality CSV; returns the file text.
 
+    Each sensor draws from its own `random.Random` through `random()` alone.
+    The stdlib's `lognormvariate`, `uniform` and `gauss` are written out
+    inline with their formulas and draw order, so the floats, and the text,
+    are the ones those methods give."""
     if min(n_sensors, days, readings_per_sensor_per_day) < 1:
         raise ConfigError("all synthetic dataset counts must be positive")
     if balance_across:
@@ -164,19 +171,45 @@ def generate_synthetic(n_sensors: int, days: int, readings_per_sensor_per_day: i
     write = out.write
     write("sensor_id,lat,lon,timestamp,P1,P2,temperature,humidity,pressure\n")
     for sensor_id in sensor_ids:
-        rng = random.Random(f"{seed}|{sensor_id}")
-        lognormvariate, uniform, gauss = rng.lognormvariate, rng.uniform, rng.gauss
-        lat = round(42.55 + rng.random() * 0.3, 5)
-        lon = round(23.20 + rng.random() * 0.4, 5)
+        random = Random(f"{seed}|{sensor_id}").random
+        gauss_next = None  # the second Box-Muller deviate, as `gauss` keeps it
+        lat = round(42.55 + random() * 0.3, 5)
+        lon = round(23.20 + random() * 0.4, 5)
         prefix = f"{sensor_id},{lat},{lon},"
         for step in range(days * readings_per_sensor_per_day):
             ts = SYNTHETIC_EPOCH_S + step * interval_s
-            p1 = round(lognormvariate(2.6, 0.7), 2)
-            p2 = round(lognormvariate(2.1, 0.7), 2)
-            temperature = round(uniform(-10.0, 40.0), 2)
-            humidity = round(uniform(0.0, 100.0), 2)
-            # Every seventh row omits the optional pressure reading.
-            pressure = "" if step % 7 == 3 else f"{gauss(101_325.0, 300.0):.1f}"
+            # lognormvariate(2.6, 0.7) and (2.1, 0.7): exp of a
+            # Kinderman-Monahan normal deviate.
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            p1 = round(exp(2.6 + z * 0.7), 2)
+            while True:
+                u1 = random()
+                u2 = 1.0 - random()
+                z = _NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            p2 = round(exp(2.1 + z * 0.7), 2)
+            # uniform(a, b) is a + (b - a) * random().
+            temperature = round(-10.0 + 50.0 * random(), 2)
+            humidity = round(0.0 + 100.0 * random(), 2)
+            # Every seventh row omits the optional pressure reading; the
+            # others take gauss(101_325.0, 300.0), a Box-Muller pair per two.
+            if step % 7 == 3:
+                pressure = ""
+            else:
+                z = gauss_next
+                gauss_next = None
+                if z is None:
+                    x2pi = random() * tau
+                    g2rad = sqrt(-2.0 * log(1.0 - random()))
+                    z = cos(x2pi) * g2rad
+                    gauss_next = sin(x2pi) * g2rad
+                pressure = f"{101_325.0 + z * 300.0:.1f}"
             write(f"{prefix}{ts},{p1},{p2},{temperature},{humidity},{pressure}\n")
     return out.getvalue()
 

@@ -31,9 +31,10 @@ NUMERIC_FIELDS = ("p1", "p2", "temperature", "humidity", "pressure")
 
 MS_PER_DAY = 86_400_000
 
-# A reading's deduplication identity and its canonical sort key, both built
-# in C: (node_id, sensor_id, timestamp) and (timestamp, sensor_id, node_id).
-reading_key = operator.attrgetter(*IDENTITY_FIELDS)
+# A reading's deduplication identity, (node_id, sensor_id, timestamp), kept on
+# the reading, and its canonical sort key, (timestamp, sensor_id, node_id),
+# built in C.
+reading_key = operator.attrgetter("_key")
 canonical_order = operator.attrgetter("timestamp", "sensor_id", "node_id")
 _timestamp = operator.attrgetter("timestamp")
 
@@ -77,9 +78,16 @@ class SensorReading:
     `timestamp` is integer UTC milliseconds. Numeric fields may be None when
     the source row lacked them (absent values never count toward aggregates).
 
-    `_json` holds `canonical_json(self.to_json_dict())`, written by the wire
-    layer the first time the reading is encoded; it is not part of the
-    reading's value, so equality, hash, repr and pickle ignore it.
+    Two slots are not part of the reading's value, so equality, hash, repr
+    and pickle ignore them. `_key` holds the identity tuple
+    `(node_id, sensor_id, timestamp)`, built once at construction; it is what
+    `reading_key` returns, so every store, replica and merge keys on the
+    reading's own tuple. `_json` holds `canonical_json(self.to_json_dict())`,
+    written by the wire layer the first time the reading is encoded.
+
+    `__init__`, which unpickling and copying run too, is written by hand: it
+    sets each slot through the slot's own descriptor instead of one
+    `object.__setattr__` per field, and the class stays frozen.
     """
 
     node_id: str
@@ -93,14 +101,32 @@ class SensorReading:
     humidity: float | None = None
     pressure: float | None = None
     _json: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _key: tuple[str, str, int] | None = field(
+        default=None, init=False, compare=False, repr=False)
+
+    def __init__(self, node_id: str, sensor_id: str, timestamp: int,
+                 lat: float | None = None, lon: float | None = None,
+                 p1: float | None = None, p2: float | None = None,
+                 temperature: float | None = None, humidity: float | None = None,
+                 pressure: float | None = None) -> None:
+        _set_node_id(self, node_id)
+        _set_sensor_id(self, sensor_id)
+        _set_timestamp(self, timestamp)
+        _set_lat(self, lat)
+        _set_lon(self, lon)
+        _set_p1(self, p1)
+        _set_p2(self, p2)
+        _set_temperature(self, temperature)
+        _set_humidity(self, humidity)
+        _set_pressure(self, pressure)
+        set_reading_json(self, None)
+        _set_key(self, (node_id, sensor_id, timestamp))
 
     def __getstate__(self):
         return [getattr(self, name) for name in _READING_STATE]
 
     def __setstate__(self, state):
-        for name, value in zip(_READING_STATE, state):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "_json", None)
+        self.__init__(*state)
 
     def to_json_dict(self, projection: frozenset[str] = frozenset()) -> dict:
         keep = _effective_projection(projection)
@@ -146,8 +172,15 @@ class SensorReading:
         )
 
 
-# What pickle keeps of a reading: its value, without the kept JSON text.
+# What pickle keeps of a reading: its value, without the kept key and text.
 _READING_STATE = tuple(f.name for f in fields(SensorReading) if f.init)
+
+# The slots' own descriptor setters, in field order: the one way a reading's
+# slots are written. `set_reading_json(r, text)` keeps a reading's JSON text.
+(_set_node_id, _set_sensor_id, _set_timestamp, _set_lat, _set_lon, _set_p1,
+ _set_p2, _set_temperature, _set_humidity, _set_pressure, set_reading_json,
+ _set_key) = (
+    getattr(SensorReading, f.name).__set__ for f in fields(SensorReading))
 
 
 def _effective_projection(projection: frozenset[str]) -> frozenset[str]:

@@ -72,7 +72,7 @@ class LocalStore:
     def insert(self, reading: SensorReading) -> ChangeEvent | Duplicate:
         """Persist one reading; emits a ChangeEvent unless the key is a duplicate."""
         validate_reading(reading)
-        key = (reading.node_id, reading.sensor_id, reading.timestamp)
+        key = reading_key(reading)
         if key in self._by_key:
             return DUPLICATE
         self._by_key[key] = reading

@@ -31,6 +31,7 @@ from .model import (
     SensorReading,
     Summary,
     canonical_json,
+    set_reading_json,
 )
 
 HEADER_SIZE = 64
@@ -166,7 +167,7 @@ def _reading_json(r: SensorReading) -> bytes:
             v(r.node_id), v(r.sensor_id), v(r.timestamp), v(r.lat), v(r.lon),
             v(r.p1), v(r.p2), v(r.temperature), v(r.humidity), v(r.pressure),
         )).encode("ascii")
-        object.__setattr__(r, "_json", text)
+        set_reading_json(r, text)
     return text
 
 

@@ -154,6 +154,41 @@ def _reference_match(out, length, distance):
         length -= chunk
 
 
+def reference_generate(n_sensors, days, readings_per_sensor_per_day, seed,
+                       balance_across=None):
+    """The synthetic CSV as first written: the stdlib's `lognormvariate`,
+    `uniform` and `gauss` draw every value.
+
+    `syncmesh.bench.generate_synthetic` must return the same text.
+    """
+    import io
+    import random
+
+    from syncmesh.bench import SYNTHETIC_EPOCH_S, balanced_sensor_ids
+
+    if balance_across:
+        sensor_ids = balanced_sensor_ids(n_sensors, balance_across)
+    else:
+        sensor_ids = [f"sensor-{i:03d}" for i in range(n_sensors)]
+    interval_s = 86_400 // readings_per_sensor_per_day
+    out = io.StringIO()
+    out.write("sensor_id,lat,lon,timestamp,P1,P2,temperature,humidity,pressure\n")
+    for sensor_id in sensor_ids:
+        rng = random.Random(f"{seed}|{sensor_id}")
+        lat = round(42.55 + rng.random() * 0.3, 5)
+        lon = round(23.20 + rng.random() * 0.4, 5)
+        for step in range(days * readings_per_sensor_per_day):
+            ts = SYNTHETIC_EPOCH_S + step * interval_s
+            p1 = round(rng.lognormvariate(2.6, 0.7), 2)
+            p2 = round(rng.lognormvariate(2.1, 0.7), 2)
+            temperature = round(rng.uniform(-10.0, 40.0), 2)
+            humidity = round(rng.uniform(0.0, 100.0), 2)
+            pressure = "" if step % 7 == 3 else f"{rng.gauss(101_325.0, 300.0):.1f}"
+            out.write(f"{sensor_id},{lat},{lon},{ts},{p1},{p2},{temperature},"
+                      f"{humidity},{pressure}\n")
+    return out.getvalue()
+
+
 def reference_ingest(text, n_nodes, source="<memory>"):
     """CSV ingest as first written: one helper call per cell, one comparison
     per row for the time span.

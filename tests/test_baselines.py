@@ -220,6 +220,19 @@ class TestP2PSync:
         expected = union_collect(parts, FULL.start, FULL.end)
         assert list(system.replicas["node-00"].readings()) == expected
 
+    def test_replicas_key_on_each_readings_own_key(self, rng):
+        """No replica allocates a key tuple of its own."""
+        n = 3
+        net = Network(build_topology(n, seed=6, with_server=False))
+        parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
+        system = P2PBaseline(net, parts)
+        system.sync(0.0)
+        for replica in system.replicas.values():
+            assert len(replica) == sum(map(len, parts.values()))
+            assert all(key is r._key for key, r in replica._readings.items())
+            assert all(key is replica._readings[key]._key
+                       for key in replica._writers)
+
     def test_synced_replicas_share_one_view(self, rng):
         n = 3
         topo = build_topology(n, seed=6, with_server=False)

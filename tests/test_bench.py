@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_ingest, union_collect
+from oracles import reference_generate, reference_ingest, union_collect
 from syncmesh.bench import (
     DatasetManifest,
     EmptyDataset,
@@ -80,6 +80,18 @@ class TestGenerateSynthetic:
     def test_rejects_zero_counts(self):
         with pytest.raises(ConfigError):
             generate_synthetic(0, 1, 1, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 48),
+           st.one_of(st.integers(-2**63, 2**63), st.sampled_from([0, -1, 7, 10**30])),
+           st.booleans())
+    def test_equals_the_reference_generator(self, n_sensors, days, per_day,
+                                            seed, balanced):
+        """The inline draws give the stdlib methods' floats, so the text."""
+        balance_across = n_sensors if balanced else None
+        assert (generate_synthetic(n_sensors, days, per_day, seed, balance_across)
+                == reference_generate(n_sensors, days, per_day, seed,
+                                      balance_across))
 
     def test_twelve_node_dataset_pinned(self):
         """The dataset every 12-node run and golden is built from."""

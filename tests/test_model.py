@@ -1,5 +1,9 @@
+import copy
 import dataclasses
+import hashlib
+import inspect
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_reading
 from oracles import assert_summary_close, naive_summary, union_collect
+from syncmesh import wire
 from syncmesh.model import (
     FIELD_NAMES,
     NUMERIC_FIELDS,
@@ -24,6 +29,7 @@ from syncmesh.model import (
     canonical_order,
     merge_reading_sets,
     merge_summaries,
+    reading_key,
     summarize,
     validate_reading,
     validate_request,
@@ -300,3 +306,71 @@ def test_summary_roundtrip(rng):
     readings = [make_reading(rng) for _ in range(50)]
     summary = summarize(readings, NUMERIC_FIELDS)
     assert Summary.from_json_dict(json.loads(canonical_json(summary.to_json_dict()))) == summary
+
+
+# -- the reading contract -------------------------------------------------------
+
+_FIXED = SensorReading("node-00", "sensor-000", 1_672_531_200_000,
+                       42.6, 23.3, 12.5, 8.25, 21.5, 55.0, None)
+# sha256 of pickle.dumps(_FIXED), taken before readings kept their key.
+_FIXED_PICKLE_SHA256 = (
+    "fc5bdd37427cc54bc6ae47179a26009b298d3c693dfaeb8e06f3e90f7b0948d3")
+
+
+def test_reading_signature_keeps_its_parameters():
+    params = inspect.signature(SensorReading).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+         inspect.Parameter.empty if name in ("node_id", "sensor_id", "timestamp")
+         else None)
+        for name in ("node_id", "sensor_id", "timestamp", "lat", "lon", "p1", "p2",
+                     "temperature", "humidity", "pressure")]
+
+
+@pytest.mark.parametrize(
+    "name", [f.name for f in dataclasses.fields(SensorReading)])
+def test_every_reading_slot_is_frozen(name):
+    reading = SensorReading("node-00", "s1", 1000, p1=1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(reading, name, getattr(reading, name))
+
+
+def _encoded(reading):
+    """The reading with its JSON text kept, as after a first encode."""
+    wire.encode_readings((reading,))
+    assert reading._json is not None
+    return reading
+
+
+_CONSTRUCTIONS = {
+    "positional": lambda r: SensorReading(
+        r.node_id, r.sensor_id, r.timestamp, r.lat, r.lon, r.p1, r.p2,
+        r.temperature, r.humidity, r.pressure),
+    "keyword": lambda r: SensorReading(**_as_kwargs(r)),
+    "replace": lambda r: dataclasses.replace(_encoded(r), p1=99.0),
+    "from_json_dict": lambda r: SensorReading.from_json_dict(r.to_json_dict()),
+    "projected": lambda r: _encoded(r).projected(frozenset({"temperature"})),
+    "pickle": lambda r: pickle.loads(pickle.dumps(_encoded(r))),
+    "copy": lambda r: copy.copy(_encoded(r)),
+    "deepcopy": lambda r: copy.deepcopy(_encoded(r)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_CONSTRUCTIONS))
+def test_every_construction_keeps_the_identity_key(rng, path):
+    source = make_reading(rng)
+    built = _CONSTRUCTIONS[path](source)
+    assert all(hasattr(built, name) for name in SensorReading.__slots__)
+    assert reading_key(built) == (built.node_id, built.sensor_id, built.timestamp)
+    assert reading_key(built) == reading_key(source)
+    assert built._json is None
+    if path not in ("replace", "projected"):
+        assert built == source
+
+
+def test_pickled_reading_keeps_its_bytes():
+    """Neither the kept key nor the kept text is pickled."""
+    for reading in (_FIXED, _encoded(copy.copy(_FIXED))):
+        data = pickle.dumps(reading)
+        assert hashlib.sha256(data).hexdigest() == _FIXED_PICKLE_SHA256
+        assert pickle.loads(data) == reading

@@ -12,6 +12,7 @@ from syncmesh.model import (
     TimeRange,
     ValidationError,
     canonical_order,
+    reading_key,
 )
 from syncmesh.store import DUPLICATE, ChangeEvent, Duplicate, LocalStore
 
@@ -21,6 +22,15 @@ def filled_store(rng, n=200, node_id="node-00"):
     readings = [make_reading(rng, node_id=node_id) for _ in range(n)]
     store.load_many(readings)
     return store, readings
+
+
+def test_store_keys_on_each_readings_own_key(rng):
+    """Neither `load_many` nor `insert` allocates a key tuple of its own."""
+    store, readings = filled_store(rng)
+    extra = make_reading(rng, sensor_id="extra")
+    store.insert(extra)
+    assert len(store) == len(set(map(reading_key, [*readings, extra])))
+    assert all(key is r._key for key, r in store._by_key.items())
 
 
 class TestInsert:
