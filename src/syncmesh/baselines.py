@@ -39,6 +39,12 @@ from .wire import Envelope, MessageKind
 INGEST_BATCH_SIZE = 500
 
 
+def _load_valid(store: LocalStore, batch: ReadingSet) -> None:
+    """Load the batch, or none of it when any reading is invalid."""
+    if all_valid(batch):
+        store.load_many(batch)
+
+
 def _batches(readings: ReadingSet):
     """Each ingest batch with its offset in `readings`."""
     size = INGEST_BATCH_SIZE
@@ -47,17 +53,49 @@ def _batches(readings: ReadingSet):
 
 
 class CentralBaseline:
-    """Central cloud store: ingest everything, answer queries server-side."""
+    """Central cloud store: ingest everything, answer queries server-side.
+
+    The server notes each INGEST batch it receives in `delivered`, in
+    arrival order, with the envelope that carried it. `server_store` is
+    the end state of those batches: built from them when first read and
+    loaded with each batch that arrives after that. A store set from
+    outside (a `bench._PhaseReplay` end state of the same batches) is the
+    one read until the next batch arrives, and is never loaded with it."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None):
         self.net = net
         self.partitions = partitions
         self.ops = ops or PayloadOps()
-        self.server_store = LocalStore(SERVER_ID)
+        self.delivered: list[tuple[Envelope, ReadingSet]] = []
+        self._built: LocalStore | None = None
+        self._installed: LocalStore | None = None
         self.client = MeshClient()
         self.client.attach(net)
         net.register(SERVER_ID, self._on_envelope)
+
+    @property
+    def server_store(self) -> LocalStore:
+        """Every valid delivered batch loaded in arrival order, so the first
+        copy of a reading key stays; a batch with an invalid reading loads
+        none."""
+        if self._installed is not None:
+            return self._installed
+        if self._built is None:
+            self._built = LocalStore(SERVER_ID)
+            for _, batch in self.delivered:
+                _load_valid(self._built, batch)
+        return self._built
+
+    @server_store.setter
+    def server_store(self, store: LocalStore) -> None:
+        self._installed = store
+
+    def order_free(self) -> bool:
+        """Whether each delivered reading was loaded under a key of its own,
+        so that any order of the same batches leaves the same store."""
+        return len(self.server_store) == sum(
+            len(batch) for _, batch in self.delivered)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind not in (MessageKind.INGEST, MessageKind.QUERY):
@@ -67,15 +105,19 @@ class CentralBaseline:
         except wire.MalformedBody:
             return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.INGEST:
-            if all_valid(payload):
-                self.server_store.load_many(payload)
+            self.delivered.append((env, payload))
+            self._installed = None
+            if self._built is not None:
+                _load_valid(self._built, payload)
             return
         req = payload
         if not answerable(req):
             return
         resp = QueryResponse(
             request_id=req.request_id,
-            payload=evaluate_query(self.server_store, req),
+            payload=self.ops.answer(
+                (SERVER_ID,), req,
+                lambda: evaluate_query(self.server_store, req)),
             contributing_nodes=frozenset({SERVER_ID}),
             partial=False, codec=CodecId.FASTLZ)
         net.send(
@@ -131,10 +173,12 @@ class ShardedBaseline:
             return  # dropped: one bad envelope must not end the run
         if not answerable(req):
             return
+        shard = env.receiver
         resp = QueryResponse(
             request_id=req.request_id,
-            payload=evaluate_query(self.stores[env.receiver], req),
-            contributing_nodes=frozenset({env.receiver}),
+            payload=self.ops.answer(
+                (shard,), req, lambda: evaluate_query(self.stores[shard], req)),
+            contributing_nodes=frozenset({shard}),
             partial=False, codec=CodecId.FASTLZ)
         net.send(
             self.ops.response_envelope(req, resp, env.receiver, env.sender),
@@ -257,7 +301,14 @@ class P2PReplica:
 
 
 class P2PBaseline:
-    """Eventually-consistent full replication over uncompressed gossip."""
+    """Eventually-consistent full replication over uncompressed gossip.
+
+    Each peer notes the GOSSIP batches it receives in `delivered`, in
+    arrival order, with the envelope that carried it. `replicas` is the end
+    state of those batches: built from them when first read and
+    LWW-applied with each write that comes after that. Replicas set from
+    outside (a `bench._PhaseReplay` end state of the same batches) are the
+    ones read until the next write, and are never written by it."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None,
@@ -265,14 +316,50 @@ class P2PBaseline:
         self.net = net
         self.partitions = partitions
         self.ops = ops or PayloadOps()
-        self.replicas: dict[str, P2PReplica] = {
-            node_id: P2PReplica() for node_id in sorted(partitions)}
+        self.delivered: list[tuple[Envelope, ReadingSet]] = []
+        self._seeded = False  # whether each peer holds its own partition
+        self._built: dict[str, P2PReplica] | None = None
+        self._installed: dict[str, P2PReplica] | None = None
         for node_id in sorted(partitions):
             net.register(node_id, self._on_envelope)
         # The client pulls from every peer and merges on its own side.
         self.gather = Gather(CLIENT_ID, gather_timeout_ms)
         self.received: dict[str, tuple[QueryResponse, float]] = {}
         net.register(CLIENT_ID, self._on_client_envelope)
+
+    @property
+    def replicas(self) -> dict[str, P2PReplica]:
+        """Each peer's replica: its own partition once `sync` has run, then
+        each batch it received, LWW-applied in arrival order. Replicas that
+        end up equal share one sorted view."""
+        if self._installed is not None:
+            return self._installed
+        if self._built is None:
+            replicas = {node_id: P2PReplica() for node_id in sorted(self.partitions)}
+            if self._seeded:
+                for origin, replica in replicas.items():
+                    replica.apply_batch(self.partitions[origin], origin)
+            for env, batch in self.delivered:
+                replicas[env.receiver].apply_batch(batch, env.sender)
+            built = list(replicas.values())
+            for earlier, replica in zip(built, built[1:]):
+                replica.share_view(earlier)
+            self._built = replicas
+        return self._built
+
+    @replicas.setter
+    def replicas(self, replicas: dict[str, P2PReplica]) -> None:
+        self._installed = replicas
+
+    def order_free(self) -> bool:
+        """Whether each write met a reading key of its own, so that any
+        order of the same batches leaves the same replicas."""
+        writes = {node_id: len(self.partitions[node_id]) if self._seeded else 0
+                  for node_id in self.partitions}
+        for env, batch in self.delivered:
+            writes[env.receiver] += len(batch)
+        return all(len(replica) == writes[node_id]
+                   for node_id, replica in self.replicas.items())
 
     def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.RESPONSE:
@@ -288,7 +375,10 @@ class P2PBaseline:
         except wire.MalformedBody:
             return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.GOSSIP:
-            self.replicas[me].apply_batch(payload, env.sender)
+            self.delivered.append((env, payload))
+            self._installed = None
+            if self._built is not None:
+                self._built[me].apply_batch(payload, env.sender)
             net.send(
                 Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
                          receiver=env.sender, body=env.body,
@@ -308,11 +398,14 @@ class P2PBaseline:
 
     def sync(self, at: float = 0.0) -> float:
         """Push every reading, uncompressed, from its origin to every peer."""
-        for origin in sorted(self.partitions):
-            self.replicas[origin].apply_batch(self.partitions[origin], origin)
+        if not self._seeded:
+            self._seeded = True
+            self._installed = None
+            for origin, replica in (self._built or {}).items():
+                replica.apply_batch(self.partitions[origin], origin)
         sent = False
         for origin in sorted(self.partitions):
-            peers = [p for p in sorted(self.replicas) if p != origin]
+            peers = [p for p in sorted(self.partitions) if p != origin]
             for offset, batch in _batches(self.partitions[origin]):
                 body = self.ops.readings_bytes(
                     origin, offset, batch, CodecId.NONE)
@@ -327,12 +420,7 @@ class P2PBaseline:
                     sent = True
         if not sent:
             return 0.0
-        done_at = self.net.run_until_quiescent()
-        # A synced mesh holds equal replicas: sort their readings once.
-        replicas = list(self.replicas.values())
-        for earlier, replica in zip(replicas, replicas[1:]):
-            replica.share_view(earlier)
-        return done_at - at
+        return self.net.run_until_quiescent() - at
 
     # Alias so all systems share the ingest/query surface.
     def ingest(self, at: float = 0.0) -> float:
@@ -347,7 +435,10 @@ class P2PBaseline:
                 self.gather.sender, req,
                 {s: r.payload for s, r in responses.items()}) if responses else ()
             if req.transformer is not None:
-                payload = apply_transformer(req.transformer, payload)
+                merged = payload
+                payload = self.ops.answer(
+                    tuple(responses), req,
+                    lambda: apply_transformer(req.transformer, merged))
             resp = QueryResponse(
                 request_id=req.request_id, payload=payload,
                 contributing_nodes=frozenset(responses),
@@ -356,7 +447,7 @@ class P2PBaseline:
             self.received[req.request_id] = (resp, done_at)
 
         self.gather.start(self.net, replace(req, transformer=None),
-                          sorted(self.replicas), at, finish)
+                          sorted(self.partitions), at, finish)
         self.net.run_until_quiescent(QUERY_TIME_LIMIT_MS)
         if req.request_id not in self.received:
             raise RuntimeError(f"no p2p result for {req.request_id}")

@@ -14,6 +14,7 @@ import io
 import json
 import operator
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -383,31 +384,56 @@ class _PhaseReplay:
     identical events.
 
     The end state of the phase (the central server store, the p2p replicas)
-    depends on the dataset alone, so the first one built is kept and every
-    run answers from it. The duration and ledger bytes also depend on the
-    latency seed, so they are kept per seed and a new seed simulates the
-    phase once."""
+    depends on the batches delivered and on nothing else: on their order
+    too when one reading key is written twice, on the batches alone when
+    not. So one end state is kept per distinct delivered set, under that
+    set's batch envelopes with their counts when the build wrote each key
+    once (`order_free`), else under the envelopes in arrival order; the
+    states are numbered in the order they were built. The duration, the
+    ledger bytes and the number of the end state depend on the latency
+    seed, so they are kept per seed: a new seed simulates the phase once,
+    and builds an end state only for delivered batches not seen before.
 
-    def __init__(self, state_attr: str):
+    The memo entries of the ingest live in `scope`, the (system, dataset)
+    namespace: what a sender encodes does not depend on what arrives. The
+    query that follows answers from the installed end state, so its
+    entries live in `scope` plus that state's number."""
+
+    def __init__(self, state_attr: str, scope: tuple):
         self.state_attr = state_attr
-        self.state = None
-        self.traffic: dict[int, tuple[float, dict]] = {}
+        self.scope = scope
+        self.states: list = []
+        self.numbers: dict[object, int] = {}
+        self.traffic: dict[int, tuple[float, dict, int]] = {}
 
     def ingest(self, system, net: Network, seed: int, at: float = 0.0) -> float:
+        system.ops.scope_key = self.scope
         hit = self.traffic.get(seed)
         if hit is None:
             duration = system.ingest(at)
-            self.traffic[seed] = (duration, dict(net.ledger.bytes))
-            if self.state is None:
-                self.state = getattr(system, self.state_attr)
+            number = self._end_state(system)
+            self.traffic[seed] = (duration, dict(net.ledger.bytes), number)
         else:
-            duration, ledger_bytes = hit
+            duration, ledger_bytes, number = hit
             for bucket, n in ledger_bytes.items():
                 net.ledger.bytes[bucket] = net.ledger.bytes.get(bucket, 0) + n
             net.clock = max(net.clock, at + duration)
-        # Every run answers from the kept state, never from one it just built.
-        setattr(system, self.state_attr, self.state)
+        # Every run answers from a kept state, never from one it just built.
+        setattr(system, self.state_attr, self.states[number])
+        system.ops.scope_key = self.scope + (number,)
         return duration
+
+    def _end_state(self, system) -> int:
+        """The number of the kept end state of what `system` was delivered,
+        built from its batches (the first read does that) when none is."""
+        in_order = tuple(env for env, _ in system.delivered)
+        any_order = frozenset(Counter(in_order).items())
+        number = self.numbers.get(any_order, self.numbers.get(in_order))
+        if number is None:
+            number = len(self.states)
+            self.states.append(getattr(system, self.state_attr))
+            self.numbers[any_order if system.order_free() else in_order] = number
+        return number
 
 
 # Where each system that ships data keeps its ingest end state.
@@ -428,15 +454,18 @@ class DatasetBundle:
 
 @dataclass
 class MatrixCaches:
-    """Work shared across scenario runs: parsed datasets, pure payload work,
-    and completed ingest-phase outcomes.
+    """Work shared across scenario runs: parsed datasets, topologies, pure
+    payload work, and completed ingest-phase outcomes.
 
     The ingest/sync phase of a repetition is fully determined by (dataset,
     topology seed); configs that differ only in scenario or window
     replay the recorded outcome instead of re-simulating it. `phases` holds
-    one `_PhaseReplay` per (system, dataset)."""
+    one `_PhaseReplay` per (system, dataset). `topologies` holds each
+    topology built, under (n_nodes, seed, with_server); no run changes one
+    after `build_topology`, so every run with that key shares it."""
 
     datasets: dict = field(default_factory=dict)
+    topologies: dict = field(default_factory=dict)
     payloads: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
 
@@ -520,9 +549,10 @@ def _build_request(cfg: ScenarioConfig, window: TimeRange) -> QueryRequest:
 
 def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
                  unsafe: bool = False) -> ScenarioResult:
-    """Execute one configuration: per repetition, rebuild the network with
-    reseeded latencies, run the system's ingest phase and one client request,
-    and record timing, per-link-class traffic and the result digest."""
+    """Execute one configuration: per repetition, build a network over the
+    topology of its reseeded latencies (one per key in `caches`), run the
+    system's ingest phase and one client request, and record timing,
+    per-link-class traffic and the result digest."""
     validate_config(cfg, unsafe)
     caches = caches if caches is not None else MatrixCaches()
     bundle = _dataset_bundle(cfg, caches)
@@ -537,13 +567,16 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     replay = None
     if cfg.system in _SHIPPED_STATE:
         replay = caches.phases.setdefault(
-            scope, _PhaseReplay(_SHIPPED_STATE[cfg.system]))
+            scope, _PhaseReplay(_SHIPPED_STATE[cfg.system], scope))
 
     rows: list[RepetitionRow] = []
     for rep in range(cfg.repetitions):
-        topo = build_topology(
-            cfg.n_nodes, seed=cfg.seed + rep, with_server=with_server,
-            bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
+        topo_key = (cfg.n_nodes, cfg.seed + rep, with_server)
+        topo = caches.topologies.get(topo_key)
+        if topo is None:
+            topo = caches.topologies[topo_key] = build_topology(
+                cfg.n_nodes, seed=cfg.seed + rep, with_server=with_server,
+                bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
         net = Network(topo)
         if cfg.system == "syncmesh":
             system = SyncMeshSystem(net, bundle.stores, ops, gather_timeout)

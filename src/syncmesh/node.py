@@ -96,7 +96,9 @@ class TransformerRegistry:
     """Named transformer functions with an observable instance count.
 
     The count rises for the duration of each call and returns to zero when
-    idle, mirroring on-demand function scaling.
+    idle, mirroring on-demand function scaling. A node whose `PayloadOps`
+    memo already holds an answer runs no transformer for it, so `active`
+    counts transformer runs, not the queries that asked for one.
     """
 
     def __init__(self, builtins: bool = True):
@@ -226,7 +228,9 @@ class SyncMeshNode:
         requester is answered when it completes (or times out).
         """
         validate_request(req)
-        payload = evaluate_query(self.store, req, run=self.registry.run)
+        payload = self.ops.answer(
+            (self.node_id,), req,
+            lambda: evaluate_query(self.store, req, run=self.registry.run))
         if req.scope is Scope.LOCAL:
             self._respond(req, requester,
                           payload=payload,

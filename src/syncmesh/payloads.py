@@ -2,11 +2,11 @@
 
 These helpers are shared by the mesh node and every baseline so that all
 systems answer queries with identical semantics. `PayloadOps` optionally
-memoizes encode/merge results: all of them are pure functions of
-deterministic inputs, so repeated benchmark repetitions can reuse work
+memoizes answers and encode/merge results: all of them are pure functions
+of deterministic inputs, so repeated benchmark repetitions can reuse work
 without changing any byte that goes on the wire. The memo key of each
 call is built here, from that call's own inputs, never by its caller; a
-cache hit costs one dict lookup and re-encodes nothing.
+cache hit costs one dict lookup and re-computes nothing.
 """
 
 from __future__ import annotations
@@ -126,9 +126,15 @@ class PayloadOps:
     once per scenario run as (system, dataset key), namespaces the entries,
     so a key names only what varies inside one system's run over one
     dataset: the request (a frozen `QueryRequest`, compared by value),
-    who sends or merges, and which nodes contributed. Keys of different
-    methods differ in length, so they never meet. With cache=None every
-    call computes afresh.
+    who answers, sends or merges, and which nodes contributed. Within the
+    namespace each owner's data is fixed, so an answer depends on the
+    owners and the request alone. A system that ships its data answers
+    from what its ingest delivered, so `bench._PhaseReplay` adds the
+    number of that end state to the namespace of its query. Keys of
+    different methods differ in length, so they never meet: one part for
+    an answer, two for a digest, three for a merge, four for an encoded
+    batch and five for a response body. With cache=None every call
+    computes afresh.
     """
 
     def __init__(self, cache: dict | None = None, scope_key=()):
@@ -145,6 +151,15 @@ class PayloadOps:
             value = fn()
             self.cache[full] = value
             return value
+
+    # -- answering ---------------------------------------------------------
+
+    def answer(self, owners: tuple[str, ...], req: QueryRequest,
+               compute) -> "ReadingSet | Summary":
+        """`compute()`, the answer to req over the data that `owners` hold:
+        one node's or server's local answer, or a client's transform over
+        the readings merged from those peers."""
+        return self.memo(((owners, req),), compute)
 
     # -- outgoing ----------------------------------------------------------
 

@@ -509,3 +509,114 @@ class TestInvalidBodies:
                  net.clock)
         net.run_until_quiescent()
         assert len(system.server_store) == stored
+
+
+def _batch_envelope(kind, sender, receiver, batch, request_id=""):
+    return Envelope(kind=kind, sender=sender, receiver=receiver,
+                    codec=CodecId.FASTLZ, request_id=request_id,
+                    body=compress(CodecId.FASTLZ, encode_readings(batch)))
+
+
+class TestDeliveredBatches:
+    """The server and the peers keep every batch delivered to them, whatever
+    its request id, and apply them in arrival order."""
+
+    def _central(self):
+        return CentralBaseline(Network(server_topology(3)), {})
+
+    def _p2p(self):
+        return P2PBaseline(Network(build_topology(3, seed=5)),
+                           {f"node-{i:02d}": () for i in range(3)})
+
+    @pytest.mark.parametrize("request_id", ["", "i000000"])
+    def test_two_ingests_under_one_name_are_both_stored(self, rng, request_id):
+        system = self._central()
+        batches = [tuple(make_reading(rng, timestamp=t) for t in (1, 2)),
+                   tuple(make_reading(rng, timestamp=t) for t in (3, 4))]
+        for at, batch in enumerate(batches):
+            system.net.send(_batch_envelope(
+                MessageKind.INGEST, "node-00", "server", batch, request_id), at)
+        system.net.run_until_quiescent()
+        assert system.server_store.all_readings() == batches[0] + batches[1]
+
+    def test_an_invalid_batch_under_a_used_name_removes_nothing(self, rng):
+        net, system, parts = TestInvalidBodies()._system(rng, "central")
+        stored = system.server_store.all_readings()
+        batch = (SensorReading("node-00", "sensor-x", 9, humidity=200.0),)
+        net.send(_batch_envelope(MessageKind.INGEST, "node-00", "server",
+                                 batch, "i000000"), net.clock)
+        net.run_until_quiescent()
+        assert system.server_store.all_readings() == stored
+        assert len(system.server_store) == sum(map(len, parts.values()))
+
+    def test_the_first_arrival_of_a_key_stays(self, rng):
+        """node-01's copy arrives first, so it stays, though node-00 sorts
+        first."""
+        system = self._central()
+        early = make_reading(rng, timestamp=5)
+        late = make_reading(rng, sensor_id=early.sensor_id, timestamp=5)
+        system.net.send(_batch_envelope(
+            MessageKind.INGEST, "node-01", "server", (early,)), 0.0)
+        system.net.send(_batch_envelope(
+            MessageKind.INGEST, "node-00", "server", (late,)), 1000.0)
+        system.net.run_until_quiescent()
+        assert system.server_store.all_readings() == (early,)
+
+    def test_two_gossips_under_one_name_are_both_applied(self, rng):
+        system = self._p2p()
+        batches = [tuple(make_reading(rng, timestamp=t) for t in (1, 2)),
+                   tuple(make_reading(rng, timestamp=t) for t in (3, 4))]
+        for at, batch in enumerate(batches):
+            system.net.send(_batch_envelope(
+                MessageKind.GOSSIP, "node-00", "node-01", batch, "g000000"), at)
+        system.net.run_until_quiescent()
+        assert system.replicas["node-01"].readings() == batches[0] + batches[1]
+
+    def test_one_writers_first_gossip_of_a_key_stays(self, rng):
+        system = self._p2p()
+        early = make_reading(rng, timestamp=5)
+        late = make_reading(rng, sensor_id=early.sensor_id, timestamp=5)
+        for at, reading in ((0.0, early), (1000.0, late)):
+            system.net.send(_batch_envelope(
+                MessageKind.GOSSIP, "node-00", "node-01", (reading,)), at)
+        system.net.run_until_quiescent()
+        assert system.replicas["node-01"].readings() == (early,)
+
+    @pytest.mark.parametrize("kind", ["central", "p2p"])
+    def test_a_batch_after_the_first_read_is_applied_and_an_installed_state_kept(
+            self, rng, kind):
+        system = self._central() if kind == "central" else self._p2p()
+        receiver = "server" if kind == "central" else "node-01"
+        message = MessageKind.INGEST if kind == "central" else MessageKind.GOSSIP
+
+        def held():
+            if kind == "central":
+                return system.server_store.all_readings()
+            return system.replicas["node-01"].readings()
+
+        def deliver(batch):
+            system.net.send(_batch_envelope(
+                message, "node-00", receiver, batch), system.net.clock)
+            system.net.run_until_quiescent()
+
+        first = (make_reading(rng, timestamp=1),)
+        second = (make_reading(rng, timestamp=2),)
+        deliver(first)
+        assert held() == first
+        built = system.server_store if kind == "central" else system.replicas
+        deliver(second)
+        assert held() == first + second
+        assert (system.server_store if kind == "central"
+                else system.replicas) is built  # extended, not rebuilt
+
+        installed = LocalStore("server") if kind == "central" else {
+            node_id: P2PReplica() for node_id in system.partitions}
+        if kind == "central":
+            system.server_store = installed
+        else:
+            system.replicas = installed
+        assert held() == ()
+        deliver((make_reading(rng, timestamp=3),))
+        assert len(held()) == 3
+        assert (len(installed) if kind == "central"
+                else sum(map(len, installed.values()))) == 0

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import weakref
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -29,13 +30,19 @@ from syncmesh.bench import (
     validate_config,
     _scenario_gather_timeout,
 )
-from syncmesh import bench, netsim, wire
+from syncmesh import bench, netsim, payloads, wire
 from syncmesh.baselines import CentralBaseline, P2PBaseline
 from syncmesh.cli import main
-from syncmesh.model import MS_PER_DAY, reading_key
+from syncmesh.model import (
+    MS_PER_DAY,
+    SensorReading,
+    TimeRange,
+    in_canonical_order,
+    reading_key,
+)
 from syncmesh.netsim import Network, build_topology
 from syncmesh.node import default_gather_timeout_ms
-from syncmesh.payloads import fingerprint
+from syncmesh.payloads import PayloadOps, fingerprint
 from syncmesh.wire import encode_readings
 
 
@@ -353,11 +360,12 @@ class TestRunScenario:
         assert [row.rep for row in result.rows] == [0, 1, 2, 3]
 
     def test_shared_caches_keep_one_ingest_end_state_per_dataset(self):
-        """The end state of an ingest does not depend on the latency seed, so
-        later configurations install the first one recorded, whatever their
-        seed; only duration and bytes are kept per seed. And no
-        memo entry one configuration leaves changes another's rows, whichever
-        runs first."""
+        """The end state of an ingest depends on the delivered batches alone,
+        and every seed delivers all of them, so one end state is kept and
+        later configurations install it, whatever their seed; duration,
+        bytes and the number of the end state are kept per seed. And no
+        memo entry one configuration leaves changes another's rows,
+        whichever runs first."""
         configs = [small_cfg(system=system, scenario=scenario,
                              window_days=window, repetitions=3)
                    for system in bench.SYSTEMS
@@ -372,6 +380,10 @@ class TestRunScenario:
         assert sorted(caches.phases) == [("central", dataset), ("p2p", dataset)]
         for replay in caches.phases.values():
             assert sorted(replay.traffic) == [7, 8, 9]
+            assert len(replay.states) == 1
+            assert {number for _, _, number in replay.traffic.values()} == {0}
+        (kept_store,) = caches.phases[("central", dataset)].states
+        (kept_replicas,) = caches.phases[("p2p", dataset)].states
 
         # The kept state equals the one each later seed builds itself, LWW
         # versions included: each reading with the writer whose write won.
@@ -385,13 +397,12 @@ class TestRunScenario:
             central = CentralBaseline(Network(topo), partitions)
             central.ingest(0.0)
             assert (central.server_store.all_readings()
-                    == caches.phases[("central", dataset)].state.all_readings())
+                    == kept_store.all_readings())
             topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
             p2p = P2PBaseline(Network(topo), partitions)
             p2p.sync(0.0)
-            kept = caches.phases[("p2p", dataset)].state
             assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
-                {n: lww_state(r) for n, r in kept.items()}
+                {n: lww_state(r) for n, r in kept_replicas.items()}
 
     def test_a_second_pass_over_the_matrix_adds_no_memo_entry(self):
         """Memo keys name only what the work depends on: running every
@@ -401,9 +412,150 @@ class TestRunScenario:
         configs = matrix_configs(7, sizes=(3,), repetitions=2)
         first = [run_scenario(cfg, caches).rows for cfg in configs]
         keys = set(caches.payloads)
-        assert len(keys) == 150
+        assert len(keys) == 210
         assert [run_scenario(cfg, caches).rows for cfg in configs] == first
         assert set(caches.payloads) == keys
+
+
+# The owners whose answer a 3-node transform query needs: the mesh node and
+# its two neighbors, the central server, the three shards, the p2p client.
+_ANSWERING_OWNERS = {"syncmesh": 3, "central": 1, "sharded": 3, "p2p": 1}
+
+
+def test_each_answer_is_computed_once(monkeypatch):
+    """Repetitions on shared caches reuse each owner's answer and the p2p
+    client's transform; with the memo off every repetition computes them."""
+    calls = []
+    summarize = payloads.summarize
+
+    def counted(readings, fields):
+        if readings:  # not the dry run on no readings that `answerable` makes
+            calls.append(len(readings))
+        return summarize(readings, fields)
+
+    monkeypatch.setattr(payloads, "summarize", counted)
+    shared = MatrixCaches()
+    for system, owners in _ANSWERING_OWNERS.items():
+        cfg = small_cfg(system=system, scenario="transform", repetitions=3)
+        calls.clear()
+        rows = run_scenario(cfg, shared).rows
+        assert len(calls) == owners, system
+        calls.clear()
+        assert run_scenario(cfg, MatrixCaches(payloads=None)).rows == rows
+        assert len(calls) == 3 * owners, system
+
+
+def test_topologies_are_shared_and_never_mutated(monkeypatch):
+    """A matrix builds each (n, seed, with_server) topology once, and no run
+    changes an endpoint or a link of one it shares."""
+    build = bench.build_topology
+    built = []
+
+    def recorded(n_nodes, seed, **kwargs):
+        topo = build(n_nodes, seed=seed, **kwargs)
+        built.append(((n_nodes, seed, kwargs["with_server"]), topo,
+                      dict(topo.endpoints), dict(topo.links)))
+        return topo
+
+    monkeypatch.setattr(bench, "build_topology", recorded)
+    caches = MatrixCaches()
+    for cfg in matrix_configs(7, sizes=(3,), windows=(1, 7), repetitions=2):
+        run_scenario(cfg, caches)
+    keys = [key for key, *_ in built]
+    assert sorted(keys) == sorted(caches.topologies) == [
+        (3, seed, with_server) for seed in (7, 8) for with_server in (False, True)]
+    for key, topo, endpoints, links in built:
+        assert caches.topologies[key] is topo
+        assert topo.endpoints == endpoints and topo.links == links
+
+
+@pytest.mark.parametrize("system", ["central", "p2p"])
+def test_the_end_state_follows_what_was_delivered(system):
+    """A seed whose run never delivers node-01's batches keeps an end state
+    without node-01's readings; a later seed that delivers every batch gets
+    the full state, not the first one kept, and so does its answer from
+    the memo both seeds share."""
+    partitions = bench._dataset_bundle(small_cfg(), MatrixCaches()).partitions
+    scope = (system, "dataset")
+    replay = bench._PhaseReplay(bench._SHIPPED_STATE[system], scope)
+    ops = PayloadOps({}, scope)
+    req = bench._build_request(small_cfg(window_days=30), TimeRange(0, 10**15))
+
+    def run(seed, down=()):
+        net = Network(build_topology(3, seed=seed, with_server=system == "central",
+                                     bandwidth_bytes_per_ms=1250.0))
+        if system == "central":
+            shipped = CentralBaseline(net, partitions, ops)
+        else:  # a deadline that every peer's full replica can meet
+            shipped = P2PBaseline(net, partitions, ops, gather_timeout_ms=1e6)
+        for node_id in down:
+            net.set_available(node_id, False)
+        replay.ingest(shipped, net, seed)
+        resp, _ = shipped.query(req, net.clock + 10.0)
+        return shipped, resp.payload
+
+    def union(*node_ids):
+        return in_canonical_order(chain.from_iterable(
+            partitions[n] for n in node_ids))
+
+    everyone = sorted(partitions)
+    (partial, partial_answer), (full, full_answer) = (
+        run(7, down=["node-01"]), run(8))
+    if system == "central":
+        assert partial.server_store.all_readings() == union("node-00", "node-02")
+        assert full.server_store.all_readings() == union(*everyone)
+        assert partial_answer == union("node-00", "node-02")
+    else:
+        assert {n: r.readings() for n, r in partial.replicas.items()} == {
+            "node-00": union("node-00", "node-02"), "node-01": union("node-01"),
+            "node-02": union("node-00", "node-02")}
+        assert {n: r.readings() for n, r in full.replicas.items()} == {
+            n: union(*everyone) for n in everyone}
+    assert full_answer == union(*everyone)
+    assert len(replay.states) == 2
+    assert [replay.traffic[seed][2] for seed in (7, 8)] == [0, 1]
+    assert getattr(partial, replay.state_attr) is replay.states[0]
+    assert getattr(full, replay.state_attr) is replay.states[1]
+    assert ops.scope_key == scope + (1,)
+
+
+def _two_orders(same_key):
+    """Two central runs that deliver the same two batches in opposite
+    orders; with `same_key` the batches hold one reading key with two
+    values, else two keys."""
+    first = SensorReading("node-00", "s", 1_000, temperature=1.0)
+    second = SensorReading("node-00", "s", 1_000 if same_key else 2_000,
+                           temperature=2.0)
+    runs = []
+    for send_at in ((0.0, 1000.0), (1000.0, 0.0)):
+        topo = build_topology(2, seed=7, with_server=True,
+                              bandwidth_bytes_per_ms=1250.0)
+        central = CentralBaseline(Network(topo), {})
+        for sender, reading, at in zip(("node-00", "node-01"),
+                                       (first, second), send_at):
+            central.net.send(wire.Envelope(
+                kind=wire.MessageKind.INGEST, sender=sender,
+                receiver=netsim.SERVER_ID, body=wire.encode_readings((reading,)),
+                request_id="i000000"), at)
+        central.net.run_until_quiescent()
+        runs.append(central)
+    return runs
+
+
+def test_the_order_of_the_batches_names_the_end_state_only_when_it_matters():
+    """Batches that write each reading key once leave one end state in any
+    order; batches that write one key twice leave the first arrival's
+    copy, so each order keeps its own."""
+    replay = bench._PhaseReplay("server_store", ("central", "dataset"))
+    assert [replay._end_state(run) for run in _two_orders(same_key=False)] \
+        == [0, 0]
+    assert [replay._end_state(run) for run in _two_orders(same_key=True)] \
+        == [1, 2]
+    assert [[r.temperature for r in store.all_readings()]
+            for store in replay.states] == [[1.0, 2.0], [1.0], [2.0]]
+    assert [replay._end_state(run) for run in _two_orders(same_key=True)] \
+        == [1, 2]
+    assert len(replay.states) == 3
 
 
 @pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])
