@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 from .model import (
@@ -234,19 +235,36 @@ class P2PReplica:
     key, so two writes to one key differ only in writer: the greater writer
     wins and an equal one (a retransmit) keeps the first write. The replica
     keeps one key -> reading and one key -> writer dict, and caches its
-    readings in canonical order until the next apply changes them. A replica
-    that holds the same readings as the one it `share_view`s takes that
-    one's cached order instead of sorting its own.
+    readings in canonical order until the next apply changes them. Replicas
+    made by `sharer` hold one set of maps and one canonical tuple until one
+    of them is written: its first apply copies the maps first.
     """
 
     def __init__(self):
         self._readings: dict[tuple, SensorReading] = {}
         self._writers: dict[tuple, str] = {}
         self._ordered: ReadingSet | None = None
-        self._twin: P2PReplica | None = None  # see `share_view`
+        self._shared = False  # whether another replica holds these maps
 
     def __len__(self) -> int:
         return len(self._readings)
+
+    def sharer(self) -> "P2PReplica":
+        """A replica that holds this one's maps and canonical tuple. The first
+        write to either copies the maps, so neither sees the other's later
+        writes."""
+        other = P2PReplica()
+        other._readings, other._writers = self._readings, self._writers
+        other._ordered = self.readings()
+        self._shared = other._shared = True
+        return other
+
+    def _own(self) -> None:
+        """Copy the maps before the first write to a shared replica."""
+        if self._shared:
+            self._readings = dict(self._readings)
+            self._writers = dict(self._writers)
+            self._shared = False
 
     def apply(self, reading: SensorReading, version: tuple) -> bool:
         """Upsert under LWW; greater (timestamp, writer) version wins.
@@ -255,6 +273,7 @@ class P2PReplica:
         if timestamp != reading.timestamp:
             raise ValueError(f"version timestamp {timestamp} is not the "
                              f"reading's {reading.timestamp}")
+        self._own()
         key = reading_key(reading)
         current = self._writers.get(key)
         if current is not None and writer <= current:
@@ -266,6 +285,7 @@ class P2PReplica:
 
     def apply_batch(self, readings: ReadingSet, writer: str) -> None:
         """LWW-apply a gossip batch; version is (reading timestamp, writer)."""
+        self._own()
         by_key = self._readings
         writers = self._writers
         for key, r in zip(map(reading_key, readings), readings):
@@ -281,17 +301,8 @@ class P2PReplica:
 
     def readings(self) -> ReadingSet:
         if self._ordered is None:
-            twin = self._twin
-            if twin is not None and twin._readings == self._readings:
-                self._ordered = twin.readings()
-            else:
-                self._ordered = in_canonical_order(self._readings.values())
+            self._ordered = in_canonical_order(self._readings.values())
         return self._ordered
-
-    def share_view(self, other: "P2PReplica") -> None:
-        """Take `other`'s canonical view when this replica next builds its
-        own, if the two then hold equal readings; otherwise sort as usual."""
-        self._twin = other
 
     def query_range(self, time_range: TimeRange) -> ReadingSet:
         return time_slice(self.readings(), time_range)
@@ -308,7 +319,8 @@ class P2PBaseline:
     state of those batches: built from them when first read and
     LWW-applied with each write that comes after that. Replicas set from
     outside (a `bench._PhaseReplay` end state of the same batches) are the
-    ones read until the next write, and are never written by it."""
+    ones read until the next write, and are never written by it. A batch
+    with an invalid reading is no write, on every peer that receives it."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None,
@@ -317,7 +329,10 @@ class P2PBaseline:
         self.partitions = partitions
         self.ops = ops or PayloadOps()
         self.delivered: list[tuple[Envelope, ReadingSet]] = []
-        self._seeded = False  # whether each peer holds its own partition
+        # Each peer's own partition in the (offset, batch) pairs `sync`
+        # gossips; None until it runs.
+        self._seeds: dict[str, list[tuple[int, ReadingSet]]] | None = None
+        self._validity: dict[int, bool] = {}  # id(batch) -> all_valid(batch)
         self._built: dict[str, P2PReplica] | None = None
         self._installed: dict[str, P2PReplica] | None = None
         for node_id in sorted(partitions):
@@ -330,20 +345,29 @@ class P2PBaseline:
     @property
     def replicas(self) -> dict[str, P2PReplica]:
         """Each peer's replica: its own partition once `sync` has run, then
-        each batch it received, LWW-applied in arrival order. Replicas that
-        end up equal share one sorted view."""
+        each batch it received, LWW-applied in arrival order.
+
+        Peers whose writes are the same multiset of (writer, batch object)
+        get one replica, built once, when that build wrote each reading key
+        once: the end state of such writes does not depend on their order.
+        Every other peer of the group gets a `sharer` of it. Otherwise each
+        peer is built on its own, in its arrival order."""
         if self._installed is not None:
             return self._installed
         if self._built is None:
-            replicas = {node_id: P2PReplica() for node_id in sorted(self.partitions)}
-            if self._seeded:
-                for origin, replica in replicas.items():
-                    replica.apply_batch(self.partitions[origin], origin)
-            for env, batch in self.delivered:
-                replicas[env.receiver].apply_batch(batch, env.sender)
-            built = list(replicas.values())
-            for earlier, replica in zip(built, built[1:]):
-                replica.share_view(earlier)
+            replicas: dict[str, P2PReplica] = {}
+            order_free: dict[frozenset, P2PReplica] = {}
+            for node_id, writes in self._writes().items():
+                group = frozenset(
+                    Counter((writer, id(batch)) for writer, batch in writes).items())
+                if group in order_free:
+                    replicas[node_id] = order_free[group].sharer()
+                    continue
+                replica = replicas[node_id] = P2PReplica()
+                for writer, batch in writes:
+                    replica.apply_batch(batch, writer)
+                if len(replica) == sum(len(batch) for _, batch in writes):
+                    order_free[group] = replica
             self._built = replicas
         return self._built
 
@@ -351,14 +375,38 @@ class P2PBaseline:
     def replicas(self, replicas: dict[str, P2PReplica]) -> None:
         self._installed = replicas
 
+    def _valid(self, batch: ReadingSet) -> bool:
+        """Whether every reading of `batch` is valid, judged once per batch
+        object; each one judged is held in `delivered` or `_seeds`."""
+        valid = self._validity.get(id(batch))
+        if valid is None:
+            valid = self._validity[id(batch)] = all_valid(batch)
+        return valid
+
+    def _write(self, peer: str, writer: str, batch: ReadingSet) -> None:
+        """LWW-apply a write that comes after the replicas were built."""
+        if self._valid(batch):
+            self._built[peer].apply_batch(batch, writer)
+
+    def _writes(self) -> dict[str, list[tuple[str, ReadingSet]]]:
+        """Each peer's writes in arrival order, as (writer, batch): its own
+        partition once `sync` has run, then each valid batch delivered."""
+        writes = {node_id: [] for node_id in sorted(self.partitions)}
+        arrivals = [(origin, origin, batch)
+                    for origin, batches in (self._seeds or {}).items()
+                    for _, batch in batches]
+        arrivals += [(env.receiver, env.sender, batch)
+                     for env, batch in self.delivered]
+        for peer, writer, batch in arrivals:
+            if self._valid(batch):
+                writes[peer].append((writer, batch))
+        return writes
+
     def order_free(self) -> bool:
         """Whether each write met a reading key of its own, so that any
         order of the same batches leaves the same replicas."""
-        writes = {node_id: len(self.partitions[node_id]) if self._seeded else 0
-                  for node_id in self.partitions}
-        for env, batch in self.delivered:
-            writes[env.receiver] += len(batch)
-        return all(len(replica) == writes[node_id]
+        writes = self._writes()
+        return all(len(replica) == sum(len(batch) for _, batch in writes[node_id])
                    for node_id, replica in self.replicas.items())
 
     def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
@@ -378,7 +426,7 @@ class P2PBaseline:
             self.delivered.append((env, payload))
             self._installed = None
             if self._built is not None:
-                self._built[me].apply_batch(payload, env.sender)
+                self._write(me, env.sender, payload)
             net.send(
                 Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
                          receiver=env.sender, body=env.body,
@@ -398,15 +446,17 @@ class P2PBaseline:
 
     def sync(self, at: float = 0.0) -> float:
         """Push every reading, uncompressed, from its origin to every peer."""
-        if not self._seeded:
-            self._seeded = True
+        if self._seeds is None:
+            self._seeds = {origin: list(_batches(self.partitions[origin]))
+                           for origin in sorted(self.partitions)}
             self._installed = None
-            for origin, replica in (self._built or {}).items():
-                replica.apply_batch(self.partitions[origin], origin)
+            for origin in self._built or ():
+                for _, batch in self._seeds[origin]:
+                    self._write(origin, origin, batch)
         sent = False
-        for origin in sorted(self.partitions):
-            peers = [p for p in sorted(self.partitions) if p != origin]
-            for offset, batch in _batches(self.partitions[origin]):
+        for origin, batches in self._seeds.items():
+            peers = [p for p in self._seeds if p != origin]
+            for offset, batch in batches:
                 body = self.ops.readings_bytes(
                     origin, offset, batch, CodecId.NONE)
                 request_id = f"g{offset // INGEST_BATCH_SIZE:06d}"

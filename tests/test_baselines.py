@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from syncmesh.model import (
     Summary,
     TimeRange,
     TransformerSpec,
+    reading_key,
 )
 from syncmesh.netsim import (
     Endpoint,
@@ -35,6 +38,7 @@ from syncmesh.netsim import (
     Topology,
     build_topology,
 )
+from syncmesh.payloads import all_valid
 from syncmesh.store import LocalStore
 from syncmesh.model import CodecId
 from syncmesh.wire import (
@@ -44,6 +48,7 @@ from syncmesh.wire import (
     compress,
     encode_readings,
     encode_request,
+    read_payload,
 )
 
 FULL = TimeRange(1, 10**15)
@@ -271,6 +276,39 @@ class TestP2PSync:
         alone.apply_batch(parts["node-02"], "node-02")
         assert replicas["node-02"].readings() == alone.readings()
 
+    def test_a_full_sync_builds_one_replica_for_every_peer(self, rng, monkeypatch):
+        """Every peer got the same writes, so all share one reading map: each
+        delivered reading is applied once, not once per peer, and each batch
+        is validated once, not once per delivery."""
+        monkeypatch.setattr(baselines, "INGEST_BATCH_SIZE", 15)
+        n = 4
+        net = Network(build_topology(n, seed=6, with_server=False))
+        parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
+        applied, judged = [], []
+        apply_batch = P2PReplica.apply_batch
+
+        def counted_apply(replica, readings, writer):
+            applied.append(len(readings))
+            apply_batch(replica, readings, writer)
+
+        def counted_valid(batch):
+            judged.append(id(batch))
+            return all_valid(batch)  # payloads.all_valid; only baselines is patched
+
+        monkeypatch.setattr(P2PReplica, "apply_batch", counted_apply)
+        monkeypatch.setattr(baselines, "all_valid", counted_valid)
+        system = P2PBaseline(net, parts)
+        system.sync(0.0)
+        replicas = list(system.replicas.values())
+        total = sum(map(len, parts.values()))
+        assert all(r._readings is replicas[0]._readings
+                   and r._writers is replicas[0]._writers for r in replicas)
+        assert len(replicas[0]) == total
+        assert sum(applied) == total
+        # 40 readings a peer in batches of 15: 3 batches each.
+        assert len(judged) == len(set(judged)) == n * 3
+        assert system.order_free()
+
     def test_lww_last_writer_wins_any_order(self):
         base = SensorReading("node-00", "s0", 1000, temperature=1.0)
         contender = SensorReading("node-00", "s0", 1000, temperature=2.0)
@@ -343,26 +381,30 @@ class TestP2PReplicaModel:
             assert replica.writer(key) == reference.writer(key)
         assert replica.digest() == reference.digest()
 
-    def test_a_view_is_shared_only_while_readings_are_equal(self):
-        """Same keys with another winning write is not equal."""
+    def test_a_sharer_copies_the_maps_before_its_first_write(self):
+        """Replicas share maps and view until a write; a write to either side,
+        the original or a sharer, is seen by no other."""
         base = SensorReading("node-00", "s0", 1000, temperature=1.0)
         other = SensorReading("node-00", "s0", 1000, temperature=2.0)
-        first, differs, same = P2PReplica(), P2PReplica(), P2PReplica()
+        first = P2PReplica()
         first.apply(base, (1000, "node-00"))
-        differs.apply(other, (1000, "node-01"))
-        same.apply(base, (1000, "node-02"))
-        differs.share_view(first)
-        same.share_view(first)
-        assert differs.readings() == (other,)
-        assert same.readings() is first.readings()
-        # A write to the shared-with replica after the link is seen at read.
-        later, ahead = P2PReplica(), P2PReplica()
-        later.apply(base, (1000, "node-00"))
-        ahead.apply(base, (1000, "node-00"))
-        later.share_view(ahead)
-        ahead.apply(other, (1000, "node-01"))
-        assert later.readings() == (base,)
-        assert ahead.readings() == (other,)
+        left, right = first.sharer(), first.sharer()
+        for replica in (left, right):
+            assert replica._readings is first._readings
+            assert replica._writers is first._writers
+            assert replica.readings() is first.readings()
+        # A retransmit changes nothing, so the copy keeps the view.
+        left.apply_batch((base,), "node-00")
+        assert left._readings is not first._readings
+        assert left.readings() is first.readings()
+        assert left.apply(other, (1000, "node-01"))
+        assert left.readings() == (other,)
+        assert first.readings() == right.readings() == (base,)
+        # The replica shared from is copied too before its first write.
+        assert first.apply(other, (1000, "node-02"))
+        assert first.writer(reading_key(other)) == "node-02"
+        assert right.readings() == (base,)
+        assert right.writer(reading_key(base)) == "node-00"
 
     def test_version_timestamp_must_be_the_readings(self):
         replica = P2PReplica()
@@ -372,6 +414,131 @@ class TestP2PReplicaModel:
         assert len(replica) == 0
         assert replica.apply(reading, (1000, "node-01"))
         assert replica.writer(("node-00", "s0", 1000)) == "node-01"
+
+
+@st.composite
+def _p2p_runs(draw):
+    """A small mesh: partitions (over a key space that origins share when
+    `collide`, so writes to one key conflict), some invalid readings, peers
+    going down and up during sync, then resends of gossip batches, as the same
+    batch object or as bytes to decode, and two batches of one writer that
+    write one key with different data, sent to peers in any order."""
+    node_ids = [f"node-{i:02d}" for i in range(draw(st.integers(2, 4)))]
+    collide = draw(st.booleans())
+    partitions = {}
+    for origin in node_ids:
+        readings = st.builds(
+            SensorReading,
+            st.sampled_from(("node-00", "node-01") if collide else (origin,)),
+            st.sampled_from(("s0", "s1")), st.integers(1, 3),
+            temperature=st.sampled_from((0.0, 1.0, 2.0)),
+            humidity=st.sampled_from((None, None, None, 200.0)))
+        partitions[origin] = tuple(draw(st.lists(
+            readings, unique_by=reading_key, max_size=7)))
+    toggles = draw(st.lists(st.tuples(
+        st.sampled_from(node_ids), st.floats(0.0, 700.0), st.booleans()),
+        max_size=3))
+    resend = st.tuples(st.integers(0, 99), st.sampled_from(node_ids),
+                       st.booleans())
+    before_read = draw(st.lists(resend, max_size=3))
+    after_read = draw(st.lists(resend, max_size=2))
+    conflicts = draw(st.lists(st.sampled_from(((), (0, 1), (1, 0))),
+                              min_size=len(node_ids) - 1,
+                              max_size=len(node_ids) - 1))
+    direct = draw(st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids)))
+    return partitions, toggles, before_read, conflicts, after_read, direct
+
+
+class TestP2PReplicasFollowTheirWrites:
+    """However the batches arrive, each peer's replica is the reference fold
+    of that peer's own writes in arrival order: its partition, then each
+    valid GOSSIP batch delivered to it, and it stays so after a later GOSSIP
+    or a direct apply on one peer."""
+
+    @staticmethod
+    def _reference(system, net, peer):
+        replica = ReferenceReplica()
+        own = system.partitions[peer]
+        writes = [(peer, own[i:i + baselines.INGEST_BATCH_SIZE])
+                  for i in range(0, len(own), baselines.INGEST_BATCH_SIZE)]
+        arrived = sorted((e for e in net.envelope_log
+                          if e.delivered and e.envelope.receiver == peer
+                          and e.envelope.kind is MessageKind.GOSSIP),
+                         key=lambda e: e.deliver_at)
+        writes += [(e.envelope.sender, read_payload(e.envelope)) for e in arrived]
+        for writer, batch in writes:
+            if all_valid(batch):
+                replica.apply_batch(batch, writer)
+        return replica
+
+    @staticmethod
+    def _resend(net, pick, peer, as_bytes):
+        gossip = [e.envelope for e in net.envelope_log
+                  if e.envelope.kind is MessageKind.GOSSIP]
+        if not gossip:
+            return
+        env = gossip[pick % len(gossip)]
+        if peer == env.sender:
+            peer = env.receiver
+        net.send(replace(env, receiver=peer,
+                         payload=None if as_bytes else env.payload), net.clock)
+        net.run_until_quiescent()
+
+    @staticmethod
+    def _send_conflicting(net, peers, orders):
+        """Two batches of the greatest writer to one key, with different
+        data, to each other peer in its drawn order: the first to arrive
+        stays, so peers with the same writes can end up different."""
+        writer = peers[-1]
+        batches = [(SensorReading("node-00", "s0", 1, temperature=t),)
+                   for t in (5.0, 6.0)]
+        for peer, order in zip(peers, orders):
+            for i in order:
+                net.send(Envelope(kind=MessageKind.GOSSIP, sender=writer,
+                                  receiver=peer, body=encode_readings(batches[i]),
+                                  payload=batches[i]), net.clock)
+                net.run_until_quiescent()
+
+    @given(_p2p_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_replica_is_its_own_writes_folded_in_order(self, run):
+        partitions, toggles, before_read, conflicts, after_read, direct = run
+        net = Network(build_topology(len(partitions), seed=3))
+        with mock.patch.object(baselines, "INGEST_BATCH_SIZE", 2):
+            system = P2PBaseline(net, partitions)
+            for peer, at, up in toggles:
+                net.call_at(at, lambda net, now, peer=peer, up=up:
+                            net.set_available(peer, up))
+            system.sync(0.0)
+            for peer in partitions:
+                net.set_available(peer, True)
+            for resend in before_read:
+                self._resend(net, *resend)
+            self._send_conflicting(net, sorted(partitions), conflicts)
+            references = {peer: self._reference(system, net, peer)
+                          for peer in partitions}
+
+            def check():
+                for peer, replica in system.replicas.items():
+                    reference = references[peer]
+                    assert replica.readings() == reference.readings(), peer
+                    for r in reference.readings():
+                        assert replica.writer(reading_key(r)) == \
+                            reference.writer(reading_key(r))
+
+            check()
+            for resend in after_read:
+                self._resend(net, *resend)
+                references = {peer: self._reference(system, net, peer)
+                              for peer in partitions}
+                check()
+            peer, writer = direct
+            reading = SensorReading("node-00", "s0", 2, temperature=9.0)
+            version = (reading.timestamp, writer)
+            assert (system.replicas[peer].apply(reading, version)
+                    == references[peer].apply(reading, version))
+            check()
+
 
 
 class TestP2PCollect:
@@ -498,17 +665,31 @@ class TestInvalidBodies:
         assert resp.partial is False
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
 
-    def test_central_ingest_with_invalid_reading_loads_none(self, rng):
-        net, system, parts = self._system(rng, "central")
-        stored = len(system.server_store)
+    @pytest.mark.parametrize("kind", ["central", "p2p"])
+    def test_a_batch_with_an_invalid_reading_loads_none(self, rng, kind):
+        """Delivered before the first read and after it; the p2p peer still
+        echoes the batch."""
+        net, system, parts = self._system(rng, kind)
+        receiver = "server" if kind == "central" else "node-01"
+        message = MessageKind.INGEST if kind == "central" else MessageKind.GOSSIP
+
+        def held():
+            if kind == "central":
+                return system.server_store.all_readings()
+            return system.replicas[receiver].readings()
+
         batch = (make_reading(rng, node_id="node-00", timestamp=7),
-                 SensorReading("node-00", "sensor-x", 9, humidity=200.0))
-        net.send(Envelope(kind=MessageKind.INGEST, sender="node-00",
-                          receiver="server", codec=CodecId.FASTLZ,
-                          body=compress(CodecId.FASTLZ, encode_readings(batch))),
-                 net.clock)
-        net.run_until_quiescent()
-        assert len(system.server_store) == stored
+                 SensorReading("node-00", "sensor-x", 9, humidity=200.0, p1=-5.0))
+        body = compress(CodecId.FASTLZ, encode_readings(batch))
+        for _ in range(2):
+            net.send(Envelope(kind=message, sender="node-00", receiver=receiver,
+                              codec=CodecId.FASTLZ, body=body), net.clock)
+            net.run_until_quiescent()
+            assert list(held()) == union_collect(parts, FULL.start, FULL.end)
+        echoes = [e for e in net.envelope_log
+                  if e.envelope.kind is MessageKind.GOSSIP_ECHO
+                  and e.envelope.body == body]
+        assert len(echoes) == (2 if kind == "p2p" else 0)
 
 
 def _batch_envelope(kind, sender, receiver, batch, request_id=""):
