@@ -1,4 +1,4 @@
-"""A node's local database: inserts, range queries, aggregation, change events.
+"""A node's local database: inserts, duplicates, range queries, aggregation.
 
 Run: python demos/01_local_store.py
 """
@@ -8,22 +8,28 @@ from syncmesh.store import LocalStore
 
 store = LocalStore("node-00")
 
-# The change stream fires once per accepted insert, in sequence order.
-events = []
-store.register_listener(lambda ev: events.append(ev))
-
+# `insert` returns True when it stores the reading.
+stored = 0
 for hour in range(24):
-    store.insert(SensorReading(
+    stored += store.insert(SensorReading(
         node_id="node-00", sensor_id="sensor-000", timestamp=(hour + 1) * 3_600_000,
         lat=42.69, lon=23.32, p1=12.0 + hour, p2=6.0 + hour / 2,
         temperature=15.0 + hour / 3, humidity=55.0, pressure=101_300.0))
 
-print(f"stored {len(store)} readings, saw {len(events)} change events")
+print(f"stored {stored} of 24 readings, the store holds {len(store)}")
 
-# Duplicate inserts are idempotent: same key, no event.
-dup = store.insert(store.all_readings()[0])
-print(f"duplicate insert -> {dup!r}, still {len(store)} readings, "
-      f"{len(events)} events")
+# Inserts are idempotent on (node_id, sensor_id, timestamp): a duplicate key
+# returns False and the first reading stays.
+first = store.all_readings()[0]
+dup = store.insert(SensorReading(
+    node_id=first.node_id, sensor_id=first.sensor_id, timestamp=first.timestamp,
+    temperature=99.0))
+print(f"duplicate insert -> {dup}, still {len(store)} readings, "
+      f"temperature at t={first.timestamp} is {store.all_readings()[0].temperature:.2f}")
+
+# `load_many` is `insert` on each reading in turn and counts the new ones.
+added = store.load_many(store.all_readings()[:5])
+print(f"reloading 5 stored readings adds {added}")
 
 # Half-open range query [6h, 12h): readings at hours 6..11.
 morning = store.query(TimeRange(6 * 3_600_000, 12 * 3_600_000))

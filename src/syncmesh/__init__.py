@@ -4,7 +4,7 @@ Subpackages:
   model     - shared value types (readings, queries, responses, summaries)
   wire      - envelope framing, canonical encodings, GZIP/FASTLZ codecs
   netsim    - virtual-time network with byte-exact traffic accounting
-  store     - per-node time-indexed store with a change-event stream
+  store     - per-node time-indexed store with range queries and aggregates
   node      - the mesh node: coordinator, scatter-gather, transformers
   baselines - central, sharded and p2p comparison systems
   bench     - dataset ingestion, scenario runner, experiment matrix, export

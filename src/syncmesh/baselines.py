@@ -40,10 +40,18 @@ from .wire import Envelope, MessageKind
 INGEST_BATCH_SIZE = 500
 
 
-def _load_valid(store: LocalStore, batch: ReadingSet) -> None:
-    """Load the batch, or none of it when any reading is invalid."""
-    if all_valid(batch):
-        store.load_many(batch)
+class _Validity:
+    """Whether every reading of a batch is valid, judged once per batch
+    object; the owner holds each batch it judges, so no id is reused."""
+
+    def __init__(self):
+        self._by_id: dict[int, bool] = {}
+
+    def __call__(self, batch: ReadingSet) -> bool:
+        valid = self._by_id.get(id(batch))
+        if valid is None:
+            valid = self._by_id[id(batch)] = all_valid(batch)
+        return valid
 
 
 def _batches(readings: ReadingSet):
@@ -69,6 +77,7 @@ class CentralBaseline:
         self.partitions = partitions
         self.ops = ops or PayloadOps()
         self.delivered: list[tuple[Envelope, ReadingSet]] = []
+        self._valid = _Validity()
         self._built: LocalStore | None = None
         self._installed: LocalStore | None = None
         self.client = MeshClient()
@@ -85,18 +94,24 @@ class CentralBaseline:
         if self._built is None:
             self._built = LocalStore(SERVER_ID)
             for _, batch in self.delivered:
-                _load_valid(self._built, batch)
+                self._load(batch)
         return self._built
 
     @server_store.setter
     def server_store(self, store: LocalStore) -> None:
         self._installed = store
 
+    def _load(self, batch: ReadingSet) -> None:
+        """Load the batch into the built store, or none of it when any
+        reading is invalid."""
+        if self._valid(batch):
+            self._built.load_many(batch)
+
     def order_free(self) -> bool:
-        """Whether each delivered reading was loaded under a key of its own,
+        """Whether each loaded reading was loaded under a key of its own,
         so that any order of the same batches leaves the same store."""
         return len(self.server_store) == sum(
-            len(batch) for _, batch in self.delivered)
+            len(batch) for _, batch in self.delivered if self._valid(batch))
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind not in (MessageKind.INGEST, MessageKind.QUERY):
@@ -109,7 +124,7 @@ class CentralBaseline:
             self.delivered.append((env, payload))
             self._installed = None
             if self._built is not None:
-                _load_valid(self._built, payload)
+                self._load(payload)
             return
         req = payload
         if not answerable(req):
@@ -332,7 +347,7 @@ class P2PBaseline:
         # Each peer's own partition in the (offset, batch) pairs `sync`
         # gossips; None until it runs.
         self._seeds: dict[str, list[tuple[int, ReadingSet]]] | None = None
-        self._validity: dict[int, bool] = {}  # id(batch) -> all_valid(batch)
+        self._valid = _Validity()  # judges batches held in delivered or _seeds
         self._built: dict[str, P2PReplica] | None = None
         self._installed: dict[str, P2PReplica] | None = None
         for node_id in sorted(partitions):
@@ -374,14 +389,6 @@ class P2PBaseline:
     @replicas.setter
     def replicas(self, replicas: dict[str, P2PReplica]) -> None:
         self._installed = replicas
-
-    def _valid(self, batch: ReadingSet) -> bool:
-        """Whether every reading of `batch` is valid, judged once per batch
-        object; each one judged is held in `delivered` or `_seeds`."""
-        valid = self._validity.get(id(batch))
-        if valid is None:
-            valid = self._validity[id(batch)] = all_valid(batch)
-        return valid
 
     def _write(self, peer: str, writer: str, batch: ReadingSet) -> None:
         """LWW-apply a write that comes after the replicas were built."""

@@ -373,10 +373,6 @@ class SyncMeshSystem:
             node.broadcast_heartbeat(self.net.clock)
         return run_query(self.net, self.client, self.coordinator_id, req, at)
 
-    def close(self) -> None:
-        for node in self.nodes:
-            node.detach()
-
 
 class _PhaseReplay:
     """The recorded ingest phase of one system that ships data (central or
@@ -596,8 +592,6 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
             resp, rtt = system.query(req, t_q)
             query_phase = net.ledger
         finally:
-            if isinstance(system, SyncMeshSystem):
-                system.close()
             net.close()
         ingest_by_class = ingest_phase.by_class()
         query_by_class = query_phase.by_class()

@@ -1,6 +1,6 @@
 """The mesh node: coordinator entry point, scatter-gather over available
-neighbors, transformer dispatch with scale-to-zero accounting, change-event
-subscriptions, and heartbeat-driven neighbor availability tracking.
+neighbors, transformer dispatch with scale-to-zero accounting, and
+heartbeat-driven neighbor availability tracking.
 """
 
 from __future__ import annotations
@@ -23,11 +23,10 @@ from .payloads import (
     BUILTIN_TRANSFORMERS,
     PayloadOps,
     TransformerUnknown,
-    all_valid,
     answerable,
     evaluate_query,
 )
-from .store import ChangeEvent, LocalStore
+from .store import LocalStore
 from . import wire
 from .wire import Envelope, MessageKind
 
@@ -58,16 +57,6 @@ class NodeConfig:
             "gather_timeout_ms": self.gather_timeout_ms,
             "registered_transformers": list(self.registered_transformers),
         }
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "NodeConfig":
-        return cls(
-            node_id=obj["node_id"],
-            heartbeat_interval_ms=obj["heartbeat_interval_ms"],
-            heartbeat_timeout_ms=obj["heartbeat_timeout_ms"],
-            gather_timeout_ms=obj.get("gather_timeout_ms"),
-            registered_transformers=tuple(obj["registered_transformers"]),
-        )
 
 
 class NeighborModel:
@@ -126,13 +115,6 @@ class TransformerRegistry:
             self.active[spec.name] -= 1
 
 
-@dataclass(frozen=True, slots=True)
-class Subscription:
-    subscriber: str
-    filter: frozenset[str]
-    id: str
-
-
 class SyncMeshNode:
     """One autonomous mesh node around a local store."""
 
@@ -148,13 +130,9 @@ class SyncMeshNode:
                 registry.register(name, BUILTIN_TRANSFORMERS[name])
         self.registry = registry
         self.ops = ops or PayloadOps()
-        self.subscriptions: list[Subscription] = []
-        self.change_transformer: TransformerSpec | None = None
         self.net: Network | None = None
         self.neighbors: NeighborModel | None = None
         self.gather = Gather(self.node_id, self.config.gather_timeout_ms)
-        self._listener = None
-        self._sub_seq = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -163,12 +141,6 @@ class SyncMeshNode:
         members = topology.neighbors_of(self.node_id, EndpointKind.NODE)
         self.neighbors = NeighborModel(members, self.config.heartbeat_timeout_ms)
         net.register(self.node_id, self._on_envelope)
-        self._listener = self.store.register_listener(self.on_change)
-
-    def detach(self) -> None:
-        if self._listener is not None:
-            self._listener.cancel()
-            self._listener = None
 
     # -- heartbeats ------------------------------------------------------------
 
@@ -187,36 +159,6 @@ class SyncMeshNode:
 
     def on_heartbeat(self, sender: str, at: float) -> None:
         self.neighbors.record(sender, at)
-
-    # -- subscriptions ---------------------------------------------------------
-
-    def add_subscription(self, subscriber: str, fields=frozenset()) -> Subscription:
-        fields = frozenset(fields)
-        for sub in self.subscriptions:
-            if sub.subscriber == subscriber and sub.filter == fields:
-                return sub
-        self._sub_seq += 1
-        sub = Subscription(subscriber=subscriber, filter=fields,
-                           id=f"{self.node_id}-sub-{self._sub_seq}")
-        self.subscriptions.append(sub)
-        return sub
-
-    def on_change(self, event: ChangeEvent) -> None:
-        """Fan the change out to matching subscribers; fire-and-forget."""
-        if not self.subscriptions:
-            return
-        if self.change_transformer is not None:
-            self.registry.run(self.change_transformer, (event.reading,))
-        for sub in self.subscriptions:
-            if not _filter_matches(sub.filter, event.reading):
-                continue
-            body = wire.encode_reading(event.reading, sub.filter)
-            self.net.send(
-                Envelope(kind=MessageKind.NOTIFY, sender=self.node_id,
-                         receiver=sub.subscriber, body=body,
-                         payload_tag="reading",
-                         payload=event.reading.projected(sub.filter)),
-                self.net.clock)
 
     # -- request handling ----------------------------------------------------
 
@@ -274,38 +216,15 @@ class SyncMeshNode:
             self.on_heartbeat(env.sender, now)
         elif env.kind is MessageKind.RESPONSE:
             self.gather.on_response(env, now)
-        elif env.kind in _PAYLOAD_KINDS:
+        elif env.kind is MessageKind.QUERY:
             try:
-                payload = wire.read_payload(env)
+                req = wire.read_payload(env)
             except wire.MalformedBody:
                 return  # dropped: one bad envelope must not end the run
-            if env.kind is MessageKind.QUERY:
-                if answerable(payload, self.registry.functions):
-                    self.handle_request(payload, now, requester=env.sender)
-            elif env.kind is MessageKind.SUBSCRIBE:
-                self.add_subscription(payload["subscriber"], payload["filter"])
-            elif all_valid((payload,)):
-                self.store.insert(payload)
-        # INGEST / GOSSIP / GOSSIP_ECHO are baseline-system kinds.
-
-
-_PAYLOAD_KINDS = (MessageKind.QUERY, MessageKind.SUBSCRIBE, MessageKind.NOTIFY)
-
-
-def _filter_matches(fields: frozenset[str], reading) -> bool:
-    """Empty filter matches everything; otherwise all named fields must be present."""
-    if not fields:
-        return True
-    for name in fields:
-        if name in ("node_id", "sensor_id", "timestamp"):
-            continue
-        if name == "geo":
-            if reading.lat is None or reading.lon is None:
-                return False
-            continue
-        if getattr(reading, name, None) is None:
-            return False
-    return True
+            if answerable(req, self.registry.functions):
+                self.handle_request(req, now, requester=env.sender)
+        # INGEST / GOSSIP / GOSSIP_ECHO are baseline-system kinds, ignored
+        # here: nothing a mesh node receives writes to its store.
 
 
 @dataclass

@@ -46,8 +46,6 @@ class MessageKind(enum.IntEnum):
     INGEST = 3
     GOSSIP = 4
     GOSSIP_ECHO = 5
-    SUBSCRIBE = 6
-    NOTIFY = 7
     HEARTBEAT = 8
 
 
@@ -221,25 +219,6 @@ def decode_response(data: bytes) -> QueryResponse:
     return QueryResponse.from_json_dict(json.loads(data))
 
 
-def encode_reading(reading: SensorReading, projection: frozenset[str] = frozenset()) -> bytes:
-    if projection:
-        return canonical_json(reading.to_json_dict(projection))
-    return _reading_json(reading)
-
-
-def decode_reading(data: bytes) -> SensorReading:
-    return SensorReading.from_json_dict(json.loads(data))
-
-
-def encode_subscribe(subscriber: str, fields=frozenset()) -> bytes:
-    return canonical_json({"subscriber": subscriber, "filter": sorted(fields)})
-
-
-def decode_subscribe(data: bytes) -> dict:
-    obj = json.loads(data)
-    return {"subscriber": obj["subscriber"], "filter": sorted(obj.get("filter") or ())}
-
-
 class MalformedBody(ValueError):
     """An envelope body that does not decompress or decode as its kind says."""
 
@@ -251,10 +230,6 @@ def _decode_body(kind: MessageKind, data: bytes):
         return decode_response(data)
     if kind is MessageKind.INGEST or kind is MessageKind.GOSSIP:
         return decode_readings(data)
-    if kind is MessageKind.NOTIFY:
-        return decode_reading(data)
-    if kind is MessageKind.SUBSCRIBE:
-        return decode_subscribe(data)
     return None  # HEARTBEAT and GOSSIP_ECHO carry nothing a receiver reads
 
 

@@ -232,7 +232,6 @@ def _syncmesh_run(caches, scenario, n_nodes, window_days, send_query=True):
         for node in system.nodes:
             node.broadcast_heartbeat(0.0)
         net.run_until_quiescent()
-    system.close()
     return net
 
 

@@ -730,6 +730,25 @@ class TestDeliveredBatches:
         assert system.server_store.all_readings() == stored
         assert len(system.server_store) == sum(map(len, parts.values()))
 
+    def test_an_invalid_batch_leaves_the_central_store_order_free(
+            self, rng, monkeypatch):
+        """The server loads none of it, so it counts as no write; each
+        delivered batch is validated once, by the load."""
+        judged = []
+
+        def counted_valid(batch):
+            judged.append(id(batch))
+            return all_valid(batch)  # payloads.all_valid; only baselines is patched
+
+        monkeypatch.setattr(baselines, "all_valid", counted_valid)
+        net, system, _ = TestInvalidBodies()._system(rng, "central")
+        batch = (SensorReading("node-00", "sensor-x", 9, humidity=200.0),)
+        net.send(_batch_envelope(MessageKind.INGEST, "node-00", "server", batch),
+                 net.clock)
+        net.run_until_quiescent()
+        assert system.order_free()
+        assert len(judged) == len(set(judged)) == len(system.delivered) == 4
+
     def test_the_first_arrival_of_a_key_stays(self, rng):
         """node-01's copy arrives first, so it stays, though node-00 sorts
         first."""

@@ -33,7 +33,7 @@ from syncmesh.node import (
 )
 from syncmesh.payloads import TransformerUnknown
 from syncmesh.store import LocalStore
-from syncmesh.wire import MessageKind, encode_reading, encode_request, encode_subscribe
+from syncmesh.wire import MessageKind, encode_readings, encode_request
 from syncmesh.wire import Envelope
 
 FULL = TimeRange(1, 10**15)
@@ -290,80 +290,6 @@ class TestTransformers:
             assert all(count == 0 for count in node.registry.active.values())
 
 
-class TestChangeStream:
-    def _pair(self):
-        mesh = Mesh(n=2)
-        return mesh, mesh.nodes["node-00"], mesh.nodes["node-01"]
-
-    def test_one_subscriber_one_notify(self, rng):
-        mesh, publisher, subscriber = self._pair()
-        publisher.add_subscription("node-01")
-        publisher.store.insert(make_reading(rng, node_id="node-00"))
-        mesh.net.run_until_quiescent()
-        notifies = [e for e in mesh.net.envelope_log
-                    if e.envelope.kind is MessageKind.NOTIFY]
-        assert len(notifies) == 1
-        assert notifies[0].link_class is LinkClass.NODE_NODE
-
-    def test_no_subscribers_no_envelopes(self, rng):
-        mesh, publisher, _ = self._pair()
-        publisher.store.insert(make_reading(rng, node_id="node-00"))
-        mesh.net.run_until_quiescent()
-        assert mesh.net.envelope_log == []
-
-    def test_notify_replicates_to_subscriber_store(self, rng):
-        mesh, publisher, subscriber = self._pair()
-        publisher.add_subscription("node-01")
-        reading = make_reading(rng, node_id="node-00")
-        publisher.store.insert(reading)
-        mesh.net.run_until_quiescent()
-        assert reading in subscriber.store.all_readings()
-
-    def test_down_subscriber_is_fire_and_forget(self, rng):
-        mesh, publisher, subscriber = self._pair()
-        publisher.add_subscription("node-01")
-        mesh.net.set_available("node-01", False)
-        publisher.store.insert(make_reading(rng, node_id="node-00"))
-        mesh.net.run_until_quiescent()
-        notifies = [e for e in mesh.net.envelope_log
-                    if e.envelope.kind is MessageKind.NOTIFY]
-        assert len(notifies) == 1          # sent exactly once, then dropped
-        assert notifies[0].delivered is False
-        assert subscriber.store.all_readings() == ()
-
-    def test_subscribe_envelope_and_dedup(self, rng):
-        mesh, publisher, _ = self._pair()
-        body = encode_subscribe("node-01", {"temperature"})
-        for _ in range(2):
-            mesh.net.send(Envelope(kind=MessageKind.SUBSCRIBE, sender="node-01",
-                                   receiver="node-00", body=body), mesh.net.clock)
-            mesh.net.run_until_quiescent()
-        assert len(publisher.subscriptions) == 1
-        assert publisher.subscriptions[0].filter == frozenset({"temperature"})
-
-    def test_filter_projection_applied(self, rng):
-        mesh, publisher, _ = self._pair()
-        publisher.add_subscription("node-01", {"temperature"})
-        publisher.store.insert(make_reading(rng, node_id="node-00"))
-        mesh.net.run_until_quiescent()
-        notify = [e for e in mesh.net.envelope_log
-                  if e.envelope.kind is MessageKind.NOTIFY][0]
-        import json
-        keys = list(json.loads(notify.envelope.body).keys())
-        assert keys == ["node_id", "sensor_id", "timestamp", "temperature"]
-
-    def test_change_bound_transformer_runs_before_fanout(self, rng):
-        mesh, publisher, _ = self._pair()
-        calls = []
-        publisher.registry.register("tap", lambda rs, params: calls.append(rs) or rs)
-        publisher.change_transformer = TransformerSpec.of("tap")
-        publisher.add_subscription("node-01")
-        reading = make_reading(rng, node_id="node-00")
-        publisher.store.insert(reading)
-        assert calls == [(reading,)]
-        assert all(count == 0 for count in publisher.registry.active.values())
-
-
 class TestTrafficInvariants:
     def test_transform_never_ships_reading_sets(self, rng):
         mesh = Mesh(n=3)
@@ -410,18 +336,20 @@ class TestTrafficInvariants:
 
 class TestMalformedBodies:
     """An envelope whose body does not decode, or decodes to an invalid
-    request or reading, is dropped; the run goes on."""
+    request, is dropped, and a baseline kind (INGEST, GOSSIP) is ignored,
+    valid or not: no store changes and the run goes on."""
 
     @pytest.mark.parametrize("kind, sender, body", [
         (MessageKind.QUERY, "client", b"{not json"),
-        (MessageKind.NOTIFY, "node-01", b'{"sensor_id":"s","timestamp":5}'),
+        (MessageKind.INGEST, "node-01", encode_readings((SensorReading(
+            "node-01", "sensor-x", 5, humidity=50.0),))),
         (MessageKind.QUERY, "client", encode_request(QueryRequest(
             request_id="bad", range=TimeRange(10, 10), scope=Scope.MESH))),
         (MessageKind.QUERY, "client", encode_request(QueryRequest(
             request_id="bad", range=FULL, scope=Scope.MESH,
             transformer=TransformerSpec.of("no_such_transformer")))),
-        (MessageKind.NOTIFY, "node-01", encode_reading(SensorReading(
-            "node-01", "sensor-x", 5, humidity=200.0))),
+        (MessageKind.GOSSIP, "node-01", encode_readings((SensorReading(
+            "node-01", "sensor-x", 5, humidity=200.0),))),
         (MessageKind.QUERY, "client", encode_request(QueryRequest(
             request_id="bad", range=FULL, scope=Scope.MESH,
             transformer=TransformerSpec.of("downsample", {"k": "0"})))),
@@ -435,8 +363,8 @@ class TestMalformedBodies:
             request_id="bad", range=FULL, scope=Scope.MESH,
             transformer=TransformerSpec.of("aggregate_mean",
                                            {"fields": "bogus"})))),
-    ], ids=["query-not-json", "notify-without-node-id", "query-empty-range",
-            "query-unknown-transformer", "notify-humidity-200",
+    ], ids=["query-not-json", "ingest-valid-reading", "query-empty-range",
+            "query-unknown-transformer", "gossip-humidity-200",
             "query-downsample-k-0", "local-query-downsample-k-0",
             "query-downsample-k-not-int", "query-aggregate-unknown-field"])
     def test_bad_body_is_dropped_and_later_query_answered(self, rng, kind,
@@ -465,13 +393,6 @@ class TestMalformedBodies:
         resp, _ = run_query(net, client, "node-00", req, net.clock + 500.0)
         assert resp.partial is False
         assert len(resp.payload) == sum(stored)
-
-
-def test_node_config_roundtrip():
-    cfg = NodeConfig(node_id="node-03", heartbeat_interval_ms=500.0,
-                     heartbeat_timeout_ms=1500.0, gather_timeout_ms=900.0,
-                     registered_transformers=("identity",))
-    assert NodeConfig.from_json_dict(cfg.to_json_dict()) == cfg
 
 
 def test_node_registers_only_configured_transformers():

@@ -14,7 +14,7 @@ from syncmesh.model import (
     canonical_order,
     reading_key,
 )
-from syncmesh.store import DUPLICATE, ChangeEvent, Duplicate, LocalStore
+from syncmesh.store import LocalStore
 
 
 def filled_store(rng, n=200, node_id="node-00"):
@@ -34,23 +34,21 @@ def test_store_keys_on_each_readings_own_key(rng):
 
 
 class TestInsert:
-    def test_first_insert_is_seq_one(self, rng):
+    def test_first_insert_returns_true(self, rng):
         store = LocalStore("node-00")
-        event = store.insert(make_reading(rng))
-        assert isinstance(event, ChangeEvent)
-        assert event.seq == 1
+        reading = make_reading(rng)
+        assert store.insert(reading) is True
+        assert store.all_readings() == (reading,)
 
     def test_duplicate_is_idempotent(self, rng):
         store = LocalStore("node-00")
-        seen = []
-        store.register_listener(seen.append)
         reading = make_reading(rng)
-        first = store.insert(reading)
-        second = store.insert(reading)
-        assert isinstance(first, ChangeEvent)
-        assert isinstance(second, Duplicate)
-        assert second is DUPLICATE
-        assert len(seen) == 1
+        same_key = SensorReading(reading.node_id, reading.sensor_id,
+                                 reading.timestamp, temperature=-1.0)
+        assert store.insert(reading) is True
+        assert store.insert(reading) is False
+        assert store.insert(same_key) is False
+        assert store.all_readings() == (reading,)
         assert len(store) == 1
 
     def test_invalid_reading_rejected(self, rng):
@@ -173,51 +171,6 @@ class TestAggregate:
                                  naive_summary(store.query(window), NUMERIC_FIELDS))
 
 
-class TestListeners:
-    def test_events_in_seq_order(self, rng):
-        store = LocalStore("node-00")
-        events = []
-        store.register_listener(events.append)
-        for i in range(3):
-            store.insert(make_reading(rng, timestamp=i + 1, sensor_id=f"s{i}"))
-        assert [e.seq for e in events] == [1, 2, 3]
-
-    def test_two_listeners_both_see_everything(self, rng):
-        store = LocalStore("node-00")
-        a, b = [], []
-        store.register_listener(a.append)
-        store.register_listener(b.append)
-        store.insert(make_reading(rng))
-        assert len(a) == len(b) == 1
-
-    def test_no_replay_for_late_listener(self, rng):
-        store = LocalStore("node-00")
-        for i in range(5):
-            store.insert(make_reading(rng, timestamp=i + 1, sensor_id=f"s{i}"))
-        late = []
-        store.register_listener(late.append)
-        store.insert(make_reading(rng, timestamp=100, sensor_id="late"))
-        assert [e.seq for e in late] == [6]
-
-    def test_cancel_stops_delivery(self, rng):
-        store = LocalStore("node-00")
-        events = []
-        handle = store.register_listener(events.append)
-        store.insert(make_reading(rng, timestamp=1))
-        handle.cancel()
-        store.insert(make_reading(rng, timestamp=2))
-        assert len(events) == 1
-
-    def test_completeness_with_duplicates(self, rng):
-        store = LocalStore("node-00")
-        events = []
-        store.register_listener(events.append)
-        readings = [make_reading(rng, timestamp=i + 1) for i in range(20)]
-        fresh = store.load_many(readings + readings)
-        assert len(events) == fresh == 20
-        assert [(e.reading, e.seq) for e in events] == list(zip(readings, range(1, 21)))
-
-
 _invalid_readings = st.builds(
     SensorReading, node_id=st.just("node-00"), sensor_id=st.just("s1"),
     timestamp=st.integers(1, 6), humidity=st.just(150.0))
@@ -227,7 +180,7 @@ def _insert_loop(store, readings):
     """What `load_many` must equal: `insert` on each reading in turn."""
     n = 0
     for r in readings:
-        n += isinstance(store.insert(r), ChangeEvent)
+        n += store.insert(r) is True
     return n
 
 
@@ -241,39 +194,41 @@ def _outcome(load, store, readings):
 class TestLoadMany:
     @settings(max_examples=300)
     @given(st.lists(_store_readings, max_size=6),
-           st.lists(st.one_of(_store_readings, _invalid_readings), max_size=20),
-           st.booleans())
-    def test_equals_an_insert_loop(self, before, batch, listen):
-        """New, duplicate and invalid readings in any mix, with or without a
-        listener, on a store whose canonical view is already cached."""
+           st.lists(st.one_of(_store_readings, _invalid_readings), max_size=20))
+    def test_equals_an_insert_loop(self, before, batch):
+        """New, duplicate and invalid readings in any mix, on a store whose
+        canonical view is already cached."""
         loaded, looped = LocalStore("node-00"), LocalStore("node-00")
-        events = {}
         for store in (loaded, looped):
             for r in before:
                 store.insert(r)
             store.all_readings()
-            if listen:
-                seen = events[id(store)] = []
-                store.register_listener(lambda e, seen=seen: seen.append((e.reading, e.seq)))
         got = _outcome(LocalStore.load_many, loaded, batch)
         assert got == _outcome(_insert_loop, looped, batch)
         assert loaded.all_readings() == looped.all_readings()
         assert all(a is b for a, b in zip(loaded.all_readings(), looped.all_readings()))
-        assert events.get(id(loaded)) == events.get(id(looped))
         fresh = SensorReading("node-00", "fresh", 99)
-        assert loaded.insert(fresh).seq == looped.insert(fresh).seq
+        assert loaded.insert(fresh) is looped.insert(fresh) is True
+        assert loaded.all_readings() == looped.all_readings()
+        assert len(loaded) == len(looped)
 
     def test_new_duplicate_and_invalid_without_a_listener(self, rng):
         readings = [make_reading(rng, timestamp=i + 1, sensor_id=f"s{i}") for i in range(6)]
         store = LocalStore("node-00")
         assert store.load_many(readings[:4] + readings[2:]) == 6
         assert store.load_many(readings) == 0
-        assert store.insert(make_reading(rng, timestamp=50)).seq == 7
+        assert store.all_readings() == tuple(readings)
+        at_50 = make_reading(rng, timestamp=50)
+        assert store.insert(at_50) is True
+        assert len(store) == 7
         bad = SensorReading("node-00", "s-bad", 60, humidity=150.0)
         with pytest.raises(ValidationError):
             store.load_many([bad])
         assert len(store) == 7
-        assert store.insert(make_reading(rng, timestamp=70)).seq == 8
+        at_70 = make_reading(rng, timestamp=70)
+        assert store.insert(at_70) is True
+        assert len(store) == 8
+        assert store.all_readings() == (*readings, at_50, at_70)
 
     def test_invalid_reading_partway_keeps_the_readings_before_it(self, rng):
         store = LocalStore("node-00")
@@ -286,7 +241,8 @@ class TestLoadMany:
         with pytest.raises(ValidationError):
             store.load_many([before[0], first, before[1], bad, after])
         assert store.all_readings() == (before[0], first, before[1])
-        assert store.insert(after).seq == 4
+        assert store.insert(after) is True
+        assert store.all_readings() == (before[0], after, first, before[1])
 
 
 @given(st.lists(st.integers(min_value=1, max_value=10**9), unique=True,
@@ -300,23 +256,3 @@ def test_query_insert_consistency(timestamps):
     full = store.query(TimeRange(1, max(timestamps) + 1))
     assert set(full) == readings
     assert list(map(canonical_order, full)) == sorted(map(canonical_order, readings))
-
-
-class TestSnapshot:
-    def test_roundtrip(self, rng, tmp_path):
-        store, _ = filled_store(rng, 120)
-        path = tmp_path / "node-00.jsonl"
-        store.save_snapshot(path)
-        loaded = LocalStore.load_snapshot(path, "node-00")
-        assert loaded.all_readings() == store.all_readings()
-
-    def test_file_is_lf_terminated_ascending(self, rng, tmp_path):
-        store, _ = filled_store(rng, 40)
-        path = tmp_path / "snap.jsonl"
-        store.save_snapshot(path)
-        raw = path.read_bytes()
-        assert raw.endswith(b"\n")
-        assert b"\r" not in raw
-        import json
-        stamps = [json.loads(line)["timestamp"] for line in raw.splitlines()]
-        assert stamps == sorted(stamps)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from syncmesh.model import (
     TransformerSpec,
     canonical_json,
     merge_reading_sets,
+    summarize,
 )
 from syncmesh.wire import (
     HEADER_SIZE,
@@ -32,11 +34,9 @@ from syncmesh.wire import (
     decode_response,
     decompress,
     encode_envelope,
-    encode_reading,
     encode_readings,
     encode_request,
     encode_response,
-    encode_subscribe,
     project_response,
     read_payload,
 )
@@ -242,10 +242,22 @@ class TestEnvelope:
             encode_envelope(env)
 
     def test_length_mismatch_rejected(self):
-        raw = encode_envelope(Envelope(kind=MessageKind.NOTIFY, sender="a",
+        raw = encode_envelope(Envelope(kind=MessageKind.GOSSIP, sender="a",
                                        receiver="b", body=b"abc"))
         with pytest.raises(ValueError):
             decode_envelope(raw + b"zz")
+
+    def test_kind_values_are_pinned(self):
+        assert {k.name: k.value for k in MessageKind} == {
+            "QUERY": 1, "RESPONSE": 2, "INGEST": 3, "GOSSIP": 4,
+            "GOSSIP_ECHO": 5, "HEARTBEAT": 8}
+
+    @pytest.mark.parametrize("kind_byte", [6, 7])
+    def test_unknown_kind_byte_rejected(self, kind_byte):
+        raw = encode_envelope(Envelope(kind=MessageKind.QUERY, sender="a",
+                                       receiver="b", body=b"abc"))
+        with pytest.raises(ValueError):
+            decode_envelope(bytes([kind_byte]) + raw[1:])
 
 
 class TestEncodeReadings:
@@ -300,7 +312,7 @@ class TestReadingText:
         assert encode_readings(readings) == want
         assert encode_readings(readings) == want  # from the kept texts
         for r in readings:
-            assert encode_reading(r) == canonical_json(r.to_json_dict())
+            assert encode_readings((r,)) == canonical_json([r.to_json_dict()])
 
     @given(st.lists(_readings, max_size=6), st.frozensets(_ids, max_size=3),
            st.booleans(), st.sampled_from(list(CodecId)), _ids)
@@ -317,13 +329,11 @@ class TestReadingText:
 
     def test_projection_ignores_kept_text(self, rng):
         reading = make_reading(rng)
-        full = encode_reading(reading)
+        full = encode_readings((reading,))
         projection = frozenset({"p1"})
-        assert encode_reading(reading, projection) == canonical_json(
-            reading.to_json_dict(projection))
         assert encode_readings((reading,), projection) == canonical_json(
             [reading.to_json_dict(projection)])
-        assert encode_reading(reading) == full
+        assert encode_readings((reading,)) == full
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
                              ids=["nan", "inf", "-inf"])
@@ -332,8 +342,6 @@ class TestReadingText:
         reading = SensorReading("node-00", "s", 5, **{field: bad})
         resp = QueryResponse(request_id="q", payload=(reading,))
         for _ in range(2):
-            with pytest.raises(ValueError):
-                encode_reading(reading)
             with pytest.raises(ValueError):
                 encode_readings((reading,))
             with pytest.raises(ValueError):
@@ -350,7 +358,7 @@ class TestReadingText:
         assert (hash(reading), repr(reading), pickle.dumps(reading)) == before
         restored = pickle.loads(pickle.dumps(reading))
         assert restored == reading
-        assert encode_reading(restored) == encode_reading(reading)
+        assert encode_readings((restored,)) == encode_readings((reading,))
 
 
 class TestReadPayload:
@@ -367,14 +375,16 @@ class TestReadPayload:
 
     def test_bytes_only_envelope_decodes_by_kind(self, rng):
         readings, req, resp = self._objects(rng)
+        summary = replace(resp, payload=summarize(readings, ("p1", "humidity")),
+                          codec=CodecId.GZIP)
         cases = [
             (MessageKind.QUERY, CodecId.NONE, encode_request(req), req),
             (MessageKind.RESPONSE, CodecId.FASTLZ, encode_response(resp), resp),
             (MessageKind.INGEST, CodecId.FASTLZ, encode_readings(readings), readings),
             (MessageKind.GOSSIP, CodecId.NONE, encode_readings(readings), readings),
-            (MessageKind.NOTIFY, CodecId.NONE, encode_reading(readings[0]), readings[0]),
-            (MessageKind.SUBSCRIBE, CodecId.NONE, encode_subscribe("node-01", {"p2"}),
-             {"subscriber": "node-01", "filter": ["p2"]}),
+            (MessageKind.INGEST, CodecId.NONE, encode_readings(readings[:1]),
+             readings[:1]),
+            (MessageKind.RESPONSE, CodecId.GZIP, encode_response(summary), summary),
         ]
         for kind, codec, raw, expected in cases:
             env = Envelope(kind=kind, sender="a", receiver="b",
@@ -398,13 +408,14 @@ class TestReadPayload:
         (MessageKind.QUERY, CodecId.NONE, b"{not json"),
         (MessageKind.QUERY, CodecId.NONE, b"[]"),
         (MessageKind.QUERY, CodecId.NONE, b'{"request_id":"q","range":null}'),
-        (MessageKind.NOTIFY, CodecId.NONE, b'{"sensor_id":"s","timestamp":5}'),
-        (MessageKind.NOTIFY, CodecId.NONE, b"\xff\xfe"),
+        (MessageKind.GOSSIP, CodecId.NONE, b'[{"sensor_id":"s","timestamp":5}]'),
+        (MessageKind.GOSSIP, CodecId.NONE, b"\xff\xfe"),
         (MessageKind.INGEST, CodecId.NONE, b'{"a":1}'),
         (MessageKind.INGEST, CodecId.FASTLZ, b"\x05ab"),
         (MessageKind.RESPONSE, CodecId.GZIP, b"not deflate"),
         (MessageKind.RESPONSE, CodecId.NONE, b'{"payload_kind":"readings"}'),
-        (MessageKind.SUBSCRIBE, CodecId.NONE, b'{"filter":[]}'),
+        (MessageKind.RESPONSE, CodecId.NONE,
+         b'{"request_id":"q","payload_kind":"summary","payload":{"p1":1}}'),
     ])
     def test_malformed_body_raises_one_type(self, kind, codec, body):
         env = Envelope(kind=kind, sender="a", receiver="b", body=body, codec=codec)
