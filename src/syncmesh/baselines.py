@@ -67,9 +67,10 @@ class CentralBaseline:
     The server notes each INGEST batch it receives in `delivered`, in
     arrival order, with the envelope that carried it. `server_store` is
     the end state of those batches: built from them when first read and
-    loaded with each batch that arrives after that. A store set from
-    outside (a `bench._PhaseReplay` end state of the same batches) is the
-    one read until the next batch arrives, and is never loaded with it."""
+    dropped by the next batch that arrives, so the read after it builds
+    again. Nothing writes a store once it is built, so one set from
+    outside (a `bench._PhaseReplay` end state of the same batches) is read
+    as it was kept until the next batch arrives."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None):
@@ -78,8 +79,7 @@ class CentralBaseline:
         self.ops = ops or PayloadOps()
         self.delivered: list[tuple[Envelope, ReadingSet]] = []
         self._valid = _Validity()
-        self._built: LocalStore | None = None
-        self._installed: LocalStore | None = None
+        self._store: LocalStore | None = None
         self.client = MeshClient()
         self.client.attach(net)
         net.register(SERVER_ID, self._on_envelope)
@@ -89,23 +89,16 @@ class CentralBaseline:
         """Every valid delivered batch loaded in arrival order, so the first
         copy of a reading key stays; a batch with an invalid reading loads
         none."""
-        if self._installed is not None:
-            return self._installed
-        if self._built is None:
-            self._built = LocalStore(SERVER_ID)
+        if self._store is None:
+            self._store = LocalStore(SERVER_ID)
             for _, batch in self.delivered:
-                self._load(batch)
-        return self._built
+                if self._valid(batch):
+                    self._store.load_many(batch)
+        return self._store
 
     @server_store.setter
     def server_store(self, store: LocalStore) -> None:
-        self._installed = store
-
-    def _load(self, batch: ReadingSet) -> None:
-        """Load the batch into the built store, or none of it when any
-        reading is invalid."""
-        if self._valid(batch):
-            self._built.load_many(batch)
+        self._store = store
 
     def order_free(self) -> bool:
         """Whether each loaded reading was loaded under a key of its own,
@@ -122,9 +115,7 @@ class CentralBaseline:
             return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.INGEST:
             self.delivered.append((env, payload))
-            self._installed = None
-            if self._built is not None:
-                self._load(payload)
+            self._store = None
             return
         req = payload
         if not answerable(req):
@@ -250,36 +241,16 @@ class P2PReplica:
     key, so two writes to one key differ only in writer: the greater writer
     wins and an equal one (a retransmit) keeps the first write. The replica
     keeps one key -> reading and one key -> writer dict, and caches its
-    readings in canonical order until the next apply changes them. Replicas
-    made by `sharer` hold one set of maps and one canonical tuple until one
-    of them is written: its first apply copies the maps first.
+    readings in canonical order until the next apply changes them.
     """
 
     def __init__(self):
         self._readings: dict[tuple, SensorReading] = {}
         self._writers: dict[tuple, str] = {}
         self._ordered: ReadingSet | None = None
-        self._shared = False  # whether another replica holds these maps
 
     def __len__(self) -> int:
         return len(self._readings)
-
-    def sharer(self) -> "P2PReplica":
-        """A replica that holds this one's maps and canonical tuple. The first
-        write to either copies the maps, so neither sees the other's later
-        writes."""
-        other = P2PReplica()
-        other._readings, other._writers = self._readings, self._writers
-        other._ordered = self.readings()
-        self._shared = other._shared = True
-        return other
-
-    def _own(self) -> None:
-        """Copy the maps before the first write to a shared replica."""
-        if self._shared:
-            self._readings = dict(self._readings)
-            self._writers = dict(self._writers)
-            self._shared = False
 
     def apply(self, reading: SensorReading, version: tuple) -> bool:
         """Upsert under LWW; greater (timestamp, writer) version wins.
@@ -288,7 +259,6 @@ class P2PReplica:
         if timestamp != reading.timestamp:
             raise ValueError(f"version timestamp {timestamp} is not the "
                              f"reading's {reading.timestamp}")
-        self._own()
         key = reading_key(reading)
         current = self._writers.get(key)
         if current is not None and writer <= current:
@@ -300,7 +270,6 @@ class P2PReplica:
 
     def apply_batch(self, readings: ReadingSet, writer: str) -> None:
         """LWW-apply a gossip batch; version is (reading timestamp, writer)."""
-        self._own()
         by_key = self._readings
         writers = self._writers
         for key, r in zip(map(reading_key, readings), readings):
@@ -331,11 +300,13 @@ class P2PBaseline:
 
     Each peer notes the GOSSIP batches it receives in `delivered`, in
     arrival order, with the envelope that carried it. `replicas` is the end
-    state of those batches: built from them when first read and
-    LWW-applied with each write that comes after that. Replicas set from
-    outside (a `bench._PhaseReplay` end state of the same batches) are the
-    ones read until the next write, and are never written by it. A batch
-    with an invalid reading is no write, on every peer that receives it."""
+    state of `sync`'s own partitions and those batches: built from them
+    when first read and dropped by the next batch that arrives (or by the
+    first `sync`), so the read after it builds again. Nothing writes a
+    replica once it is built, so replicas set from outside (a
+    `bench._PhaseReplay` end state of the same batches) are read as they
+    were kept until the next batch arrives. A batch with an invalid reading
+    is no write, on every peer that receives it."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None,
@@ -348,8 +319,7 @@ class P2PBaseline:
         # gossips; None until it runs.
         self._seeds: dict[str, list[tuple[int, ReadingSet]]] | None = None
         self._valid = _Validity()  # judges batches held in delivered or _seeds
-        self._built: dict[str, P2PReplica] | None = None
-        self._installed: dict[str, P2PReplica] | None = None
+        self._replicas: dict[str, P2PReplica] | None = None
         for node_id in sorted(partitions):
             net.register(node_id, self._on_envelope)
         # The client pulls from every peer and merges on its own side.
@@ -363,39 +333,31 @@ class P2PBaseline:
         each batch it received, LWW-applied in arrival order.
 
         Peers whose writes are the same multiset of (writer, batch object)
-        get one replica, built once, when that build wrote each reading key
+        hold one replica, built once, when that build wrote each reading key
         once: the end state of such writes does not depend on their order.
-        Every other peer of the group gets a `sharer` of it. Otherwise each
-        peer is built on its own, in its arrival order."""
-        if self._installed is not None:
-            return self._installed
-        if self._built is None:
+        Otherwise each peer is built on its own, in its arrival order."""
+        if self._replicas is None:
             replicas: dict[str, P2PReplica] = {}
             order_free: dict[frozenset, P2PReplica] = {}
-            for node_id, writes in self._writes().items():
+            for node_id, writes in self._peer_writes().items():
                 group = frozenset(
                     Counter((writer, id(batch)) for writer, batch in writes).items())
                 if group in order_free:
-                    replicas[node_id] = order_free[group].sharer()
+                    replicas[node_id] = order_free[group]
                     continue
                 replica = replicas[node_id] = P2PReplica()
                 for writer, batch in writes:
                     replica.apply_batch(batch, writer)
                 if len(replica) == sum(len(batch) for _, batch in writes):
                     order_free[group] = replica
-            self._built = replicas
-        return self._built
+            self._replicas = replicas
+        return self._replicas
 
     @replicas.setter
     def replicas(self, replicas: dict[str, P2PReplica]) -> None:
-        self._installed = replicas
+        self._replicas = replicas
 
-    def _write(self, peer: str, writer: str, batch: ReadingSet) -> None:
-        """LWW-apply a write that comes after the replicas were built."""
-        if self._valid(batch):
-            self._built[peer].apply_batch(batch, writer)
-
-    def _writes(self) -> dict[str, list[tuple[str, ReadingSet]]]:
+    def _peer_writes(self) -> dict[str, list[tuple[str, ReadingSet]]]:
         """Each peer's writes in arrival order, as (writer, batch): its own
         partition once `sync` has run, then each valid batch delivered."""
         writes = {node_id: [] for node_id in sorted(self.partitions)}
@@ -412,7 +374,7 @@ class P2PBaseline:
     def order_free(self) -> bool:
         """Whether each write met a reading key of its own, so that any
         order of the same batches leaves the same replicas."""
-        writes = self._writes()
+        writes = self._peer_writes()
         return all(len(replica) == sum(len(batch) for _, batch in writes[node_id])
                    for node_id, replica in self.replicas.items())
 
@@ -431,9 +393,7 @@ class P2PBaseline:
             return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.GOSSIP:
             self.delivered.append((env, payload))
-            self._installed = None
-            if self._built is not None:
-                self._write(me, env.sender, payload)
+            self._replicas = None
             net.send(
                 Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
                          receiver=env.sender, body=env.body,
@@ -456,10 +416,7 @@ class P2PBaseline:
         if self._seeds is None:
             self._seeds = {origin: list(_batches(self.partitions[origin]))
                            for origin in sorted(self.partitions)}
-            self._installed = None
-            for origin in self._built or ():
-                for _, batch in self._seeds[origin]:
-                    self._write(origin, origin, batch)
+            self._replicas = None
         sent = False
         for origin, batches in self._seeds.items():
             peers = [p for p in self._seeds if p != origin]

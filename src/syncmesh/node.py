@@ -35,7 +35,6 @@ class UnknownNode(Exception):
     """Heartbeat or request from an id that is not a topology member."""
 
 
-DEFAULT_HEARTBEAT_INTERVAL_MS = 1000.0
 DEFAULT_HEARTBEAT_TIMEOUT_MS = 3000.0
 
 
@@ -44,7 +43,6 @@ class NodeConfig:
     """Per-node runtime settings; serialized into scenario config files."""
 
     node_id: str
-    heartbeat_interval_ms: float = DEFAULT_HEARTBEAT_INTERVAL_MS
     heartbeat_timeout_ms: float = DEFAULT_HEARTBEAT_TIMEOUT_MS
     gather_timeout_ms: float | None = None  # None: default_gather_timeout_ms
     registered_transformers: tuple[str, ...] = tuple(sorted(BUILTIN_TRANSFORMERS))
@@ -52,7 +50,6 @@ class NodeConfig:
     def to_json_dict(self) -> dict:
         return {
             "node_id": self.node_id,
-            "heartbeat_interval_ms": self.heartbeat_interval_ms,
             "heartbeat_timeout_ms": self.heartbeat_timeout_ms,
             "gather_timeout_ms": self.gather_timeout_ms,
             "registered_transformers": list(self.registered_transformers),
@@ -150,13 +147,6 @@ class SyncMeshNode:
                 Envelope(kind=MessageKind.HEARTBEAT, sender=self.node_id,
                          receiver=member), at)
 
-    def schedule_heartbeats(self, start: float, until: float) -> None:
-        """Emit one heartbeat round every interval in [start, until)."""
-        t = start
-        while t < until:
-            self.net.call_at(t, lambda _net, now: self.broadcast_heartbeat(now))
-            t += self.config.heartbeat_interval_ms
-
     def on_heartbeat(self, sender: str, at: float) -> None:
         self.neighbors.record(sender, at)
 
@@ -213,7 +203,9 @@ class SyncMeshNode:
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.HEARTBEAT:
-            self.on_heartbeat(env.sender, now)
+            if env.sender in self.neighbors.members:
+                self.on_heartbeat(env.sender, now)
+            # else dropped: a heartbeat from a non-neighbor must not end the run
         elif env.kind is MessageKind.RESPONSE:
             self.gather.on_response(env, now)
         elif env.kind is MessageKind.QUERY:

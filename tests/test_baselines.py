@@ -248,18 +248,11 @@ class TestP2PSync:
         reference = ReferenceReplica()
         for origin, readings in parts.items():
             reference.apply_batch(readings, origin)
-        views = [replica.readings() for replica in system.replicas.values()]
+        replicas = list(system.replicas.values())
+        assert all(replica is replicas[0] for replica in replicas)
+        views = [replica.readings() for replica in replicas]
         assert all(view is views[0] for view in views)
         assert views[0] == reference.readings()
-        # A later write gives the written replica a view of its own.
-        extra = make_reading(rng, node_id="node-02", sensor_id="extra")
-        changed = system.replicas["node-01"]
-        assert changed.apply(extra, (extra.timestamp, "node-02"))
-        reference.apply(extra, (extra.timestamp, "node-02"))
-        assert changed.readings() is not views[0]
-        assert changed.readings() == reference.readings()
-        assert system.replicas["node-00"].readings() is views[0]
-        assert system.replicas["node-02"].readings() is views[0]
 
     def test_a_replica_that_missed_gossip_keeps_its_own_view(self, rng):
         n = 3
@@ -381,31 +374,6 @@ class TestP2PReplicaModel:
             assert replica.writer(key) == reference.writer(key)
         assert replica.digest() == reference.digest()
 
-    def test_a_sharer_copies_the_maps_before_its_first_write(self):
-        """Replicas share maps and view until a write; a write to either side,
-        the original or a sharer, is seen by no other."""
-        base = SensorReading("node-00", "s0", 1000, temperature=1.0)
-        other = SensorReading("node-00", "s0", 1000, temperature=2.0)
-        first = P2PReplica()
-        first.apply(base, (1000, "node-00"))
-        left, right = first.sharer(), first.sharer()
-        for replica in (left, right):
-            assert replica._readings is first._readings
-            assert replica._writers is first._writers
-            assert replica.readings() is first.readings()
-        # A retransmit changes nothing, so the copy keeps the view.
-        left.apply_batch((base,), "node-00")
-        assert left._readings is not first._readings
-        assert left.readings() is first.readings()
-        assert left.apply(other, (1000, "node-01"))
-        assert left.readings() == (other,)
-        assert first.readings() == right.readings() == (base,)
-        # The replica shared from is copied too before its first write.
-        assert first.apply(other, (1000, "node-02"))
-        assert first.writer(reading_key(other)) == "node-02"
-        assert right.readings() == (base,)
-        assert right.writer(reading_key(base)) == "node-00"
-
     def test_version_timestamp_must_be_the_readings(self):
         replica = P2PReplica()
         reading = SensorReading("node-00", "s0", 1000, temperature=1.0)
@@ -445,15 +413,14 @@ def _p2p_runs(draw):
     conflicts = draw(st.lists(st.sampled_from(((), (0, 1), (1, 0))),
                               min_size=len(node_ids) - 1,
                               max_size=len(node_ids) - 1))
-    direct = draw(st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids)))
-    return partitions, toggles, before_read, conflicts, after_read, direct
+    return partitions, toggles, before_read, conflicts, after_read
 
 
 class TestP2PReplicasFollowTheirWrites:
     """However the batches arrive, each peer's replica is the reference fold
     of that peer's own writes in arrival order: its partition, then each
-    valid GOSSIP batch delivered to it, and it stays so after a later GOSSIP
-    or a direct apply on one peer."""
+    valid GOSSIP batch delivered to it, and it stays so after a later
+    GOSSIP."""
 
     @staticmethod
     def _reference(system, net, peer):
@@ -502,7 +469,7 @@ class TestP2PReplicasFollowTheirWrites:
     @given(_p2p_runs())
     @settings(max_examples=150, deadline=None)
     def test_each_replica_is_its_own_writes_folded_in_order(self, run):
-        partitions, toggles, before_read, conflicts, after_read, direct = run
+        partitions, toggles, before_read, conflicts, after_read = run
         net = Network(build_topology(len(partitions), seed=3))
         with mock.patch.object(baselines, "INGEST_BATCH_SIZE", 2):
             system = P2PBaseline(net, partitions)
@@ -532,13 +499,6 @@ class TestP2PReplicasFollowTheirWrites:
                 references = {peer: self._reference(system, net, peer)
                               for peer in partitions}
                 check()
-            peer, writer = direct
-            reading = SensorReading("node-00", "s0", 2, temperature=9.0)
-            version = (reading.timestamp, writer)
-            assert (system.replicas[peer].apply(reading, version)
-                    == references[peer].apply(reading, version))
-            check()
-
 
 
 class TestP2PCollect:
@@ -783,31 +743,46 @@ class TestDeliveredBatches:
         assert system.replicas["node-01"].readings() == (early,)
 
     @pytest.mark.parametrize("kind", ["central", "p2p"])
-    def test_a_batch_after_the_first_read_is_applied_and_an_installed_state_kept(
+    def test_a_batch_after_the_first_read_leaves_the_read_state_and_is_in_the_next(
             self, rng, kind):
+        """A state once read is never written: the next batch drops it, the
+        read after that builds one holding both batches, and a state set
+        from outside stays as it was set."""
         system = self._central() if kind == "central" else self._p2p()
         receiver = "server" if kind == "central" else "node-01"
         message = MessageKind.INGEST if kind == "central" else MessageKind.GOSSIP
 
-        def held():
+        def state():
+            return system.server_store if kind == "central" else system.replicas
+
+        def contents(held):
             if kind == "central":
-                return system.server_store.all_readings()
-            return system.replicas["node-01"].readings()
+                return held.all_readings(), len(held)
+            return {peer: (replica.readings(), len(replica),
+                           [replica.writer(reading_key(r))
+                            for r in replica.readings()])
+                    for peer, replica in held.items()}
 
         def deliver(batch):
             system.net.send(_batch_envelope(
                 message, "node-00", receiver, batch), system.net.clock)
             system.net.run_until_quiescent()
 
+        def held():
+            current = state()
+            return (current.all_readings() if kind == "central"
+                    else current["node-01"].readings())
+
         first = (make_reading(rng, timestamp=1),)
         second = (make_reading(rng, timestamp=2),)
         deliver(first)
         assert held() == first
-        built = system.server_store if kind == "central" else system.replicas
+        read = state()
+        before = contents(read)
         deliver(second)
+        assert contents(read) == before
         assert held() == first + second
-        assert (system.server_store if kind == "central"
-                else system.replicas) is built  # extended, not rebuilt
+        assert state() is not read
 
         installed = LocalStore("server") if kind == "central" else {
             node_id: P2PReplica() for node_id in system.partitions}

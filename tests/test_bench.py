@@ -266,9 +266,8 @@ class TestValidateConfig:
         obj = small_cfg().to_json_dict(1234.5)
         assert len(obj["node_configs"]) == 3
         record = obj["node_configs"][0]
-        assert set(record) == {"node_id", "heartbeat_interval_ms",
-                               "heartbeat_timeout_ms", "gather_timeout_ms",
-                               "registered_transformers"}
+        assert set(record) == {"node_id", "heartbeat_timeout_ms",
+                               "gather_timeout_ms", "registered_transformers"}
 
 
 class TestTrailingWindow:
@@ -467,6 +466,40 @@ def test_topologies_are_shared_and_never_mutated(monkeypatch):
     for key, topo, endpoints, links in built:
         assert caches.topologies[key] is topo
         assert topo.endpoints == endpoints and topo.links == links
+
+
+def _end_state_contents(state):
+    """What a kept end state holds: the central store's readings, or each
+    peer's readings and the writer whose write to each one won."""
+    if isinstance(state, dict):
+        return {peer: (replica.readings(),
+                       [replica.writer(reading_key(r)) for r in replica.readings()])
+                for peer, replica in state.items()}
+    return state.all_readings()
+
+
+def test_kept_end_states_are_never_written(monkeypatch):
+    """Each end state a `_PhaseReplay` keeps is the same object, holding the
+    same readings and writers, after every later config has answered from it."""
+    end_state = bench._PhaseReplay._end_state
+    kept = {}
+
+    def recorded(replay, system):
+        number = end_state(replay, system)
+        if (replay.scope, number) not in kept:
+            state = replay.states[number]
+            kept[replay.scope, number] = (replay, state, _end_state_contents(state))
+        return number
+
+    monkeypatch.setattr(bench._PhaseReplay, "_end_state", recorded)
+    caches = MatrixCaches()
+    for cfg in matrix_configs(7, sizes=(3,), repetitions=3):
+        if cfg.system in ("central", "p2p"):
+            run_scenario(cfg, caches)
+    assert {scope[0] for scope, _ in kept} == {"central", "p2p"}
+    for (_, number), (replay, state, contents) in kept.items():
+        assert replay.states[number] is state
+        assert _end_state_contents(state) == contents
 
 
 @pytest.mark.parametrize("system", ["central", "p2p"])
@@ -670,7 +703,7 @@ GOLDEN_SMALL_MATRIX_SHA256 = (
 # ran with, gather deadlines included. A change to any recorded setting
 # moves it.
 GOLDEN_SMALL_MANIFEST_SHA256 = (
-    "b0bcbf43a4ed7d64fd0b01de14880f9e4ffc224e03a587672a4d851a22e9f94d")
+    "771eb312c15ebdc6cc73469a875b3b1c62f2d6afce17cd1f2d0a516ac33bcfd3")
 
 
 def test_small_matrix_output_is_golden(tmp_path):

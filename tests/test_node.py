@@ -336,8 +336,9 @@ class TestTrafficInvariants:
 
 class TestMalformedBodies:
     """An envelope whose body does not decode, or decodes to an invalid
-    request, is dropped, and a baseline kind (INGEST, GOSSIP) is ignored,
-    valid or not: no store changes and the run goes on."""
+    request, is dropped, and so is a heartbeat from a non-neighbor; a
+    baseline kind (INGEST, GOSSIP) is ignored, valid or not: no store
+    changes and the run goes on."""
 
     @pytest.mark.parametrize("kind, sender, body", [
         (MessageKind.QUERY, "client", b"{not json"),
@@ -363,10 +364,12 @@ class TestMalformedBodies:
             request_id="bad", range=FULL, scope=Scope.MESH,
             transformer=TransformerSpec.of("aggregate_mean",
                                            {"fields": "bogus"})))),
+        (MessageKind.HEARTBEAT, "client", b""),
     ], ids=["query-not-json", "ingest-valid-reading", "query-empty-range",
             "query-unknown-transformer", "gossip-humidity-200",
             "query-downsample-k-0", "local-query-downsample-k-0",
-            "query-downsample-k-not-int", "query-aggregate-unknown-field"])
+            "query-downsample-k-not-int", "query-aggregate-unknown-field",
+            "heartbeat-from-client"])
     def test_bad_body_is_dropped_and_later_query_answered(self, rng, kind,
                                                            sender, body):
         topo = build_topology(3, seed=5)
@@ -402,14 +405,3 @@ def test_node_registers_only_configured_transformers():
     assert node.registry.names() == ("identity",)
     with pytest.raises(TransformerUnknown):
         node.registry.run(TransformerSpec.of("aggregate_mean"), ())
-
-
-def test_scheduled_heartbeat_rounds():
-    mesh = Mesh(n=2)
-    node = mesh.nodes["node-00"]
-    node.config = NodeConfig(node_id="node-00", heartbeat_interval_ms=1000.0)
-    node.schedule_heartbeats(0.0, 2500.0)
-    mesh.net.run_until_quiescent()
-    beats = [e for e in mesh.net.envelope_log
-             if e.envelope.kind is MessageKind.HEARTBEAT]
-    assert [e.sent_at for e in beats] == [0.0, 1000.0, 2000.0]
