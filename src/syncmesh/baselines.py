@@ -241,13 +241,16 @@ class P2PReplica:
     key, so two writes to one key differ only in writer: the greater writer
     wins and an equal one (a retransmit) keeps the first write. The replica
     keeps one key -> reading and one key -> writer dict, and caches its
-    readings in canonical order until the next apply changes them.
+    readings in canonical order until the next apply changes them, and each
+    range's slice of them until the next apply: every peer that holds this
+    replica answers one range with one tuple.
     """
 
     def __init__(self):
         self._readings: dict[tuple, SensorReading] = {}
         self._writers: dict[tuple, str] = {}
         self._ordered: ReadingSet | None = None
+        self._slices: dict[TimeRange, ReadingSet] = {}
 
     def __len__(self) -> int:
         return len(self._readings)
@@ -266,10 +269,12 @@ class P2PReplica:
         self._readings[key] = reading
         self._writers[key] = writer
         self._ordered = None
+        self._slices = {}
         return True
 
     def apply_batch(self, readings: ReadingSet, writer: str) -> None:
         """LWW-apply a gossip batch; version is (reading timestamp, writer)."""
+        self._slices = {}
         by_key = self._readings
         writers = self._writers
         for key, r in zip(map(reading_key, readings), readings):
@@ -289,7 +294,11 @@ class P2PReplica:
         return self._ordered
 
     def query_range(self, time_range: TimeRange) -> ReadingSet:
-        return time_slice(self.readings(), time_range)
+        sliced = self._slices.get(time_range)
+        if sliced is None:
+            sliced = self._slices[time_range] = time_slice(
+                self.readings(), time_range)
+        return sliced
 
     def digest(self) -> str:
         return fingerprint(wire.encode_readings(self.readings()))

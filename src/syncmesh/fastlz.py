@@ -19,6 +19,11 @@ and XOR-ed, and the lowest set bit of a non-zero result marks the first byte
 that differs. This finds the same lengths as a byte-by-byte scan with far
 fewer interpreter steps, so the token stream is the one the byte-wise
 compressor wrote.
+
+Decompression writes at most `MAX_OUTPUT` bytes: a stream that would write
+more raises ValueError before it does, so a few hundred bytes of long-match
+tokens cannot grow into gigabytes. The largest body a benchmark sends is
+about 3.3 MB.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ _MAX_LITERAL_RUN = 32
 _MAX_MATCH = 264
 _MIN_MATCH = 3
 _WORD = 32  # bytes compared per step when extending a match
+MAX_OUTPUT = 64 * 1024 * 1024  # most bytes any codec's decompress writes
 
 
 def compress(data: bytes) -> bytes:
@@ -108,6 +114,7 @@ def compress(data: bytes) -> bytes:
 def decompress(data: bytes) -> bytes:
     out = bytearray()
     n = len(data)
+    cap = MAX_OUTPUT
     i = 0
     while i < n:
         ctrl = data[i]
@@ -117,6 +124,8 @@ def decompress(data: bytes) -> bytes:
             run = (ctrl & 0x1F) + 1
             if i + run > n:
                 raise ValueError("truncated literal run")
+            if len(out) + run > cap:
+                raise ValueError(f"decompressed output passes {cap} bytes")
             out += data[i : i + run]
             i += run
         else:
@@ -135,6 +144,8 @@ def decompress(data: bytes) -> bytes:
             start = len(out) - distance
             if start < 0:
                 raise ValueError("match distance exceeds output")
+            if len(out) + length > cap:
+                raise ValueError(f"decompressed output passes {cap} bytes")
             if distance >= length:
                 out += out[start : start + length]
             else:

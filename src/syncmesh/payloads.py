@@ -135,11 +135,21 @@ class PayloadOps:
     an answer, two for a digest, three for a merge, four for an encoded
     batch and five for a response body. With cache=None every call
     computes afresh.
+
+    An uncompressed (`CodecId.NONE`) response body is sent as a `wire.Body`
+    of parts and never joined here: its readings array is encoded once per
+    answer object, and every body built around that same object holds the
+    one array. A synced p2p mesh answers a range from one shared replica
+    with one tuple, so its peers' bodies differ only in head and tail. The
+    envelope counts the body's length; its bytes are joined only where they
+    are read. The answer is held beside its array, so its id is not reused
+    while this object lives, with or without a cache.
     """
 
     def __init__(self, cache: dict | None = None, scope_key=()):
         self.cache = cache
         self.scope_key = scope_key
+        self._arrays: dict[int, tuple[ReadingSet, bytes]] = {}
 
     def memo(self, key: tuple, fn):
         if self.cache is None:
@@ -167,10 +177,14 @@ class PayloadOps:
                           sender: str, receiver: str) -> wire.Envelope:
         """RESPONSE envelope answering req: the compressed canonical body,
         projected as req asks, and as payload the response the receiver
-        would decode. The body is the same for every receiver."""
+        would decode. The body is the same for every receiver; uncompressed,
+        it is a `wire.Body` that shares its readings array."""
         def build():
-            raw = wire.encode_response(resp, req.projection)
-            return wire.compress(resp.codec, raw)
+            if resp.codec is CodecId.NONE:
+                return wire.Body(wire.response_parts(
+                    resp, req.projection, self._readings_array))
+            return wire.compress(
+                resp.codec, wire.encode_response(resp, req.projection))
 
         body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
                           resp.codec), build)
@@ -179,6 +193,14 @@ class PayloadOps:
             body=body, codec=resp.codec, request_id=resp.request_id,
             payload_tag=resp.payload_kind,
             payload=wire.project_response(resp, req.projection))
+
+    def _readings_array(self, readings: ReadingSet) -> bytes:
+        """`wire.encode_readings(readings)`, encoded once per object."""
+        held = self._arrays.get(id(readings))
+        if held is None:
+            held = self._arrays[id(readings)] = (
+                readings, wire.encode_readings(readings))
+        return held[1]
 
     def readings_bytes(self, sender: str, start: int, batch: ReadingSet,
                        codec: CodecId) -> bytes:

@@ -8,6 +8,11 @@ A sender in this process also attaches the object its body encodes, so a
 receiver reads that object through `read_payload` instead of decoding bytes
 that were encoded a moment before. Only the body is ever counted.
 
+An uncompressed body may be held as a `Body`: its bytes in parts, so that
+bodies which differ only around one long readings array share that array.
+Only its length is counted; its bytes are joined only where they are read
+(`encode_envelope`, `read_payload`, equality and hashing).
+
 An unprojected reading is encoded once: its canonical JSON text is written by
 a fixed template and kept on the reading, and every later readings array,
 response or digest joins the kept texts.
@@ -40,6 +45,44 @@ _GZIP_LEVEL = 6
 _HEADER = struct.Struct(">BB6x16s16s16sQ")
 
 
+class Body:
+    """An immutable body held as byte parts, whose bytes are their join.
+
+    `len` is the sum of the parts' lengths, kept when built, so counting a
+    body joins nothing. Equality and hash are those of the joined bytes, so
+    a Body equals the bytes it stands for and an Envelope compares and
+    hashes as it would with those bytes."""
+
+    __slots__ = ("parts", "_len")
+
+    def __init__(self, parts):
+        parts = tuple(parts)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_len", sum(map(len, parts)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Body is immutable")
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __bytes__(self) -> bytes:
+        return b"".join(self.parts)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Body):
+            other = bytes(other)
+        elif not isinstance(other, (bytes, bytearray)):
+            return NotImplemented
+        return self._len == len(other) and bytes(self) == other
+
+    def __hash__(self) -> int:
+        return hash(bytes(self))
+
+    def __repr__(self) -> str:
+        return f"Body({len(self.parts)} parts, {self._len} bytes)"
+
+
 class MessageKind(enum.IntEnum):
     QUERY = 1
     RESPONSE = 2
@@ -56,13 +99,14 @@ class Envelope:
     `payload_tag` is simulation metadata (e.g. "readings" vs "summary") used
     by traffic assertions; it is not part of the wire layout. `payload` is the
     object a receiver gets by decompressing and decoding `body`; senders in
-    this process attach it, and it is neither sent nor counted.
+    this process attach it, and it is neither sent nor counted. An
+    uncompressed body may be a `Body`, counted by its length alone.
     """
 
     kind: MessageKind
     sender: str
     receiver: str
-    body: bytes = b""
+    body: bytes | Body = b""
     codec: CodecId = CodecId.NONE
     request_id: str = ""
     payload_tag: str | None = field(default=None, compare=False)
@@ -95,7 +139,7 @@ def encode_envelope(env: Envelope) -> bytes:
         _pack_id(env.request_id),
         len(env.body),
     )
-    return header + env.body
+    return header + bytes(env.body)
 
 
 def decode_envelope(data: bytes) -> Envelope:
@@ -114,21 +158,30 @@ def decode_envelope(data: bytes) -> Envelope:
     )
 
 
-def compress(codec: CodecId, data: bytes) -> bytes:
+def compress(codec: CodecId, data: bytes | Body) -> bytes | Body:
     if codec is CodecId.NONE:
         return data
     if codec is CodecId.GZIP:
-        return zlib.compress(data, _GZIP_LEVEL)
+        return zlib.compress(bytes(data), _GZIP_LEVEL)
     if codec is CodecId.FASTLZ:
-        return fastlz.compress(data)
+        return fastlz.compress(bytes(data))
     raise ValueError(f"unknown codec: {codec}")
 
 
 def decompress(codec: CodecId, data: bytes) -> bytes:
+    """`data` decompressed; raises ValueError for output past
+    `fastlz.MAX_OUTPUT`, the cap of every codec."""
     if codec is CodecId.NONE:
         return data
     if codec is CodecId.GZIP:
-        return zlib.decompress(data)
+        cap = fastlz.MAX_OUTPUT
+        stream = zlib.decompressobj()
+        out = stream.decompress(data, cap + 1)
+        if len(out) > cap:
+            raise ValueError(f"decompressed output passes {cap} bytes")
+        if not stream.eof:
+            raise ValueError("incomplete or truncated stream")
+        return out
     if codec is CodecId.FASTLZ:
         return fastlz.decompress(data)
     raise ValueError(f"unknown codec: {codec}")
@@ -192,19 +245,28 @@ def decode_request(data: bytes) -> QueryRequest:
     return QueryRequest.from_json_dict(json.loads(data))
 
 
-def encode_response(resp: QueryResponse, projection: frozenset[str] = frozenset()) -> bytes:
-    """Uncompressed canonical response body; compress separately per resp.codec.
+def response_parts(resp: QueryResponse, projection: frozenset[str] = frozenset(),
+                   readings_array=_readings_array) -> tuple[bytes, ...]:
+    """The uncompressed canonical response body as parts whose join is
+    `canonical_json(resp.to_json_dict(projection))`.
 
-    Equal to `canonical_json(resp.to_json_dict(projection))`; an unprojected
-    readings payload is spliced in from the texts its readings keep."""
+    An unprojected readings payload gives three parts: the head, the array
+    `readings_array(resp.payload)` spliced from the texts its readings keep,
+    and the tail. Any other payload gives one part."""
     if projection or isinstance(resp.payload, Summary):
-        return canonical_json(resp.to_json_dict(projection))
-    return b"".join((
-        b'{"request_id":', canonical_json(resp.request_id),
-        b',"payload_kind":"readings","payload":', _readings_array(resp.payload),
-        b',"contributing_nodes":', canonical_json(sorted(resp.contributing_nodes)),
-        b',"partial":', canonical_json(resp.partial),
-        b',"codec":', canonical_json(resp.codec.name), b"}"))
+        return (canonical_json(resp.to_json_dict(projection)),)
+    return (
+        b'{"request_id":' + canonical_json(resp.request_id)
+        + b',"payload_kind":"readings","payload":',
+        readings_array(resp.payload),
+        b',"contributing_nodes":' + canonical_json(sorted(resp.contributing_nodes))
+        + b',"partial":' + canonical_json(resp.partial)
+        + b',"codec":' + canonical_json(resp.codec.name) + b"}")
+
+
+def encode_response(resp: QueryResponse, projection: frozenset[str] = frozenset()) -> bytes:
+    """Uncompressed canonical response body; compress separately per resp.codec."""
+    return b"".join(response_parts(resp, projection))
 
 
 def project_response(resp: QueryResponse, projection: frozenset[str]) -> QueryResponse:
@@ -237,13 +299,14 @@ def read_payload(env: Envelope):
     """The object `env.body` encodes.
 
     That is `env.payload` when the sender attached it. An envelope built from
-    bytes alone is decompressed and decoded by kind; any failure to do so
-    raises MalformedBody, so a receiver can drop the envelope.
+    bytes alone is decompressed and decoded by kind; any failure to do so,
+    decompressed output past the cap included, raises MalformedBody, so a
+    receiver can drop the envelope.
     """
     if env.payload is not None:
         return env.payload
     try:
-        return _decode_body(env.kind, decompress(env.codec, env.body))
+        return _decode_body(env.kind, decompress(env.codec, bytes(env.body)))
     except (ValueError, KeyError, TypeError, AttributeError, IndexError,
             zlib.error) as exc:
         raise MalformedBody(f"{env.kind.name} from {env.sender}: {exc!r}") from exc

@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 from syncmesh.model import SensorReading
 from syncmesh.netsim import Network
 from syncmesh.wire import read_payload
+
+
+# Short streams that decompress to far more than they hold: an empty JSON
+# array padded with spaces, so a receiver would take each as an empty batch.
+# FASTLZ: the literal "[ ", 40 long-match tokens that each copy 264 spaces
+# from distance 1, then the literal "]": 125 bytes for 10,563.
+FASTLZ_BOMB = b"\x01[ " + bytes([0xE0, 255, 0]) * 40 + b"\x00]"
+FASTLZ_BOMB_OUTPUT = 2 + 40 * 264 + 1
+GZIP_BOMB_OUTPUT = 100_000
+GZIP_BOMB = zlib.compress(b"[" + b" " * (GZIP_BOMB_OUTPUT - 2) + b"]", 9)
 
 
 def make_reading(rng: random.Random, node_id="node-00", sensor_id=None,

@@ -91,6 +91,25 @@ class ReferenceReplica:
         return fingerprint(encode_readings(self.readings()))
 
 
+def reference_encode_response(resp, projection=frozenset()):
+    """The uncompressed response body as first spliced: one join of the
+    head, the readings array and the tail, or the generic canonical
+    encoding of a summary or projected payload.
+
+    `syncmesh.wire.response_parts` must give parts whose join is this."""
+    from syncmesh.model import Summary, canonical_json
+    from syncmesh.wire import encode_readings
+
+    if projection or isinstance(resp.payload, Summary):
+        return canonical_json(resp.to_json_dict(projection))
+    return b"".join((
+        b'{"request_id":', canonical_json(resp.request_id),
+        b',"payload_kind":"readings","payload":', encode_readings(resp.payload),
+        b',"contributing_nodes":', canonical_json(sorted(resp.contributing_nodes)),
+        b',"partial":', canonical_json(resp.partial),
+        b',"codec":', canonical_json(resp.codec.name), b"}"))
+
+
 def reference_compress(data: bytes) -> bytes:
     """FASTLZ compression as first written: greedy, one byte at a time.
 

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_reading
+from conftest import FASTLZ_BOMB, GZIP_BOMB, make_reading
 from oracles import (
     ReferenceReplica,
     assert_summary_close,
     naive_summary,
+    reference_encode_response,
     union_collect,
 )
-from syncmesh import baselines
+from syncmesh import baselines, bench, fastlz, payloads
 from syncmesh.baselines import (
     CentralBaseline,
     P2PBaseline,
@@ -302,6 +303,25 @@ class TestP2PSync:
         assert len(judged) == len(set(judged)) == n * 3
         assert system.order_free()
 
+    def test_query_range_returns_one_tuple_per_range_until_an_apply(self, rng):
+        replica = P2PReplica()
+        replica.apply_batch(
+            tuple(make_reading(rng, timestamp=t) for t in range(1, 21)), "node-00")
+        window = TimeRange(5, 15)
+        first = replica.query_range(window)
+        assert replica.query_range(TimeRange(5, 15)) is first
+        assert replica.query_range(TimeRange(5, 16)) is not first
+        assert [r.timestamp for r in first] == list(range(5, 15))
+        replica.apply(make_reading(rng, node_id="node-01", timestamp=7),
+                      (7, "node-01"))
+        after_apply = replica.query_range(window)
+        assert after_apply is not first and len(after_apply) == 11
+        replica.apply_batch(
+            (make_reading(rng, node_id="node-02", timestamp=8),), "node-02")
+        after_batch = replica.query_range(window)
+        assert after_batch is not after_apply and len(after_batch) == 12
+        assert replica.query_range(window) is after_batch
+
     def test_lww_last_writer_wins_any_order(self):
         base = SensorReading("node-00", "s0", 1000, temperature=1.0)
         contender = SensorReading("node-00", "s0", 1000, temperature=2.0)
@@ -546,6 +566,54 @@ class TestP2PCollect:
         assert any(e.envelope.payload_tag == "readings" for e in net.envelope_log)
 
 
+class TestP2PSharedResponseArray:
+    """A synced mesh answers a range from one replica with one tuple, so the
+    readings array of every peer's RESPONSE body is encoded once and held
+    once; each body's bytes and the ledger are what they were."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        text = bench.generate_synthetic(
+            n_sensors=4, days=30, readings_per_sensor_per_day=48, seed=7,
+            balance_across=4)
+        return bench.ingest_csv_text(text, 4)
+
+    @pytest.mark.parametrize("days", [1, 30])
+    def test_every_peer_body_holds_one_array(self, dataset, monkeypatch, days):
+        manifest, parts = dataset
+        net = Network(build_topology(4, seed=8))
+        system = P2PBaseline(net, parts)
+        system.sync(0.0)
+        net.reset_ledger()
+        encoded = []
+        encode_readings_ = payloads.wire.encode_readings
+
+        def counted(readings, projection=frozenset()):
+            encoded.append(len(readings))
+            return encode_readings_(readings, projection)
+
+        monkeypatch.setattr(payloads.wire, "encode_readings", counted)
+        window = bench.trailing_window(manifest, days)
+        req = QueryRequest(request_id="q1", range=window, scope=Scope.MESH)
+        resp, _ = system.client_collect(req, net.clock + 100.0)
+
+        expected = union_collect(parts, window.start, window.end)
+        assert list(resp.payload) == expected
+        if days == 1:  # a strict slice of the replica, a new tuple per call
+            assert 0 < len(expected) < sum(map(len, parts.values()))
+        assert encoded == [len(expected)]
+        responses = [e.envelope for e in net.envelope_log
+                     if e.envelope.kind is MessageKind.RESPONSE]
+        assert sorted(env.sender for env in responses) == sorted(parts)
+        arrays = [env.body.parts[1] for env in responses]
+        assert all(array is arrays[0] for array in arrays)
+        for env in responses:
+            assert bytes(env.body) == reference_encode_response(env.payload)
+            assert env.wire_size == HEADER_SIZE + len(bytes(env.body))
+        assert net.ledger.total() == sum(
+            HEADER_SIZE + len(bytes(e.envelope.body)) for e in net.envelope_log)
+
+
 class TestCrossSystemEquivalence:
     def test_collect_set_equal_everywhere(self, rng):
         node_ids = [f"node-{i:02d}" for i in range(3)]
@@ -650,6 +718,36 @@ class TestInvalidBodies:
                   if e.envelope.kind is MessageKind.GOSSIP_ECHO
                   and e.envelope.body == body]
         assert len(echoes) == (2 if kind == "p2p" else 0)
+
+
+    @pytest.mark.parametrize("codec, bomb", [
+        (CodecId.FASTLZ, FASTLZ_BOMB), (CodecId.GZIP, GZIP_BOMB)],
+        ids=["fastlz", "gzip"])
+    @pytest.mark.parametrize("kind", ["central", "p2p"])
+    def test_a_body_that_decompresses_past_the_cap_is_dropped(
+            self, rng, monkeypatch, kind, codec, bomb):
+        """Under the real cap the same body is an empty batch, taken."""
+        net, system, parts = self._system(rng, kind)
+        cap = fastlz.MAX_OUTPUT
+        monkeypatch.setattr(fastlz, "MAX_OUTPUT", 10_000)
+        receiver = "server" if kind == "central" else "node-01"
+        message = MessageKind.INGEST if kind == "central" else MessageKind.GOSSIP
+        bomb_envelope = Envelope(kind=message, sender="node-00", receiver=receiver,
+                                 codec=codec, body=bomb, request_id="bomb")
+        delivered = list(system.delivered)
+        net.send(bomb_envelope, net.clock)
+        net.run_until_quiescent()
+        assert system.delivered == delivered
+        assert not [e for e in net.envelope_log
+                    if e.envelope.request_id == "bomb" and e.envelope.sender != "node-00"]
+        resp, _ = system.query(collect_req(), net.clock + 500.0)
+        assert resp.partial is False
+        assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
+
+        monkeypatch.setattr(fastlz, "MAX_OUTPUT", cap)
+        net.send(bomb_envelope, net.clock)
+        net.run_until_quiescent()
+        assert system.delivered == delivered + [(bomb_envelope, ())]
 
 
 def _batch_envelope(kind, sender, receiver, batch, request_id=""):

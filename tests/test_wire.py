@@ -2,16 +2,25 @@ import hashlib
 import json
 import pickle
 import random
+import zlib
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_reading
-from oracles import reference_compress
+from conftest import (
+    FASTLZ_BOMB,
+    FASTLZ_BOMB_OUTPUT,
+    GZIP_BOMB,
+    GZIP_BOMB_OUTPUT,
+    make_reading,
+)
+from oracles import reference_compress, reference_encode_response
 from syncmesh import bench, fastlz
 from syncmesh.model import (
+    FIELD_NAMES,
+    NUMERIC_FIELDS,
     CodecId,
     QueryRequest,
     QueryResponse,
@@ -25,6 +34,7 @@ from syncmesh.model import (
 )
 from syncmesh.wire import (
     HEADER_SIZE,
+    Body,
     Envelope,
     MalformedBody,
     MessageKind,
@@ -39,6 +49,7 @@ from syncmesh.wire import (
     encode_response,
     project_response,
     read_payload,
+    response_parts,
 )
 
 # Recorded once from the chosen DEFLATE implementation; regression fixture.
@@ -120,6 +131,31 @@ class TestFastlz:
         out = fastlz.compress(b"abcabcabcabc" * 10)
         with pytest.raises(ValueError):
             fastlz.decompress(out[:-1])
+
+
+class TestDecompressedOutputCap:
+    """No codec writes more than `fastlz.MAX_OUTPUT` bytes, whatever the
+    stream asks for."""
+
+    @pytest.mark.parametrize("codec, bomb, size", [
+        (CodecId.FASTLZ, FASTLZ_BOMB, FASTLZ_BOMB_OUTPUT),
+        (CodecId.GZIP, GZIP_BOMB, GZIP_BOMB_OUTPUT),
+    ], ids=["fastlz", "gzip"])
+    def test_output_up_to_the_cap_decodes_and_past_it_raises(
+            self, monkeypatch, codec, bomb, size):
+        monkeypatch.setattr(fastlz, "MAX_OUTPUT", size)
+        assert len(decompress(codec, bomb)) == size
+        monkeypatch.setattr(fastlz, "MAX_OUTPUT", size - 1)
+        with pytest.raises(ValueError, match="passes"):
+            decompress(codec, bomb)
+        env = Envelope(kind=MessageKind.INGEST, sender="a", receiver="b",
+                       body=bomb, codec=codec)
+        with pytest.raises(MalformedBody):
+            read_payload(env)
+
+    def test_a_truncated_gzip_stream_still_raises(self):
+        with pytest.raises(ValueError):
+            decompress(CodecId.GZIP, zlib.compress(b"abc" * 100)[:-3])
 
 
 def _tokens(stream: bytes):
@@ -359,6 +395,98 @@ class TestReadingText:
         restored = pickle.loads(pickle.dumps(reading))
         assert restored == reading
         assert encode_readings((restored,)) == encode_readings((reading,))
+
+
+class TestBody:
+    PARTS = (b'{"head":', b"[1,2,3]", b"}")
+    JOINED = b'{"head":[1,2,3]}'
+
+    def test_len_and_bytes(self):
+        body = Body(self.PARTS)
+        assert len(body) == len(self.JOINED)
+        assert bytes(body) == self.JOINED
+        assert body.parts == self.PARTS
+        with pytest.raises(AttributeError):
+            body.parts = ()
+
+    def test_equality_and_hash_are_those_of_the_joined_bytes(self):
+        body = Body(self.PARTS)
+        split_elsewhere = Body((self.JOINED[:3], self.JOINED[3:]))
+        for same in (self.JOINED, bytearray(self.JOINED), split_elsewhere,
+                     Body(self.PARTS)):
+            assert body == same and same == body
+            assert not body != same
+        for same in (self.JOINED, split_elsewhere):
+            assert hash(body) == hash(same)
+        assert {self.JOINED: "found"}[body] == "found"
+        same_length = Body((b'{"head":', b"[1,2,4]", b"}"))
+        for other in (same_length, self.JOINED[:-1], self.JOINED + b" ",
+                      bytes(same_length), Body(()), b""):
+            assert body != other and other != body
+        assert body != self.JOINED.decode()
+
+    def test_envelope_with_a_body_encodes_and_compares_as_its_bytes(self):
+        env = Envelope(kind=MessageKind.RESPONSE, sender="node-03",
+                       receiver="client", body=Body(self.PARTS),
+                       request_id="q-7")
+        joined = replace(env, body=self.JOINED)
+        raw = encode_envelope(env)
+        assert raw == encode_envelope(joined)
+        assert env.wire_size == joined.wire_size == len(raw)
+        decoded = decode_envelope(raw)
+        assert decoded == env and env == decoded
+        assert hash(decoded) == hash(env)
+        assert decoded.body == self.JOINED
+
+
+_finite = st.one_of(st.none(), st.floats(-1e6, 1e6))
+_summed_readings = st.builds(
+    SensorReading, node_id=_ids, sensor_id=_ids, timestamp=st.integers(0, 10**12),
+    p1=_finite, p2=_finite, temperature=_finite, humidity=_finite,
+    pressure=_finite)
+
+
+@st.composite
+def _responses(draw):
+    readings = tuple(draw(st.lists(_summed_readings, max_size=6)))
+    if draw(st.booleans()):
+        fields = draw(st.lists(st.sampled_from(NUMERIC_FIELDS), min_size=1,
+                               max_size=5, unique=True))
+        payload = summarize(readings, tuple(fields))
+    else:
+        payload = readings
+    return QueryResponse(
+        request_id=draw(_ids), payload=payload,
+        contributing_nodes=draw(st.frozensets(_ids, max_size=3)),
+        partial=draw(st.booleans()), codec=draw(st.sampled_from(list(CodecId))))
+
+
+class TestResponseParts:
+    """The one response builder joins to the body as first spliced."""
+
+    @given(_responses(), st.one_of(
+        st.just(frozenset()),
+        st.frozensets(st.sampled_from(FIELD_NAMES), min_size=1, max_size=4)))
+    @settings(max_examples=150)
+    def test_joined_parts_match_reference(self, resp, projection):
+        want = reference_encode_response(resp, projection)
+        parts = response_parts(resp, projection)
+        assert b"".join(parts) == want
+        assert encode_response(resp, projection) == want
+        body = Body(parts)
+        assert body == want and len(body) == len(want)
+        assert compress(resp.codec, body) == compress(resp.codec, want)
+        assert decompress(resp.codec, compress(resp.codec, want)) == want
+
+    def test_an_unprojected_readings_payload_splices_the_given_array(self, rng):
+        readings = merge_reading_sets([[make_reading(rng) for _ in range(5)]])
+        resp = QueryResponse(request_id="q", payload=readings,
+                             contributing_nodes=frozenset({"node-01"}))
+        array = encode_readings(readings)
+        head, spliced, tail = response_parts(resp, readings_array=lambda _: array)
+        assert spliced is array
+        assert head + spliced + tail == reference_encode_response(resp)
+        assert len(response_parts(resp, frozenset({"p1"}))) == 1
 
 
 class TestReadPayload:
