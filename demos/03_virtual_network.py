@@ -1,5 +1,6 @@
-"""The deterministic virtual-time network: seeded latencies, exact byte
-ledgers, availability, and reproducible clocks.
+"""The deterministic virtual-time network: seeded latencies, an envelope
+log with exact byte ledgers summed from it, availability, and reproducible
+clocks.
 
 Run: python demos/03_virtual_network.py
 """

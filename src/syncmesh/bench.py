@@ -32,7 +32,7 @@ from .model import (
     TransformerSpec,
     validate_reading,
 )
-from .netsim import LinkClass, Network, build_topology
+from .netsim import LinkClass, Network, TrafficLedger, build_topology
 from .node import MeshClient, NodeConfig, SyncMeshNode, run_query
 from .payloads import PayloadOps
 from .store import LocalStore
@@ -386,7 +386,7 @@ class _PhaseReplay:
     set's batch envelopes with their counts when the build wrote each key
     once (`order_free`), else under the envelopes in arrival order; the
     states are numbered in the order they were built. The duration, the
-    ledger bytes and the number of the end state depend on the latency
+    traffic ledger and the number of the end state depend on the latency
     seed, so they are kept per seed: a new seed simulates the phase once,
     and builds an end state only for delivered batches not seen before.
 
@@ -400,24 +400,25 @@ class _PhaseReplay:
         self.scope = scope
         self.states: list = []
         self.numbers: dict[object, int] = {}
-        self.traffic: dict[int, tuple[float, dict, int]] = {}
+        self.traffic: dict[int, tuple[float, TrafficLedger, int]] = {}
 
-    def ingest(self, system, net: Network, seed: int, at: float = 0.0) -> float:
+    def ingest(self, system, net: Network, seed: int) -> tuple[float, TrafficLedger]:
+        """Run the phase from t=0 on the new `net`, or replay it and log
+        nothing; returns its duration and its ledger."""
         system.ops.scope_key = self.scope
         hit = self.traffic.get(seed)
         if hit is None:
-            duration = system.ingest(at)
+            duration = system.ingest(0.0)
+            ledger = net.ledger
             number = self._end_state(system)
-            self.traffic[seed] = (duration, dict(net.ledger.bytes), number)
+            self.traffic[seed] = (duration, ledger, number)
         else:
-            duration, ledger_bytes, number = hit
-            for bucket, n in ledger_bytes.items():
-                net.ledger.bytes[bucket] = net.ledger.bytes.get(bucket, 0) + n
-            net.clock = max(net.clock, at + duration)
+            duration, ledger, number = hit
+            net.clock = max(net.clock, duration)
         # Every run answers from a kept state, never from one it just built.
         setattr(system, self.state_attr, self.states[number])
         system.ops.scope_key = self.scope + (number,)
-        return duration
+        return duration, ledger
 
     def _end_state(self, system) -> int:
         """The number of the kept end state of what `system` was delivered,
@@ -585,20 +586,19 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
         try:
             if replay is None:
                 ingest_ms = system.ingest(0.0)
+                ingest_phase = net.ledger
             else:
-                ingest_ms = replay.ingest(system, net, cfg.seed + rep)
-            ingest_phase = net.reset_ledger()
+                ingest_ms, ingest_phase = replay.ingest(system, net, cfg.seed + rep)
+            mark = len(net.envelope_log)
             t_q = net.clock + QUERY_SETTLE_MS
             resp, rtt = system.query(req, t_q)
-            query_phase = net.ledger
+            query_phase = TrafficLedger(net.envelope_log[mark:])
         finally:
             net.close()
-        ingest_by_class = ingest_phase.by_class()
-        query_by_class = query_phase.by_class()
+        by_class = ingest_phase.by_class() + query_phase.by_class()
 
         def combined(*classes: LinkClass) -> int:
-            return sum(ingest_by_class.get(c, 0) + query_by_class.get(c, 0)
-                       for c in classes)
+            return sum(by_class[c] for c in classes)
 
         digest = ops.payload_digest(resp.payload, req, resp.contributing_nodes)
         rows.append(RepetitionRow(

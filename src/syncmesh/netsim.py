@@ -1,8 +1,8 @@
 """Deterministic virtual-time network with byte-exact traffic accounting.
 
 Envelopes are delivered after a per-link one-way latency (plus an optional
-per-link serialization delay when a finite bandwidth is configured). Every
-sent byte is recorded in a TrafficLedger bucketed by (link class, message
+per-link serialization delay when a finite bandwidth is configured). Each
+send is logged, and a TrafficLedger sums log entries by (link class, message
 kind). A single event loop owns all state; ties break by insertion order.
 """
 
@@ -13,7 +13,9 @@ import hashlib
 import heapq
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .wire import Envelope, MessageKind
 
@@ -156,22 +158,21 @@ def build_topology(n_nodes: int, seed: int, with_server: bool = False,
 
 
 class TrafficLedger:
-    """Cumulative sent bytes per (link class, message kind)."""
+    """Sent bytes per (link class, message kind) of log entries, delivered or not."""
 
-    def __init__(self):
-        self.bytes: dict[tuple[LinkClass, MessageKind], int] = {}
-
-    def add(self, link_class: LinkClass, kind: MessageKind, n: int) -> None:
-        key = (link_class, kind)
-        self.bytes[key] = self.bytes.get(key, 0) + n
+    def __init__(self, entries):
+        totals: Counter[tuple[LinkClass, MessageKind]] = Counter()
+        for entry in entries:
+            totals[entry.link_class, entry.envelope.kind] += entry.envelope.wire_size
+        self.bytes = MappingProxyType(totals)
 
     def get(self, link_class: LinkClass, kind: MessageKind) -> int:
         return self.bytes.get((link_class, kind), 0)
 
-    def by_class(self) -> dict[LinkClass, int]:
-        out: dict[LinkClass, int] = {}
+    def by_class(self) -> Counter[LinkClass]:
+        out: Counter[LinkClass] = Counter()
         for (link_class, _), n in self.bytes.items():
-            out[link_class] = out.get(link_class, 0) + n
+            out[link_class] += n
         return out
 
     def total(self) -> int:
@@ -203,7 +204,6 @@ class Network:
     def __init__(self, topology: Topology):
         self.topology = topology
         self.clock = 0.0
-        self.ledger = TrafficLedger()
         self.envelope_log: list[LogEntry] = []
         self._queue: list[tuple[float, int, object]] = []
         self._seq = 0
@@ -232,7 +232,7 @@ class Network:
         self._push(at, fn)
 
     def send(self, env: Envelope, at: float) -> LogEntry | None:
-        """Schedule delivery of env and account its bytes on the link.
+        """Schedule delivery of env and log it on the link.
 
         Returns the logged entry, or None when the sender is currently
         unavailable (a down node transmits nothing). Raises NoRoute when the
@@ -250,7 +250,6 @@ class Network:
             depart = start + env.wire_size / link.bandwidth_bytes_per_ms
             self._link_busy_until[direction] = depart
         deliver_at = depart + link.latency_ms
-        self.ledger.add(link.link_class, env.kind, env.wire_size)
         entry = LogEntry(sent_at=at, deliver_at=deliver_at,
                          link_class=link.link_class, envelope=env)
         self.envelope_log.append(entry)
@@ -285,16 +284,14 @@ class Network:
                 item(self, at)
         return self.clock
 
+    @property
+    def ledger(self) -> TrafficLedger:
+        return TrafficLedger(self.envelope_log)
+
     def close(self) -> None:
-        """Drop handlers, pending events and log. Handlers hold the systems
-        that hold this network, a cycle only the cycle collector would free."""
+        """Drop handlers, pending events and the log (so take the ledger
+        first). Handlers hold the systems that hold this network, a cycle
+        only the cycle collector would free."""
         self._handlers = {}
         self._queue = []
         self.envelope_log = []
-
-    def reset_ledger(self) -> TrafficLedger:
-        """Swap in a fresh ledger (and log segment); returns the old ledger."""
-        old = self.ledger
-        self.ledger = TrafficLedger()
-        self.envelope_log = []
-        return old

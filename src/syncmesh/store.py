@@ -46,7 +46,9 @@ class LocalStore:
         """Insert many readings; returns how many were new.
 
         The same as `insert` on each in turn, also when an invalid reading
-        stops the load partway: the readings before it stay."""
+        stops the load partway: the readings before it stay. It validates
+        readings its callers outside the tests validated already (about 4 ms
+        of a 12-node, 30-day dataset): the store keeps its own invariant."""
         by_key = self._by_key
         keep_first = by_key.setdefault
         before = len(by_key)

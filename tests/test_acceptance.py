@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole suite completes in a few minutes on a laptop.
 """
 
+import hashlib
 import random
 import time
 
@@ -252,6 +253,14 @@ def test_c06_data_locality(caches):
            f"idle node-node traffic kinds: {sorted(k.name for k in idle_kinds)}")
 
 
+# The seed-7 matrix as pinned in ROADMAP.md; a change that moves it on
+# purpose says which columns moved, and why, and pins the new digests.
+C07_SHA256 = {
+    "matrix.csv": "01b0082386b4400d04514d41d8183463d83c0e02945b7da9b626d6054625e4fd",
+    "manifest.json": "8738eef96da5d38a378a36214d97aa83191dde56fa64fbba952da78d7a902bbb",
+}
+
+
 def test_c07_matrix_determinism(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
@@ -259,11 +268,15 @@ def test_c07_matrix_determinism(tmp_path):
     assert cli_main(["matrix", "--seed", "7", "--out", str(out_b), "--quiet"]) == 0
     same = all(
         (out_a / name).read_bytes() == (out_b / name).read_bytes()
-        for name in ("matrix.csv", "manifest.json")
+        for name in C07_SHA256
     )
+    digests = {name: hashlib.sha256((out_a / name).read_bytes()).hexdigest()
+               for name in C07_SHA256}
     size = (out_a / "matrix.csv").stat().st_size
-    report(7, same, f"two `bench matrix --seed 7` runs byte-identical "
-                    f"(matrix.csv {size} bytes)")
+    report(7, same and digests == C07_SHA256,
+           f"two `bench matrix --seed 7` runs byte-identical "
+           f"(matrix.csv {size} bytes), sha256 "
+           + ", ".join(f"{name} {d[:8]}" for name, d in digests.items()))
 
 
 def test_c08_churn_partial_results(rng):

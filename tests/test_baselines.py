@@ -37,6 +37,7 @@ from syncmesh.netsim import (
     LinkClass,
     Network,
     Topology,
+    TrafficLedger,
     build_topology,
 )
 from syncmesh.payloads import all_valid
@@ -123,14 +124,14 @@ class TestCentral:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
         system = CentralBaseline(net, parts)
         system.ingest(0.0)
-        net.reset_ledger()
+        mark = len(net.envelope_log)
         resp, _ = system.query(collect_req(), net.clock + 100.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
 
         resp2, _ = system.query(transform_req("q2"), net.clock + 100.0)
         everything = [r for rs in parts.values() for r in rs]
         assert_summary_close(resp2.payload, naive_summary(everything, NUMERIC_FIELDS))
-        by_class = net.ledger.by_class()
+        by_class = TrafficLedger(net.envelope_log[mark:]).by_class()
         assert by_class.get(LinkClass.NODE_NODE, 0) == 0
         assert by_class.get(LinkClass.NODE_SERVER, 0) == 0
 
@@ -140,9 +141,9 @@ class TestCentral:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
         system = CentralBaseline(net, parts)
         system.ingest(0.0)
-        net.reset_ledger()
+        mark = len(net.envelope_log)
         system.query(transform_req(), net.clock + 100.0)
-        kinds = {kind for _, kind in net.ledger.bytes}
+        kinds = {kind for _, kind in TrafficLedger(net.envelope_log[mark:]).bytes}
         assert kinds == {MessageKind.QUERY, MessageKind.RESPONSE}
 
 
@@ -528,28 +529,27 @@ class TestP2PCollect:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts)
         system.sync(0.0)
-        net.reset_ledger()
-        return net, parts, system
+        return net, parts, system, len(net.envelope_log)
 
     def test_client_downloads_every_replica_fully(self, rng):
-        net, parts, system = self._synced(rng)
+        net, parts, system, mark = self._synced(rng)
         resp, _ = system.client_collect(collect_req(), net.clock + 100.0)
         union_bytes = len(encode_readings(tuple(
             union_collect(parts, FULL.start, FULL.end))))
-        responses = [e.envelope for e in net.envelope_log
+        responses = [e.envelope for e in net.envelope_log[mark:]
                      if e.envelope.kind is MessageKind.RESPONSE]
         assert len(responses) == 3
         body_total = sum(len(e.body) for e in responses)
         assert body_total >= 3 * union_bytes  # no dedup on the wire
 
     def test_result_equals_union_after_dedup(self, rng):
-        net, parts, system = self._synced(rng)
+        net, parts, system, _ = self._synced(rng)
         resp, _ = system.client_collect(collect_req(), net.clock + 100.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
         assert resp.partial is False
 
     def test_one_peer_down_still_complete(self, rng):
-        net, parts, system = self._synced(rng)
+        net, parts, system, _ = self._synced(rng)
         system.gather.timeout_ms = 300.0
         net.set_available("node-02", False)
         resp, _ = system.client_collect(collect_req(), net.clock + 100.0)
@@ -557,13 +557,14 @@ class TestP2PCollect:
         assert resp.partial is False
 
     def test_transform_aggregates_client_side(self, rng):
-        net, parts, system = self._synced(rng)
+        net, parts, system, mark = self._synced(rng)
         resp, _ = system.client_collect(transform_req(), net.clock + 100.0)
         everything = [r for rs in parts.values() for r in rs]
         assert isinstance(resp.payload, Summary)
         assert_summary_close(resp.payload, naive_summary(everything, NUMERIC_FIELDS))
         # peers still shipped raw readings; aggregation happened at the client
-        assert any(e.envelope.payload_tag == "readings" for e in net.envelope_log)
+        assert any(e.envelope.payload_tag == "readings"
+                   for e in net.envelope_log[mark:])
 
 
 class TestP2PSharedResponseArray:
@@ -584,7 +585,7 @@ class TestP2PSharedResponseArray:
         net = Network(build_topology(4, seed=8))
         system = P2PBaseline(net, parts)
         system.sync(0.0)
-        net.reset_ledger()
+        mark = len(net.envelope_log)
         encoded = []
         encode_readings_ = payloads.wire.encode_readings
 
@@ -602,7 +603,8 @@ class TestP2PSharedResponseArray:
         if days == 1:  # a strict slice of the replica, a new tuple per call
             assert 0 < len(expected) < sum(map(len, parts.values()))
         assert encoded == [len(expected)]
-        responses = [e.envelope for e in net.envelope_log
+        query_phase = net.envelope_log[mark:]
+        responses = [e.envelope for e in query_phase
                      if e.envelope.kind is MessageKind.RESPONSE]
         assert sorted(env.sender for env in responses) == sorted(parts)
         arrays = [env.body.parts[1] for env in responses]
@@ -610,8 +612,8 @@ class TestP2PSharedResponseArray:
         for env in responses:
             assert bytes(env.body) == reference_encode_response(env.payload)
             assert env.wire_size == HEADER_SIZE + len(bytes(env.body))
-        assert net.ledger.total() == sum(
-            HEADER_SIZE + len(bytes(e.envelope.body)) for e in net.envelope_log)
+        assert TrafficLedger(query_phase).total() == sum(
+            HEADER_SIZE + len(bytes(e.envelope.body)) for e in query_phase)
 
 
 class TestCrossSystemEquivalence:

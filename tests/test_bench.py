@@ -552,6 +552,26 @@ def test_the_end_state_follows_what_was_delivered(system):
     assert ops.scope_key == scope + (1,)
 
 
+def test_a_replayed_ingest_logs_nothing_and_returns_the_kept_ledger():
+    """The first ingest of a seed is simulated and its log summed; a replay
+    of that seed adds no entry to its network and returns the same ledger,
+    duration and clock."""
+    partitions = bench._dataset_bundle(small_cfg(), MatrixCaches()).partitions
+    scope = ("central", "dataset")
+    replay = bench._PhaseReplay("server_store", scope)
+    runs = []
+    for _ in range(2):
+        net = Network(build_topology(3, seed=7, with_server=True,
+                                     bandwidth_bytes_per_ms=1250.0))
+        central = CentralBaseline(net, partitions, PayloadOps({}, scope))
+        duration, ledger = replay.ingest(central, net, 7)
+        runs.append((duration, ledger, list(net.envelope_log), net.clock))
+    (duration, ledger, log, clock), replayed = runs
+    assert ledger.bytes == netsim.TrafficLedger(log).bytes
+    assert ledger.get(netsim.LinkClass.NODE_SERVER, wire.MessageKind.INGEST) > 0
+    assert replayed == (duration, ledger, [], clock)
+
+
 def _two_orders(same_key):
     """Two central runs that deliver the same two batches in opposite
     orders; with `same_key` the batches hold one reading key with two

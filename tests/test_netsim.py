@@ -11,7 +11,6 @@ from syncmesh.netsim import (
     NoRoute,
     TimeLimitExceeded,
     Topology,
-    TrafficLedger,
     build_topology,
 )
 from syncmesh.wire import Envelope, MessageKind
@@ -181,6 +180,16 @@ class TestAvailability:
         net.run_until_quiescent()
         assert len(answered) == 1
 
+    def test_bytes_sent_to_a_down_receiver_are_counted(self):
+        net = Network(two_nodes(50.0))
+        net.set_available("node-01", False)
+        entry = net.send(Envelope(kind=MessageKind.QUERY, sender="node-00",
+                                  receiver="node-01", body=b"x" * 36), 0.0)
+        net.run_until_quiescent()
+        assert entry.delivered is False
+        assert net.envelope_log == [entry]
+        assert net.ledger.get(LinkClass.NODE_NODE, MessageKind.QUERY) == 100
+
     def test_down_sender_transmits_nothing(self):
         net = Network(two_nodes(50.0))
         net.set_available("node-00", False)
@@ -212,23 +221,17 @@ class TestDeterminism:
 
 
 def test_ledger_csv_format():
-    ledger = TrafficLedger()
-    ledger.add(LinkClass.NODE_NODE, MessageKind.HEARTBEAT, 64)
-    ledger.add(LinkClass.CLIENT_NODE, MessageKind.QUERY, 100)
-    ledger.add(LinkClass.CLIENT_NODE, MessageKind.QUERY, 28)
-    assert ledger.to_csv() == (
+    net = Network(build_topology(2, seed=0))
+    net.send(Envelope(kind=MessageKind.HEARTBEAT, sender="node-00",
+                      receiver="node-01"), 0.0)
+    for node_id in ("node-00", "node-01"):
+        net.send(Envelope(kind=MessageKind.QUERY, sender="client",
+                          receiver=node_id), 0.0)
+    assert net.ledger.to_csv() == (
         "link_class,message_kind,bytes\n"
         "client_node,QUERY,128\n"
         "node_node,HEARTBEAT,64\n"
     )
-
-
-def test_ledger_monotone():
-    ledger = TrafficLedger()
-    ledger.add(LinkClass.NODE_NODE, MessageKind.GOSSIP, 10)
-    before = ledger.total()
-    ledger.add(LinkClass.NODE_NODE, MessageKind.GOSSIP, 1)
-    assert ledger.total() > before
 
 
 def test_client_client_link_has_no_class():
