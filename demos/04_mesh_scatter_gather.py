@@ -1,5 +1,6 @@
 """A working mesh: heartbeats, one coordinator fanning a query out to the
-available neighbors, merged responses, and churn yielding partial results.
+available neighbors, merged responses, churn yielding partial results, and
+a query for a transformer that is not built in, dropped.
 
 Run: python demos/04_mesh_scatter_gather.py
 """
@@ -7,7 +8,8 @@ Run: python demos/04_mesh_scatter_gather.py
 from syncmesh.bench import generate_synthetic, ingest_csv_text
 from syncmesh.model import QueryRequest, Scope, TimeRange, TransformerSpec
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import MeshClient, NodeConfig, SyncMeshNode, run_query
+from syncmesh.node import MeshClient, SyncMeshNode, run_query
+from syncmesh.payloads import BUILTIN_TRANSFORMERS
 from syncmesh.store import LocalStore
 
 text = generate_synthetic(n_sensors=3, days=7, readings_per_sensor_per_day=48,
@@ -20,10 +22,10 @@ nodes = []
 for node_id, readings in sorted(partitions.items()):
     store = LocalStore(node_id)
     store.load_many(readings)
-    node = SyncMeshNode(store, NodeConfig(node_id=node_id))
+    node = SyncMeshNode(store)
     node.attach(net, topo)
     nodes.append(node)
-client = MeshClient("client")
+client = MeshClient()
 client.attach(net)
 
 # Nodes announce themselves; the coordinator only contacts fresh neighbors.
@@ -54,3 +56,12 @@ churned = QueryRequest(request_id="q-churn", range=full, scope=Scope.MESH)
 resp, rtt = run_query(net, client, "node-00", churned, net.clock + 500.0)
 print(f"after node-02 drops: {len(resp.payload)} readings, "
       f"partial={resp.partial}, contributors={sorted(resp.contributing_nodes)}")
+
+# Every node runs the same built-in transformers; a query naming any other
+# is dropped on arrival, so the client gets no answer.
+unknown = QueryRequest(request_id="q-median", range=full, scope=Scope.MESH,
+                       transformer=TransformerSpec.of("median"))
+client.send_query(net, "node-00", unknown, net.clock + 500.0)
+net.run_until_quiescent()
+print(f"built-in transformers: {sorted(BUILTIN_TRANSFORMERS)}; a query for "
+      f"'median' got {'an' if 'q-median' in client.received else 'no'} answer")

@@ -5,7 +5,7 @@ Subpackages:
   wire      - envelope framing, canonical encodings, GZIP/FASTLZ codecs
   netsim    - virtual-time network with byte-exact traffic accounting
   store     - per-node time-indexed store with range queries and aggregates
-  node      - the mesh node: coordinator, scatter-gather, transformers
+  node      - the mesh node: coordinator, scatter-gather, heartbeats
   baselines - central, sharded and p2p comparison systems
   bench     - dataset ingestion, scenario runner, experiment matrix, export
 """

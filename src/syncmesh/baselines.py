@@ -28,10 +28,10 @@ from .node import QUERY_TIME_LIMIT_MS, Gather, MeshClient, run_query
 from .payloads import (
     PayloadOps,
     all_valid,
-    answerable,
     apply_transformer,
     evaluate_query,
     fingerprint,
+    read_query,
 )
 from .store import LocalStore
 from . import wire
@@ -107,18 +107,16 @@ class CentralBaseline:
             len(batch) for _, batch in self.delivered if self._valid(batch))
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
-        if env.kind not in (MessageKind.INGEST, MessageKind.QUERY):
-            return
-        try:
-            payload = wire.read_payload(env)
-        except wire.MalformedBody:
-            return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.INGEST:
-            self.delivered.append((env, payload))
+            try:
+                batch = wire.read_payload(env)
+            except wire.MalformedBody:
+                return  # dropped: one bad envelope must not end the run
+            self.delivered.append((env, batch))
             self._store = None
             return
-        req = payload
-        if not answerable(req):
+        req = read_query(env)
+        if req is None:
             return
         resp = QueryResponse(
             request_id=req.request_id,
@@ -172,13 +170,8 @@ class ShardedBaseline:
     # -- shards --------------------------------------------------------------
 
     def _on_shard_envelope(self, net: Network, env: Envelope, now: float) -> None:
-        if env.kind is not MessageKind.QUERY:
-            return
-        try:
-            req = wire.read_payload(env)
-        except wire.MalformedBody:
-            return  # dropped: one bad envelope must not end the run
-        if not answerable(req):
+        req = read_query(env)
+        if req is None:
             return
         shard = env.receiver
         resp = QueryResponse(
@@ -197,13 +190,8 @@ class ShardedBaseline:
         if env.kind is MessageKind.RESPONSE:
             self.gather.on_response(env, now)
             return
-        if env.kind is not MessageKind.QUERY:
-            return
-        try:
-            req = wire.read_payload(env)
-        except wire.MalformedBody:
-            return  # dropped: one bad envelope must not end the run
-        if answerable(req):
+        req = read_query(env)
+        if req is not None:
             self._route(req, env.sender, now)
 
     def _route(self, req: QueryRequest, requester: str, now: float) -> None:
@@ -392,16 +380,13 @@ class P2PBaseline:
             self.gather.on_response(env, now)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
-        # GOSSIP_ECHO is a protocol ack and carries no new data.
-        if env.kind not in (MessageKind.GOSSIP, MessageKind.QUERY):
-            return
         me = env.receiver
-        try:
-            payload = wire.read_payload(env)
-        except wire.MalformedBody:
-            return  # dropped: one bad envelope must not end the run
         if env.kind is MessageKind.GOSSIP:
-            self.delivered.append((env, payload))
+            try:
+                batch = wire.read_payload(env)
+            except wire.MalformedBody:
+                return  # dropped: one bad envelope must not end the run
+            self.delivered.append((env, batch))
             self._replicas = None
             net.send(
                 Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
@@ -409,9 +394,9 @@ class P2PBaseline:
                          request_id=env.request_id, payload_tag="echo"),
                 now)
             return
-        req = payload
-        if not answerable(req):
-            return
+        req = read_query(env)
+        if req is None:
+            return  # GOSSIP_ECHO, an ack with no new data, or a query to drop
         resp = QueryResponse(
             request_id=req.request_id,
             payload=self.replicas[me].query_range(req.range),

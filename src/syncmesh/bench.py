@@ -33,8 +33,8 @@ from .model import (
     validate_reading,
 )
 from .netsim import LinkClass, Network, TrafficLedger, build_topology
-from .node import MeshClient, NodeConfig, SyncMeshNode, run_query
-from .payloads import PayloadOps
+from .node import HEARTBEAT_TIMEOUT_MS, MeshClient, SyncMeshNode, run_query
+from .payloads import BUILTIN_TRANSFORMERS, PayloadOps
 from .store import LocalStore
 from . import netsim
 
@@ -87,7 +87,8 @@ class ScenarioConfig:
     dataset: str = "synthetic"
 
     def to_json_dict(self, gather_timeout_ms: float) -> dict:
-        """The config as run, each node record with the gather deadline
+        """The config as run. Each node record holds the heartbeat timeout
+        and the transformers every node runs with, and the gather deadline
         the run derived (`_scenario_gather_timeout`)."""
         return {
             "system": self.system,
@@ -99,8 +100,10 @@ class ScenarioConfig:
             "dataset": self.dataset,
             "link_bandwidth_bytes_per_ms": DEFAULT_LINK_BANDWIDTH,
             "node_configs": [
-                NodeConfig(node_id=f"node-{i:02d}",
-                           gather_timeout_ms=gather_timeout_ms).to_json_dict()
+                {"node_id": f"node-{i:02d}",
+                 "heartbeat_timeout_ms": HEARTBEAT_TIMEOUT_MS,
+                 "gather_timeout_ms": gather_timeout_ms,
+                 "registered_transformers": sorted(BUILTIN_TRANSFORMERS)}
                 for i in range(self.n_nodes)
             ],
         }
@@ -355,10 +358,7 @@ class SyncMeshSystem:
         self.net = net
         self.nodes = []
         for node_id in sorted(stores):
-            node = SyncMeshNode(
-                stores[node_id],
-                NodeConfig(node_id=node_id, gather_timeout_ms=gather_timeout_ms),
-                ops=ops)
+            node = SyncMeshNode(stores[node_id], ops, gather_timeout_ms)
             node.attach(net, net.topology)
             self.nodes.append(node)
         self.coordinator_id = self.nodes[0].node_id

@@ -225,7 +225,8 @@ class TimeRange:
 
 @dataclass(frozen=True, slots=True)
 class TransformerSpec:
-    """Names a transformer registered on the executing node, plus flat params."""
+    """Names a built-in transformer (`payloads.BUILTIN_TRANSFORMERS`), plus
+    flat params."""
 
     name: str
     params: tuple[tuple[str, str], ...] = ()

@@ -1,6 +1,7 @@
 """The mesh node: coordinator entry point, scatter-gather over available
-neighbors, transformer dispatch with scale-to-zero accounting, and
-heartbeat-driven neighbor availability tracking.
+neighbors, and heartbeat-driven neighbor availability tracking. A node runs
+the built-in transformers of `payloads.BUILTIN_TRANSFORMERS` next to its
+data, through `payloads.evaluate_query`.
 """
 
 from __future__ import annotations
@@ -15,17 +16,10 @@ from .model import (
     ReadingSet,
     Scope,
     Summary,
-    TransformerSpec,
     validate_request,
 )
 from .netsim import CLIENT_ID, EndpointKind, Network, Topology
-from .payloads import (
-    BUILTIN_TRANSFORMERS,
-    PayloadOps,
-    TransformerUnknown,
-    answerable,
-    evaluate_query,
-)
+from .payloads import PayloadOps, evaluate_query, read_query
 from .store import LocalStore
 from . import wire
 from .wire import Envelope, MessageKind
@@ -35,25 +29,8 @@ class UnknownNode(Exception):
     """Heartbeat or request from an id that is not a topology member."""
 
 
-DEFAULT_HEARTBEAT_TIMEOUT_MS = 3000.0
-
-
-@dataclass(frozen=True)
-class NodeConfig:
-    """Per-node runtime settings; serialized into scenario config files."""
-
-    node_id: str
-    heartbeat_timeout_ms: float = DEFAULT_HEARTBEAT_TIMEOUT_MS
-    gather_timeout_ms: float | None = None  # None: default_gather_timeout_ms
-    registered_transformers: tuple[str, ...] = tuple(sorted(BUILTIN_TRANSFORMERS))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "heartbeat_timeout_ms": self.heartbeat_timeout_ms,
-            "gather_timeout_ms": self.gather_timeout_ms,
-            "registered_transformers": list(self.registered_transformers),
-        }
+# How long a neighbor counts as available after its last heartbeat.
+HEARTBEAT_TIMEOUT_MS = 3000.0
 
 
 class NeighborModel:
@@ -78,65 +55,24 @@ class NeighborModel:
         return sorted(m for m in self.members if self.is_available(m, now))
 
 
-class TransformerRegistry:
-    """Named transformer functions with an observable instance count.
-
-    The count rises for the duration of each call and returns to zero when
-    idle, mirroring on-demand function scaling. A node whose `PayloadOps`
-    memo already holds an answer runs no transformer for it, so `active`
-    counts transformer runs, not the queries that asked for one.
-    """
-
-    def __init__(self, builtins: bool = True):
-        self.functions: dict[str, object] = {}
-        self.active: dict[str, int] = {}
-        if builtins:
-            for name, fn in BUILTIN_TRANSFORMERS.items():
-                self.register(name, fn)
-
-    def register(self, name: str, fn) -> None:
-        self.functions[name] = fn
-        self.active.setdefault(name, 0)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.functions))
-
-    def run(self, spec: TransformerSpec, readings: ReadingSet) -> "ReadingSet | Summary":
-        fn = self.functions.get(spec.name)
-        if fn is None:
-            raise TransformerUnknown(spec.name)
-        self.active[spec.name] += 1
-        try:
-            return fn(readings, spec.params_dict)
-        finally:
-            self.active[spec.name] -= 1
-
-
 class SyncMeshNode:
     """One autonomous mesh node around a local store."""
 
-    def __init__(self, store: LocalStore, config: NodeConfig | None = None,
-                 registry: TransformerRegistry | None = None,
-                 ops: PayloadOps | None = None):
+    def __init__(self, store: LocalStore, ops: PayloadOps | None = None,
+                 gather_timeout_ms: float | None = None):
         self.store = store
         self.node_id = store.node_id
-        self.config = config or NodeConfig(node_id=store.node_id)
-        if registry is None:
-            registry = TransformerRegistry(builtins=False)
-            for name in self.config.registered_transformers:
-                registry.register(name, BUILTIN_TRANSFORMERS[name])
-        self.registry = registry
         self.ops = ops or PayloadOps()
         self.net: Network | None = None
         self.neighbors: NeighborModel | None = None
-        self.gather = Gather(self.node_id, self.config.gather_timeout_ms)
+        self.gather = Gather(self.node_id, gather_timeout_ms)
 
     # -- lifecycle -----------------------------------------------------------
 
     def attach(self, net: Network, topology: Topology) -> None:
         self.net = net
         members = topology.neighbors_of(self.node_id, EndpointKind.NODE)
-        self.neighbors = NeighborModel(members, self.config.heartbeat_timeout_ms)
+        self.neighbors = NeighborModel(members, HEARTBEAT_TIMEOUT_MS)
         net.register(self.node_id, self._on_envelope)
 
     # -- heartbeats ------------------------------------------------------------
@@ -162,7 +98,7 @@ class SyncMeshNode:
         validate_request(req)
         payload = self.ops.answer(
             (self.node_id,), req,
-            lambda: evaluate_query(self.store, req, run=self.registry.run))
+            lambda: evaluate_query(self.store, req))
         if req.scope is Scope.LOCAL:
             self._respond(req, requester,
                           payload=payload,
@@ -209,11 +145,8 @@ class SyncMeshNode:
         elif env.kind is MessageKind.RESPONSE:
             self.gather.on_response(env, now)
         elif env.kind is MessageKind.QUERY:
-            try:
-                req = wire.read_payload(env)
-            except wire.MalformedBody:
-                return  # dropped: one bad envelope must not end the run
-            if answerable(req, self.registry.functions):
+            req = read_query(env)
+            if req is not None:  # else dropped: it must not end the run
                 self.handle_request(req, now, requester=env.sender)
         # INGEST / GOSSIP / GOSSIP_ECHO are baseline-system kinds, ignored
         # here: nothing a mesh node receives writes to its store.
@@ -231,7 +164,10 @@ class Gather:
 
     `start` sends the query, as LOCAL, to every target and sets a deadline:
     `timeout_ms` after the start, or `default_gather_timeout_ms` of the
-    network's topology when that is None.
+    network's topology when that is None. That default covers link latency
+    only, not serialization, so an owner built without a deadline can close
+    before a large reply arrives: a direct 3-node `P2PBaseline` collect of
+    30 days closes with no reply and returns an empty, partial answer.
     A RESPONSE counts only from a target, only its first reply, and only if
     its body decodes. `finish(responses, timeouts, now)` then runs exactly
     once: when every target has replied, or when the deadline fires. It gets
@@ -286,19 +222,23 @@ class Gather:
 
 
 def default_gather_timeout_ms(topology: Topology) -> float:
-    """The gather deadline used when none is configured."""
+    """The gather deadline used when none is configured: a round trip over
+    the topology's slowest link plus 100 ms. It covers link latency only,
+    not serialization, and does not grow with the reply: an owner with no
+    deadline can close before a large reply arrives (a direct 3-node,
+    30-day `P2PBaseline` collect returns an empty, partial answer). Bench
+    runs pass the scenario's deadline instead."""
     return 2.0 * topology.max_latency_ms() + 100.0
 
 
 class MeshClient:
-    """Client endpoint that records responses as they arrive."""
+    """The client endpoint (`CLIENT_ID`); records responses as they arrive."""
 
-    def __init__(self, client_id: str = CLIENT_ID):
-        self.client_id = client_id
+    def __init__(self):
         self.received: dict[str, tuple[QueryResponse, float]] = {}
 
     def attach(self, net: Network) -> None:
-        net.register(self.client_id, self._on_envelope)
+        net.register(CLIENT_ID, self._on_envelope)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is not MessageKind.RESPONSE:
@@ -311,7 +251,7 @@ class MeshClient:
 
     def send_query(self, net: Network, target: str, req: QueryRequest, at: float) -> None:
         net.send(
-            Envelope(kind=MessageKind.QUERY, sender=self.client_id,
+            Envelope(kind=MessageKind.QUERY, sender=CLIENT_ID,
                      receiver=target, body=wire.encode_request(req),
                      request_id=req.request_id, payload_tag="query",
                      payload=req),

@@ -33,7 +33,7 @@ from . import wire
 
 
 class TransformerUnknown(Exception):
-    """The requested transformer name is not registered on this node."""
+    """The requested transformer name is not built in."""
 
 
 def transform_identity(readings: ReadingSet, params: dict[str, str]) -> ReadingSet:
@@ -53,6 +53,7 @@ def transform_downsample(readings: ReadingSet, params: dict[str, str]) -> Readin
     return in_canonical_order(readings)[::k]
 
 
+# The one transformer table: every system runs these, by name.
 BUILTIN_TRANSFORMERS = {
     "identity": transform_identity,
     "aggregate_mean": transform_aggregate_mean,
@@ -61,28 +62,30 @@ BUILTIN_TRANSFORMERS = {
 
 
 def apply_transformer(spec, readings: ReadingSet) -> "ReadingSet | Summary":
+    """The output of the built-in transformer `spec` names over readings."""
     fn = BUILTIN_TRANSFORMERS.get(spec.name)
     if fn is None:
         raise TransformerUnknown(spec.name)
     return fn(readings, spec.params_dict)
 
 
-def answerable(req: QueryRequest, transformers=BUILTIN_TRANSFORMERS) -> bool:
-    """Whether a received query passes `validate_request` and names a
-    transformer of `transformers` (name -> function) that accepts its
-    parameters, judged by a dry run on no readings. Handlers drop a query
-    that does not, so one bad request cannot end the run."""
+def read_query(env: wire.Envelope) -> QueryRequest | None:
+    """The request a QUERY envelope carries, or None for any other kind and
+    for a query to drop: its body does not decode, the request fails
+    `validate_request`, or it names a transformer that is not built in or
+    that rejects its parameters, judged by a dry run on no readings. Every
+    query handler reads through this, so one bad request cannot end the
+    run."""
+    if env.kind is not wire.MessageKind.QUERY:
+        return None
     try:
+        req = wire.read_payload(env)
         validate_request(req)
-        spec = req.transformer
-        if spec is not None:
-            fn = transformers.get(spec.name)
-            if fn is None:
-                return False
-            fn((), spec.params_dict)
-    except (ValueError, TypeError):
-        return False
-    return True
+        if req.transformer is not None:
+            apply_transformer(req.transformer, ())
+    except (ValueError, TypeError, TransformerUnknown):
+        return None
+    return req
 
 
 def all_valid(readings) -> bool:
@@ -96,14 +99,13 @@ def all_valid(readings) -> bool:
     return True
 
 
-def evaluate_query(store, req: QueryRequest,
-                   run=apply_transformer) -> "ReadingSet | Summary":
-    """The single-store answer to a query: raw readings, or the output of
-    `run(transformer, readings)`."""
+def evaluate_query(store, req: QueryRequest) -> "ReadingSet | Summary":
+    """The single-store answer to a query: raw readings, or the built-in
+    transformer's output over them."""
     readings = store.query(req.range)
     if req.transformer is None:
         return readings
-    return run(req.transformer, readings)
+    return apply_transformer(req.transformer, readings)
 
 
 def merge_payloads(parts) -> "ReadingSet | Summary":

@@ -8,9 +8,15 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from syncmesh.model import SensorReading
+from syncmesh.model import (
+    QueryRequest,
+    Scope,
+    SensorReading,
+    TimeRange,
+    TransformerSpec,
+)
 from syncmesh.netsim import Network
-from syncmesh.wire import read_payload
+from syncmesh.wire import encode_request, read_payload
 
 
 # Short streams that decompress to far more than they hold: an empty JSON
@@ -21,6 +27,28 @@ FASTLZ_BOMB = b"\x01[ " + bytes([0xE0, 255, 0]) * 40 + b"\x00]"
 FASTLZ_BOMB_OUTPUT = 2 + 40 * 264 + 1
 GZIP_BOMB_OUTPUT = 100_000
 GZIP_BOMB = zlib.compress(b"[" + b" " * (GZIP_BOMB_OUTPUT - 2) + b"]", 9)
+
+
+def _bad_query(transformer=None, scope=Scope.MESH,
+               time_range=TimeRange(1, 10**15)) -> bytes:
+    return encode_request(QueryRequest(request_id="bad", range=time_range,
+                                       scope=scope, transformer=transformer))
+
+
+# QUERY bodies that every query handler drops (`payloads.read_query`): one
+# that does not decode, one that fails validation, and transformers that are
+# not built in or that reject their parameters.
+HOSTILE_QUERIES = {
+    "not-json": b"{not json",
+    "empty-range": _bad_query(time_range=TimeRange(10, 10)),
+    "unknown-transformer": _bad_query(TransformerSpec.of("no_such_transformer")),
+    "downsample-k-0": _bad_query(TransformerSpec.of("downsample", {"k": "0"})),
+    "local-downsample-k-0": _bad_query(
+        TransformerSpec.of("downsample", {"k": "0"}), Scope.LOCAL),
+    "downsample-k-not-int": _bad_query(TransformerSpec.of("downsample", {"k": "x"})),
+    "aggregate-unknown-field": _bad_query(
+        TransformerSpec.of("aggregate_mean", {"fields": "bogus"})),
+}
 
 
 def make_reading(rng: random.Random, node_id="node-00", sensor_id=None,

@@ -31,7 +31,7 @@ from syncmesh.model import (
     TransformerSpec,
 )
 from syncmesh.netsim import LinkClass, Network, build_topology
-from syncmesh.node import MeshClient, NodeConfig, SyncMeshNode, run_query
+from syncmesh.node import MeshClient, SyncMeshNode, run_query
 from syncmesh.store import LocalStore
 from syncmesh.wire import HEADER_SIZE, MessageKind, compress, decompress, encode_readings
 
@@ -93,10 +93,10 @@ def _fresh_systems(parts):
         mesh_stores[nid].load_many(readings)
     nodes = []
     for nid in sorted(mesh_stores):
-        node = SyncMeshNode(mesh_stores[nid], NodeConfig(node_id=nid))
+        node = SyncMeshNode(mesh_stores[nid])
         node.attach(net4, topo4)
         nodes.append(node)
-    client = MeshClient("client")
+    client = MeshClient()
     client.attach(net4)
     for node in nodes:
         node.broadcast_heartbeat(0.0)
@@ -294,11 +294,10 @@ def test_c08_churn_partial_results(rng):
     for nid in node_ids:
         store = LocalStore(nid)
         store.load_many(parts[nid])
-        node = SyncMeshNode(store, NodeConfig(node_id=nid,
-                                              gather_timeout_ms=gather_timeout))
+        node = SyncMeshNode(store, gather_timeout_ms=gather_timeout)
         node.attach(net, topo)
         nodes.append(node)
-    client = MeshClient("client")
+    client = MeshClient()
     client.attach(net)
     for node in nodes:
         node.broadcast_heartbeat(0.0)

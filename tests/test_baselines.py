@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FASTLZ_BOMB, GZIP_BOMB, make_reading
+from conftest import FASTLZ_BOMB, GZIP_BOMB, HOSTILE_QUERIES, make_reading
 from oracles import (
     ReferenceReplica,
     assert_summary_close,
@@ -49,7 +49,6 @@ from syncmesh.wire import (
     MessageKind,
     compress,
     encode_readings,
-    encode_request,
     read_payload,
 )
 
@@ -644,27 +643,10 @@ class TestCrossSystemEquivalence:
         assert list(got_p2p.payload) == expected
 
 
-_BAD_QUERIES = {
-    "empty-range": QueryRequest(request_id="bad", range=TimeRange(10, 10),
-                                scope=Scope.MESH),
-    "unknown-transformer": QueryRequest(
-        request_id="bad", range=FULL, scope=Scope.MESH,
-        transformer=TransformerSpec.of("no_such_transformer")),
-    "downsample-k-0": QueryRequest(
-        request_id="bad", range=FULL, scope=Scope.MESH,
-        transformer=TransformerSpec.of("downsample", {"k": "0"})),
-    "downsample-k-not-int": QueryRequest(
-        request_id="bad", range=FULL, scope=Scope.MESH,
-        transformer=TransformerSpec.of("downsample", {"k": "x"})),
-    "aggregate-unknown-field": QueryRequest(
-        request_id="bad", range=FULL, scope=Scope.MESH,
-        transformer=TransformerSpec.of("aggregate_mean", {"fields": "bogus"})),
-}
-
-
 class TestInvalidBodies:
-    """A body that decodes to an invalid request or batch is dropped by every
-    baseline handler; later queries are still answered in full."""
+    """A query body that does not decode, or a body that decodes to an
+    invalid request or batch, is dropped by every baseline handler; later
+    queries are still answered in full."""
 
     def _system(self, rng, kind):
         topo = server_topology(3)
@@ -679,15 +661,15 @@ class TestInvalidBodies:
         system.ingest(0.0)
         return net, system, parts
 
-    @pytest.mark.parametrize("bad", sorted(_BAD_QUERIES))
+    @pytest.mark.parametrize("bad", sorted(HOSTILE_QUERIES))
     @pytest.mark.parametrize("kind, receiver", [
         ("central", "server"), ("sharded", "server"), ("sharded", "node-01"),
         ("p2p", "node-01")])
     def test_invalid_query_dropped(self, rng, kind, receiver, bad):
         net, system, parts = self._system(rng, kind)
         net.send(Envelope(kind=MessageKind.QUERY, sender="client",
-                          receiver=receiver,
-                          body=encode_request(_BAD_QUERIES[bad])), net.clock)
+                          receiver=receiver, request_id="bad",
+                          body=HOSTILE_QUERIES[bad]), net.clock)
         net.run_until_quiescent()
         assert not [e for e in net.envelope_log
                     if e.envelope.request_id == "bad" and e.envelope.sender != "client"]

@@ -268,6 +268,12 @@ class TestValidateConfig:
         record = obj["node_configs"][0]
         assert set(record) == {"node_id", "heartbeat_timeout_ms",
                                "gather_timeout_ms", "registered_transformers"}
+        assert [r["node_id"] for r in obj["node_configs"]] == [
+            "node-00", "node-01", "node-02"]
+        assert record["heartbeat_timeout_ms"] == 3000.0
+        assert record["gather_timeout_ms"] == 1234.5
+        assert record["registered_transformers"] == [
+            "aggregate_mean", "downsample", "identity"]
 
 
 class TestTrailingWindow:
@@ -428,7 +434,7 @@ def test_each_answer_is_computed_once(monkeypatch):
     summarize = payloads.summarize
 
     def counted(readings, fields):
-        if readings:  # not the dry run on no readings that `answerable` makes
+        if readings:  # not the dry run on no readings that `read_query` makes
             calls.append(len(readings))
         return summarize(readings, fields)
 

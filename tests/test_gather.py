@@ -9,7 +9,6 @@ from syncmesh.model import CodecId, QueryRequest, QueryResponse, Scope, TimeRang
 from syncmesh.netsim import Network, build_topology
 from syncmesh.node import (
     MeshClient,
-    NodeConfig,
     SyncMeshNode,
     default_gather_timeout_ms,
 )
@@ -33,17 +32,17 @@ class Owner:
         self.net = Network(build_topology(4, seed=3, with_server=kind == "router"))
         if kind == "node":
             nodes = [SyncMeshNode(LocalStore(f"node-{i:02d}"),
-                                  NodeConfig(node_id=f"node-{i:02d}",
-                                             gather_timeout_ms=timeout_ms,
-                                             heartbeat_timeout_ms=1e9))
+                                  gather_timeout_ms=timeout_ms)
                      for i in range(4)]
             for node in nodes:
                 node.attach(self.net, self.net.topology)
+                # Gathers start long after the one heartbeat round below.
+                node.neighbors.timeout_ms = 1e9
             for node in nodes[1:3]:  # node-03 sends no heartbeat: skipped
                 node.broadcast_heartbeat(0.0)
             self.net.run_until_quiescent()
             self.id, self.gather = "node-00", nodes[0].gather
-            self.client = MeshClient("client")
+            self.client = MeshClient()
             self.client.attach(self.net)
         elif kind == "router":
             system = ShardedBaseline(

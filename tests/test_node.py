@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import make_reading
+from conftest import HOSTILE_QUERIES, make_reading
 from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh.model import (
     NUMERIC_FIELDS,
@@ -8,7 +8,6 @@ from syncmesh.model import (
     QueryRequest,
     Scope,
     SensorReading,
-    Summary,
     TimeRange,
     TransformerSpec,
     canonical_order,
@@ -25,13 +24,11 @@ from syncmesh.netsim import (
 from syncmesh.node import (
     MeshClient,
     NeighborModel,
-    NodeConfig,
     SyncMeshNode,
-    TransformerRegistry,
     UnknownNode,
     run_query,
 )
-from syncmesh.payloads import TransformerUnknown
+from syncmesh.payloads import TransformerUnknown, apply_transformer, read_query
 from syncmesh.store import LocalStore
 from syncmesh.wire import MessageKind, encode_readings, encode_request
 from syncmesh.wire import Envelope
@@ -43,7 +40,7 @@ class Mesh:
     """Small fully meshed test network with one client."""
 
     def __init__(self, n=3, node_latency=50.0, client_latency=10.0,
-                 latencies=None, gather_timeout_ms=None, heartbeat_timeout_ms=3000.0):
+                 latencies=None, gather_timeout_ms=None):
         self.topo = Topology()
         self.node_ids = [f"node-{i:02d}" for i in range(n)]
         for node_id in self.node_ids:
@@ -58,13 +55,11 @@ class Mesh:
         self.stores = {nid: LocalStore(nid) for nid in self.node_ids}
         self.nodes = {}
         for nid in self.node_ids:
-            node = SyncMeshNode(
-                self.stores[nid],
-                NodeConfig(node_id=nid, gather_timeout_ms=gather_timeout_ms,
-                           heartbeat_timeout_ms=heartbeat_timeout_ms))
+            node = SyncMeshNode(self.stores[nid],
+                                gather_timeout_ms=gather_timeout_ms)
             node.attach(self.net, self.topo)
             self.nodes[nid] = node
-        self.client = MeshClient("client")
+        self.client = MeshClient()
         self.client.attach(self.net)
 
     def load(self, data: dict) -> None:
@@ -236,7 +231,7 @@ class TestHeartbeats:
         assert resp.partial is True
 
     def test_stale_heartbeat_skips_neighbor(self, rng):
-        mesh = Mesh(n=2, heartbeat_timeout_ms=3000.0)
+        mesh = Mesh(n=2)
         mesh.load(disjoint_data(rng, mesh.node_ids, per_node=2))
         mesh.heartbeat_round(at=0.0)
         resp, _ = mesh.mesh_query(at=5000.0)  # well past the timeout
@@ -246,48 +241,21 @@ class TestHeartbeats:
 
 class TestTransformers:
     def test_downsample_every_kth(self, rng):
-        registry = TransformerRegistry()
         readings = tuple(sorted((make_reading(rng, timestamp=i + 1, sensor_id="s")
                                  for i in range(10)), key=canonical_order))
-        out = registry.run(TransformerSpec.of("downsample", {"k": "2"}), readings)
+        out = apply_transformer(TransformerSpec.of("downsample", {"k": "2"}),
+                                readings)
         assert out == readings[::2]
         assert len(out) == 5
 
     def test_aggregate_mean_matches_store_oracle(self, rng):
-        registry = TransformerRegistry()
         readings = [make_reading(rng) for _ in range(400)]
-        summary = registry.run(TransformerSpec.of("aggregate_mean"), readings)
+        summary = apply_transformer(TransformerSpec.of("aggregate_mean"), readings)
         assert_summary_close(summary, naive_summary(readings, NUMERIC_FIELDS))
 
     def test_unknown_name(self):
-        registry = TransformerRegistry()
         with pytest.raises(TransformerUnknown):
-            registry.run(TransformerSpec.of("mystery"), ())
-
-    def test_scale_to_zero_observable(self, rng):
-        mesh = Mesh(n=3)
-        mesh.load(disjoint_data(rng, mesh.node_ids, per_node=5))
-        observed = []
-
-        def probed(readings, params, _registry=None):
-            observed.append({name: count
-                             for name, count in
-                             mesh.nodes["node-01"].registry.active.items()
-                             if count})
-            from syncmesh.model import summarize
-            return summarize(readings, ("temperature",))
-
-        for node in mesh.nodes.values():
-            node.registry.register("probed", probed)
-        mesh.heartbeat_round()
-        req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
-                           transformer=TransformerSpec.of("probed"))
-        resp, _ = mesh.mesh_query(req)
-        assert isinstance(resp.payload, Summary)
-        # node-01 observed itself active exactly while running
-        assert {"probed": 1} in observed
-        for node in mesh.nodes.values():
-            assert all(count == 0 for count in node.registry.active.values())
+            apply_transformer(TransformerSpec.of("mystery"), ())
 
 
 class TestTrafficInvariants:
@@ -341,35 +309,16 @@ class TestMalformedBodies:
     changes and the run goes on."""
 
     @pytest.mark.parametrize("kind, sender, body", [
-        (MessageKind.QUERY, "client", b"{not json"),
-        (MessageKind.INGEST, "node-01", encode_readings((SensorReading(
-            "node-01", "sensor-x", 5, humidity=50.0),))),
-        (MessageKind.QUERY, "client", encode_request(QueryRequest(
-            request_id="bad", range=TimeRange(10, 10), scope=Scope.MESH))),
-        (MessageKind.QUERY, "client", encode_request(QueryRequest(
-            request_id="bad", range=FULL, scope=Scope.MESH,
-            transformer=TransformerSpec.of("no_such_transformer")))),
-        (MessageKind.GOSSIP, "node-01", encode_readings((SensorReading(
-            "node-01", "sensor-x", 5, humidity=200.0),))),
-        (MessageKind.QUERY, "client", encode_request(QueryRequest(
-            request_id="bad", range=FULL, scope=Scope.MESH,
-            transformer=TransformerSpec.of("downsample", {"k": "0"})))),
-        (MessageKind.QUERY, "client", encode_request(QueryRequest(
-            request_id="bad", range=FULL, scope=Scope.LOCAL,
-            transformer=TransformerSpec.of("downsample", {"k": "0"})))),
-        (MessageKind.QUERY, "client", encode_request(QueryRequest(
-            request_id="bad", range=FULL, scope=Scope.MESH,
-            transformer=TransformerSpec.of("downsample", {"k": "x"})))),
-        (MessageKind.QUERY, "client", encode_request(QueryRequest(
-            request_id="bad", range=FULL, scope=Scope.MESH,
-            transformer=TransformerSpec.of("aggregate_mean",
-                                           {"fields": "bogus"})))),
-        (MessageKind.HEARTBEAT, "client", b""),
-    ], ids=["query-not-json", "ingest-valid-reading", "query-empty-range",
-            "query-unknown-transformer", "gossip-humidity-200",
-            "query-downsample-k-0", "local-query-downsample-k-0",
-            "query-downsample-k-not-int", "query-aggregate-unknown-field",
-            "heartbeat-from-client"])
+        pytest.param(MessageKind.INGEST, "node-01", encode_readings((SensorReading(
+            "node-01", "sensor-x", 5, humidity=50.0),)), id="ingest-valid-reading"),
+        pytest.param(MessageKind.GOSSIP, "node-01", encode_readings((SensorReading(
+            "node-01", "sensor-x", 5, humidity=200.0),)), id="gossip-humidity-200"),
+        pytest.param(MessageKind.HEARTBEAT, "client", b"", id="heartbeat-from-client"),
+        *(pytest.param(MessageKind.QUERY, "client", body,
+                       id="local-query-" + name.removeprefix("local-")
+                       if name.startswith("local-") else "query-" + name)
+          for name, body in HOSTILE_QUERIES.items()),
+    ])
     def test_bad_body_is_dropped_and_later_query_answered(self, rng, kind,
                                                            sender, body):
         topo = build_topology(3, seed=5)
@@ -381,7 +330,7 @@ class TestMalformedBodies:
             node = SyncMeshNode(store)
             node.attach(net, topo)
             nodes.append(node)
-        client = MeshClient("client")
+        client = MeshClient()
         client.attach(net)
         for node in nodes:
             node.broadcast_heartbeat(0.0)
@@ -398,10 +347,21 @@ class TestMalformedBodies:
         assert len(resp.payload) == sum(stored)
 
 
-def test_node_registers_only_configured_transformers():
-    store = LocalStore("node-00")
-    node = SyncMeshNode(store, NodeConfig(node_id="node-00",
-                                          registered_transformers=("identity",)))
-    assert node.registry.names() == ("identity",)
-    with pytest.raises(TransformerUnknown):
-        node.registry.run(TransformerSpec.of("aggregate_mean"), ())
+class TestReadQuery:
+    """`payloads.read_query`, the one rule by which every query handler
+    drops a query."""
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_QUERIES))
+    def test_hostile_query_gives_none(self, name):
+        env = Envelope(kind=MessageKind.QUERY, sender="client",
+                       receiver="node-00", body=HOSTILE_QUERIES[name])
+        assert read_query(env) is None
+
+    def test_valid_request_gives_an_equal_one(self):
+        req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
+                           transformer=TransformerSpec.of("downsample", {"k": "2"}))
+        env = Envelope(kind=MessageKind.QUERY, sender="client",
+                       receiver="node-00", body=encode_request(req))
+        assert read_query(env) == req
+        assert read_query(Envelope(kind=MessageKind.RESPONSE, sender="client",
+                                   receiver="node-00", body=env.body)) is None
