@@ -23,7 +23,7 @@ def fresh(with_server):
 # central: everything moves to the cloud first, then the client pulls it back.
 net = fresh(True)
 central = CentralBaseline(net, partitions)
-ingest_ms = central.ingest(0.0)
+ingest_ms = central.ingest()
 resp, rtt = central.query(req, net.clock + 100.0)
 print(f"central: ingest {ingest_ms:.0f} ms, query {rtt:.0f} ms, "
       f"{net.ledger.total():,} total bytes")
@@ -41,7 +41,7 @@ print(f"sharded: no ingest, query {rtt:.0f} ms, "
 # p2p: full replication, uncompressed, every data envelope echoed back.
 net = fresh(False)
 p2p = P2PBaseline(net, partitions)
-sync_ms = p2p.sync(0.0)
+sync_ms = p2p.sync()
 resp, rtt = p2p.client_collect(req, net.clock + 100.0)
 digests = {r.digest() for r in p2p.replicas.values()}
 print(f"p2p: sync {sync_ms:.0f} ms ({len(digests)} distinct replica digest), "

@@ -9,8 +9,8 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import replace
+from operator import itemgetter
 
 from .model import (
     CodecId,
@@ -61,16 +61,37 @@ def _batches(readings: ReadingSet):
         yield offset, readings[offset : offset + size]
 
 
+def _send_batches(net: Network, ops: PayloadOps, kind: MessageKind,
+                  codec: CodecId, id_prefix: str, streams) -> float:
+    """Send, at t=0, each (sender, batches, receivers) of `streams`: every
+    (offset, batch) in order, each to every receiver, encoded once. Returns
+    virtual ms to the last delivery, or 0.0 when nothing was sent."""
+    sent = False
+    for sender, batches, receivers in streams:
+        for offset, batch in batches:
+            body = ops.readings_bytes(sender, offset, batch, codec)
+            request_id = f"{id_prefix}{offset // INGEST_BATCH_SIZE:06d}"
+            for receiver in receivers:
+                net.send(Envelope(kind=kind, sender=sender, receiver=receiver,
+                                  body=body, codec=codec, request_id=request_id,
+                                  payload_tag="readings", payload=batch), 0.0)
+                sent = True
+    return net.run_until_quiescent() if sent else 0.0
+
+
 class CentralBaseline:
     """Central cloud store: ingest everything, answer queries server-side.
 
-    The server notes each INGEST batch it receives in `delivered`, in
-    arrival order, with the envelope that carried it. `server_store` is
-    the end state of those batches: built from them when first read and
-    dropped by the next batch that arrives, so the read after it builds
-    again. Nothing writes a store once it is built, so one set from
-    outside (a `bench._PhaseReplay` end state of the same batches) is read
-    as it was kept until the next batch arrives."""
+    A node ships only its own readings: the server drops an INGEST batch
+    holding a reading of another node, as it drops a body that does not
+    decode. It notes each other batch in `delivered`, in arrival order,
+    with the envelope that carried it. So no two senders write one key,
+    and `server_store`, the first copy of each key, depends only on each
+    sender's stream of batches in its own order. The store is built when
+    first read and dropped by the next batch that arrives. Nothing writes
+    a store once it is built, so one set from outside (a
+    `bench._PhaseReplay` end state of the same streams) is read as it was
+    kept until the next batch arrives."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None):
@@ -78,7 +99,6 @@ class CentralBaseline:
         self.partitions = partitions
         self.ops = ops or PayloadOps()
         self.delivered: list[tuple[Envelope, ReadingSet]] = []
-        self._valid = _Validity()
         self._store: LocalStore | None = None
         self.client = MeshClient()
         self.client.attach(net)
@@ -92,7 +112,7 @@ class CentralBaseline:
         if self._store is None:
             self._store = LocalStore(SERVER_ID)
             for _, batch in self.delivered:
-                if self._valid(batch):
+                if all_valid(batch):
                     self._store.load_many(batch)
         return self._store
 
@@ -100,18 +120,14 @@ class CentralBaseline:
     def server_store(self, store: LocalStore) -> None:
         self._store = store
 
-    def order_free(self) -> bool:
-        """Whether each loaded reading was loaded under a key of its own,
-        so that any order of the same batches leaves the same store."""
-        return len(self.server_store) == sum(
-            len(batch) for _, batch in self.delivered if self._valid(batch))
-
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.INGEST:
             try:
                 batch = wire.read_payload(env)
             except wire.MalformedBody:
                 return  # dropped: one bad envelope must not end the run
+            if any(r.node_id != env.sender for r in batch):
+                return  # dropped: a node ships only its own readings
             self.delivered.append((env, batch))
             self._store = None
             return
@@ -128,24 +144,13 @@ class CentralBaseline:
         net.send(
             self.ops.response_envelope(req, resp, SERVER_ID, env.sender), now)
 
-    def ingest(self, at: float = 0.0) -> float:
+    def ingest(self) -> float:
         """Stream every node's readings to the server; returns virtual ms from
         first send to last delivery."""
-        sent = False
-        for node_id in sorted(self.partitions):
-            for offset, batch in _batches(self.partitions[node_id]):
-                body = self.ops.readings_bytes(
-                    node_id, offset, batch, CodecId.FASTLZ)
-                self.net.send(
-                    Envelope(kind=MessageKind.INGEST, sender=node_id,
-                             receiver=SERVER_ID, body=body, codec=CodecId.FASTLZ,
-                             request_id=f"i{offset // INGEST_BATCH_SIZE:06d}",
-                             payload_tag="readings", payload=batch),
-                    at)
-                sent = True
-        if not sent:
-            return 0.0
-        return self.net.run_until_quiescent() - at
+        return _send_batches(
+            self.net, self.ops, MessageKind.INGEST, CodecId.FASTLZ, "i",
+            ((node_id, _batches(self.partitions[node_id]), (SERVER_ID,))
+             for node_id in sorted(self.partitions)))
 
     def query(self, req: QueryRequest, at: float) -> tuple[QueryResponse, float]:
         return run_query(self.net, self.client, SERVER_ID, req, at)
@@ -214,7 +219,7 @@ class ShardedBaseline:
 
         self.gather.start(self.net, req, sorted(self.stores), now, finish)
 
-    def ingest(self, at: float = 0.0) -> float:
+    def ingest(self) -> float:
         # Data already lives on the shards.
         return 0.0
 
@@ -242,23 +247,6 @@ class P2PReplica:
 
     def __len__(self) -> int:
         return len(self._readings)
-
-    def apply(self, reading: SensorReading, version: tuple) -> bool:
-        """Upsert under LWW; greater (timestamp, writer) version wins.
-        Raises ValueError when the version's timestamp is not the reading's."""
-        timestamp, writer = version
-        if timestamp != reading.timestamp:
-            raise ValueError(f"version timestamp {timestamp} is not the "
-                             f"reading's {reading.timestamp}")
-        key = reading_key(reading)
-        current = self._writers.get(key)
-        if current is not None and writer <= current:
-            return False
-        self._readings[key] = reading
-        self._writers[key] = writer
-        self._ordered = None
-        self._slices = {}
-        return True
 
     def apply_batch(self, readings: ReadingSet, writer: str) -> None:
         """LWW-apply a gossip batch; version is (reading timestamp, writer)."""
@@ -301,7 +289,7 @@ class P2PBaseline:
     when first read and dropped by the next batch that arrives (or by the
     first `sync`), so the read after it builds again. Nothing writes a
     replica once it is built, so replicas set from outside (a
-    `bench._PhaseReplay` end state of the same batches) are read as they
+    `bench._PhaseReplay` end state of the same streams) are read as they
     were kept until the next batch arrives. A batch with an invalid reading
     is no write, on every peer that receives it."""
 
@@ -327,53 +315,39 @@ class P2PBaseline:
     @property
     def replicas(self) -> dict[str, P2PReplica]:
         """Each peer's replica: its own partition once `sync` has run, then
-        each batch it received, LWW-applied in arrival order.
+        each valid batch it received, LWW-applied in arrival order.
 
-        Peers whose writes are the same multiset of (writer, batch object)
-        hold one replica, built once, when that build wrote each reading key
-        once: the end state of such writes does not depend on their order.
-        Otherwise each peer is built on its own, in its arrival order."""
+        The greater writer wins a key and one writer's first write to it
+        stays, so a replica depends only on each writer's writes in that
+        writer's order. Peers whose (writer, batch object) writes are the
+        same after a stable sort by writer hold one replica, built once."""
         if self._replicas is None:
+            writes = {node_id: [] for node_id in sorted(self.partitions)}
+            arrivals = [(origin, origin, batch)
+                        for origin, batches in (self._seeds or {}).items()
+                        for _, batch in batches]
+            arrivals += [(env.receiver, env.sender, batch)
+                         for env, batch in self.delivered]
+            for peer, writer, batch in arrivals:
+                if self._valid(batch):
+                    writes[peer].append((writer, batch))
             replicas: dict[str, P2PReplica] = {}
-            order_free: dict[frozenset, P2PReplica] = {}
-            for node_id, writes in self._peer_writes().items():
-                group = frozenset(
-                    Counter((writer, id(batch)) for writer, batch in writes).items())
-                if group in order_free:
-                    replicas[node_id] = order_free[group]
-                    continue
-                replica = replicas[node_id] = P2PReplica()
-                for writer, batch in writes:
-                    replica.apply_batch(batch, writer)
-                if len(replica) == sum(len(batch) for _, batch in writes):
-                    order_free[group] = replica
+            built: dict[tuple, P2PReplica] = {}
+            for node_id, peer_writes in writes.items():
+                peer_writes.sort(key=itemgetter(0))
+                group = tuple((writer, id(batch)) for writer, batch in peer_writes)
+                replica = built.get(group)
+                if replica is None:
+                    replica = built[group] = P2PReplica()
+                    for writer, batch in peer_writes:
+                        replica.apply_batch(batch, writer)
+                replicas[node_id] = replica
             self._replicas = replicas
         return self._replicas
 
     @replicas.setter
     def replicas(self, replicas: dict[str, P2PReplica]) -> None:
         self._replicas = replicas
-
-    def _peer_writes(self) -> dict[str, list[tuple[str, ReadingSet]]]:
-        """Each peer's writes in arrival order, as (writer, batch): its own
-        partition once `sync` has run, then each valid batch delivered."""
-        writes = {node_id: [] for node_id in sorted(self.partitions)}
-        arrivals = [(origin, origin, batch)
-                    for origin, batches in (self._seeds or {}).items()
-                    for _, batch in batches]
-        arrivals += [(env.receiver, env.sender, batch)
-                     for env, batch in self.delivered]
-        for peer, writer, batch in arrivals:
-            if self._valid(batch):
-                writes[peer].append((writer, batch))
-        return writes
-
-    def order_free(self) -> bool:
-        """Whether each write met a reading key of its own, so that any
-        order of the same batches leaves the same replicas."""
-        writes = self._peer_writes()
-        return all(len(replica) == sum(len(batch) for _, batch in writes[node_id])
-                   for node_id, replica in self.replicas.items())
 
     def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.RESPONSE:
@@ -405,34 +379,20 @@ class P2PBaseline:
         net.send(
             self.ops.response_envelope(req, resp, me, env.sender), now)
 
-    def sync(self, at: float = 0.0) -> float:
+    def sync(self) -> float:
         """Push every reading, uncompressed, from its origin to every peer."""
         if self._seeds is None:
             self._seeds = {origin: list(_batches(self.partitions[origin]))
                            for origin in sorted(self.partitions)}
             self._replicas = None
-        sent = False
-        for origin, batches in self._seeds.items():
-            peers = [p for p in self._seeds if p != origin]
-            for offset, batch in batches:
-                body = self.ops.readings_bytes(
-                    origin, offset, batch, CodecId.NONE)
-                request_id = f"g{offset // INGEST_BATCH_SIZE:06d}"
-                for peer in peers:
-                    self.net.send(
-                        Envelope(kind=MessageKind.GOSSIP, sender=origin,
-                                 receiver=peer, body=body,
-                                 request_id=request_id, payload_tag="readings",
-                                 payload=batch),
-                        at)
-                    sent = True
-        if not sent:
-            return 0.0
-        return self.net.run_until_quiescent() - at
+        return _send_batches(
+            self.net, self.ops, MessageKind.GOSSIP, CodecId.NONE, "g",
+            ((origin, batches, [p for p in self._seeds if p != origin])
+             for origin, batches in self._seeds.items()))
 
     # Alias so all systems share the ingest/query surface.
-    def ingest(self, at: float = 0.0) -> float:
-        return self.sync(at)
+    def ingest(self) -> float:
+        return self.sync()
 
     def client_collect(self, req: QueryRequest,
                        at: float) -> tuple[QueryResponse, float]:

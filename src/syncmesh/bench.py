@@ -14,7 +14,6 @@ import io
 import json
 import operator
 import statistics
-from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import chain
@@ -365,7 +364,7 @@ class SyncMeshSystem:
         self.client = MeshClient()
         self.client.attach(net)
 
-    def ingest(self, at: float = 0.0) -> float:
+    def ingest(self) -> float:
         return 0.0  # data is born local; there is nothing to ship
 
     def query(self, req: QueryRequest, at: float) -> tuple:
@@ -380,15 +379,15 @@ class _PhaseReplay:
     identical events.
 
     The end state of the phase (the central server store, the p2p replicas)
-    depends on the batches delivered and on nothing else: on their order
-    too when one reading key is written twice, on the batches alone when
-    not. So one end state is kept per distinct delivered set, under that
-    set's batch envelopes with their counts when the build wrote each key
-    once (`order_free`), else under the envelopes in arrival order; the
-    states are numbered in the order they were built. The duration, the
-    traffic ledger and the number of the end state depend on the latency
-    seed, so they are kept per seed: a new seed simulates the phase once,
-    and builds an end state only for delivered batches not seen before.
+    is a function of its streams: the batches one sender delivered to one
+    receiver, in arrival order. So one end state is kept per distinct key,
+    the delivered envelopes stably sorted by (receiver, sender), and equal
+    keys mean equal states however the streams interleave; the states are
+    numbered in the order they were built. A link serializes its sends in
+    order, so every seed that delivers every batch gives one key. The
+    duration, the traffic ledger and the number of the end state depend
+    on the latency seed, so they are kept per seed: a new seed simulates
+    the phase once, and builds an end state only for a key not seen before.
 
     The memo entries of the ingest live in `scope`, the (system, dataset)
     namespace: what a sender encodes does not depend on what arrives. The
@@ -399,7 +398,7 @@ class _PhaseReplay:
         self.state_attr = state_attr
         self.scope = scope
         self.states: list = []
-        self.numbers: dict[object, int] = {}
+        self.numbers: dict[tuple, int] = {}
         self.traffic: dict[int, tuple[float, TrafficLedger, int]] = {}
 
     def ingest(self, system, net: Network, seed: int) -> tuple[float, TrafficLedger]:
@@ -408,7 +407,7 @@ class _PhaseReplay:
         system.ops.scope_key = self.scope
         hit = self.traffic.get(seed)
         if hit is None:
-            duration = system.ingest(0.0)
+            duration = system.ingest()
             ledger = net.ledger
             number = self._end_state(system)
             self.traffic[seed] = (duration, ledger, number)
@@ -423,13 +422,12 @@ class _PhaseReplay:
     def _end_state(self, system) -> int:
         """The number of the kept end state of what `system` was delivered,
         built from its batches (the first read does that) when none is."""
-        in_order = tuple(env for env, _ in system.delivered)
-        any_order = frozenset(Counter(in_order).items())
-        number = self.numbers.get(any_order, self.numbers.get(in_order))
+        streams = tuple(sorted((env for env, _ in system.delivered),
+                               key=operator.attrgetter("receiver", "sender")))
+        number = self.numbers.get(streams)
         if number is None:
-            number = len(self.states)
+            number = self.numbers[streams] = len(self.states)
             self.states.append(getattr(system, self.state_attr))
-            self.numbers[any_order if system.order_free() else in_order] = number
         return number
 
 
@@ -585,7 +583,7 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
             system = P2PBaseline(net, bundle.partitions, ops, gather_timeout)
         try:
             if replay is None:
-                ingest_ms = system.ingest(0.0)
+                ingest_ms = system.ingest()
                 ingest_phase = net.ledger
             else:
                 ingest_ms, ingest_phase = replay.ingest(system, net, cfg.seed + rep)

@@ -68,7 +68,7 @@ def _fresh_systems(parts):
     topo = build_topology(len(parts), seed=11, with_server=True)
     net = Network(topo)
     central = CentralBaseline(net, parts)
-    central.ingest(0.0)
+    central.ingest()
     out["central"] = (net, central)
 
     topo2 = build_topology(len(parts), seed=11, with_server=True)
@@ -82,7 +82,7 @@ def _fresh_systems(parts):
     topo3 = build_topology(len(parts), seed=11, with_server=False)
     net3 = Network(topo3)
     p2p = P2PBaseline(net3, parts)
-    p2p.sync(0.0)
+    p2p.sync()
     out["p2p"] = (net3, p2p)
 
     topo4 = build_topology(len(parts), seed=11, with_server=False)
@@ -179,7 +179,7 @@ def test_c04_p2p_amplification(caches):
     topo = build_topology(n, seed=MASTER_SEED, with_server=False)
     net = Network(topo)
     system = P2PBaseline(net, bundle.partitions)
-    system.sync(0.0)
+    system.sync()
     body_bytes = 0
     envelopes = 0
     for readings in bundle.partitions.values():
@@ -261,11 +261,28 @@ C07_SHA256 = {
 }
 
 
-def test_c07_matrix_determinism(tmp_path):
+def test_c07_matrix_determinism(tmp_path, monkeypatch):
+    """Two runs write the pinned bytes, and each shares one ingest end state
+    per shipped system and dataset across all 20 seeds."""
+    made = []
+    init = MatrixCaches.__init__
+
+    def recorded(caches, *args, **kwargs):
+        init(caches, *args, **kwargs)
+        made.append(caches)
+
+    monkeypatch.setattr(MatrixCaches, "__init__", recorded)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     assert cli_main(["matrix", "--seed", "7", "--out", str(out_a), "--quiet"]) == 0
     assert cli_main(["matrix", "--seed", "7", "--out", str(out_b), "--quiet"]) == 0
+    assert len(made) == 2
+    for caches in made:
+        assert sorted((system, key[2]) for system, key in caches.phases) == [
+            (system, n) for system in ("central", "p2p") for n in (3, 6, 9, 12)]
+        for replay in caches.phases.values():
+            assert len(replay.states) == 1, replay.scope
+            assert sorted(replay.traffic) == list(range(7, 27)), replay.scope
     same = all(
         (out_a / name).read_bytes() == (out_b / name).read_bytes()
         for name in C07_SHA256
@@ -358,22 +375,23 @@ def test_c10_eventual_consistency(rng):
             writer = f"node-{sched_rng.randrange(3):02d}"
             value = float(ts % 97) + float(int(writer[-2:]))
             writes.append((SensorReading(node, sensor, ts, temperature=value),
-                           (ts, writer)))
+                           writer))
         digests = set()
         winners = {}
         for trial in range(6):
             replica = P2PReplica()
             order = writes[:]
             sched_rng.shuffle(order)
-            for reading, version in order:
-                replica.apply(reading, version)
+            for reading, writer in order:
+                replica.apply_batch((reading,), writer)
             digests.add(replica.digest())
             for r in replica.readings():
                 winners[(r.node_id, r.sensor_id, r.timestamp)] = r.temperature
         assert len(digests) == 1, schedule
         # LWW winner is the max (timestamp, writer) version for each key
         expected = {}
-        for reading, version in writes:
+        for reading, writer in writes:
+            version = (reading.timestamp, writer)
             k = (reading.node_id, reading.sensor_id, reading.timestamp)
             if k not in expected or version > expected[k][0]:
                 expected[k] = (version, reading.temperature)
@@ -387,7 +405,7 @@ def test_c10_eventual_consistency(rng):
     topo = build_topology(3, seed=2, with_server=False)
     net = Network(topo)
     system = P2PBaseline(net, parts)
-    system.sync(0.0)
+    system.sync()
     digests = {replica.digest() for replica in system.replicas.values()}
     report(10, schedules_ok == 20 and len(digests) == 1,
            f"20 collision-bearing write schedules converge; "

@@ -91,7 +91,7 @@ class TestCentral:
         topo = server_topology(3)
         net = Network(topo)
         system = CentralBaseline(net, {f"node-{i:02d}": () for i in range(3)})
-        assert system.ingest(0.0) == 0.0
+        assert system.ingest() == 0.0
         assert net.ledger.total() == 0
 
     def test_single_batch_duration_is_link_latency(self, rng):
@@ -106,14 +106,14 @@ class TestCentral:
             net, {"node-00": tuple(make_reading(rng, node_id="node-00",
                                                 timestamp=i + 1)
                                    for i in range(100))})
-        assert system.ingest(0.0) == pytest.approx(80.0)
+        assert system.ingest() == pytest.approx(80.0)
 
     def test_ingested_store_equals_union_oracle(self, rng):
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)], per_node=600)
         system = CentralBaseline(net, parts)
-        system.ingest(0.0)
+        system.ingest()
         expected = union_collect(parts, FULL.start, FULL.end)
         assert list(system.server_store.all_readings()) == expected
 
@@ -122,7 +122,7 @@ class TestCentral:
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
         system = CentralBaseline(net, parts)
-        system.ingest(0.0)
+        system.ingest()
         mark = len(net.envelope_log)
         resp, _ = system.query(collect_req(), net.clock + 100.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
@@ -139,7 +139,7 @@ class TestCentral:
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
         system = CentralBaseline(net, parts)
-        system.ingest(0.0)
+        system.ingest()
         mark = len(net.envelope_log)
         system.query(transform_req(), net.clock + 100.0)
         kinds = {kind for _, kind in TrafficLedger(net.envelope_log[mark:]).bytes}
@@ -199,7 +199,7 @@ class TestP2PSync:
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)], per_node=60)
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         body_bytes = 0
         envelopes = 0
         for nid, readings in parts.items():
@@ -220,7 +220,7 @@ class TestP2PSync:
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         digests = {nid: replica.digest() for nid, replica in system.replicas.items()}
         assert len(set(digests.values())) == 1
         expected = union_collect(parts, FULL.start, FULL.end)
@@ -232,7 +232,7 @@ class TestP2PSync:
         net = Network(build_topology(n, seed=6, with_server=False))
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         for replica in system.replicas.values():
             assert len(replica) == sum(map(len, parts.values()))
             assert all(key is r._key for key, r in replica._readings.items())
@@ -245,7 +245,7 @@ class TestP2PSync:
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         reference = ReferenceReplica()
         for origin, readings in parts.items():
             reference.apply_batch(readings, origin)
@@ -262,7 +262,7 @@ class TestP2PSync:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts)
         net.set_available("node-02", False)  # receives no gossip
-        system.sync(0.0)
+        system.sync()
         replicas = system.replicas
         assert replicas["node-01"].readings() is replicas["node-00"].readings()
         assert replicas["node-02"].readings() is not replicas["node-00"].readings()
@@ -292,7 +292,7 @@ class TestP2PSync:
         monkeypatch.setattr(P2PReplica, "apply_batch", counted_apply)
         monkeypatch.setattr(baselines, "all_valid", counted_valid)
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         replicas = list(system.replicas.values())
         total = sum(map(len, parts.values()))
         assert all(r._readings is replicas[0]._readings
@@ -301,7 +301,6 @@ class TestP2PSync:
         assert sum(applied) == total
         # 40 readings a peer in batches of 15: 3 batches each.
         assert len(judged) == len(set(judged)) == n * 3
-        assert system.order_free()
 
     def test_query_range_returns_one_tuple_per_range_until_an_apply(self, rng):
         replica = P2PReplica()
@@ -312,8 +311,8 @@ class TestP2PSync:
         assert replica.query_range(TimeRange(5, 15)) is first
         assert replica.query_range(TimeRange(5, 16)) is not first
         assert [r.timestamp for r in first] == list(range(5, 15))
-        replica.apply(make_reading(rng, node_id="node-01", timestamp=7),
-                      (7, "node-01"))
+        replica.apply_batch(
+            (make_reading(rng, node_id="node-01", timestamp=7),), "node-01")
         after_apply = replica.query_range(window)
         assert after_apply is not first and len(after_apply) == 11
         replica.apply_batch(
@@ -325,11 +324,11 @@ class TestP2PSync:
     def test_lww_last_writer_wins_any_order(self):
         base = SensorReading("node-00", "s0", 1000, temperature=1.0)
         contender = SensorReading("node-00", "s0", 1000, temperature=2.0)
-        writes = [(base, (1000, "node-00")), (contender, (1000, "node-01"))]
+        writes = [(base, "node-00"), (contender, "node-01")]
         for order in (writes, writes[::-1]):
             replica = P2PReplica()
-            for reading, version in order:
-                replica.apply(reading, version)
+            for reading, writer in order:
+                replica.apply_batch((reading,), writer)
             assert replica.readings()[0].temperature == 2.0  # node-01 wins tie
 
     def test_random_write_schedules_converge(self):
@@ -343,14 +342,14 @@ class TestP2PSync:
             writer = f"node-{rng.randrange(3):02d}"
             value = float(ts * 7 + int(writer[-2:]))
             reading = SensorReading(node, sensor, ts, temperature=value)
-            writes.append((reading, (ts, writer)))
+            writes.append((reading, writer))
         digests = set()
         for _ in range(20):
             replica = P2PReplica()
             shuffled = writes[:]
             rng.shuffle(shuffled)
-            for reading, version in shuffled:
-                replica.apply(reading, version)
+            for reading, writer in shuffled:
+                replica.apply_batch((reading,), writer)
             digests.add(replica.digest())
         assert len(digests) == 1
 
@@ -378,8 +377,8 @@ class TestP2PReplicaModel:
         replica, reference = P2PReplica(), ReferenceReplica()
         for op, arg, other in ops:
             if op == "apply":
-                version = (arg.timestamp, other)
-                assert replica.apply(arg, version) == reference.apply(arg, version)
+                replica.apply_batch((arg,), other)
+                reference.apply(arg, (arg.timestamp, other))
             elif op == "batch":
                 replica.apply_batch(tuple(arg), other)
                 reference.apply_batch(arg, other)
@@ -393,15 +392,6 @@ class TestP2PReplicaModel:
             key = (r.node_id, r.sensor_id, r.timestamp)
             assert replica.writer(key) == reference.writer(key)
         assert replica.digest() == reference.digest()
-
-    def test_version_timestamp_must_be_the_readings(self):
-        replica = P2PReplica()
-        reading = SensorReading("node-00", "s0", 1000, temperature=1.0)
-        with pytest.raises(ValueError):
-            replica.apply(reading, (999, "node-01"))
-        assert len(replica) == 0
-        assert replica.apply(reading, (1000, "node-01"))
-        assert replica.writer(("node-00", "s0", 1000)) == "node-01"
 
 
 @st.composite
@@ -496,7 +486,7 @@ class TestP2PReplicasFollowTheirWrites:
             for peer, at, up in toggles:
                 net.call_at(at, lambda net, now, peer=peer, up=up:
                             net.set_available(peer, up))
-            system.sync(0.0)
+            system.sync()
             for peer in partitions:
                 net.set_available(peer, True)
             for resend in before_read:
@@ -527,7 +517,7 @@ class TestP2PCollect:
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         return net, parts, system, len(net.envelope_log)
 
     def test_client_downloads_every_replica_fully(self, rng):
@@ -583,7 +573,7 @@ class TestP2PSharedResponseArray:
         manifest, parts = dataset
         net = Network(build_topology(4, seed=8))
         system = P2PBaseline(net, parts)
-        system.sync(0.0)
+        system.sync()
         mark = len(net.envelope_log)
         encoded = []
         encode_readings_ = payloads.wire.encode_readings
@@ -624,7 +614,7 @@ class TestCrossSystemEquivalence:
         topo = server_topology(3)
         net = Network(topo)
         central = CentralBaseline(net, parts)
-        central.ingest(0.0)
+        central.ingest()
         got_central, _ = central.query(collect_req(), net.clock + 10.0)
 
         topo2 = server_topology(3)
@@ -635,7 +625,7 @@ class TestCrossSystemEquivalence:
         topo3 = build_topology(3, seed=5, with_server=False)
         net3 = Network(topo3)
         p2p = P2PBaseline(net3, parts)
-        p2p.sync(0.0)
+        p2p.sync()
         got_p2p, _ = p2p.client_collect(collect_req(), net3.clock + 10.0)
 
         assert list(got_central.payload) == expected
@@ -658,7 +648,7 @@ class TestInvalidBodies:
             system = ShardedBaseline(net, stores_from(parts))
         else:
             system = P2PBaseline(net, parts)
-        system.ingest(0.0)
+        system.ingest()
         return net, system, parts
 
     @pytest.mark.parametrize("bad", sorted(HOSTILE_QUERIES))
@@ -772,7 +762,7 @@ class TestDeliveredBatches:
         assert system.server_store.all_readings() == stored
         assert len(system.server_store) == sum(map(len, parts.values()))
 
-    def test_an_invalid_batch_leaves_the_central_store_order_free(
+    def test_an_invalid_batch_loads_nothing_and_is_judged_once(
             self, rng, monkeypatch):
         """The server loads none of it, so it counts as no write; each
         delivered batch is validated once, by the load."""
@@ -783,24 +773,41 @@ class TestDeliveredBatches:
             return all_valid(batch)  # payloads.all_valid; only baselines is patched
 
         monkeypatch.setattr(baselines, "all_valid", counted_valid)
-        net, system, _ = TestInvalidBodies()._system(rng, "central")
+        net, system, parts = TestInvalidBodies()._system(rng, "central")
         batch = (SensorReading("node-00", "sensor-x", 9, humidity=200.0),)
         net.send(_batch_envelope(MessageKind.INGEST, "node-00", "server", batch),
                  net.clock)
         net.run_until_quiescent()
-        assert system.order_free()
+        assert list(system.server_store.all_readings()) == union_collect(
+            parts, FULL.start, FULL.end)
         assert len(judged) == len(set(judged)) == len(system.delivered) == 4
 
+    def test_a_batch_holding_another_nodes_reading_is_dropped(self, rng):
+        """node-01's batch holds node-00's reading: it is not delivered,
+        nothing of it is loaded, the run goes on, and node-00's own copy,
+        arriving later, stays."""
+        system = self._central()
+        foreign = make_reading(rng, timestamp=5)
+        own = make_reading(rng, sensor_id=foreign.sensor_id, timestamp=5)
+        mixed = (make_reading(rng, node_id="node-01", timestamp=6), foreign)
+        system.net.send(_batch_envelope(
+            MessageKind.INGEST, "node-01", "server", mixed), 0.0)
+        system.net.send(_batch_envelope(
+            MessageKind.INGEST, "node-00", "server", (own,)), 1000.0)
+        system.net.run_until_quiescent()
+        assert [env.sender for env, _ in system.delivered] == ["node-00"]
+        assert system.server_store.all_readings() == (own,)
+        resp, _ = system.query(collect_req(), system.net.clock + 10.0)
+        assert resp.payload == (own,) and resp.partial is False
+
     def test_the_first_arrival_of_a_key_stays(self, rng):
-        """node-01's copy arrives first, so it stays, though node-00 sorts
-        first."""
+        """One sender's two batches write one key: its first arrival stays."""
         system = self._central()
         early = make_reading(rng, timestamp=5)
         late = make_reading(rng, sensor_id=early.sensor_id, timestamp=5)
-        system.net.send(_batch_envelope(
-            MessageKind.INGEST, "node-01", "server", (early,)), 0.0)
-        system.net.send(_batch_envelope(
-            MessageKind.INGEST, "node-00", "server", (late,)), 1000.0)
+        for at, reading in ((0.0, early), (1000.0, late)):
+            system.net.send(_batch_envelope(
+                MessageKind.INGEST, "node-00", "server", (reading,)), at)
         system.net.run_until_quiescent()
         assert system.server_store.all_readings() == (early,)
 

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_generate, reference_ingest, union_collect
+from oracles import (
+    ReferenceReplica,
+    reference_generate,
+    reference_ingest,
+    union_collect,
+)
 from syncmesh.bench import (
     DatasetManifest,
     EmptyDataset,
@@ -400,12 +405,12 @@ class TestRunScenario:
             topo = build_topology(3, seed=seed, with_server=True,
                                   bandwidth_bytes_per_ms=1250.0)
             central = CentralBaseline(Network(topo), partitions)
-            central.ingest(0.0)
+            central.ingest()
             assert (central.server_store.all_readings()
                     == kept_store.all_readings())
             topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
             p2p = P2PBaseline(Network(topo), partitions)
-            p2p.sync(0.0)
+            p2p.sync()
             assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
                 {n: lww_state(r) for n, r in kept_replicas.items()}
 
@@ -578,20 +583,15 @@ def test_a_replayed_ingest_logs_nothing_and_returns_the_kept_ledger():
     assert replayed == (duration, ledger, [], clock)
 
 
-def _two_orders(same_key):
-    """Two central runs that deliver the same two batches in opposite
-    orders; with `same_key` the batches hold one reading key with two
-    values, else two keys."""
-    first = SensorReading("node-00", "s", 1_000, temperature=1.0)
-    second = SensorReading("node-00", "s", 1_000 if same_key else 2_000,
-                           temperature=2.0)
+def _two_orders(first, second):
+    """Two central runs that deliver one batch of `first` and one of
+    `second`, each a (sender, reading), in opposite orders."""
     runs = []
-    for send_at in ((0.0, 1000.0), (1000.0, 0.0)):
+    for order in ((first, second), (second, first)):
         topo = build_topology(2, seed=7, with_server=True,
                               bandwidth_bytes_per_ms=1250.0)
         central = CentralBaseline(Network(topo), {})
-        for sender, reading, at in zip(("node-00", "node-01"),
-                                       (first, second), send_at):
+        for at, (sender, reading) in zip((0.0, 1000.0), order):
             central.net.send(wire.Envelope(
                 kind=wire.MessageKind.INGEST, sender=sender,
                 receiver=netsim.SERVER_ID, body=wire.encode_readings((reading,)),
@@ -601,20 +601,126 @@ def _two_orders(same_key):
     return runs
 
 
-def test_the_order_of_the_batches_names_the_end_state_only_when_it_matters():
-    """Batches that write each reading key once leave one end state in any
-    order; batches that write one key twice leave the first arrival's
-    copy, so each order keeps its own."""
+def test_the_senders_streams_name_the_end_state():
+    """Two senders' batches leave one end state in either interleaving; one
+    sender's two batches that write one key with different data leave the
+    first arrival's copy, so each order keeps its own."""
     replay = bench._PhaseReplay("server_store", ("central", "dataset"))
-    assert [replay._end_state(run) for run in _two_orders(same_key=False)] \
-        == [0, 0]
-    assert [replay._end_state(run) for run in _two_orders(same_key=True)] \
+    one = ("node-00", SensorReading("node-00", "s", 1_000, temperature=1.0))
+    other = ("node-01", SensorReading("node-01", "s", 1_000, temperature=2.0))
+    rewrite = ("node-00", SensorReading("node-00", "s", 1_000, temperature=2.0))
+    assert [replay._end_state(run) for run in _two_orders(one, other)] == [0, 0]
+    assert [replay._end_state(run) for run in _two_orders(one, rewrite)] \
         == [1, 2]
     assert [[r.temperature for r in store.all_readings()]
             for store in replay.states] == [[1.0, 2.0], [1.0], [2.0]]
-    assert [replay._end_state(run) for run in _two_orders(same_key=True)] \
+    assert [replay._end_state(run) for run in _two_orders(one, rewrite)] \
         == [1, 2]
     assert len(replay.states) == 3
+
+
+# Streams over a few keys: one sender's batches may write a key twice with
+# different data, a batch may hold an invalid reading, and a central batch
+# may hold another node's reading.
+_STREAM_NODES = ("node-00", "node-01", "node-02")
+
+
+@st.composite
+def _streams(draw, system):
+    streams = {}
+    for sender in _STREAM_NODES:
+        receivers = ((netsim.SERVER_ID,) if system == "central"
+                     else [p for p in _STREAM_NODES if p != sender])
+        owners = (st.sampled_from((sender, sender, sender, "node-00"))
+                  if system == "central" else st.sampled_from(_STREAM_NODES[:2]))
+        reading = st.builds(
+            SensorReading, owners, st.just("s0"), st.integers(1, 2),
+            temperature=st.sampled_from((0.0, 1.0, 2.0)),
+            humidity=st.sampled_from((None, None, None, 200.0)))
+        for receiver in receivers:
+            batches = draw(st.lists(st.lists(reading, min_size=1, max_size=3)
+                                    .map(tuple), max_size=3))
+            if batches:
+                streams[sender, receiver] = batches
+    return streams
+
+
+def _interleaving(draw, streams):
+    """The batches of every stream, each stream in its own order, in a
+    drawn order across streams."""
+    tags = draw(st.permutations([stream for stream, batches in streams.items()
+                                 for _ in batches]))
+    batches = {stream: iter(streams[stream]) for stream in streams}
+    return [(stream, next(batches[stream])) for stream in tags]
+
+
+def _reference_state(system, net):
+    """The end state folded from the batches `net` delivered, in arrival
+    order: for central the first copy of each key of each valid batch
+    holding only its sender's readings, for p2p each peer's LWW fold of its
+    valid batches."""
+    arrived = sorted((e for e in net.envelope_log if e.delivered
+                      and e.envelope.kind in (wire.MessageKind.INGEST,
+                                              wire.MessageKind.GOSSIP)),
+                     key=lambda e: e.deliver_at)
+    batches = [(e.envelope, e.envelope.payload) for e in arrived
+               if payloads.all_valid(e.envelope.payload)]
+    if system == "central":
+        first = {}
+        for env, batch in batches:
+            if all(r.node_id == env.sender for r in batch):
+                for r in batch:
+                    first.setdefault(reading_key(r), r)
+        return in_canonical_order(first.values())
+    replicas = {peer: ReferenceReplica() for peer in _STREAM_NODES}
+    for env, batch in batches:
+        replicas[env.receiver].apply_batch(batch, env.sender)
+    return _end_state_contents(replicas)
+
+
+@pytest.mark.parametrize("system", ["central", "p2p"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_stream_key_is_exact(system, data):
+    """Three runs through one replay: two interleavings of the same
+    streams, then the first with one stream reversed. Each kept state is
+    the reference fold of its own run's deliveries, and the two
+    interleavings share one."""
+    streams = data.draw(_streams(system))
+    first = _interleaving(data.draw, streams)
+    runs = [first, _interleaving(data.draw, streams)]
+    reversible = sorted(stream for stream, batches in streams.items()
+                        if len(batches) > 1)
+    if reversible:
+        flipped = data.draw(st.sampled_from(reversible))
+        backwards = iter(streams[flipped][::-1])
+        runs.append([(stream, next(backwards) if stream == flipped else batch)
+                     for stream, batch in first])
+    replay = bench._PhaseReplay(bench._SHIPPED_STATE[system], (system, "data"))
+    numbers = []
+    for seed, order in enumerate(runs):
+        net = Network(build_topology(len(_STREAM_NODES), seed=seed,
+                                     with_server=system == "central"))
+        if system == "central":
+            shipped = CentralBaseline(net, {})
+            kind = wire.MessageKind.INGEST
+        else:
+            shipped = P2PBaseline(net, dict.fromkeys(_STREAM_NODES, ()))
+            kind = wire.MessageKind.GOSSIP
+        for i, ((sender, receiver), batch) in enumerate(order):
+            net.send(wire.Envelope(kind=kind, sender=sender, receiver=receiver,
+                                   body=encode_readings(batch), payload=batch),
+                     1000.0 * i)
+        net.run_until_quiescent()
+        replay.ingest(shipped, net, seed)
+        number = replay.traffic[seed][2]
+        numbers.append(number)
+        assert (_end_state_contents(replay.states[number])
+                == _reference_state(system, net))
+        if system == "central":
+            assert all(r.node_id == env.sender
+                       for env, batch in shipped.delivered for r in batch)
+    assert numbers[0] == numbers[1]
 
 
 @pytest.mark.parametrize("system", ["syncmesh", "central", "sharded", "p2p"])
