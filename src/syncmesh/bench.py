@@ -35,7 +35,7 @@ from .netsim import LinkClass, Network, TrafficLedger, build_topology
 from .node import HEARTBEAT_TIMEOUT_MS, MeshClient, SyncMeshNode, run_query
 from .payloads import BUILTIN_TRANSFORMERS, PayloadOps
 from .store import LocalStore
-from . import netsim
+from . import fastlz, netsim
 
 SYSTEMS = ("syncmesh", "central", "sharded", "p2p")
 SCENARIOS = ("collect", "transform")
@@ -457,12 +457,16 @@ class MatrixCaches:
     replay the recorded outcome instead of re-simulating it. `phases` holds
     one `_PhaseReplay` per (system, dataset). `topologies` holds each
     topology built, under (n_nodes, seed, with_server); no run changes one
-    after `build_topology`, so every run with that key shares it."""
+    after `build_topology`, so every run with that key shares it. `helper`
+    parses the tail of each large FASTLZ body on a second core; the command
+    that made these caches owns it and closes it. With none, every body is
+    compressed on one core, to the same bytes."""
 
     datasets: dict = field(default_factory=dict)
     topologies: dict = field(default_factory=dict)
     payloads: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
+    helper: fastlz.Helper | None = None
 
 
 @dataclass(frozen=True)
@@ -547,15 +551,22 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     """Execute one configuration: per repetition, build a network over the
     topology of its reseeded latencies (one per key in `caches`), run the
     system's ingest phase and one client request, and record timing,
-    per-link-class traffic and the result digest."""
+    per-link-class traffic and the result digest. Without `caches`, the run
+    makes its own, with a `fastlz.Helper` it closes before it returns."""
     validate_config(cfg, unsafe)
-    caches = caches if caches is not None else MatrixCaches()
+    if caches is not None:
+        return _run_scenario(cfg, caches)
+    with fastlz.Helper() as helper:
+        return _run_scenario(cfg, MatrixCaches(helper=helper))
+
+
+def _run_scenario(cfg: ScenarioConfig, caches: MatrixCaches) -> ScenarioResult:
     bundle = _dataset_bundle(cfg, caches)
     window = trailing_window(bundle.manifest, cfg.window_days)
     # One system over one dataset: the namespace of its memo entries and
     # of its kept ingest end state.
     scope = (cfg.system, bundle.key)
-    ops = PayloadOps(caches.payloads, scope_key=scope)
+    ops = PayloadOps(caches.payloads, scope_key=scope, helper=caches.helper)
     gather_timeout = _scenario_gather_timeout(bundle.manifest)
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")
@@ -752,14 +763,15 @@ def run_matrix(seed: int, out_dir, systems=SYSTEMS, scenarios=SCENARIOS,
     """Run the whole experiment grid and write matrix.csv + manifest.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    caches = MatrixCaches()
     configs = matrix_configs(seed, systems, scenarios, sizes, windows, repetitions)
     results = []
-    for i, cfg in enumerate(configs):
-        if progress is not None:
-            progress(f"[{i + 1}/{len(configs)}] {cfg.system} {cfg.scenario} "
-                     f"n={cfg.n_nodes} days={cfg.window_days}")
-        results.append(run_scenario(cfg, caches))
+    with fastlz.Helper() as helper:
+        caches = MatrixCaches(helper=helper)
+        for i, cfg in enumerate(configs):
+            if progress is not None:
+                progress(f"[{i + 1}/{len(configs)}] {cfg.system} {cfg.scenario} "
+                         f"n={cfg.n_nodes} days={cfg.window_days}")
+            results.append(run_scenario(cfg, caches))
     (out / "matrix.csv").write_text(results_to_csv(results), encoding="utf-8")
     manifest = {
         "seed": seed,

@@ -403,17 +403,30 @@ def merge_reading_sets(parts) -> ReadingSet:
     """Union of reading sets, deduplicated by key, in canonical order.
 
     A part equal to an earlier one adds nothing, so it is skipped: the p2p
-    client gets the same range from every replica."""
-    by_key: dict[tuple, SensorReading] = {}
-    keep_first = by_key.setdefault
+    client gets the same range from every replica. A tuple that is the one
+    distinct part and whose canonical keys strictly increase is that union
+    already (its identity keys, the same fields, are then unique), so it is
+    returned as it is."""
     distinct: list = []
     for part in parts:
         if any(len(part) == len(seen) and part == seen for seen in distinct):
             continue
         distinct.append(part)
+    if (len(distinct) == 1 and isinstance(distinct[0], tuple)
+            and _strictly_canonical(distinct[0])):
+        return distinct[0]
+    by_key: dict[tuple, SensorReading] = {}
+    keep_first = by_key.setdefault
+    for part in distinct:
         for key, r in zip(map(reading_key, part), part):
             keep_first(key, r)
     return in_canonical_order(by_key.values())
+
+
+def _strictly_canonical(readings: ReadingSet) -> bool:
+    """Whether the readings' canonical keys strictly increase."""
+    keys = list(map(canonical_order, readings))
+    return all(map(operator.lt, keys, keys[1:]))
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,7 @@ from .model import (
     validate_reading,
     validate_request,
 )
-from . import wire
+from . import fastlz, wire
 
 
 class TransformerUnknown(Exception):
@@ -146,11 +146,16 @@ class PayloadOps:
     envelope counts the body's length; its bytes are joined only where they
     are read. The answer is held beside its array, so its id is not reused
     while this object lives, with or without a cache.
+
+    `helper`, a `fastlz.Helper` owned by the caller, lets a large FASTLZ
+    body be parsed on two cores; the bytes are the same without it.
     """
 
-    def __init__(self, cache: dict | None = None, scope_key=()):
+    def __init__(self, cache: dict | None = None, scope_key=(),
+                 helper: fastlz.Helper | None = None):
         self.cache = cache
         self.scope_key = scope_key
+        self.helper = helper
         self._arrays: dict[int, tuple[ReadingSet, bytes]] = {}
 
     def memo(self, key: tuple, fn):
@@ -186,7 +191,8 @@ class PayloadOps:
                 return wire.Body(wire.response_parts(
                     resp, req.projection, self._readings_array))
             return wire.compress(
-                resp.codec, wire.encode_response(resp, req.projection))
+                resp.codec, wire.encode_response(resp, req.projection),
+                self.helper)
 
         body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
                           resp.codec), build)
@@ -210,7 +216,8 @@ class PayloadOps:
         partition that begins at offset `start`."""
         return self.memo(
             (sender, start, len(batch), codec),
-            lambda: wire.compress(codec, wire.encode_readings(batch)))
+            lambda: wire.compress(codec, wire.encode_readings(batch),
+                                  self.helper))
 
     # -- merging -----------------------------------------------------------
 
@@ -225,10 +232,14 @@ class PayloadOps:
                        contributing: frozenset[str] = frozenset()) -> str:
         """Hex digest of the uncompressed canonical payload encoding, the
         answer to req from the `contributing` nodes. Without a cache the
-        two may be left out."""
+        two may be left out. A readings payload whose array this object
+        holds is not encoded again."""
         def build():
             if isinstance(payload, Summary):
                 return fingerprint(canonical_json(payload.to_json_dict()))
+            held = self._arrays.get(id(payload))
+            if held is not None:
+                return fingerprint(held[1])
             return fingerprint(wire.encode_readings(payload))
 
         return self.memo((req, contributing), build)

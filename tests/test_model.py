@@ -283,6 +283,42 @@ class TestMergeRepeatedParts:
             assert changed[7] in merged
 
 
+# Readings over a few identity keys, so that parts drawn from them repeat keys.
+_KEYED_READINGS = st.builds(
+    lambda node, sensor, ts, t: SensorReading(
+        f"node-{node}", f"s{sensor}", ts, temperature=float(t)),
+    st.integers(0, 2), st.integers(0, 2), st.integers(1, 4), st.integers(-3, 3))
+
+
+@given(pool=st.lists(_KEYED_READINGS, min_size=1, max_size=12),
+       picks=st.lists(st.tuples(st.lists(st.integers(0, 11), max_size=12),
+                                st.sampled_from(["as drawn", "canonical", "again"])),
+                      max_size=5))
+@settings(max_examples=300)
+def test_merge_equals_the_dict_path_for_any_parts(pool, picks):
+    """Duplicate keys inside and across parts, unsorted parts, and a part
+    repeated as the same object or as an equal copy."""
+    parts = []
+    for indices, how in picks:
+        part = tuple(pool[i % len(pool)] for i in indices)
+        if how == "canonical":
+            part = tuple(sorted(part, key=canonical_order))
+        elif how == "again" and parts:
+            part = parts[-1] if len(parts) % 2 else tuple(list(parts[-1]))
+        parts.append(part)
+    assert _same_readings(merge_reading_sets(parts), _dict_path(parts))
+
+
+@given(pool=st.lists(_KEYED_READINGS, max_size=12, unique_by=reading_key),
+       copies=st.integers(0, 3))
+def test_one_strictly_canonical_part_comes_back_as_it_is(pool, copies):
+    part = tuple(sorted(pool, key=canonical_order))
+    parts = [part] + [part, tuple(list(part))] * copies
+    merged = merge_reading_sets(parts)
+    assert merged is part
+    assert _same_readings(merged, _dict_path(parts))
+
+
 def test_canonical_field_order_in_encoding(rng):
     reading = make_reading(rng)
     keys = list(reading.to_json_dict().keys())

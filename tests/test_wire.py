@@ -17,7 +17,8 @@ from conftest import (
     make_reading,
 )
 from oracles import reference_compress, reference_encode_response
-from syncmesh import bench, fastlz
+from syncmesh import bench, fastlz, wire
+from syncmesh.payloads import PayloadOps, fingerprint
 from syncmesh.model import (
     FIELD_NAMES,
     NUMERIC_FIELDS,
@@ -487,6 +488,30 @@ class TestResponseParts:
         assert spliced is array
         assert head + spliced + tail == reference_encode_response(resp)
         assert len(response_parts(resp, frozenset({"p1"}))) == 1
+
+    def test_a_digest_hashes_the_held_array_or_encodes(self, rng):
+        """`PayloadOps.payload_digest` hashes the readings array it holds for
+        an answer and encodes one it holds none for: the same digest."""
+        held = merge_reading_sets([[make_reading(rng) for _ in range(6)]])
+        other = merge_reading_sets([[make_reading(rng) for _ in range(4)]])
+        ops = PayloadOps()
+        req = QueryRequest(request_id="q", range=TimeRange(1, 10**12),
+                           scope=Scope.MESH)
+        ops.response_envelope(
+            req, QueryResponse(request_id="q", payload=held), "a", "b")
+        calls = []
+
+        def counted(readings):
+            calls.append(readings)
+            return encode_readings(readings)
+
+        for payload in (held, other):
+            calls.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(wire, "encode_readings", counted)
+                digest = ops.payload_digest(payload)
+            assert digest == fingerprint(encode_readings(payload))
+            assert calls == ([] if payload is held else [other])
 
 
 class TestReadPayload:
