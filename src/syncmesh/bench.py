@@ -458,9 +458,10 @@ class MatrixCaches:
     one `_PhaseReplay` per (system, dataset). `topologies` holds each
     topology built, under (n_nodes, seed, with_server); no run changes one
     after `build_topology`, so every run with that key shares it. `helper`
-    parses the tail of each large FASTLZ body on a second core; the command
-    that made these caches owns it and closes it. With none, every body is
-    compressed on one core, to the same bytes."""
+    parses the tail of each large FASTLZ body, and every second FASTLZ
+    ingest batch, on a second core; the command that made these caches
+    owns it and closes it. With none, every body is compressed on one
+    core, to the same bytes."""
 
     datasets: dict = field(default_factory=dict)
     topologies: dict = field(default_factory=dict)

@@ -20,12 +20,18 @@ that differs. This finds the same lengths as a byte-by-byte scan with far
 fewer interpreter steps, so the token stream is the one the byte-wise
 compressor wrote.
 
-Two cores. Handed a `Helper`, `compress` parses a body of at least
-`SPLIT_MIN_BYTES` in two segments at once, on a host with two usable CPUs.
-The helper, a second interpreter running this file, parses the tail
-[x, n) from an empty table; this process parses [0, x), then parses on
-past x until the two parses provably agree, and takes the helper's tokens
-from there on. The splice is exact:
+Two cores. Handed a `Helper`, on a host with two usable CPUs, `compress`
+parses a body of at least `SPLIT_MIN_BYTES` in two segments at once, and
+`compress_all` compresses a list of bodies of at least that many bytes in
+all two bodies at a time: the helper takes every second body whole while
+this process compresses the one before it. A whole body is a tail from
+offset 0 with a 0-byte window, so the helper's reply has no marks and its
+tokens are the one-core stream.
+
+The helper is a second interpreter running this file. For a split body
+it parses the tail [x, n) from an empty table; this process parses [0, x),
+then parses on past x until the two parses provably agree, and takes the
+helper's tokens from there on. The splice is exact:
 
 - The table holds, for each 3-byte key, the last inserted position.
   Inserts are every scanned position and every match tail, in increasing
@@ -47,9 +53,11 @@ from there on. The splice is exact:
 The output is the one-core stream, so the split costs no ratio; on reading
 JSON the two parses provably agree some 22-56 KB past x. The helper speaks
 length-prefixed frames over its stdin and stdout, with marks sent as
-packed integers; a helper that cannot start, dies or sends a bad frame is
-closed, and `compress` parses alone. Only the wall-clock time depends on
-it, never a byte.
+packed integers. One body at a time is with the helper: its reply is read
+before the next body is sent, so neither pipe can fill in both directions.
+A helper that cannot start, dies or sends a bad frame is closed, and every
+body from then on is compressed in this process. Only the wall-clock time
+depends on it, never a byte.
 
 Decompression writes at most `MAX_OUTPUT` bytes: a stream that would write
 more raises ValueError before it does, so a few hundred bytes of long-match
@@ -79,15 +87,43 @@ def compress(data: bytes, helper: "Helper | None" = None) -> bytes:
     """The token stream of `data`. Given a `Helper`, a body of at least
     `SPLIT_MIN_BYTES` is parsed on two cores, as the module docstring
     describes; the bytes are the same either way."""
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise TypeError("expected bytes")
-    data = bytes(data)
+    data = _as_bytes(data)
     n = len(data)
     if n < _MIN_MATCH + 1:
         return _emit_all_literals(data)
     if helper is not None and n >= SPLIT_MIN_BYTES:
         return _compress(data, helper, (n - _WINDOW // 2) // 2, _WINDOW)
     return _compress(data)
+
+
+def compress_all(bodies, helper: "Helper | None" = None) -> list[bytes]:
+    """`[compress(b) for b in bodies]`. Given a `Helper`, two or more bodies
+    of at least `SPLIT_MIN_BYTES` in all are compressed two at a time: every
+    second body goes whole to the helper while this process compresses the
+    body before it, and then the reply is read. A body the helper declines,
+    or whose reply fails, is compressed here; the bytes are the same either
+    way."""
+    bodies = [_as_bytes(body) for body in bodies]
+    if (helper is None or len(bodies) < 2
+            or sum(map(len, bodies)) < SPLIT_MIN_BYTES):
+        return [compress(body, helper) for body in bodies]
+    out = []
+    for mine, theirs in zip(bodies[0::2], bodies[1::2]):
+        # The reply is read before the next send, and `mine` is compressed
+        # without the helper: only one body is ever with it.
+        taken = helper.send(theirs, 0, 0)
+        out.append(compress(mine))
+        reply = helper.reply() if taken else None
+        out.append(compress(theirs) if reply is None else reply[1])
+    if len(bodies) % 2:
+        out.append(compress(bodies[-1], helper))
+    return out
+
+
+def _as_bytes(data) -> bytes:
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise TypeError("expected bytes")
+    return bytes(data)
 
 
 def _compress(data: bytes, helper=None, split: int = 0, window: int = 0) -> bytes:
@@ -239,7 +275,8 @@ def _parse_tail(tail: bytes, window: int) -> tuple[bytes, bytearray]:
 
 class Helper:
     """The second interpreter that parses the tail of a large body for
-    `compress`, one body at a time.
+    `compress`, or a whole body for `compress_all`, one body at a time: the
+    reply to each body is read before the next is sent.
 
     Its process, `sys.executable -I -S` running this file, starts on the
     first body it is sent, and only on a host with two or more usable CPUs;
@@ -259,8 +296,9 @@ class Helper:
         self.close()
 
     def send(self, data: bytes, split: int, window: int) -> bool:
-        """Hand the helper `data[split:]` and the window its marks cover;
-        False if it cannot take them."""
+        """Hand the helper `data[split:]` and the window its marks cover
+        (`data` whole with a 0-byte window for `compress_all`); False if it
+        cannot take them."""
         if self._closed:
             return False
         try:

@@ -135,8 +135,9 @@ class PayloadOps:
     number of that end state to the namespace of its query. Keys of
     different methods differ in length, so they never meet: one part for
     an answer, two for a digest, three for a merge, four for an encoded
-    batch and five for a response body. With cache=None every call
-    computes afresh.
+    batch and five for a response body. `batch_bodies` takes a list of
+    batches in one call, and still keys each body on its own, with four
+    parts. With cache=None every call computes afresh.
 
     An uncompressed (`CodecId.NONE`) response body is sent as a `wire.Body`
     of parts and never joined here: its readings array is encoded once per
@@ -148,7 +149,9 @@ class PayloadOps:
     while this object lives, with or without a cache.
 
     `helper`, a `fastlz.Helper` owned by the caller, lets a large FASTLZ
-    body be parsed on two cores; the bytes are the same without it.
+    response body be parsed on two cores, and the FASTLZ batches of one
+    `batch_bodies` call be compressed two at a time; the bytes are the same
+    without it.
     """
 
     def __init__(self, cache: dict | None = None, scope_key=(),
@@ -210,14 +213,23 @@ class PayloadOps:
                 readings, wire.encode_readings(readings))
         return held[1]
 
-    def readings_bytes(self, sender: str, start: int, batch: ReadingSet,
-                       codec: CodecId) -> bytes:
-        """The compressed encoding of `batch`, the slice of the sender's
-        partition that begins at offset `start`."""
-        return self.memo(
-            (sender, start, len(batch), codec),
-            lambda: wire.compress(codec, wire.encode_readings(batch),
-                                  self.helper))
+    def batch_bodies(self, batches, codec: CodecId) -> list:
+        """The compressed encoding of each (sender, start, batch) of
+        `batches`, where the batch is the slice of the sender's partition
+        that begins at offset `start`. Each body is memoized under its own
+        key, once per batch; the FASTLZ bodies the cache lacks are
+        compressed together by `fastlz.compress_all`."""
+        keys = [(sender, start, len(batch), codec)
+                for sender, start, batch in batches]
+        missing = [i for i, key in enumerate(keys) if self.cache is None
+                   or (self.scope_key,) + key not in self.cache]
+        bodies = [wire.encode_readings(batches[i][2]) for i in missing]
+        if codec is CodecId.FASTLZ:
+            bodies = fastlz.compress_all(bodies, self.helper)
+        else:
+            bodies = [wire.compress(codec, body) for body in bodies]
+        fresh = dict(zip(missing, bodies))
+        return [self.memo(key, lambda: fresh[i]) for i, key in enumerate(keys)]
 
     # -- merging -----------------------------------------------------------
 

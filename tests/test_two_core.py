@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_compress
-from syncmesh import bench, fastlz
+from syncmesh import baselines, bench, fastlz
 from syncmesh.model import merge_reading_sets
 from syncmesh.wire import encode_readings
 
@@ -26,15 +26,44 @@ TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
 
 
 class InProcessHelper:
-    """The helper's side of a split parse, run in this process."""
+    """The helper's side of a split parse or a whole body, run in this
+    process; it holds one body at a time, as a real helper's caller must."""
+
+    _reply = None
 
     def send(self, data, split, window):
+        assert self._reply is None, "a second body sent before the reply"
         self._reply = fastlz._parse_tail(data[split:], window)
         return True
 
     def reply(self):
-        marks, out = self._reply
+        (marks, out), self._reply = self._reply, None
         return memoryview(marks).cast("q"), bytes(out)
+
+
+class FailingHelper(InProcessHelper):
+    """An `InProcessHelper` that, at its `at`-th send, declines it or takes
+    it and then has no reply; from then on it declines, as a closed helper
+    does."""
+
+    def __init__(self, at, how):
+        self.at, self.how, self.sends, self.closed = at, how, 0, False
+
+    def send(self, data, split, window):
+        if self.closed:
+            return False
+        self.sends += 1
+        if self.sends == self.at and self.how == "declines":
+            self.closed = True
+            return False
+        return super().send(data, split, window)
+
+    def reply(self):
+        got = super().reply()
+        if self.sends == self.at and self.how == "no reply":
+            self.closed = True
+            return None
+        return got
 
 
 @pytest.fixture
@@ -111,6 +140,52 @@ def test_a_split_parse_writes_the_reference_stream(splices):
 
     split_parse()
     assert splices["spliced"] and splices["fall-back"], splices
+
+
+def test_compress_all_writes_each_reference_stream(monkeypatch):
+    """Any list of bodies, short ones and an odd count among them, with a
+    helper that takes every second body, that declines one partway through
+    or that has no reply for one: each output is the one-core stream."""
+    monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)  # every list of two
+
+    @given(bodies=st.lists(st.one_of(_bodies(), st.binary(max_size=3)),
+                           max_size=7),
+           how=st.sampled_from(["takes all", "declines", "no reply"]),
+           at=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def compress_all(bodies, how, at):
+        helper = FailingHelper(at, how)
+        event(f"{'odd' if len(bodies) % 2 else 'even'} count, {how}")
+        out = fastlz.compress_all(bodies, helper)
+        assert out == [reference_compress(body) for body in bodies]
+        assert helper._reply is None
+
+    compress_all()
+
+
+@TWO_CPUS
+def test_the_seed7_ingest_batches_through_a_real_helper(monkeypatch):
+    """The 36 FASTLZ batches of a 12-node central ingest over the seed-7
+    dataset, compressed two at a time with a real helper."""
+    text = bench.generate_synthetic(12, 30, 48, seed=7, balance_across=12)
+    _, parts = bench.ingest_csv_text(text, 12)
+    bodies = [encode_readings(batch) for node in sorted(parts)
+              for _, batch in baselines._batches(parts[node])]
+    replies = []
+    reply = fastlz.Helper.reply
+
+    def recorded(helper):
+        got = reply(helper)
+        replies.append(got is not None)
+        return got
+
+    monkeypatch.setattr(fastlz.Helper, "reply", recorded)
+    with fastlz.Helper() as helper:
+        two_core = fastlz.compress_all(bodies, helper)
+    assert len(bodies) == 36 and replies == [True] * 18
+    assert two_core == [fastlz.compress(body) for body in bodies]
 
 
 @TWO_CPUS
@@ -197,44 +272,70 @@ def test_the_helper_has_exited_when_a_command_raises(monkeypatch, started, splic
 
 @NO_LEAKS
 @TWO_CPUS
-@pytest.mark.parametrize("when", ["after the first send", "after a reply"])
+@pytest.mark.parametrize("when, system", [
+    pytest.param("after the first send", "sharded", id="after the first send"),
+    pytest.param("after a reply", "sharded", id="after a reply"),
+    pytest.param("after the first send", "central",
+                 id="central, after the first send"),
+    pytest.param("after a reply", "central", id="central, after a reply"),
+])
 def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
-        monkeypatch, started, splices, when):
+        monkeypatch, started, splices, when, system):
+    """A sharded collect splits its large response bodies; a central
+    collect sends its helper every second ingest batch first. After the
+    kill every body is compressed in this process."""
     send, reply = fastlz.Helper.send, fastlz.Helper.reply
+    taken, replies = [], []
 
     def kill(helper):
         helper._proc.kill()
         helper._proc.wait(timeout=10)
 
     def send_then_kill(helper, *args):
-        taken = send(helper, *args)
-        if when == "after the first send" and taken:
+        taken.append(send(helper, *args))
+        if when == "after the first send" and taken[-1]:
             kill(helper)
-        return taken
+        return taken[-1]
 
     def reply_then_kill(helper):
         got = reply(helper)
+        replies.append(got is not None)
         if when == "after a reply" and got is not None:
             kill(helper)
         return got
 
     monkeypatch.setattr(fastlz.Helper, "send", send_then_kill)
     monkeypatch.setattr(fastlz.Helper, "reply", reply_then_kill)
-    rows = bench.run_scenario(_config()).rows
-    assert splices["spliced"] == (0 if when == "after the first send" else 1)
+    rows = bench.run_scenario(_config(system)).rows
+    killed_at_send = when == "after the first send"
+    assert taken.count(True) == 1 and taken[0]
+    assert replies == [not killed_at_send]
+    assert splices["spliced"] == (
+        1 if system == "sharded" and not killed_at_send else 0)
     assert _exited(started) == [True]  # and never restarted
-    assert rows == _one_core_rows(_config())
+    assert rows == _one_core_rows(_config(system))
 
 
 @NO_LEAKS
 @pytest.mark.parametrize("system, scenario", [
     ("syncmesh", "collect"), ("syncmesh", "transform"), ("p2p", "collect"),
-    ("p2p", "transform"), ("central", "transform"), ("sharded", "transform"),
+    ("p2p", "transform"), ("sharded", "transform"),
 ])
 def test_a_command_without_a_large_fastlz_body_starts_no_process(
         started, system, scenario):
     bench.run_scenario(_config(system, scenario))
     assert _exited(started) == []
+
+
+@NO_LEAKS
+@TWO_CPUS
+def test_a_central_ingest_starts_one_helper_and_closes_it(started):
+    """A 3-node central transform sends no large body, but its nine ingest
+    batches (about 855 KB) go to the helper two at a time."""
+    cfg = _config("central", "transform")
+    rows = bench.run_scenario(cfg).rows
+    assert _exited(started) == [True]
+    assert rows == _one_core_rows(cfg)
 
 
 @NO_LEAKS
