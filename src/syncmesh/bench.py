@@ -461,13 +461,19 @@ class MatrixCaches:
     parses the tail of each large FASTLZ body, and every second FASTLZ
     ingest batch, on a second core; the command that made these caches
     owns it and closes it. With none, every body is compressed on one
-    core, to the same bytes."""
+    core, to the same bytes. `endings` holds the `fastlz.Ending` of each
+    FASTLZ readings response parsed whole, under (head bytes, sha256 of the
+    readings array): its stream, which `payloads` holds too, and two
+    integers per body, kept for the command so that a later body with the
+    same head and array, such as the sharded router's answer after
+    central's, resumes that parse (`PayloadOps`)."""
 
     datasets: dict = field(default_factory=dict)
     topologies: dict = field(default_factory=dict)
     payloads: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
     helper: fastlz.Helper | None = None
+    endings: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -567,7 +573,8 @@ def _run_scenario(cfg: ScenarioConfig, caches: MatrixCaches) -> ScenarioResult:
     # One system over one dataset: the namespace of its memo entries and
     # of its kept ingest end state.
     scope = (cfg.system, bundle.key)
-    ops = PayloadOps(caches.payloads, scope_key=scope, helper=caches.helper)
+    ops = PayloadOps(caches.payloads, scope_key=scope, helper=caches.helper,
+                     endings=caches.endings)
     gather_timeout = _scenario_gather_timeout(bundle.manifest)
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")

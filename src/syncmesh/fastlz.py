@@ -59,6 +59,40 @@ A helper that cannot start, dies or sends a bad frame is closed, and every
 body from then on is compressed in this process. Only the wall-clock time
 depends on it, never a byte.
 
+Resume. `compress_ending` returns a body's stream as part of the `Ending`
+of its parse, with a reach and an anchor: as the scan first enters the
+body's last `_KEEP` (12 KiB) bytes, where its pending literals (or its
+next token) start, and the stream's length there. The process that parses
+those bytes notes them: this one, or the helper for a split body's tail,
+whose reply carries them in a third frame; this process shifts them by the
+split and the splice, or takes the splice itself if the helper's reach
+lies before it. `compress` is `compress_ending`'s stream. The tokens from
+the reach on give every match made from there: consecutive match tokens
+of one distance are one match that `_emit_match` split, since two matches
+in a row never share a distance: the first stopped at a byte that differs
+from the byte that distance back, and a second match of that distance
+would begin by matching the two. `resume` takes a body D
+whose first d bytes are those of a kept body K. It copies K's stream up to
+r, the last match end in those tokens with r + 2 <= d; rebuilds the table
+by replaying the inserts over [r - 8192, r) (every scanned position, every
+match start and every match tail), with keys read from D; and parses D
+from r to its end. If there is no such r, or r - 8192 lies before the
+reach, D is compressed whole. The stream is the one `compress` writes
+for D:
+
+- The parse state at a scan position p depends only on data[:p+2]. That
+  state is the stream written so far, `lit_start`, and every table entry
+  that a lookup from p on can accept. A token before p was decided by the
+  bytes before p and, for a match that ends at p, by the byte at p that
+  stopped it; the last insert before p, that match's tail p - 1, is keyed
+  by data[p-1:p+2].
+- Lookups from p on accept only positions in [p - 8192, p). The inserts
+  there are the ones the replay makes, in the same increasing order, so
+  for every key the rebuilt table holds the position D's table would, or
+  one that no lookup from p on accepts.
+- At r, a match end (so `lit_start` is r) with r + 2 <= d, D's parse is
+  therefore in K's state, and its tokens from r on are the tail's parse.
+
 Decompression writes at most `MAX_OUTPUT` bytes: a stream that would write
 more raises ValueError before it does, so a few hundred bytes of long-match
 tokens cannot grow into gigabytes. The largest body a benchmark sends is
@@ -80,6 +114,7 @@ MAX_OUTPUT = 64 * 1024 * 1024  # most bytes any codec's decompress writes
 SPLIT_MIN_BYTES = 192 * 1024  # the smallest body parsed on two cores
 _WINDOW = 64 * 1024  # how far past the split the two parses must agree
 _STEP = 2048  # bytes parsed between two looks for agreement
+_KEEP = 12 * 1024  # how far before a body's end its ending's reach lies
 _FRAME = struct.Struct(">Q")  # a frame's length, then its bytes
 
 
@@ -87,13 +122,101 @@ def compress(data: bytes, helper: "Helper | None" = None) -> bytes:
     """The token stream of `data`. Given a `Helper`, a body of at least
     `SPLIT_MIN_BYTES` is parsed on two cores, as the module docstring
     describes; the bytes are the same either way."""
+    return compress_ending(data, helper).stream
+
+
+def compress_ending(data: bytes, helper: "Helper | None" = None) -> "Ending":
+    """`compress(data, helper)`, as the stream of the `Ending` of its parse,
+    which `resume` continues."""
     data = _as_bytes(data)
     n = len(data)
-    if n < _MIN_MATCH + 1:
-        return _emit_all_literals(data)
     if helper is not None and n >= SPLIT_MIN_BYTES:
-        return _compress(data, helper, (n - _WINDOW // 2) // 2, _WINDOW)
+        return _compress(data, helper, max((n - _WINDOW // 2) // 2, 0), _WINDOW)
     return _compress(data)
+
+
+def resume(data: bytes, kept: "Ending", common: int) -> bytes | None:
+    """The token stream of `data`, whose first `common` bytes are those of
+    the body that `kept` ended, from `kept`'s stream up to r, the last
+    match end past its reach with r + 2 <= common, and a parse of the rest
+    over the table rebuilt from its matches; None if there is no such r or
+    r - 8192 lies before the reach. The module docstring says why the bytes
+    are `compress(data)`'s."""
+    data = _as_bytes(data)
+    n = len(data)
+    matches = _matches(kept.stream, kept.anchor, kept.reach, common - 2)
+    if not matches:
+        return None
+    r, length = matches[-2], matches[-1]
+    start = max(r - _MAX_DISTANCE, 0)
+    if start < kept.reach:
+        return None
+    table: dict[bytes, int] = {}
+    scan = start  # the first position whose insert is not replayed yet
+    for i in range(0, len(matches), 3):
+        begin, end = matches[i], matches[i + 1]
+        if end <= start:
+            continue
+        # The literals before the match and its start are scanned positions;
+        # a match that begins before `start` leaves only its tail.
+        for pos in range(scan, begin + 1):
+            table[data[pos : pos + 3]] = pos
+        table[data[end - 1 : end + 2]] = end - 1
+        scan = end
+    tail = bytearray()
+    _, lit_start = _parse(data, r, n, table, tail, r, None)
+    _flush_literals(tail, data, lit_start, n)
+    return b"".join((memoryview(kept.stream)[:length], tail))
+
+
+def _matches(stream: bytes, length: int, pos: int, stop: int) -> list[int]:
+    """The start, end and stream length after each match that the tokens of
+    `stream` from `length` on make, where the input stands at `pos`, up to
+    the last one that ends by `stop`. Consecutive match tokens of one
+    distance are one match, as the module docstring says."""
+    found: list[int] = []
+    distance = 0  # of the token just read; 0 after a literal run
+    size = len(stream)
+    while length < size and pos <= stop:
+        ctrl = stream[length]
+        if ctrl < 0x20:  # a literal run
+            pos += ctrl + 1
+            length += ctrl + 2
+            distance = 0
+            continue
+        if ctrl < 0xE0:  # a short match
+            match = (ctrl >> 5) + 2
+            low = stream[length + 1]
+            length += 2
+        else:  # a long match
+            match = stream[length + 1] + 9
+            low = stream[length + 2]
+            length += 3
+        token_distance = ((ctrl & 0x1F) << 8 | low) + 1
+        if token_distance == distance:  # the same match, split
+            found[-2:] = pos + match, length
+        else:
+            found += (pos, pos + match, length)
+        distance = token_distance
+        pos += match
+    # The match read last may end past `stop`; any before it ends by its start.
+    if found and found[-2] > stop:
+        del found[-3:]
+    return found
+
+
+class Ending:
+    """The end of a body's parse, kept so that a body with the same prefix
+    can `resume` it: `stream` is the body's token stream, `reach` the input
+    position where one of its tokens starts, and `anchor` the length of the
+    stream before that token. `resume` reads the tokens on from there."""
+
+    __slots__ = ("stream", "reach", "anchor")
+
+    def __init__(self, stream: bytes, reach: int, anchor: int):
+        self.stream = stream
+        self.reach = reach
+        self.anchor = anchor
 
 
 def compress_all(bodies, helper: "Helper | None" = None) -> list[bytes]:
@@ -126,12 +249,13 @@ def _as_bytes(data) -> bytes:
     return bytes(data)
 
 
-def _compress(data: bytes, helper=None, split: int = 0, window: int = 0) -> bytes:
+def _compress(data: bytes, helper=None, split: int = 0,
+              window: int = 0) -> Ending:
     """The token stream of `data`, with the tail from `split` on parsed by
-    `helper` if it takes it; the two parses must agree within `window`
-    bytes past `split`. This process parses half the window past `split`
-    before it waits for the helper, since they rarely agree sooner."""
-    n = len(data)
+    `helper` if it takes it, as the stream of its `Ending`; the two parses
+    must agree within `window` bytes past `split`. This process parses half
+    the window past `split` before it waits for the helper, since they
+    rarely agree sooner."""
     out = bytearray()
     table: dict[bytes, int] = {}
     pos = lit_start = 0
@@ -142,16 +266,34 @@ def _compress(data: bytes, helper=None, split: int = 0, window: int = 0) -> byte
                                 lit_start, mine)
         reply = helper.reply()
         if reply is not None:
-            theirs, tail = reply
+            theirs, tail, (reach, anchor) = reply
             pos, lit_start, splice = _parse_to_agreement(
                 data, split, window, table, out, pos, lit_start, mine, theirs)
             if splice is not None:
-                del out[splice[0]:]
-                out += memoryview(tail)[splice[1]:]
-                return bytes(out)
-    pos, lit_start = _parse(data, pos, n, table, out, lit_start, None)
+                at, mine_length, their_length = splice
+                del out[mine_length:]
+                out += memoryview(tail)[their_length:]
+                if reach + split < at:  # the helper's reach is not spliced in
+                    reach, anchor = at - split, their_length
+                return Ending(bytes(out), reach + split,
+                              anchor + mine_length - their_length)
+    reach, anchor = _finish(data, pos, table, out, lit_start)
+    return Ending(bytes(out), reach, anchor)
+
+
+def _finish(data: bytes, pos: int, table: dict, out: bytearray,
+            lit_start: int, marks: list | None = None) -> tuple[int, int]:
+    """Parse from `pos` to the end of `data`, with `marks` as `_parse`
+    takes them, and flush the last literals; returns the reach and anchor
+    of the ending: the start of the pending literals, or of the next token,
+    at the first scan position in the last `_KEEP` bytes (or `pos`, if
+    later), and the length of `out` there."""
+    n = len(data)
+    pos, lit_start = _parse(data, pos, n - _KEEP, table, out, lit_start, marks)
+    reach, anchor = lit_start, len(out)
+    pos, lit_start = _parse(data, pos, n, table, out, lit_start, marks)
     _flush_literals(out, data, lit_start, n)
-    return bytes(out)
+    return reach, anchor
 
 
 def _parse(data: bytes, pos: int, stop: int, table: dict, out: bytearray,
@@ -236,10 +378,10 @@ def _parse_to_agreement(data: bytes, split: int, window: int, table: dict,
     `mine` and `theirs` hold (start, end, length of the stream after it)
     for each match of this parse from `split` on and of the helper's, whose
     positions count from `split`. Returns where the scan stopped, its
-    literal start, and the splice: the lengths of `out` and of the helper's
-    stream at the first match end p where both parses made the same matches
-    over [q, p), for a match end q of both with p - q >= 8192; or None if
-    there is none in the window."""
+    literal start, and the splice: the first match end p where both parses
+    made the same matches over [q, p), for a match end q of both with
+    p - q >= 8192, and the lengths there of `out` and of the helper's
+    stream; or None if there is none in the window."""
     at = dict(zip(theirs[0::3], range(0, len(theirs), 3)))
     end = min(split + window, len(data) - 2)
     run = None  # (q, its index in mine, in theirs) of the matches in common
@@ -253,7 +395,7 @@ def _parse_to_agreement(data: bytes, split: int, window: int, table: dict,
             elif run is None or k - run[2] != i - run[1]:
                 run = (stop, i, k)
             elif stop - run[0] >= _MAX_DISTANCE:
-                return pos, lit_start, (mine[i + 2], theirs[k + 2])
+                return pos, lit_start, (stop, mine[i + 2], theirs[k + 2])
             i += 3
         if pos >= end:
             return pos, lit_start, None
@@ -261,16 +403,19 @@ def _parse_to_agreement(data: bytes, split: int, window: int, table: dict,
                                 lit_start, mine)
 
 
-def _parse_tail(tail: bytes, window: int) -> tuple[bytes, bytearray]:
+def _parse_tail(tail: bytes, window: int) -> tuple[bytes, bytearray, bytes]:
     """The helper's reply for a tail: the marks of its matches within
-    `window` bytes, packed, and its token stream."""
+    `window` bytes, packed, its token stream, and the reach and anchor of
+    its ending, packed."""
     out = bytearray()
     table: dict[bytes, int] = {}
     marks: list[int] = []
-    pos, lit_start = _parse(tail, 0, window, table, out, 0, marks)
-    pos, lit_start = _parse(tail, pos, len(tail), table, out, lit_start, None)
-    _flush_literals(out, tail, lit_start, len(tail))
-    return struct.pack(f"{len(marks)}q", *marks), out
+    pos, lit_start = _parse(tail, 0, min(window, len(tail) - _KEEP), table,
+                            out, 0, marks)
+    # A window that reaches into the last `_KEEP` bytes is marked to the end.
+    ending = _finish(tail, pos, table, out, lit_start,
+                     marks if pos < window else None)
+    return struct.pack(f"{len(marks)}q", *marks), out, struct.pack("2q", *ending)
 
 
 class Helper:
@@ -323,14 +468,19 @@ class Helper:
             return False
         return True
 
-    def reply(self) -> tuple[memoryview, bytes] | None:
-        """The helper's marks and token stream for the tail last sent, as
-        `_parse_tail` writes them; None if the helper failed."""
+    def reply(self) -> tuple[memoryview, bytes, memoryview] | None:
+        """The helper's marks, token stream, and ending's reach and anchor
+        for the tail last sent, as `_parse_tail` writes them; None if the
+        helper failed."""
         try:
             marks = memoryview(self._read()).cast("q")
             if len(marks) % 3:
                 raise ValueError("marks frame is not whole marks")
-            return marks, self._read()
+            tokens = self._read()
+            ending = memoryview(self._read()).cast("q")
+            if len(ending) != 2:
+                raise ValueError("ending frame is not a reach and an anchor")
+            return marks, tokens, ending
         except (OSError, ValueError, TypeError):
             self.close()
             return None
@@ -365,7 +515,7 @@ class Helper:
 
 def _serve(stdin, stdout) -> None:
     """The helper's loop: for each request frame (window, tail), write its
-    two reply frames; return when the input ends."""
+    three reply frames; return when the input ends."""
     while True:
         head = stdin.read(_FRAME.size)
         if len(head) != _FRAME.size:
@@ -421,12 +571,6 @@ def decompress(data: bytes) -> bytes:
             else:
                 for k in range(length):
                     out.append(out[start + k])
-    return bytes(out)
-
-
-def _emit_all_literals(data: bytes) -> bytes:
-    out = bytearray()
-    _flush_literals(out, data, 0, len(data))
     return bytes(out)
 
 

@@ -12,6 +12,7 @@ cache hit costs one dict lookup and re-computes nothing.
 from __future__ import annotations
 
 import hashlib
+import os.path
 
 from .model import (
     NUMERIC_FIELDS,
@@ -152,14 +153,28 @@ class PayloadOps:
     response body be parsed on two cores, and the FASTLZ batches of one
     `batch_bodies` call be compressed two at a time; the bytes are the same
     without it.
+
+    `endings`, a dict owned by the caller (by default this object's own),
+    keeps the `fastlz.Ending` of each FASTLZ readings response body parsed
+    whole, under (head bytes, sha256 of the readings array) with the body's
+    tail: the stream the memo already holds, and two integers. A later body
+    with the same key `fastlz.resume`s that parse: it shares the head, the
+    array and the common prefix of the two tails, so only its own tail is
+    parsed. A resumed body keeps the ending it resumed. The array's digest
+    is held beside its answer, as an encoded array is, so `payload_digest`
+    reads it instead of encoding and hashing the array again. The bytes
+    are the same either way.
     """
 
     def __init__(self, cache: dict | None = None, scope_key=(),
-                 helper: fastlz.Helper | None = None):
+                 helper: fastlz.Helper | None = None,
+                 endings: dict | None = None):
         self.cache = cache
         self.scope_key = scope_key
         self.helper = helper
+        self.endings = {} if endings is None else endings
         self._arrays: dict[int, tuple[ReadingSet, bytes]] = {}
+        self._digests: dict[int, tuple[ReadingSet, bytes]] = {}
 
     def memo(self, key: tuple, fn):
         if self.cache is None:
@@ -193,6 +208,8 @@ class PayloadOps:
             if resp.codec is CodecId.NONE:
                 return wire.Body(wire.response_parts(
                     resp, req.projection, self._readings_array))
+            if resp.codec is CodecId.FASTLZ:
+                return self._fastlz_body(resp, req.projection)
             return wire.compress(
                 resp.codec, wire.encode_response(resp, req.projection),
                 self.helper)
@@ -204,6 +221,33 @@ class PayloadOps:
             body=body, codec=resp.codec, request_id=resp.request_id,
             payload_tag=resp.payload_kind,
             payload=wire.project_response(resp, req.projection))
+
+    def _fastlz_body(self, resp: QueryResponse,
+                     projection: frozenset[str]) -> bytes:
+        """The FASTLZ stream of resp's body. A readings body resumes the
+        ending kept under its head and the sha256 of its array when it can,
+        and is otherwise parsed whole and keeps its ending; any other body
+        is parsed whole."""
+        parts = wire.response_parts(resp, projection)
+        body = b"".join(parts)
+        if len(parts) == 1:
+            return fastlz.compress(body, self.helper)
+        head, array, tail = parts
+        digest = hashlib.sha256(array).digest()
+        self._digests[id(resp.payload)] = (resp.payload, digest)
+        del parts, array  # the body holds them: free before the parse
+        key = (head, digest)
+        kept = self.endings.get(key)
+        if kept is not None:
+            kept_tail, ending = kept
+            common = (len(body) - len(tail)
+                      + len(os.path.commonprefix((kept_tail, tail))))
+            stream = fastlz.resume(body, ending, common)
+            if stream is not None:
+                return stream
+        ending = fastlz.compress_ending(body, self.helper)
+        self.endings[key] = (tail, ending)
+        return ending.stream
 
     def _readings_array(self, readings: ReadingSet) -> bytes:
         """`wire.encode_readings(readings)`, encoded once per object."""
@@ -244,14 +288,17 @@ class PayloadOps:
                        contributing: frozenset[str] = frozenset()) -> str:
         """Hex digest of the uncompressed canonical payload encoding, the
         answer to req from the `contributing` nodes. Without a cache the
-        two may be left out. A readings payload whose array this object
-        holds is not encoded again."""
+        two may be left out. A readings payload whose array, or its digest,
+        this object holds is not encoded again."""
         def build():
             if isinstance(payload, Summary):
                 return fingerprint(canonical_json(payload.to_json_dict()))
             held = self._arrays.get(id(payload))
             if held is not None:
                 return fingerprint(held[1])
+            held = self._digests.get(id(payload))
+            if held is not None:
+                return held[1].hex()
             return fingerprint(wire.encode_readings(payload))
 
         return self.memo((req, contributing), build)

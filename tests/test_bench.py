@@ -1,8 +1,12 @@
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -839,13 +843,37 @@ GOLDEN_SMALL_MANIFEST_SHA256 = (
 
 
 def test_small_matrix_output_is_golden(tmp_path):
-    code = main(["matrix", "--seed", "7", "--reps", "1", "--sizes", "3",
-                 "--out", str(tmp_path), "--quiet"])
-    assert code == 0
-    digest = hashlib.sha256((tmp_path / "matrix.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_SMALL_MATRIX_SHA256
-    digest = hashlib.sha256((tmp_path / "manifest.json").read_bytes()).hexdigest()
-    assert digest == GOLDEN_SMALL_MANIFEST_SHA256
+    """Twice in one process: the second command, after the first one's
+    caches, kept endings and helper are gone, writes the same bytes."""
+    for run in ("first", "second"):
+        out = tmp_path / run
+        code = main(["matrix", "--seed", "7", "--reps", "1", "--sizes", "3",
+                     "--out", str(out), "--quiet"])
+        assert code == 0
+        digest = hashlib.sha256((out / "matrix.csv").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SMALL_MATRIX_SHA256
+        digest = hashlib.sha256((out / "manifest.json").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SMALL_MANIFEST_SHA256
+
+
+def test_small_matrix_output_is_the_same_under_any_hash_seed(tmp_path):
+    """The same seed gives the same bytes whatever `PYTHONHASHSEED` orders
+    sets and dicts of strings by: each command runs in its own interpreter."""
+    src = str(Path(bench.__file__).resolve().parent.parent)
+    written = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / hash_seed
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH")))))
+        subprocess.run(
+            [sys.executable, "-m", "syncmesh", "matrix", "--seed", "7",
+             "--sizes", "3", "--reps", "1", "--out", str(out), "--quiet"],
+            env=env, check=True, timeout=300, stdout=subprocess.DEVNULL)
+        written.append([(out / name).read_bytes()
+                        for name in ("matrix.csv", "manifest.json")])
+    assert written[0] == written[1]
+    assert hashlib.sha256(written[0][0]).hexdigest() == GOLDEN_SMALL_MATRIX_SHA256
 
 
 # sha256 of the CSV from `bench run --system <system> --scenario <scenario>

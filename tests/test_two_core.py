@@ -1,11 +1,13 @@
-"""FASTLZ on two cores: the spliced parse writes the reference stream, and
-the helper process lives no longer than the command that owns it."""
+"""FASTLZ on two cores and resumed parses: the spliced parse and a parse
+resumed from a kept ending write the reference stream, and neither the
+helper process nor a kept ending outlives the command that owns it."""
 
 import collections
 import gc
 import os
 import random
 import subprocess
+import weakref
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -37,8 +39,9 @@ class InProcessHelper:
         return True
 
     def reply(self):
-        (marks, out), self._reply = self._reply, None
-        return memoryview(marks).cast("q"), bytes(out)
+        (marks, out, ending), self._reply = self._reply, None
+        return (memoryview(marks).cast("q"), bytes(out),
+                memoryview(ending).cast("q"))
 
 
 class FailingHelper(InProcessHelper):
@@ -124,7 +127,9 @@ def _bodies(draw):
 
 def test_a_split_parse_writes_the_reference_stream(splices):
     """Any split point and window: the output is the one-core stream, whether
-    the two parses were spliced or this process parsed on alone."""
+    the two parses were spliced or this process parsed on alone, and its
+    ending resumes the same body to that stream (after a splice its reach
+    is the helper's, shifted, or the splice's, when it lies later)."""
 
     @given(body=_bodies(), split=st.integers(0, 4096),
            window=st.integers(0, 40).map(lambda k: 1024 * k))
@@ -133,10 +138,11 @@ def test_a_split_parse_writes_the_reference_stream(splices):
                                      HealthCheck.data_too_large])
     def split_parse(body, split, window):
         before = splices["spliced"]
-        out = fastlz._compress(body, InProcessHelper(), min(split, len(body)),
-                               window)
+        ending = fastlz._compress(body, InProcessHelper(),
+                                  min(split, len(body)), window)
         event("spliced" if splices["spliced"] > before else "fall-back")
-        assert out == reference_compress(body)
+        assert ending.stream == reference_compress(body)
+        assert fastlz.resume(body, ending, len(body)) in (None, ending.stream)
 
     split_parse()
     assert splices["spliced"] and splices["fall-back"], splices
@@ -204,6 +210,203 @@ def test_the_seed7_arrays_through_a_real_helper(monkeypatch, splices):
     assert splices == {"spliced": 3}
     assert two_core == one_core
     assert two_core[:2] == [reference_compress(batch), reference_compress(shard)]
+
+
+# ---------------------------------------------------------------------------
+# resuming a kept parse
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _shared_prefixes(draw):
+    """A kept body and a body that shares a drawn prefix of it and then ends
+    in another tail. The kept body is one or two `_bodies` (two often pass
+    the 32 KiB past which a split starts after byte 0). The prefix is short
+    (under 8194 bytes), ends inside one of the kept body's last matches, at
+    one of its last 2 bytes, or anywhere; or it ends where one of those
+    matches ends, and the other body goes on copying from the distance of
+    an earlier equal stretch, which can make that match longer in it; or
+    the kept body ends in a 600-byte copy of an earlier stretch, a match
+    longer than one token, and the prefix ends near its first token's end;
+    or the bodies are equal, or one is a prefix of the other."""
+    kept = draw(_bodies())
+    if draw(st.booleans()):
+        kept += draw(_bodies())
+    cut = draw(st.sampled_from(["short", "inside a match", "at a match end",
+                                "last 2 bytes", "anywhere", "equal",
+                                "a prefix", "extended", "past a first token"]))
+    event(f"prefix {cut}")
+    if cut == "past a first token":
+        start = draw(st.integers(0, max(len(kept) - 600, 0)))
+        at = len(kept) + draw(st.integers(250, 290))
+        kept += kept[start:start + 600]
+    n = len(kept)
+    if cut == "equal":
+        return kept, kept
+    if cut == "extended":
+        return kept, kept + draw(_bodies())
+    if cut in ("inside a match", "at a match end"):
+        ending = fastlz.compress_ending(kept)
+        found = fastlz._matches(ending.stream, ending.anchor, ending.reach, n)
+        matches = list(zip(found[0::3], found[1::3]))
+        start, end = draw(st.sampled_from(matches[-40:] or [(n - 1, n)]))
+    if cut == "short":
+        at = draw(st.integers(0, min(n, 8193)))
+    elif cut == "inside a match":
+        at = draw(st.integers(start + 1, max(start + 1, end - 1)))
+    elif cut == "at a match end":
+        distances = [d for d in range(1, min(start, 8192) + 1)
+                     if kept[start - d:end - d] == kept[start:end]]
+        d = draw(st.sampled_from(distances[:8] or [1]))
+        return kept, kept[:end] + kept[end - d:end - d + 300]
+    elif cut == "last 2 bytes":
+        at = n - draw(st.integers(1, 2))
+    elif cut != "past a first token":
+        at = draw(st.integers(0, n))
+    if cut == "a prefix":
+        return kept, kept[:at]
+    other = draw(st.one_of(
+        st.binary(min_size=1, max_size=200),
+        st.builds(lambda body: body[:300], _bodies()),
+        st.just(b',"contributing_nodes":["node-00","node-01"],"partial":false}')))
+    return kept, kept[:at] + other
+
+
+def test_a_resumed_parse_writes_the_reference_stream(monkeypatch, splices):
+    """A body resumed from the ending of another with a common prefix, kept
+    by a split parse (`SPLIT_MIN_BYTES` patched to 0) or a one-core one: the
+    stream is the reference one, whether it resumed or was parsed whole."""
+    monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)
+    paths = collections.Counter()
+
+    @given(pair=_shared_prefixes())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def resumed(pair):
+        kept_body, body = pair
+        common = len(os.path.commonprefix((kept_body, body)))
+        expected = reference_compress(body)
+        for helper in (InProcessHelper(), None):
+            before = splices["spliced"]
+            kept = fastlz.compress_ending(kept_body, helper)
+            assert kept.stream == reference_compress(kept_body)
+            got = fastlz.resume(body, kept, common)
+            path = "fall-back" if got is None else "resumed"
+            if splices["spliced"] > before:
+                path += " from a spliced ending"
+            event(path)
+            paths[path] += 1
+            assert (fastlz.compress(body) if got is None else got) == expected
+
+    resumed()
+    assert paths["resumed"] and paths["fall-back"], paths
+    assert paths["resumed from a spliced ending"], paths
+
+
+def _seed7_config(system, n_nodes, days):
+    return bench.ScenarioConfig(system=system, scenario="collect",
+                                n_nodes=n_nodes, window_days=days,
+                                repetitions=1, seed=7)
+
+
+@pytest.fixture
+def resumes(monkeypatch):
+    """(body, stream or None) for each `fastlz.resume` call, and the bodies
+    of each `fastlz.compress_ending` call."""
+    calls = {"resume": [], "whole": []}
+    resume, compress_ending = fastlz.resume, fastlz.compress_ending
+
+    def recorded_resume(data, kept, common):
+        got = resume(data, kept, common)
+        calls["resume"].append((data, got))
+        return got
+
+    def recorded_whole(data, helper=None):
+        calls["whole"].append(data)
+        return compress_ending(data, helper)
+
+    monkeypatch.setattr(fastlz, "resume", recorded_resume)
+    monkeypatch.setattr(fastlz, "compress_ending", recorded_whole)
+    return calls
+
+
+def _router_body(body) -> bool:
+    """Whether a response body is a sharded router's: it names more than
+    one contributing node."""
+    return b'"contributing_nodes":["node-00","node-01"' in body
+
+
+@NO_LEAKS
+@TWO_CPUS
+def test_every_seed7_router_body_resumes_the_central_parse(started, resumes):
+    """Central, then sharded, collect over every window at 3 and 12 nodes in
+    one `MatrixCaches` with a real helper: each router answer has the head
+    and array of the central server's, and resumes its kept parse."""
+    with fastlz.Helper() as helper:
+        caches = bench.MatrixCaches(helper=helper)
+        for n_nodes in (3, 12):
+            for system in ("central", "sharded"):
+                for days in bench.WINDOWS_DAYS:
+                    bench.run_scenario(_seed7_config(system, n_nodes, days),
+                                       caches)
+    routers = [(body, got) for body, got in resumes["resume"]
+               if _router_body(body)]
+    assert len(routers) == 2 * len(bench.WINDOWS_DAYS)
+    assert not any(map(_router_body, resumes["whole"]))
+    for body, got in routers:
+        assert got == fastlz.compress(body)
+    assert _exited(started) == [True]
+
+
+@NO_LEAKS
+@TWO_CPUS
+def test_a_helper_killed_before_the_central_body_leaves_resumes_exact(
+        monkeypatch, started, resumes, splices):
+    """The helper dies after a 3-node central ingest and before the server's
+    30-day answer, so that answer's ending comes from this process; the
+    router's answer still resumes it, to the one-core bytes."""
+    compress_ending = fastlz.compress_ending
+
+    def kill_first(data, helper=None):
+        if helper is not None and helper._proc is not None:
+            helper._proc.kill()
+            helper._proc.wait(timeout=10)
+        return compress_ending(data, helper)
+
+    monkeypatch.setattr(fastlz, "compress_ending", kill_first)
+    with fastlz.Helper() as helper:
+        caches = bench.MatrixCaches(helper=helper)
+        rows = [bench.run_scenario(_seed7_config(system, 3, 30), caches).rows
+                for system in ("central", "sharded")]
+    assert not splices  # no body was split after the kill
+    routers = [(body, got) for body, got in resumes["resume"]
+               if _router_body(body)]
+    assert len(routers) == 1 and routers[0][1] == fastlz.compress(routers[0][0])
+    assert rows == [_one_core_rows(_seed7_config(system, 3, 30))
+                    for system in ("central", "sharded")]
+    assert _exited(started) == [True]
+
+
+def test_a_command_keeps_no_ending_once_it_returns(monkeypatch):
+    """`run_scenario` without caches keeps its endings in caches of its own,
+    which go when it returns; caches passed in keep theirs."""
+    made = []
+
+    class Tracked(fastlz.Ending):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(fastlz, "Ending", Tracked)
+    bench.run_scenario(_seed7_config("sharded", 3, 30))
+    gc.collect()
+    assert made and all(ref() is None for ref in made)
+    caches = bench.MatrixCaches()
+    bench.run_scenario(_seed7_config("sharded", 3, 30), caches)
+    kept = [ending for _, ending in caches.endings.values()]
+    assert len(kept) == 4 and all(isinstance(e, Tracked) for e in kept)
 
 
 # ---------------------------------------------------------------------------

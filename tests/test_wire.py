@@ -491,27 +491,31 @@ class TestResponseParts:
 
     def test_a_digest_hashes_the_held_array_or_encodes(self, rng):
         """`PayloadOps.payload_digest` hashes the readings array it holds for
-        an answer and encodes one it holds none for: the same digest."""
+        an answer sent uncompressed, reads the digest that a FASTLZ body of
+        it took, and encodes an answer it holds neither for: the same
+        digest."""
         held = merge_reading_sets([[make_reading(rng) for _ in range(6)]])
         other = merge_reading_sets([[make_reading(rng) for _ in range(4)]])
-        ops = PayloadOps()
         req = QueryRequest(request_id="q", range=TimeRange(1, 10**12),
                            scope=Scope.MESH)
-        ops.response_envelope(
-            req, QueryResponse(request_id="q", payload=held), "a", "b")
         calls = []
 
         def counted(readings):
             calls.append(readings)
             return encode_readings(readings)
 
-        for payload in (held, other):
-            calls.clear()
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(wire, "encode_readings", counted)
-                digest = ops.payload_digest(payload)
-            assert digest == fingerprint(encode_readings(payload))
-            assert calls == ([] if payload is held else [other])
+        for codec in (CodecId.NONE, CodecId.FASTLZ):
+            ops = PayloadOps()
+            ops.response_envelope(
+                req, QueryResponse(request_id="q", payload=held, codec=codec),
+                "a", "b")
+            for payload in (held, other):
+                calls.clear()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(wire, "encode_readings", counted)
+                    digest = ops.payload_digest(payload)
+                assert digest == fingerprint(encode_readings(payload))
+                assert calls == ([] if payload is held else [other])
 
 
 class TestReadPayload:
