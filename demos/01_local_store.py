@@ -3,7 +3,7 @@
 Run: python demos/01_local_store.py
 """
 
-from syncmesh.model import SensorReading, TimeRange
+from syncmesh.model import SensorReading, TimeRange, summarize
 from syncmesh.store import LocalStore
 
 store = LocalStore("node-00")
@@ -36,8 +36,9 @@ morning = store.query(TimeRange(6 * 3_600_000, 12 * 3_600_000))
 print(f"morning window holds {len(morning)} readings, "
       f"first at t={morning[0].timestamp}")
 
-# Aggregates carry (count, sum, min, max); mean derives from sum/count.
-summary = store.aggregate(TimeRange(1, 10**15), ("temperature", "p1"))
+# Aggregates over a range carry (count, sum, min, max); mean derives from
+# sum/count.
+summary = summarize(store.query(TimeRange(1, 10**15)), ("temperature", "p1"))
 for name, agg in summary.fields:
     print(f"{name}: count={agg.count} mean={agg.mean:.2f} "
           f"min={agg.min:.2f} max={agg.max:.2f}")

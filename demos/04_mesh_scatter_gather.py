@@ -41,7 +41,7 @@ print(f"mesh collect: {len(resp.payload)} readings from "
 
 # Transform queries ship per-node summaries instead of raw readings.
 transform = QueryRequest(request_id="q-mean", range=full, scope=Scope.MESH,
-                         transformer=TransformerSpec.of("aggregate_mean"))
+                         transformer=TransformerSpec("aggregate_mean"))
 resp, rtt = run_query(net, client, "node-00", transform, net.clock + 500.0)
 temp = resp.payload.as_dict["temperature"]
 print(f"mesh transform: mean temperature {temp.mean:.2f} over {temp.count} "
@@ -57,10 +57,10 @@ resp, rtt = run_query(net, client, "node-00", churned, net.clock + 500.0)
 print(f"after node-02 drops: {len(resp.payload)} readings, "
       f"partial={resp.partial}, contributors={sorted(resp.contributing_nodes)}")
 
-# Every node runs the same built-in transformers; a query naming any other
-# is dropped on arrival, so the client gets no answer.
+# Every node runs the one built-in transformer, `aggregate_mean`; a query
+# naming any other is dropped on arrival, so the client gets no answer.
 unknown = QueryRequest(request_id="q-median", range=full, scope=Scope.MESH,
-                       transformer=TransformerSpec.of("median"))
+                       transformer=TransformerSpec("median"))
 client.send_query(net, "node-00", unknown, net.clock + 500.0)
 net.run_until_quiescent()
 print(f"built-in transformers: {sorted(BUILTIN_TRANSFORMERS)}; a query for "

@@ -4,7 +4,7 @@ Subpackages:
   model     - shared value types (readings, queries, responses, summaries)
   wire      - envelope framing, canonical encodings, GZIP/FASTLZ codecs
   netsim    - virtual-time network with byte-exact traffic accounting
-  store     - per-node time-indexed store with range queries and aggregates
+  store     - per-node time-indexed store with range queries
   node      - the mesh node: coordinator, scatter-gather, heartbeats
   baselines - central, sharded and p2p comparison systems
   bench     - dataset ingestion, scenario runner, experiment matrix, export

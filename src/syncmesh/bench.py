@@ -548,9 +548,9 @@ def _scenario_gather_timeout(manifest: DatasetManifest) -> float:
 def _build_request(cfg: ScenarioConfig, window: TimeRange) -> QueryRequest:
     transformer = None
     if cfg.scenario == "transform":
-        transformer = TransformerSpec.of("aggregate_mean")
-    return QueryRequest(request_id="q", range=window, projection=frozenset(),
-                        transformer=transformer, scope=Scope.MESH)
+        transformer = TransformerSpec("aggregate_mean")
+    return QueryRequest(request_id="q", range=window, transformer=transformer,
+                        scope=Scope.MESH)
 
 
 def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,

@@ -13,8 +13,7 @@ import json
 import operator
 from dataclasses import dataclass, field, fields
 
-# Canonical field order of a reading; identity fields are always emitted
-# regardless of projection.
+# Canonical field order of a reading's JSON object.
 FIELD_NAMES = (
     "node_id",
     "sensor_id",
@@ -26,7 +25,6 @@ FIELD_NAMES = (
     "humidity",
     "pressure",
 )
-IDENTITY_FIELDS = ("node_id", "sensor_id", "timestamp")
 NUMERIC_FIELDS = ("p1", "p2", "temperature", "humidity", "pressure")
 
 MS_PER_DAY = 86_400_000
@@ -128,32 +126,16 @@ class SensorReading:
     def __setstate__(self, state):
         self.__init__(*state)
 
-    def to_json_dict(self, projection: frozenset[str] = frozenset()) -> dict:
-        keep = _effective_projection(projection)
+    def to_json_dict(self) -> dict:
         out: dict = {
             "node_id": self.node_id,
             "sensor_id": self.sensor_id,
             "timestamp": self.timestamp,
+            "geo": {"lat": self.lat, "lon": self.lon},
         }
-        if "geo" in keep:
-            out["geo"] = {"lat": self.lat, "lon": self.lon}
         for name in NUMERIC_FIELDS:
-            if name in keep:
-                out[name] = getattr(self, name)
+            out[name] = getattr(self, name)
         return out
-
-    def projected(self, projection: frozenset[str]) -> "SensorReading":
-        """The reading as `to_json_dict(projection)` carries it: fields outside
-        the projection read None."""
-        if not projection:
-            return self
-        keep = _effective_projection(projection)
-        geo = "geo" in keep
-        return SensorReading(
-            self.node_id, self.sensor_id, self.timestamp,
-            lat=self.lat if geo else None,
-            lon=self.lon if geo else None,
-            **{name: getattr(self, name) for name in NUMERIC_FIELDS if name in keep})
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "SensorReading":
@@ -181,12 +163,6 @@ _READING_STATE = tuple(f.name for f in fields(SensorReading) if f.init)
  _set_p2, _set_temperature, _set_humidity, _set_pressure, set_reading_json,
  _set_key) = (
     getattr(SensorReading, f.name).__set__ for f in fields(SensorReading))
-
-
-def _effective_projection(projection: frozenset[str]) -> frozenset[str]:
-    if not projection:
-        return frozenset(FIELD_NAMES)
-    return projection | frozenset(IDENTITY_FIELDS)
 
 
 def validate_reading(r: SensorReading) -> None:
@@ -225,36 +201,28 @@ class TimeRange:
 
 @dataclass(frozen=True, slots=True)
 class TransformerSpec:
-    """Names a built-in transformer (`payloads.BUILTIN_TRANSFORMERS`), plus
-    flat params."""
+    """Names a built-in transformer (`payloads.BUILTIN_TRANSFORMERS`). Its
+    JSON keeps a `params` object, which is always empty."""
 
     name: str
-    params: tuple[tuple[str, str], ...] = ()
-
-    @classmethod
-    def of(cls, name: str, params: dict[str, str] | None = None) -> "TransformerSpec":
-        items = tuple(sorted((params or {}).items()))
-        return cls(name=name, params=items)
-
-    @property
-    def params_dict(self) -> dict[str, str]:
-        return dict(self.params)
 
     def to_json_dict(self) -> dict:
-        return {"name": self.name, "params": dict(self.params)}
+        return {"name": self.name, "params": {}}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TransformerSpec":
-        return cls.of(obj["name"], obj.get("params") or {})
+        if obj.get("params"):
+            raise ValidationError("params", "must be empty")
+        return cls(name=obj["name"])
 
 
 @dataclass(frozen=True, slots=True)
 class QueryRequest:
-    """Unified request schema: time range, projection, optional transformer."""
+    """Unified request schema: time range, optional transformer, scope. Its
+    JSON keeps a `projection` list, which is always empty."""
 
     request_id: str
     range: TimeRange
-    projection: frozenset[str] = frozenset()
     transformer: TransformerSpec | None = None
     scope: Scope = Scope.LOCAL
 
@@ -262,18 +230,19 @@ class QueryRequest:
         return {
             "request_id": self.request_id,
             "range": self.range.to_json_dict(),
-            "projection": sorted(self.projection),
+            "projection": [],
             "transformer": self.transformer.to_json_dict() if self.transformer else None,
             "scope": self.scope.value,
         }
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "QueryRequest":
+        if obj.get("projection"):
+            raise ValidationError("projection", "must be empty")
         transformer = obj.get("transformer")
         return cls(
             request_id=obj["request_id"],
             range=TimeRange.from_json_dict(obj["range"]),
-            projection=frozenset(obj.get("projection") or ()),
             transformer=TransformerSpec.from_json_dict(transformer) if transformer else None,
             scope=Scope(obj["scope"]),
         )
@@ -287,9 +256,6 @@ def validate_request(req: QueryRequest) -> None:
         raise ValidationError("range", "missing time range")
     if req.range.start >= req.range.end:
         raise ValidationError("range", "start must be strictly before end")
-    unknown = sorted(req.projection - frozenset(FIELD_NAMES))
-    if unknown:
-        raise ValidationError("projection", f"unknown field name(s): {', '.join(unknown)}")
     if req.transformer is not None and not req.transformer.name:
         raise ValidationError("transformer", "name must be non-empty")
     if not isinstance(req.scope, Scope):
@@ -443,11 +409,11 @@ class QueryResponse:
     def payload_kind(self) -> str:
         return "summary" if isinstance(self.payload, Summary) else "readings"
 
-    def to_json_dict(self, projection: frozenset[str] = frozenset()) -> dict:
+    def to_json_dict(self) -> dict:
         if isinstance(self.payload, Summary):
             payload = self.payload.to_json_dict()
         else:
-            payload = [r.to_json_dict(projection) for r in self.payload]
+            payload = [r.to_json_dict() for r in self.payload]
         return {
             "request_id": self.request_id,
             "payload_kind": self.payload_kind,

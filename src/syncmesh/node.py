@@ -1,7 +1,8 @@
 """The mesh node: coordinator entry point, scatter-gather over available
 neighbors, and heartbeat-driven neighbor availability tracking. A node runs
-the built-in transformers of `payloads.BUILTIN_TRANSFORMERS` next to its
-data, through `payloads.evaluate_query`.
+the one built-in transformer, `aggregate_mean`
+(`payloads.BUILTIN_TRANSFORMERS`), next to its data, through
+`payloads.evaluate_query`.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from .model import (
     Summary,
     ValidationError,
     canonical_json,
-    in_canonical_order,
     merge_reading_sets,
     merge_summaries,
     summarize,
@@ -37,54 +36,37 @@ class TransformerUnknown(Exception):
     """The requested transformer name is not built in."""
 
 
-def transform_identity(readings: ReadingSet, params: dict[str, str]) -> ReadingSet:
-    return tuple(readings)
-
-
-def transform_aggregate_mean(readings: ReadingSet, params: dict[str, str]) -> Summary:
-    raw = params.get("fields")
-    fields = tuple(raw.split(",")) if raw else NUMERIC_FIELDS
-    return summarize(readings, fields)
-
-
-def transform_downsample(readings: ReadingSet, params: dict[str, str]) -> ReadingSet:
-    k = int(params.get("k", "1"))
-    if k < 1:
-        raise ValueError("downsample step k must be >= 1")
-    return in_canonical_order(readings)[::k]
+def transform_aggregate_mean(readings: ReadingSet) -> Summary:
+    return summarize(readings, NUMERIC_FIELDS)
 
 
 # The one transformer table: every system runs these, by name.
-BUILTIN_TRANSFORMERS = {
-    "identity": transform_identity,
-    "aggregate_mean": transform_aggregate_mean,
-    "downsample": transform_downsample,
-}
+BUILTIN_TRANSFORMERS = {"aggregate_mean": transform_aggregate_mean}
 
 
-def apply_transformer(spec, readings: ReadingSet) -> "ReadingSet | Summary":
+def apply_transformer(spec, readings: ReadingSet) -> Summary:
     """The output of the built-in transformer `spec` names over readings."""
     fn = BUILTIN_TRANSFORMERS.get(spec.name)
     if fn is None:
         raise TransformerUnknown(spec.name)
-    return fn(readings, spec.params_dict)
+    return fn(readings)
 
 
 def read_query(env: wire.Envelope) -> QueryRequest | None:
     """The request a QUERY envelope carries, or None for any other kind and
-    for a query to drop: its body does not decode, the request fails
-    `validate_request`, or it names a transformer that is not built in or
-    that rejects its parameters, judged by a dry run on no readings. Every
-    query handler reads through this, so one bad request cannot end the
-    run."""
+    for a query to drop: its body does not decode to a request
+    (`QueryRequest.from_json_dict`), the request fails `validate_request`,
+    or it names a transformer that is not built in. Every query handler
+    reads through this, so one bad request cannot end the run."""
     if env.kind is not wire.MessageKind.QUERY:
         return None
     try:
         req = wire.read_payload(env)
         validate_request(req)
-        if req.transformer is not None:
-            apply_transformer(req.transformer, ())
-    except (ValueError, TypeError, TransformerUnknown):
+        if (req.transformer is not None
+                and req.transformer.name not in BUILTIN_TRANSFORMERS):
+            return None
+    except (ValueError, TypeError):
         return None
     return req
 
@@ -201,34 +183,30 @@ class PayloadOps:
     def response_envelope(self, req: QueryRequest, resp: QueryResponse,
                           sender: str, receiver: str) -> wire.Envelope:
         """RESPONSE envelope answering req: the compressed canonical body,
-        projected as req asks, and as payload the response the receiver
-        would decode. The body is the same for every receiver; uncompressed,
-        it is a `wire.Body` that shares its readings array."""
+        and resp itself as payload. The body is the same for every
+        receiver; uncompressed, it is a `wire.Body` that shares its readings
+        array."""
         def build():
             if resp.codec is CodecId.NONE:
-                return wire.Body(wire.response_parts(
-                    resp, req.projection, self._readings_array))
+                return wire.Body(wire.response_parts(resp, self._readings_array))
             if resp.codec is CodecId.FASTLZ:
-                return self._fastlz_body(resp, req.projection)
-            return wire.compress(
-                resp.codec, wire.encode_response(resp, req.projection),
-                self.helper)
+                return self._fastlz_body(resp)
+            return wire.compress(resp.codec, wire.encode_response(resp),
+                                 self.helper)
 
         body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
                           resp.codec), build)
         return wire.Envelope(
             kind=wire.MessageKind.RESPONSE, sender=sender, receiver=receiver,
             body=body, codec=resp.codec, request_id=resp.request_id,
-            payload_tag=resp.payload_kind,
-            payload=wire.project_response(resp, req.projection))
+            payload_tag=resp.payload_kind, payload=resp)
 
-    def _fastlz_body(self, resp: QueryResponse,
-                     projection: frozenset[str]) -> bytes:
+    def _fastlz_body(self, resp: QueryResponse) -> bytes:
         """The FASTLZ stream of resp's body. A readings body resumes the
         ending kept under its head and the sha256 of its array when it can,
         and is otherwise parsed whole and keeps its ending; any other body
         is parsed whole."""
-        parts = wire.response_parts(resp, projection)
+        parts = wire.response_parts(resp)
         body = b"".join(parts)
         if len(parts) == 1:
             return fastlz.compress(body, self.helper)

@@ -1,4 +1,4 @@
-"""Per-node local database: time-indexed readings and aggregation.
+"""Per-node local database: time-indexed readings and range queries.
 
 The store is an in-memory key -> reading map, its canonical order cached as
 one tuple until the next insert. Inserts are idempotent on
@@ -8,14 +8,11 @@ one tuple until the next insert. Inserts are idempotent on
 from __future__ import annotations
 
 from .model import (
-    NUMERIC_FIELDS,
     ReadingSet,
     SensorReading,
-    Summary,
     TimeRange,
     in_canonical_order,
     reading_key,
-    summarize,
     time_slice,
     validate_reading,
 )
@@ -71,7 +68,3 @@ class LocalStore:
     def query(self, time_range: TimeRange) -> ReadingSet:
         """Readings with timestamp in [start, end), in canonical order."""
         return time_slice(self.all_readings(), time_range)
-
-    def aggregate(self, time_range: TimeRange, fields=NUMERIC_FIELDS) -> Summary:
-        """Per-field summary over the range; None values are not counted."""
-        return summarize(self.query(time_range), fields)

@@ -13,9 +13,9 @@ bodies which differ only around one long readings array share that array.
 Only its length is counted; its bytes are joined only where they are read
 (`encode_envelope`, `read_payload`, equality and hashing).
 
-An unprojected reading is encoded once: its canonical JSON text is written by
-a fixed template and kept on the reading, and every later readings array,
-response or digest joins the kept texts.
+A reading is encoded once: its canonical JSON text is written by a fixed
+template and kept on the reading, and every later readings array, response
+or digest joins the kept texts.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import enum
 import json
 import struct
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import fastlz
@@ -225,15 +225,9 @@ def _reading_json(r: SensorReading) -> bytes:
     return text
 
 
-def _readings_array(readings) -> bytes:
+def encode_readings(readings: ReadingSet) -> bytes:
+    """Canonical JSON array of readings, joined from their kept texts."""
     return b"[" + b",".join(map(_reading_json, readings)) + b"]"
-
-
-def encode_readings(readings: ReadingSet, projection: frozenset[str] = frozenset()) -> bytes:
-    """Canonical JSON array of readings with the projection applied."""
-    if projection:
-        return canonical_json([r.to_json_dict(projection) for r in readings])
-    return _readings_array(readings)
 
 
 def decode_readings(data: bytes) -> ReadingSet:
@@ -248,16 +242,16 @@ def decode_request(data: bytes) -> QueryRequest:
     return QueryRequest.from_json_dict(json.loads(data))
 
 
-def response_parts(resp: QueryResponse, projection: frozenset[str] = frozenset(),
-                   readings_array=_readings_array) -> tuple[bytes, ...]:
+def response_parts(resp: QueryResponse,
+                   readings_array=encode_readings) -> tuple[bytes, ...]:
     """The uncompressed canonical response body as parts whose join is
-    `canonical_json(resp.to_json_dict(projection))`.
+    `canonical_json(resp.to_json_dict())`.
 
-    An unprojected readings payload gives three parts: the head, the array
-    `readings_array(resp.payload)` spliced from the texts its readings keep,
-    and the tail. Any other payload gives one part."""
-    if projection or isinstance(resp.payload, Summary):
-        return (canonical_json(resp.to_json_dict(projection)),)
+    A `Summary` payload gives one part. A readings payload gives three: the
+    head, the array `readings_array(resp.payload)` spliced from the texts its
+    readings keep, and the tail."""
+    if isinstance(resp.payload, Summary):
+        return (canonical_json(resp.to_json_dict()),)
     return (
         b'{"request_id":' + canonical_json(resp.request_id)
         + b',"payload_kind":"readings","payload":',
@@ -267,17 +261,9 @@ def response_parts(resp: QueryResponse, projection: frozenset[str] = frozenset()
         + b',"codec":' + canonical_json(resp.codec.name) + b"}")
 
 
-def encode_response(resp: QueryResponse, projection: frozenset[str] = frozenset()) -> bytes:
+def encode_response(resp: QueryResponse) -> bytes:
     """Uncompressed canonical response body; compress separately per resp.codec."""
-    return b"".join(response_parts(resp, projection))
-
-
-def project_response(resp: QueryResponse, projection: frozenset[str]) -> QueryResponse:
-    """The response as `decode_response(encode_response(resp, projection))`
-    returns it: fields outside the projection read None."""
-    if not projection or isinstance(resp.payload, Summary):
-        return resp
-    return replace(resp, payload=tuple(r.projected(projection) for r in resp.payload))
+    return b"".join(response_parts(resp))
 
 
 def decode_response(data: bytes) -> QueryResponse:

@@ -8,15 +8,9 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from syncmesh.model import (
-    QueryRequest,
-    Scope,
-    SensorReading,
-    TimeRange,
-    TransformerSpec,
-)
+from syncmesh.model import SensorReading, canonical_json
 from syncmesh.netsim import Network
-from syncmesh.wire import encode_request, read_payload
+from syncmesh.wire import read_payload
 
 
 # Short streams that decompress to far more than they hold: an empty JSON
@@ -29,25 +23,32 @@ GZIP_BOMB_OUTPUT = 100_000
 GZIP_BOMB = zlib.compress(b"[" + b" " * (GZIP_BOMB_OUTPUT - 2) + b"]", 9)
 
 
-def _bad_query(transformer=None, scope=Scope.MESH,
-               time_range=TimeRange(1, 10**15)) -> bytes:
-    return encode_request(QueryRequest(request_id="bad", range=time_range,
-                                       scope=scope, transformer=transformer))
+def query_body(name=None, params=None, projection=(), scope="MESH",
+               start=1, end=10**15, request_id="bad") -> bytes:
+    """A QUERY body written as JSON in the request schema, field by field, so
+    it can hold what no `QueryRequest` encodes: a non-empty projection or
+    transformer params."""
+    transformer = None if name is None else {"name": name, "params": params or {}}
+    return canonical_json({
+        "request_id": request_id, "range": {"start": start, "end": end},
+        "projection": list(projection), "transformer": transformer,
+        "scope": scope})
 
 
 # QUERY bodies that every query handler drops (`payloads.read_query`): one
-# that does not decode, one that fails validation, and transformers that are
-# not built in or that reject their parameters.
+# that does not decode, one that fails validation, transformers that are not
+# built in (`downsample` among them), and a non-empty projection or
+# transformer params, even ones naming real fields.
 HOSTILE_QUERIES = {
     "not-json": b"{not json",
-    "empty-range": _bad_query(time_range=TimeRange(10, 10)),
-    "unknown-transformer": _bad_query(TransformerSpec.of("no_such_transformer")),
-    "downsample-k-0": _bad_query(TransformerSpec.of("downsample", {"k": "0"})),
-    "local-downsample-k-0": _bad_query(
-        TransformerSpec.of("downsample", {"k": "0"}), Scope.LOCAL),
-    "downsample-k-not-int": _bad_query(TransformerSpec.of("downsample", {"k": "x"})),
-    "aggregate-unknown-field": _bad_query(
-        TransformerSpec.of("aggregate_mean", {"fields": "bogus"})),
+    "empty-range": query_body(start=10, end=10),
+    "unknown-transformer": query_body("no_such_transformer"),
+    "projection-p1": query_body(projection=["p1"]),
+    "downsample-k-0": query_body("downsample", {"k": "0"}),
+    "local-downsample-k-0": query_body("downsample", {"k": "0"}, scope="LOCAL"),
+    "downsample-k-not-int": query_body("downsample", {"k": "x"}),
+    "aggregate-unknown-field": query_body("aggregate_mean", {"fields": "bogus"}),
+    "aggregate-fields-p1": query_body("aggregate_mean", {"fields": "p1"}),
 }
 
 

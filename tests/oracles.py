@@ -91,17 +91,17 @@ class ReferenceReplica:
         return fingerprint(encode_readings(self.readings()))
 
 
-def reference_encode_response(resp, projection=frozenset()):
+def reference_encode_response(resp):
     """The uncompressed response body as first spliced: one join of the
     head, the readings array and the tail, or the generic canonical
-    encoding of a summary or projected payload.
+    encoding of a summary.
 
     `syncmesh.wire.response_parts` must give parts whose join is this."""
     from syncmesh.model import Summary, canonical_json
     from syncmesh.wire import encode_readings
 
-    if projection or isinstance(resp.payload, Summary):
-        return canonical_json(resp.to_json_dict(projection))
+    if isinstance(resp.payload, Summary):
+        return canonical_json(resp.to_json_dict())
     return b"".join((
         b'{"request_id":', canonical_json(resp.request_id),
         b',"payload_kind":"readings","payload":', encode_readings(resp.payload),

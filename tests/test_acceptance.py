@@ -138,7 +138,7 @@ def test_c01_oracle_equivalence():
             assert list(resp.payload) == expected_collect, (name, case)
             transform = QueryRequest(
                 request_id=f"t{case}", range=window, scope=Scope.MESH,
-                transformer=TransformerSpec.of("aggregate_mean"))
+                transformer=TransformerSpec("aggregate_mean"))
             resp_t = _query_system(name, net, system, transform)
             assert_summary_close(resp_t.payload, expected_summary, rel=1e-9)
         cases += 1
@@ -224,7 +224,7 @@ def _syncmesh_run(caches, scenario, n_nodes, window_days, send_query=True):
                             gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
     if send_query:
         window = trailing_window(bundle.manifest, window_days)
-        transformer = (TransformerSpec.of("aggregate_mean")
+        transformer = (TransformerSpec("aggregate_mean")
                        if scenario == "transform" else None)
         req = QueryRequest(request_id="q", range=window, scope=Scope.MESH,
                            transformer=transformer)
@@ -257,7 +257,7 @@ def test_c06_data_locality(caches):
 # purpose says which columns moved, and why, and pins the new digests.
 C07_SHA256 = {
     "matrix.csv": "01b0082386b4400d04514d41d8183463d83c0e02945b7da9b626d6054625e4fd",
-    "manifest.json": "8738eef96da5d38a378a36214d97aa83191dde56fa64fbba952da78d7a902bbb",
+    "manifest.json": "123a8079133ec123b7ae5ae6d637b024bdc0f3e89c8c4c931988b757e14c13bc",
 }
 
 

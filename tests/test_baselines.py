@@ -83,7 +83,7 @@ def collect_req(request_id="q1"):
 
 def transform_req(request_id="q1"):
     return QueryRequest(request_id=request_id, range=FULL, scope=Scope.MESH,
-                        transformer=TransformerSpec.of("aggregate_mean"))
+                        transformer=TransformerSpec("aggregate_mean"))
 
 
 class TestCentral:
@@ -578,9 +578,9 @@ class TestP2PSharedResponseArray:
         encoded = []
         encode_readings_ = payloads.wire.encode_readings
 
-        def counted(readings, projection=frozenset()):
+        def counted(readings):
             encoded.append(len(readings))
-            return encode_readings_(readings, projection)
+            return encode_readings_(readings)
 
         monkeypatch.setattr(payloads.wire, "encode_readings", counted)
         window = bench.trailing_window(manifest, days)

@@ -281,8 +281,7 @@ class TestValidateConfig:
             "node-00", "node-01", "node-02"]
         assert record["heartbeat_timeout_ms"] == 3000.0
         assert record["gather_timeout_ms"] == 1234.5
-        assert record["registered_transformers"] == [
-            "aggregate_mean", "downsample", "identity"]
+        assert record["registered_transformers"] == ["aggregate_mean"]
 
 
 class TestTrailingWindow:
@@ -839,7 +838,7 @@ GOLDEN_SMALL_MATRIX_SHA256 = (
 # ran with, gather deadlines included. A change to any recorded setting
 # moves it.
 GOLDEN_SMALL_MANIFEST_SHA256 = (
-    "771eb312c15ebdc6cc73469a875b3b1c62f2d6afce17cd1f2d0a516ac33bcfd3")
+    "a4150990541dcdf21d29a904eb1a4a650b043d5d2101d18331ab4117b2d8496c")
 
 
 def test_small_matrix_output_is_golden(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_reading
+from conftest import make_reading, query_body
 from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh import wire
+from syncmesh.payloads import BUILTIN_TRANSFORMERS, read_query
 from syncmesh.model import (
     FIELD_NAMES,
     NUMERIC_FIELDS,
@@ -38,7 +39,7 @@ from syncmesh.model import (
 
 def _req(**kw):
     defaults = dict(request_id="r1", range=TimeRange(0, 1000),
-                    projection=frozenset(), transformer=None, scope=Scope.LOCAL)
+                    transformer=None, scope=Scope.LOCAL)
     defaults.update(kw)
     return QueryRequest(**defaults)
 
@@ -50,13 +51,19 @@ class TestValidateRequest:
         assert err.value.field == "range"
 
     def test_legal_projection_ok(self):
-        validate_request(_req(range=TimeRange(1, 2),
-                              projection=frozenset({"temperature"})))
+        """The one legal projection is the empty one every request writes."""
+        req = QueryRequest.from_json_dict(json.loads(query_body()))
+        validate_request(req)
+        assert canonical_json(req.to_json_dict()) == query_body()
 
     def test_unknown_projection_field(self):
-        with pytest.raises(ValidationError) as err:
-            validate_request(_req(projection=frozenset({"wind_speed"})))
-        assert err.value.field == "projection"
+        """A request carries no projection: its JSON keeps the key, empty,
+        and decoding any other value raises."""
+        for projection in (["wind_speed"], ["temperature"]):
+            obj = json.loads(query_body(projection=projection))
+            with pytest.raises(ValidationError) as err:
+                QueryRequest.from_json_dict(obj)
+            assert err.value.field == "projection"
 
     def test_inverted_range(self):
         with pytest.raises(ValidationError) as err:
@@ -70,7 +77,7 @@ class TestValidateRequest:
 
     def test_nameless_transformer(self):
         with pytest.raises(ValidationError) as err:
-            validate_request(_req(transformer=TransformerSpec.of("")))
+            validate_request(_req(transformer=TransformerSpec("")))
         assert err.value.field == "transformer"
 
 
@@ -132,13 +139,9 @@ _requests = st.builds(
     QueryRequest,
     request_id=_ids,
     range=_ranges,
-    projection=st.frozensets(st.sampled_from(FIELD_NAMES), max_size=4),
     transformer=st.one_of(
         st.none(),
-        st.builds(TransformerSpec.of,
-                  st.sampled_from(["identity", "downsample", "aggregate_mean"]),
-                  st.dictionaries(st.sampled_from(["k", "fields"]),
-                                  st.sampled_from(["2", "temperature"]), max_size=2))),
+        st.builds(TransformerSpec, st.sampled_from(["aggregate_mean", "median"]))),
     scope=st.sampled_from(Scope),
 )
 
@@ -159,6 +162,35 @@ def test_range_roundtrip(time_range):
 def test_request_roundtrip(req):
     assert QueryRequest.from_json_dict(
         json.loads(canonical_json(req.to_json_dict()))) == req
+
+
+@given(projection=st.lists(st.sampled_from(FIELD_NAMES), max_size=3, unique=True),
+       name=st.one_of(st.none(), st.sampled_from(
+           ["aggregate_mean", "identity", "downsample", "median"])),
+       params=st.dictionaries(st.sampled_from(["k", "fields"]),
+                              st.sampled_from(["0", "2", "p1", "bogus"]),
+                              max_size=2),
+       scope=st.sampled_from(Scope), start=st.integers(1, 10**12),
+       length=st.integers(1, 10**9))
+@settings(max_examples=200)
+def test_read_query_drops_what_no_request_can_carry(projection, name, params,
+                                                    scope, start, length):
+    """A QUERY body in the request JSON schema, with any projection and any
+    transformer params, is read back as the request it names only when both
+    are empty and the transformer, if any, is built in."""
+    body = query_body(name, params, projection, scope.value, start,
+                      start + length, request_id="q")
+    got = read_query(wire.Envelope(kind=wire.MessageKind.QUERY, sender="client",
+                                   receiver="node-00", body=body))
+    if projection or (name is not None
+                      and (params or name not in BUILTIN_TRANSFORMERS)):
+        assert got is None
+    else:
+        assert got == QueryRequest(
+            request_id="q", range=TimeRange(start, start + length),
+            transformer=None if name is None else TransformerSpec(name),
+            scope=scope)
+        assert wire.encode_request(got) == body
 
 
 @given(st.lists(_readings, max_size=8), st.booleans(), st.booleans())
@@ -325,12 +357,6 @@ def test_canonical_field_order_in_encoding(rng):
     assert keys == list(FIELD_NAMES)
 
 
-def test_projection_keeps_identity_fields(rng):
-    reading = make_reading(rng)
-    keys = list(reading.to_json_dict(frozenset({"temperature"})).keys())
-    assert keys == ["node_id", "sensor_id", "timestamp", "temperature"]
-
-
 def test_field_aggregate_mean_matches_sum_count():
     agg = FieldAggregate(count=4, sum=10.0, min=1.0, max=4.0)
     assert agg.mean == 2.5
@@ -385,7 +411,6 @@ _CONSTRUCTIONS = {
     "keyword": lambda r: SensorReading(**_as_kwargs(r)),
     "replace": lambda r: dataclasses.replace(_encoded(r), p1=99.0),
     "from_json_dict": lambda r: SensorReading.from_json_dict(r.to_json_dict()),
-    "projected": lambda r: _encoded(r).projected(frozenset({"temperature"})),
     "pickle": lambda r: pickle.loads(pickle.dumps(_encoded(r))),
     "copy": lambda r: copy.copy(_encoded(r)),
     "deepcopy": lambda r: copy.deepcopy(_encoded(r)),
@@ -400,7 +425,7 @@ def test_every_construction_keeps_the_identity_key(rng, path):
     assert reading_key(built) == (built.node_id, built.sensor_id, built.timestamp)
     assert reading_key(built) == reading_key(source)
     assert built._json is None
-    if path not in ("replace", "projected"):
+    if path != "replace":
         assert built == source
 
 

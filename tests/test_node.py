@@ -10,8 +10,6 @@ from syncmesh.model import (
     SensorReading,
     TimeRange,
     TransformerSpec,
-    canonical_order,
-    reading_key,
 )
 from syncmesh.netsim import (
     Endpoint,
@@ -112,7 +110,7 @@ class TestHandleRequest:
             mesh.stores[nid].insert(SensorReading(nid, f"s{i}", 100, temperature=temp))
         mesh.heartbeat_round()
         req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
-                           transformer=TransformerSpec.of("aggregate_mean"))
+                           transformer=TransformerSpec("aggregate_mean"))
         resp, _ = mesh.mesh_query(req)
         agg = resp.payload.as_dict["temperature"]
         assert agg.mean == pytest.approx(20.0)
@@ -124,7 +122,7 @@ class TestHandleRequest:
         mesh.load(data)
         mesh.heartbeat_round()
         req = QueryRequest(request_id="qt", range=FULL, scope=Scope.MESH,
-                           transformer=TransformerSpec.of("aggregate_mean"))
+                           transformer=TransformerSpec("aggregate_mean"))
         resp, _ = mesh.mesh_query(req)
         everything = [r for rs in data.values() for r in rs]
         assert_summary_close(resp.payload, naive_summary(everything, NUMERIC_FIELDS))
@@ -132,23 +130,10 @@ class TestHandleRequest:
     def test_unknown_transformer_raises(self):
         mesh = Mesh(n=1)
         req = QueryRequest(request_id="q1", range=FULL, scope=Scope.LOCAL,
-                           transformer=TransformerSpec.of("no_such_fn"))
+                           transformer=TransformerSpec("no_such_fn"))
         with pytest.raises(TransformerUnknown):
             mesh.nodes["node-00"].handle_request(req, 0.0, requester="client")
 
-    def test_mesh_query_with_projection(self, rng):
-        mesh = Mesh(n=3)
-        data = disjoint_data(rng, mesh.node_ids, per_node=8)
-        mesh.load(data)
-        mesh.heartbeat_round()
-        req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
-                           projection=frozenset({"humidity"}))
-        resp, _ = mesh.mesh_query(req)
-        expected = union_collect(data, FULL.start, FULL.end)
-        assert list(map(reading_key, resp.payload)) == list(map(reading_key, expected))
-        assert [r.humidity for r in resp.payload] == [r.humidity for r in expected]
-        # non-projected fields never crossed the wire
-        assert all(r.temperature is None and r.lat is None for r in resp.payload)
 
 
 class TestScatterGather:
@@ -240,22 +225,14 @@ class TestHeartbeats:
 
 
 class TestTransformers:
-    def test_downsample_every_kth(self, rng):
-        readings = tuple(sorted((make_reading(rng, timestamp=i + 1, sensor_id="s")
-                                 for i in range(10)), key=canonical_order))
-        out = apply_transformer(TransformerSpec.of("downsample", {"k": "2"}),
-                                readings)
-        assert out == readings[::2]
-        assert len(out) == 5
-
     def test_aggregate_mean_matches_store_oracle(self, rng):
         readings = [make_reading(rng) for _ in range(400)]
-        summary = apply_transformer(TransformerSpec.of("aggregate_mean"), readings)
+        summary = apply_transformer(TransformerSpec("aggregate_mean"), readings)
         assert_summary_close(summary, naive_summary(readings, NUMERIC_FIELDS))
 
     def test_unknown_name(self):
         with pytest.raises(TransformerUnknown):
-            apply_transformer(TransformerSpec.of("mystery"), ())
+            apply_transformer(TransformerSpec("mystery"), ())
 
 
 class TestTrafficInvariants:
@@ -264,7 +241,7 @@ class TestTrafficInvariants:
         mesh.load(disjoint_data(rng, mesh.node_ids, per_node=30))
         mesh.heartbeat_round()
         req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
-                           transformer=TransformerSpec.of("aggregate_mean"))
+                           transformer=TransformerSpec("aggregate_mean"))
         mesh.mesh_query(req)
         tags = {e.envelope.payload_tag for e in mesh.net.envelope_log}
         assert "readings" not in tags
@@ -359,7 +336,7 @@ class TestReadQuery:
 
     def test_valid_request_gives_an_equal_one(self):
         req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
-                           transformer=TransformerSpec.of("downsample", {"k": "2"}))
+                           transformer=TransformerSpec("aggregate_mean"))
         env = Envelope(kind=MessageKind.QUERY, sender="client",
                        receiver="node-00", body=encode_request(req))
         assert read_query(env) == req
