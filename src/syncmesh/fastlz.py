@@ -25,13 +25,13 @@ parses a body of at least `SPLIT_MIN_BYTES` in two segments at once, and
 `compress_all` compresses a list of bodies of at least that many bytes in
 all two bodies at a time: the helper takes every second body whole while
 this process compresses the one before it. A whole body is a tail from
-offset 0 with a 0-byte window, so the helper's reply has no marks and its
-tokens are the one-core stream.
+offset 0, so the helper's tokens are the one-core stream.
 
 The helper is a second interpreter running this file. For a split body
 it parses the tail [x, n) from an empty table; this process parses [0, x),
 then parses on past x until the two parses provably agree, and takes the
-helper's tokens from there on. The splice is exact:
+helper's tokens from there on. Each parse's matches are read from its
+tokens, as `resume` reads them (see Resume below). The splice is exact:
 
 - The table holds, for each 3-byte key, the last inserted position.
   Inserts are every scanned position and every match tail, in increasing
@@ -52,27 +52,28 @@ helper's tokens from there on. The splice is exact:
 
 The output is the one-core stream, so the split costs no ratio; on reading
 JSON the two parses provably agree some 22-56 KB past x. The helper speaks
-length-prefixed frames over its stdin and stdout, with marks sent as
-packed integers. One body at a time is with the helper: its reply is read
-before the next body is sent, so neither pipe can fill in both directions.
-A helper that cannot start, dies or sends a bad frame is closed, and every
-body from then on is compressed in this process. Only the wall-clock time
-depends on it, never a byte.
+length-prefixed frames over its stdin and stdout, one each way per body:
+a request is the tail, and a reply is the reach and anchor of the tail's
+ending, packed, then its tokens. One body at a time is with the helper:
+its reply is read before the next body is sent, so neither pipe can fill
+in both directions. A helper that cannot start, dies or sends a bad frame
+is closed, and every body from then on is compressed in this process.
+Only the wall-clock time depends on it, never a byte.
 
 Resume. `compress_ending` returns a body's stream as part of the `Ending`
 of its parse, with a reach and an anchor: as the scan first enters the
 body's last `_KEEP` (12 KiB) bytes, where its pending literals (or its
 next token) start, and the stream's length there. The process that parses
 those bytes notes them: this one, or the helper for a split body's tail,
-whose reply carries them in a third frame; this process shifts them by the
-split and the splice, or takes the splice itself if the helper's reach
-lies before it. `compress` is `compress_ending`'s stream. The tokens from
-the reach on give every match made from there: consecutive match tokens
-of one distance are one match that `_emit_match` split, since two matches
-in a row never share a distance: the first stopped at a byte that differs
+whose reply carries them; this process shifts them by the split and the
+splice, or takes the splice itself if the helper's reach lies before it.
+`compress` is `compress_ending`'s stream. The tokens from the reach on
+give every match made from there: consecutive match tokens of one
+distance are one match that `_emit_match` split, since two matches in a
+row never share a distance: the first stopped at a byte that differs
 from the byte that distance back, and a second match of that distance
-would begin by matching the two. `resume` takes a body D
-whose first d bytes are those of a kept body K. It copies K's stream up to
+would begin by matching the two. `resume` takes a body D whose first d
+bytes are those of a kept body K. It copies K's stream up to
 r, the last match end in those tokens with r + 2 <= d; rebuilds the table
 by replaying the inserts over [r - 8192, r) (every scanned position, every
 match start and every match tail), with keys read from D; and parses D
@@ -131,7 +132,7 @@ def compress_ending(data: bytes, helper: "Helper | None" = None) -> "Ending":
     data = _as_bytes(data)
     n = len(data)
     if helper is not None and n >= SPLIT_MIN_BYTES:
-        return _compress(data, helper, max((n - _WINDOW // 2) // 2, 0), _WINDOW)
+        return _compress(data, helper, max((n - _WINDOW // 2) // 2, 0))
     return _compress(data)
 
 
@@ -164,7 +165,7 @@ def resume(data: bytes, kept: "Ending", common: int) -> bytes | None:
         table[data[end - 1 : end + 2]] = end - 1
         scan = end
     tail = bytearray()
-    _, lit_start = _parse(data, r, n, table, tail, r, None)
+    _, lit_start = _parse(data, r, n, table, tail, r)
     _flush_literals(tail, data, lit_start, n)
     return b"".join((memoryview(kept.stream)[:length], tail))
 
@@ -234,10 +235,10 @@ def compress_all(bodies, helper: "Helper | None" = None) -> list[bytes]:
     for mine, theirs in zip(bodies[0::2], bodies[1::2]):
         # The reply is read before the next send, and `mine` is compressed
         # without the helper: only one body is ever with it.
-        taken = helper.send(theirs, 0, 0)
+        taken = helper.send(theirs, 0)
         out.append(compress(mine))
         reply = helper.reply() if taken else None
-        out.append(compress(theirs) if reply is None else reply[1])
+        out.append(compress(theirs) if reply is None else reply[0])
     if len(bodies) % 2:
         out.append(compress(bodies[-1], helper))
     return out
@@ -249,30 +250,32 @@ def _as_bytes(data) -> bytes:
     return bytes(data)
 
 
-def _compress(data: bytes, helper=None, split: int = 0,
-              window: int = 0) -> Ending:
+def _compress(data: bytes, helper=None, split: int = 0) -> Ending:
     """The token stream of `data`, with the tail from `split` on parsed by
     `helper` if it takes it, as the stream of its `Ending`; the two parses
-    must agree within `window` bytes past `split`. This process parses half
-    the window past `split` before it waits for the helper, since they
-    rarely agree sooner."""
+    must agree within `_WINDOW` bytes past `split`. This process parses half
+    the window past `split`, and reads its matches there, before it waits
+    for the helper, since they rarely agree sooner."""
     out = bytearray()
     table: dict[bytes, int] = {}
     pos = lit_start = 0
-    if helper is not None and helper.send(data, split, window):
-        pos, lit_start = _parse(data, 0, split, table, out, 0, None)
-        mine: list[int] = []
-        pos, lit_start = _parse(data, pos, split + window // 2, table, out,
-                                lit_start, mine)
+    if helper is not None and helper.send(data, split):
+        pos, lit_start = _parse(data, 0, split, table, out, 0)
+        # An empty match where this parse's tokens past `split` begin; its
+        # matches are read on from there.
+        mine = [lit_start, lit_start, len(out)]
+        pos, lit_start = _parse(data, pos, split + _WINDOW // 2, table, out,
+                                lit_start)
+        mine += _matches(out, mine[-1], mine[-2], pos)
         reply = helper.reply()
         if reply is not None:
-            theirs, tail, (reach, anchor) = reply
+            tokens, reach, anchor = reply
             pos, lit_start, splice = _parse_to_agreement(
-                data, split, window, table, out, pos, lit_start, mine, theirs)
+                data, split, table, out, pos, lit_start, mine, tokens)
             if splice is not None:
                 at, mine_length, their_length = splice
                 del out[mine_length:]
-                out += memoryview(tail)[their_length:]
+                out += memoryview(tokens)[their_length:]
                 if reach + split < at:  # the helper's reach is not spliced in
                     reach, anchor = at - split, their_length
                 return Ending(bytes(out), reach + split,
@@ -282,27 +285,24 @@ def _compress(data: bytes, helper=None, split: int = 0,
 
 
 def _finish(data: bytes, pos: int, table: dict, out: bytearray,
-            lit_start: int, marks: list | None = None) -> tuple[int, int]:
-    """Parse from `pos` to the end of `data`, with `marks` as `_parse`
-    takes them, and flush the last literals; returns the reach and anchor
-    of the ending: the start of the pending literals, or of the next token,
-    at the first scan position in the last `_KEEP` bytes (or `pos`, if
-    later), and the length of `out` there."""
+            lit_start: int) -> tuple[int, int]:
+    """Parse from `pos` to the end of `data` and flush the last literals;
+    returns the reach and anchor of the ending: the start of the pending
+    literals, or of the next token, at the first scan position in the last
+    `_KEEP` bytes (or `pos`, if later), and the length of `out` there."""
     n = len(data)
-    pos, lit_start = _parse(data, pos, n - _KEEP, table, out, lit_start, marks)
+    pos, lit_start = _parse(data, pos, n - _KEEP, table, out, lit_start)
     reach, anchor = lit_start, len(out)
-    pos, lit_start = _parse(data, pos, n, table, out, lit_start, marks)
+    pos, lit_start = _parse(data, pos, n, table, out, lit_start)
     _flush_literals(out, data, lit_start, n)
     return reach, anchor
 
 
 def _parse(data: bytes, pos: int, stop: int, table: dict, out: bytearray,
-           lit_start: int, marks: list | None) -> tuple[int, int]:
+           lit_start: int) -> tuple[int, int]:
     """Append the tokens of the scan from `pos` to `out`, until the scan
     reaches `stop` (or the last position that can start a match); returns
-    where the scan stopped and where its pending literals start. With a
-    `marks` list, each match adds its start, its end and the length of
-    `out` after it."""
+    where the scan stopped and where its pending literals start."""
     append = out.append
     lookup = table.get
     from_bytes = int.from_bytes
@@ -363,59 +363,54 @@ def _parse(data: bytes, pos: int, stop: int, table: dict, out: bytearray,
         tail = pos + length - 1
         if tail < limit:
             table[data[tail : tail + 3]] = tail
-        if marks is not None:
-            marks += (pos, pos + length, len(out))
         pos += length
         lit_start = pos
     return pos, lit_start
 
 
-def _parse_to_agreement(data: bytes, split: int, window: int, table: dict,
-                        out: bytearray, pos: int, lit_start: int,
-                        mine: list, theirs) -> tuple[int, int, tuple | None]:
-    """Parse on from `pos`, `_STEP` bytes at a time and at most `window`
+def _parse_to_agreement(data: bytes, split: int, table: dict,
+                        out: bytearray, pos: int, lit_start: int, mine: list,
+                        tokens: bytes) -> tuple[int, int, tuple | None]:
+    """Parse on from `pos`, `_STEP` bytes at a time and at most `_WINDOW`
     bytes past `split`, until this parse and the helper's provably agree.
-    `mine` and `theirs` hold (start, end, length of the stream after it)
-    for each match of this parse from `split` on and of the helper's, whose
-    positions count from `split`. Returns where the scan stopped, its
-    literal start, and the splice: the first match end p where both parses
-    made the same matches over [q, p), for a match end q of both with
-    p - q >= 8192, and the lengths there of `out` and of the helper's
-    stream; or None if there is none in the window."""
-    at = dict(zip(theirs[0::3], range(0, len(theirs), 3)))
-    end = min(split + window, len(data) - 2)
+    `mine` holds this parse's matches past `split`, as `_matches` reads
+    them, after an empty one where its tokens there begin; the helper's
+    `tokens` are read likewise, as far as this parse has reached. Returns
+    where the scan stopped, its literal start, and the splice: the first
+    match end p where both parses made the same matches over [q, p), for a
+    match end q of both with p - q >= 8192, and the lengths there of `out`
+    and of `tokens`; or None if there is none in the window."""
+    theirs = [0, 0, 0]  # likewise, with positions counted from `split`
+    end = min(split + _WINDOW, len(data) - 2)
     run = None  # (q, its index in mine, in theirs) of the matches in common
-    i = 0
+    i = j = 3  # the next match of each to compare, past the empty ones
     while True:
+        theirs += _matches(tokens, theirs[-1], theirs[-2], pos - split)
         while i < len(mine):
-            start, stop = mine[i], mine[i + 1]
-            k = at.get(start - split)
-            if k is None or theirs[k + 1] != stop - split:
+            start, stop = mine[i] - split, mine[i + 1] - split
+            while j < len(theirs) and theirs[j] < start:
+                j += 3
+            if j == len(theirs) or theirs[j] != start or theirs[j + 1] != stop:
                 run = None
-            elif run is None or k - run[2] != i - run[1]:
-                run = (stop, i, k)
+            elif run is None or j - run[2] != i - run[1]:
+                run = (stop, i, j)
             elif stop - run[0] >= _MAX_DISTANCE:
-                return pos, lit_start, (stop, mine[i + 2], theirs[k + 2])
+                return pos, lit_start, (split + stop, mine[i + 2],
+                                        theirs[j + 2])
             i += 3
         if pos >= end:
             return pos, lit_start, None
         pos, lit_start = _parse(data, pos, min(pos + _STEP, end), table, out,
-                                lit_start, mine)
+                                lit_start)
+        mine += _matches(out, mine[-1], mine[-2], pos)
 
 
-def _parse_tail(tail: bytes, window: int) -> tuple[bytes, bytearray, bytes]:
-    """The helper's reply for a tail: the marks of its matches within
-    `window` bytes, packed, its token stream, and the reach and anchor of
-    its ending, packed."""
+def _parse_tail(tail: bytes) -> bytes:
+    """The helper's reply for a tail: the reach and anchor of its ending,
+    packed, followed by its token stream."""
     out = bytearray()
-    table: dict[bytes, int] = {}
-    marks: list[int] = []
-    pos, lit_start = _parse(tail, 0, min(window, len(tail) - _KEEP), table,
-                            out, 0, marks)
-    # A window that reaches into the last `_KEEP` bytes is marked to the end.
-    ending = _finish(tail, pos, table, out, lit_start,
-                     marks if pos < window else None)
-    return struct.pack(f"{len(marks)}q", *marks), out, struct.pack("2q", *ending)
+    ending = _finish(tail, 0, {}, out, 0)
+    return struct.pack(">2Q", *ending) + out
 
 
 class Helper:
@@ -440,10 +435,9 @@ class Helper:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def send(self, data: bytes, split: int, window: int) -> bool:
-        """Hand the helper `data[split:]` and the window its marks cover
-        (`data` whole with a 0-byte window for `compress_all`); False if it
-        cannot take them."""
+    def send(self, data: bytes, split: int) -> bool:
+        """Hand the helper `data[split:]` (`data` whole, for `compress_all`);
+        False if it cannot take it."""
         if self._closed:
             return False
         try:
@@ -459,8 +453,7 @@ class Helper:
                     stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                     stderr=subprocess.DEVNULL)
             stdin = self._proc.stdin
-            stdin.write(_FRAME.pack(len(data) - split + _FRAME.size))
-            stdin.write(_FRAME.pack(window))
+            stdin.write(_FRAME.pack(len(data) - split))
             stdin.write(memoryview(data)[split:])
             stdin.flush()
         except (OSError, ValueError):
@@ -468,22 +461,17 @@ class Helper:
             return False
         return True
 
-    def reply(self) -> tuple[memoryview, bytes, memoryview] | None:
-        """The helper's marks, token stream, and ending's reach and anchor
-        for the tail last sent, as `_parse_tail` writes them; None if the
-        helper failed."""
+    def reply(self) -> tuple[bytes, int, int] | None:
+        """The helper's token stream, and its ending's reach and anchor, for
+        the tail last sent, from the one frame `_parse_tail` writes; None if
+        the helper failed."""
         try:
-            marks = memoryview(self._read()).cast("q")
-            if len(marks) % 3:
-                raise ValueError("marks frame is not whole marks")
-            tokens = self._read()
-            ending = memoryview(self._read()).cast("q")
-            if len(ending) != 2:
-                raise ValueError("ending frame is not a reach and an anchor")
-            return marks, tokens, ending
-        except (OSError, ValueError, TypeError):
+            frame = self._read()
+            reach, anchor = struct.unpack_from(">2Q", frame)
+        except (OSError, ValueError, struct.error):
             self.close()
             return None
+        return frame[16:], reach, anchor  # the tokens follow those two
 
     def _read(self) -> bytes:
         stdout = self._proc.stdout
@@ -514,20 +502,19 @@ class Helper:
 
 
 def _serve(stdin, stdout) -> None:
-    """The helper's loop: for each request frame (window, tail), write its
-    three reply frames; return when the input ends."""
+    """The helper's loop: for each request frame, a tail, write its reply
+    frame; return when the input ends."""
     while True:
         head = stdin.read(_FRAME.size)
         if len(head) != _FRAME.size:
             return
         (size,) = _FRAME.unpack(head)
-        request = stdin.read(size)
-        if len(request) != size or size < _FRAME.size:
+        tail = stdin.read(size)
+        if len(tail) != size:
             return
-        (window,) = _FRAME.unpack_from(request)
-        for reply in _parse_tail(request[_FRAME.size:], window):
-            stdout.write(_FRAME.pack(len(reply)))
-            stdout.write(reply)
+        reply = _parse_tail(tail)
+        stdout.write(_FRAME.pack(len(reply)))
+        stdout.write(reply)
         stdout.flush()
 
 

@@ -191,8 +191,7 @@ class PayloadOps:
                 return wire.Body(wire.response_parts(resp, self._readings_array))
             if resp.codec is CodecId.FASTLZ:
                 return self._fastlz_body(resp)
-            return wire.compress(resp.codec, wire.encode_response(resp),
-                                 self.helper)
+            return wire.compress(resp.codec, wire.encode_response(resp))
 
         body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
                           resp.codec), build)

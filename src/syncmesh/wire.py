@@ -158,16 +158,14 @@ def decode_envelope(data: bytes) -> Envelope:
     )
 
 
-def compress(codec: CodecId, data: bytes | Body,
-             helper: fastlz.Helper | None = None) -> bytes | Body:
-    """`data` compressed by `codec`; a FASTLZ body may be parsed on two cores
-    with `helper` (see `fastlz`), to the same bytes."""
+def compress(codec: CodecId, data: bytes | Body) -> bytes | Body:
+    """`data` compressed by `codec`."""
     if codec is CodecId.NONE:
         return data
     if codec is CodecId.GZIP:
         return zlib.compress(bytes(data), _GZIP_LEVEL)
     if codec is CodecId.FASTLZ:
-        return fastlz.compress(bytes(data), helper)
+        return fastlz.compress(bytes(data))
     raise ValueError(f"unknown codec: {codec}")
 
 

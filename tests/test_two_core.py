@@ -4,9 +4,11 @@ helper process nor a kept ending outlives the command that owns it."""
 
 import collections
 import gc
+import io
 import os
 import random
 import subprocess
+import sys
 import weakref
 
 import pytest
@@ -27,21 +29,21 @@ TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
                               reason="one usable CPU starts no helper")
 
 
-class InProcessHelper:
-    """The helper's side of a split parse or a whole body, run in this
-    process; it holds one body at a time, as a real helper's caller must."""
+class InProcessHelper(fastlz.Helper):
+    """A `fastlz.Helper` whose side of a split parse or a whole body runs in
+    this process: `Helper.reply` reads the one frame `_parse_tail` writes.
+    It holds one body at a time, as a real helper's caller must."""
 
-    _reply = None
+    _frame = None
 
-    def send(self, data, split, window):
-        assert self._reply is None, "a second body sent before the reply"
-        self._reply = fastlz._parse_tail(data[split:], window)
+    def send(self, data, split):
+        assert self._frame is None, "a second body sent before the reply"
+        self._frame = fastlz._parse_tail(data[split:])
         return True
 
-    def reply(self):
-        (marks, out, ending), self._reply = self._reply, None
-        return (memoryview(marks).cast("q"), bytes(out),
-                memoryview(ending).cast("q"))
+    def _read(self):
+        frame, self._frame = self._frame, None
+        return frame
 
 
 class FailingHelper(InProcessHelper):
@@ -50,23 +52,38 @@ class FailingHelper(InProcessHelper):
     does."""
 
     def __init__(self, at, how):
-        self.at, self.how, self.sends, self.closed = at, how, 0, False
+        super().__init__()
+        self.at, self.how, self.sends = at, how, 0
 
-    def send(self, data, split, window):
-        if self.closed:
+    def send(self, data, split):
+        if self._closed:
             return False
         self.sends += 1
         if self.sends == self.at and self.how == "declines":
-            self.closed = True
+            self.close()
             return False
-        return super().send(data, split, window)
+        return super().send(data, split)
 
-    def reply(self):
-        got = super().reply()
+    def _read(self):
+        frame = super()._read()
         if self.sends == self.at and self.how == "no reply":
-            self.closed = True
-            return None
-        return got
+            raise ValueError("no reply")  # `Helper.reply` closes the helper
+        return frame
+
+
+class ReplyingProcess:
+    """Stands in for a helper's process: it takes what is sent to it and
+    answers with `reply`, and it records what it was sent when killed."""
+
+    def __init__(self, reply):
+        self.stdin, self.stdout = io.BytesIO(), io.BytesIO(reply)
+        self.sent = None
+
+    def kill(self):
+        self.sent = self.stdin.getvalue()
+
+    def wait(self):
+        return -9
 
 
 @pytest.fixture
@@ -88,6 +105,14 @@ def _reading_json(sensor: int, ts: int, value: int) -> bytes:
     return (b'{"node_id":"node-%02d","sensor_id":"sensor-%03d","timestamp":%d,'
             b'"temperature":%d.%02d},' % (sensor % 12, sensor, ts, value // 100,
                                           value % 100))
+
+
+def _readings_body(count: int) -> bytes:
+    """A readings array of `count` readings; at 1500 (139 KB) its split
+    parse splices."""
+    return b"[%s]" % b"".join(
+        _reading_json(i % 41, 1_600_000_000_000 + 60_000 * i, i * 37 % 4000)
+        for i in range(count))
 
 
 @st.composite
@@ -125,11 +150,12 @@ def _bodies(draw):
     return bytes(body)
 
 
-def test_a_split_parse_writes_the_reference_stream(splices):
-    """Any split point and window: the output is the one-core stream, whether
-    the two parses were spliced or this process parsed on alone, and its
-    ending resumes the same body to that stream (after a splice its reach
-    is the helper's, shifted, or the splice's, when it lies later)."""
+def test_a_split_parse_writes_the_reference_stream(monkeypatch, splices):
+    """Any split point and window (`fastlz._WINDOW` patched): the output is
+    the one-core stream, whether the two parses were spliced or this
+    process parsed on alone, and its ending resumes the same body to that
+    stream (after a splice its reach is the helper's, shifted, or the
+    splice's, when it lies later)."""
 
     @given(body=_bodies(), split=st.integers(0, 4096),
            window=st.integers(0, 40).map(lambda k: 1024 * k))
@@ -137,9 +163,10 @@ def test_a_split_parse_writes_the_reference_stream(splices):
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     def split_parse(body, split, window):
+        monkeypatch.setattr(fastlz, "_WINDOW", window)
         before = splices["spliced"]
         ending = fastlz._compress(body, InProcessHelper(),
-                                  min(split, len(body)), window)
+                                  min(split, len(body)))
         event("spliced" if splices["spliced"] > before else "fall-back")
         assert ending.stream == reference_compress(body)
         assert fastlz.resume(body, ending, len(body)) in (None, ending.stream)
@@ -166,9 +193,79 @@ def test_compress_all_writes_each_reference_stream(monkeypatch):
         event(f"{'odd' if len(bodies) % 2 else 'even'} count, {how}")
         out = fastlz.compress_all(bodies, helper)
         assert out == [reference_compress(body) for body in bodies]
-        assert helper._reply is None
+        assert helper._frame is None
 
     compress_all()
+
+
+def test_every_stream_is_bytes(monkeypatch, splices):
+    """A memoryview slice of a reply frame compares equal to its bytes, so
+    only the type shows which one reaches a memo entry or an envelope:
+    spliced, whole from the helper, parsed here or resumed, a stream is
+    `bytes`."""
+    monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)
+    body = _readings_body(1500)
+    helper = InProcessHelper()
+    ending = fastlz.compress_ending(body, helper)
+    streams = [fastlz.compress(body), fastlz.compress(body, helper),
+               ending.stream, *fastlz.compress_all([body, body], helper),
+               fastlz.resume(body[:-1] + b",]", ending, len(body) - 1)]
+    assert splices == {"spliced": 2}
+    assert [type(stream) for stream in streams] == [bytes] * 6
+    assert streams[1:5] == [streams[0]] * 4
+
+
+@pytest.mark.parametrize("batch", [False, True],
+                         ids=["compress", "compress_all"])
+@pytest.mark.parametrize("frame", ["shorter than its ending",
+                                   "longer than MAX_OUTPUT"])
+def test_a_bad_reply_frame_closes_the_helper(monkeypatch, frame, batch):
+    """A helper whose reply frame cannot hold an ending, or is the right
+    reply but longer than `MAX_OUTPUT` (patched), is closed after the one
+    request it took; every body is still the one-core stream."""
+    monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)
+    bodies = [_readings_body(count) for count in (600, 700, 800)]
+    # The second body goes whole to a batch's helper; `compress` splits.
+    split = max((len(bodies[0]) - fastlz._WINDOW // 2) // 2, 0)
+    tail = bodies[1] if batch else bodies[0][split:]
+    reply = fastlz._parse_tail(tail)
+    if frame == "shorter than its ending":
+        reply = reply[:15]
+    else:
+        monkeypatch.setattr(fastlz, "MAX_OUTPUT", len(reply) - 1)
+    helper = fastlz.Helper()
+    proc = ReplyingProcess(fastlz._FRAME.pack(len(reply)) + reply)
+    helper._proc = proc
+    if batch:
+        out = fastlz.compress_all(bodies, helper)
+    else:
+        out = [fastlz.compress(body, helper) for body in bodies]
+    assert proc.sent == fastlz._FRAME.pack(len(tail)) + tail
+    assert helper._proc is None and not helper.send(bodies[0], 0)
+    assert out == [reference_compress(body) for body in bodies]
+
+
+@NO_LEAKS
+def test_the_helper_program_answers_one_frame_per_tail():
+    """The helper program on any host, without `Helper`: one request frame
+    in, one reply frame out, equal to `_parse_tail`'s; at the end of its
+    input it exits with status 0."""
+    tail = _readings_body(400)
+    want = fastlz._parse_tail(tail)
+    ending = fastlz.compress_ending(tail)
+    assert want == (fastlz._FRAME.pack(ending.reach)
+                    + fastlz._FRAME.pack(ending.anchor) + ending.stream)
+    proc = subprocess.Popen([sys.executable, "-I", "-S", fastlz.__file__],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    with proc:
+        proc.stdin.write(fastlz._FRAME.pack(len(tail)) + tail)
+        proc.stdin.flush()
+        (size,) = fastlz._FRAME.unpack(proc.stdout.read(fastlz._FRAME.size))
+        got = proc.stdout.read(size)
+        proc.stdin.close()
+        rest = proc.stdout.read()
+        status = proc.wait(timeout=60)
+    assert got == want and rest == b"" and status == 0
 
 
 @TWO_CPUS
