@@ -66,7 +66,8 @@ def _send_batches(net: Network, ops: PayloadOps, kind: MessageKind,
     """Send, at t=0, each (sender, batches, receivers) of `streams`: every
     (offset, batch) in order, each to every receiver, encoded once. Every
     body is built before the first send, in one `PayloadOps.batch_bodies`
-    call, so that a helper can compress FASTLZ batches two at a time.
+    call, so that `fastlz.compress_all` can compress FASTLZ batches two at
+    a time.
     Returns virtual ms to the last delivery, or 0.0 when nothing was
     sent."""
     sends = [(sender, offset, batch, receivers)

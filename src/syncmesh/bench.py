@@ -35,7 +35,7 @@ from .netsim import LinkClass, Network, TrafficLedger, build_topology
 from .node import HEARTBEAT_TIMEOUT_MS, MeshClient, SyncMeshNode, run_query
 from .payloads import BUILTIN_TRANSFORMERS, PayloadOps
 from .store import LocalStore
-from . import fastlz, netsim
+from . import netsim
 
 SYSTEMS = ("syncmesh", "central", "sharded", "p2p")
 SCENARIOS = ("collect", "transform")
@@ -335,7 +335,11 @@ def ingest_csv_text(text: str, n_nodes: int,
 
 
 def ingest_csv(path, n_nodes: int) -> tuple[DatasetManifest, dict]:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"dataset {path} is not UTF-8: {exc.reason} at "
+                          f"byte {exc.start}") from None
     return ingest_csv_text(text, n_nodes, source=str(path))
 
 
@@ -457,22 +461,18 @@ class MatrixCaches:
     replay the recorded outcome instead of re-simulating it. `phases` holds
     one `_PhaseReplay` per (system, dataset). `topologies` holds each
     topology built, under (n_nodes, seed, with_server); no run changes one
-    after `build_topology`, so every run with that key shares it. `helper`
-    parses the tail of each large FASTLZ body, and every second FASTLZ
-    ingest batch, on a second core; the command that made these caches
-    owns it and closes it. With none, every body is compressed on one
-    core, to the same bytes. `endings` holds the `fastlz.Ending` of each
-    FASTLZ readings response parsed whole, under (head bytes, sha256 of the
-    readings array): its stream, which `payloads` holds too, and two
-    integers per body, kept for the command so that a later body with the
-    same head and array, such as the sharded router's answer after
-    central's, resumes that parse (`PayloadOps`)."""
+    after `build_topology`, so every run with that key shares it.
+    `endings` holds the `fastlz.Ending` of each FASTLZ readings response
+    parsed whole, under (head bytes, sha256 of the readings array): its
+    stream, which `payloads` holds too, and two integers per body, kept for
+    the command so that a later body with the same head and array, such as
+    the sharded router's answer after central's, resumes that parse
+    (`PayloadOps`)."""
 
     datasets: dict = field(default_factory=dict)
     topologies: dict = field(default_factory=dict)
     payloads: dict = field(default_factory=dict)
     phases: dict = field(default_factory=dict)
-    helper: fastlz.Helper | None = None
     endings: dict = field(default_factory=dict)
 
 
@@ -559,22 +559,15 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     topology of its reseeded latencies (one per key in `caches`), run the
     system's ingest phase and one client request, and record timing,
     per-link-class traffic and the result digest. Without `caches`, the run
-    makes its own, with a `fastlz.Helper` it closes before it returns."""
+    makes its own."""
     validate_config(cfg, unsafe)
-    if caches is not None:
-        return _run_scenario(cfg, caches)
-    with fastlz.Helper() as helper:
-        return _run_scenario(cfg, MatrixCaches(helper=helper))
-
-
-def _run_scenario(cfg: ScenarioConfig, caches: MatrixCaches) -> ScenarioResult:
+    caches = caches or MatrixCaches()
     bundle = _dataset_bundle(cfg, caches)
     window = trailing_window(bundle.manifest, cfg.window_days)
     # One system over one dataset: the namespace of its memo entries and
     # of its kept ingest end state.
     scope = (cfg.system, bundle.key)
-    ops = PayloadOps(caches.payloads, scope_key=scope, helper=caches.helper,
-                     endings=caches.endings)
+    ops = PayloadOps(caches.payloads, scope_key=scope, endings=caches.endings)
     gather_timeout = _scenario_gather_timeout(bundle.manifest)
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")
@@ -773,13 +766,12 @@ def run_matrix(seed: int, out_dir, systems=SYSTEMS, scenarios=SCENARIOS,
     out.mkdir(parents=True, exist_ok=True)
     configs = matrix_configs(seed, systems, scenarios, sizes, windows, repetitions)
     results = []
-    with fastlz.Helper() as helper:
-        caches = MatrixCaches(helper=helper)
-        for i, cfg in enumerate(configs):
-            if progress is not None:
-                progress(f"[{i + 1}/{len(configs)}] {cfg.system} {cfg.scenario} "
-                         f"n={cfg.n_nodes} days={cfg.window_days}")
-            results.append(run_scenario(cfg, caches))
+    caches = MatrixCaches()
+    for i, cfg in enumerate(configs):
+        if progress is not None:
+            progress(f"[{i + 1}/{len(configs)}] {cfg.system} {cfg.scenario} "
+                     f"n={cfg.n_nodes} days={cfg.window_days}")
+        results.append(run_scenario(cfg, caches))
     (out / "matrix.csv").write_text(results_to_csv(results), encoding="utf-8")
     manifest = {
         "seed": seed,

@@ -22,6 +22,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _ints(raw: str) -> tuple[int, ...]:
+    """A comma-separated list of integers."""
+    try:
+        return tuple(int(v) for v in raw.split(",") if v)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {raw!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bench",
                      description="Run deterministic edge-mesh traffic benchmarks.")
@@ -49,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--reps", type=int, default=bench.DEFAULT_REPETITIONS)
     matrix.add_argument("--systems", default=",".join(bench.SYSTEMS))
     matrix.add_argument("--scenarios", default=",".join(bench.SCENARIOS))
-    matrix.add_argument("--sizes", default=",".join(map(str, bench.NETWORK_SIZES)))
-    matrix.add_argument("--windows", default=",".join(map(str, bench.WINDOWS_DAYS)))
+    matrix.add_argument("--sizes", type=_ints, default=bench.NETWORK_SIZES)
+    matrix.add_argument("--windows", type=_ints, default=bench.WINDOWS_DAYS)
     matrix.add_argument("--quiet", action="store_true")
 
     gen = sub.add_parser("gen", help="emit a synthetic sensor CSV")
@@ -78,15 +87,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    def parse_ints(raw):
-        return tuple(int(v) for v in raw.split(",") if v)
-
     progress = None if args.quiet else (lambda msg: print(msg, flush=True))
     results = bench.run_matrix(
         seed=args.seed, out_dir=args.out,
         systems=tuple(v for v in args.systems.split(",") if v),
         scenarios=tuple(v for v in args.scenarios.split(",") if v),
-        sizes=parse_ints(args.sizes), windows=parse_ints(args.windows),
+        sizes=args.sizes, windows=args.windows,
         repetitions=args.reps, progress=progress)
     print(f"wrote {len(results)} configurations to {Path(args.out) / 'matrix.csv'}")
     return 0

@@ -20,18 +20,19 @@ that differs. This finds the same lengths as a byte-by-byte scan with far
 fewer interpreter steps, so the token stream is the one the byte-wise
 compressor wrote.
 
-Two cores. Handed a `Helper`, on a host with two usable CPUs, `compress`
-parses a body of at least `SPLIT_MIN_BYTES` in two segments at once, and
-`compress_all` compresses a list of bodies of at least that many bytes in
-all two bodies at a time: the helper takes every second body whole while
-this process compresses the one before it. A whole body is a tail from
-offset 0, so the helper's tokens are the one-core stream.
+Two cores. On a host with two usable CPUs, `compress` parses a body of at
+least `SPLIT_MIN_BYTES` in two segments at once, and `compress_all`
+compresses a list of bodies of at least that many bytes in all two bodies
+at a time: the helper takes every second body whole while this process
+compresses the one before it. A whole body is a tail from offset 0, so the
+helper's tokens are the one-core stream.
 
-The helper is a second interpreter running this file. For a split body
-it parses the tail [x, n) from an empty table; this process parses [0, x),
-then parses on past x until the two parses provably agree, and takes the
-helper's tokens from there on. Each parse's matches are read from its
-tokens, as `resume` reads them (see Resume below). The splice is exact:
+The helper is a second interpreter running this file, one per process
+and killed at exit (`Helper`). For a split body it parses the tail [x, n)
+from an empty table; this process parses [0, x), then parses on past x
+until the two parses provably agree, and takes the helper's tokens from
+there on. Each parse's matches are read from its tokens, as `resume` reads
+them (see Resume below). The splice is exact:
 
 - The table holds, for each 3-byte key, the last inserted position.
   Inserts are every scanned position and every match tail, in increasing
@@ -57,7 +58,7 @@ a request is the tail, and a reply is the reach and anchor of the tail's
 ending, packed, then its tokens. One body at a time is with the helper:
 its reply is read before the next body is sent, so neither pipe can fill
 in both directions. A helper that cannot start, dies or sends a bad frame
-is closed, and every body from then on is compressed in this process.
+is closed, and every later body in the process is compressed here alone.
 Only the wall-clock time depends on it, never a byte.
 
 Resume. `compress_ending` returns a body's stream as part of the `Ending`
@@ -102,6 +103,7 @@ about 3.3 MB.
 
 from __future__ import annotations
 
+import atexit
 import os
 import struct
 import sys
@@ -119,20 +121,20 @@ _KEEP = 12 * 1024  # how far before a body's end its ending's reach lies
 _FRAME = struct.Struct(">Q")  # a frame's length, then its bytes
 
 
-def compress(data: bytes, helper: "Helper | None" = None) -> bytes:
-    """The token stream of `data`. Given a `Helper`, a body of at least
-    `SPLIT_MIN_BYTES` is parsed on two cores, as the module docstring
-    describes; the bytes are the same either way."""
-    return compress_ending(data, helper).stream
+def compress(data: bytes) -> bytes:
+    """The token stream of `data`. A body of at least `SPLIT_MIN_BYTES` is
+    parsed on two cores, on a host with two usable CPUs, as the module
+    docstring describes; the bytes are the same either way."""
+    return compress_ending(data).stream
 
 
-def compress_ending(data: bytes, helper: "Helper | None" = None) -> "Ending":
-    """`compress(data, helper)`, as the stream of the `Ending` of its parse,
-    which `resume` continues."""
+def compress_ending(data: bytes) -> "Ending":
+    """`compress(data)`, as the stream of the `Ending` of its parse, which
+    `resume` continues."""
     data = _as_bytes(data)
     n = len(data)
-    if helper is not None and n >= SPLIT_MIN_BYTES:
-        return _compress(data, helper, max((n - _WINDOW // 2) // 2, 0))
+    if n >= SPLIT_MIN_BYTES:
+        return _compress(data, max((n - _WINDOW // 2) // 2, 0))
     return _compress(data)
 
 
@@ -220,27 +222,26 @@ class Ending:
         self.anchor = anchor
 
 
-def compress_all(bodies, helper: "Helper | None" = None) -> list[bytes]:
-    """`[compress(b) for b in bodies]`. Given a `Helper`, two or more bodies
-    of at least `SPLIT_MIN_BYTES` in all are compressed two at a time: every
-    second body goes whole to the helper while this process compresses the
-    body before it, and then the reply is read. A body the helper declines,
-    or whose reply fails, is compressed here; the bytes are the same either
-    way."""
+def compress_all(bodies) -> list[bytes]:
+    """`[compress(b) for b in bodies]`. Two or more bodies of at least
+    `SPLIT_MIN_BYTES` in all are compressed two at a time, on a host with
+    two usable CPUs: every second body goes whole to the helper while this
+    process compresses the body before it, and then the reply is read. A
+    body the helper declines, or whose reply fails, is compressed here; the
+    bytes are the same either way."""
     bodies = [_as_bytes(body) for body in bodies]
-    if (helper is None or len(bodies) < 2
-            or sum(map(len, bodies)) < SPLIT_MIN_BYTES):
-        return [compress(body, helper) for body in bodies]
+    if len(bodies) < 2 or sum(map(len, bodies)) < SPLIT_MIN_BYTES:
+        return [compress(body) for body in bodies]
     out = []
     for mine, theirs in zip(bodies[0::2], bodies[1::2]):
         # The reply is read before the next send, and `mine` is compressed
-        # without the helper: only one body is ever with it.
-        taken = helper.send(theirs, 0)
-        out.append(compress(mine))
-        reply = helper.reply() if taken else None
-        out.append(compress(theirs) if reply is None else reply[0])
+        # on one core: only one body is ever with the helper.
+        taken = _helper.send(theirs, 0)
+        out.append(_compress(mine).stream)
+        reply = _helper.reply() if taken else None
+        out.append(_compress(theirs).stream if reply is None else reply[0])
     if len(bodies) % 2:
-        out.append(compress(bodies[-1], helper))
+        out.append(compress(bodies[-1]))
     return out
 
 
@@ -250,16 +251,16 @@ def _as_bytes(data) -> bytes:
     return bytes(data)
 
 
-def _compress(data: bytes, helper=None, split: int = 0) -> Ending:
-    """The token stream of `data`, with the tail from `split` on parsed by
-    `helper` if it takes it, as the stream of its `Ending`; the two parses
-    must agree within `_WINDOW` bytes past `split`. This process parses half
-    the window past `split`, and reads its matches there, before it waits
-    for the helper, since they rarely agree sooner."""
+def _compress(data: bytes, split: int | None = None) -> Ending:
+    """The token stream of `data`, as the stream of its `Ending`; given a
+    `split`, the tail from there on is parsed by the helper if it takes it,
+    and the two parses must agree within `_WINDOW` bytes past `split`. This
+    process parses half the window past `split`, and reads its matches
+    there, before it waits for the helper, since they rarely agree sooner."""
     out = bytearray()
     table: dict[bytes, int] = {}
     pos = lit_start = 0
-    if helper is not None and helper.send(data, split):
+    if split is not None and _helper.send(data, split):
         pos, lit_start = _parse(data, 0, split, table, out, 0)
         # An empty match where this parse's tokens past `split` begin; its
         # matches are read on from there.
@@ -267,7 +268,7 @@ def _compress(data: bytes, helper=None, split: int = 0) -> Ending:
         pos, lit_start = _parse(data, pos, split + _WINDOW // 2, table, out,
                                 lit_start)
         mine += _matches(out, mine[-1], mine[-2], pos)
-        reply = helper.reply()
+        reply = _helper.reply()
         if reply is not None:
             tokens, reach, anchor = reply
             pos, lit_start, splice = _parse_to_agreement(
@@ -420,20 +421,14 @@ class Helper:
 
     Its process, `sys.executable -I -S` running this file, starts on the
     first body it is sent, and only on a host with two or more usable CPUs;
-    it serves until `close`. Whoever creates one closes it, so no process
-    outlives its owner. A helper that cannot start, dies or sends a bad
-    frame is closed for good: `send` then declines, and every body is
-    parsed on one core."""
+    it serves until `close`. This module keeps one, `_helper`, which an
+    `atexit` hook closes, so none outlives the interpreter. A helper that
+    cannot start, dies or sends a bad frame is closed for good: `send` then
+    declines, and every body is parsed on one core."""
 
     def __init__(self):
         self._proc = None  # the subprocess.Popen, once started
         self._closed = False
-
-    def __enter__(self) -> "Helper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def send(self, data: bytes, split: int) -> bool:
         """Hand the helper `data[split:]` (`data` whole, for `compress_all`);
@@ -442,7 +437,7 @@ class Helper:
             return False
         try:
             if self._proc is None:
-                if len(os.sched_getaffinity(0)) < 2:
+                if _usable_cpus() < 2:
                     self._closed = True
                     return False
                 # Imported here: the helper runs this file, and would take
@@ -499,6 +494,17 @@ class Helper:
                 pipe.close()
             except OSError:  # bytes it never took
                 pass
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the host's, off Linux."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_helper = Helper()
+atexit.register(lambda: _helper.close())
 
 
 def _serve(stdin, stdout) -> None:

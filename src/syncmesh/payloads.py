@@ -131,11 +131,6 @@ class PayloadOps:
     are read. The answer is held beside its array, so its id is not reused
     while this object lives, with or without a cache.
 
-    `helper`, a `fastlz.Helper` owned by the caller, lets a large FASTLZ
-    response body be parsed on two cores, and the FASTLZ batches of one
-    `batch_bodies` call be compressed two at a time; the bytes are the same
-    without it.
-
     `endings`, a dict owned by the caller (by default this object's own),
     keeps the `fastlz.Ending` of each FASTLZ readings response body parsed
     whole, under (head bytes, sha256 of the readings array) with the body's
@@ -149,11 +144,9 @@ class PayloadOps:
     """
 
     def __init__(self, cache: dict | None = None, scope_key=(),
-                 helper: fastlz.Helper | None = None,
                  endings: dict | None = None):
         self.cache = cache
         self.scope_key = scope_key
-        self.helper = helper
         self.endings = {} if endings is None else endings
         self._arrays: dict[int, tuple[ReadingSet, bytes]] = {}
         self._digests: dict[int, tuple[ReadingSet, bytes]] = {}
@@ -208,7 +201,7 @@ class PayloadOps:
         parts = wire.response_parts(resp)
         body = b"".join(parts)
         if len(parts) == 1:
-            return fastlz.compress(body, self.helper)
+            return fastlz.compress(body)
         head, array, tail = parts
         digest = hashlib.sha256(array).digest()
         self._digests[id(resp.payload)] = (resp.payload, digest)
@@ -222,7 +215,7 @@ class PayloadOps:
             stream = fastlz.resume(body, ending, common)
             if stream is not None:
                 return stream
-        ending = fastlz.compress_ending(body, self.helper)
+        ending = fastlz.compress_ending(body)
         self.endings[key] = (tail, ending)
         return ending.stream
 
@@ -246,7 +239,7 @@ class PayloadOps:
                    or (self.scope_key,) + key not in self.cache]
         bodies = [wire.encode_readings(batches[i][2]) for i in missing]
         if codec is CodecId.FASTLZ:
-            bodies = fastlz.compress_all(bodies, self.helper)
+            bodies = fastlz.compress_all(bodies)
         else:
             bodies = [wire.compress(codec, body) for body in bodies]
         fresh = dict(zip(missing, bodies))

@@ -843,7 +843,7 @@ GOLDEN_SMALL_MANIFEST_SHA256 = (
 
 def test_small_matrix_output_is_golden(tmp_path):
     """Twice in one process: the second command, after the first one's
-    caches, kept endings and helper are gone, writes the same bytes."""
+    caches and kept endings are gone, writes the same bytes."""
     for run in ("first", "second"):
         out = tmp_path / run
         code = main(["matrix", "--seed", "7", "--reps", "1", "--sizes", "3",

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from syncmesh.bench import parse_results_csv
 from syncmesh.cli import main
 
@@ -78,6 +80,17 @@ class TestRun:
         assert main(["run", "--system", "syncmesh"]) == 1
         assert main(["frobnicate"]) == 1
 
+    def test_undecodable_dataset_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes("sensor_id,lat\ns\xe9nsor,1\n".encode("latin-1"))
+        code = main(["run", "--system", "central", "--scenario", "collect",
+                     "--nodes", "3", "--days", "1", "--reps", "1",
+                     "--dataset", str(bad), "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert err.count("\n") == 1
+
 
 class TestMatrix:
     def test_reduced_matrix_writes_files(self, tmp_path):
@@ -92,3 +105,14 @@ class TestMatrix:
         assert manifest["seed"] == 3
         assert len(manifest["configs"]) == 2
         assert manifest["configs"][0]["node_configs"][0]["node_id"] == "node-00"
+
+    @pytest.mark.parametrize("flag, value", [("--sizes", "x"),
+                                             ("--windows", "1,a")])
+    def test_a_list_that_is_not_integers_exits_1(self, tmp_path, capsys,
+                                                 flag, value):
+        code = main(["matrix", "--seed", "3", "--out", str(tmp_path / "m"),
+                     "--quiet", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and value in err
+        assert not (tmp_path / "m").exists()

@@ -1,6 +1,7 @@
 """FASTLZ on two cores and resumed parses: the spliced parse and a parse
-resumed from a kept ending write the reference stream, and neither the
-helper process nor a kept ending outlives the command that owns it."""
+resumed from a kept ending write the reference stream, a kept ending does
+not outlive the command that owns it, and the module's one helper process
+does not outlive the interpreter."""
 
 import collections
 import gc
@@ -10,6 +11,7 @@ import random
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, event, given, settings
@@ -20,12 +22,9 @@ from syncmesh import baselines, bench, fastlz
 from syncmesh.model import merge_reading_sets
 from syncmesh.wire import encode_readings
 
-# An unwaited Popen or an unclosed pipe warns in its __del__, where pytest
-# reports it as an unraisable-exception warning: both are errors here.
-NO_LEAKS = pytest.mark.filterwarnings(
-    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning")
-# A helper process starts only on a host with two usable CPUs.
-TWO_CPUS = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+# A helper process starts only on a host with two usable CPUs. An unwaited
+# Popen or an unclosed pipe is an error in every test (pyproject.toml).
+TWO_CPUS = pytest.mark.skipif(fastlz._usable_cpus() < 2,
                               reason="one usable CPU starts no helper")
 
 
@@ -84,6 +83,29 @@ class ReplyingProcess:
 
     def wait(self):
         return -9
+
+
+@pytest.fixture
+def install(monkeypatch):
+    """Makes a helper the module's one helper, for the test; each one
+    installed is closed at teardown. A closed helper gives the one-core
+    stream."""
+    installed = []
+
+    def install(helper):
+        monkeypatch.setattr(fastlz, "_helper", helper)
+        installed.append(helper)
+        return helper
+
+    yield install
+    for helper in installed:
+        helper.close()
+
+
+def _closed_helper() -> fastlz.Helper:
+    helper = fastlz.Helper()
+    helper.close()
+    return helper
 
 
 @pytest.fixture
@@ -150,7 +172,8 @@ def _bodies(draw):
     return bytes(body)
 
 
-def test_a_split_parse_writes_the_reference_stream(monkeypatch, splices):
+def test_a_split_parse_writes_the_reference_stream(monkeypatch, install,
+                                                   splices):
     """Any split point and window (`fastlz._WINDOW` patched): the output is
     the one-core stream, whether the two parses were spliced or this
     process parsed on alone, and its ending resumes the same body to that
@@ -164,9 +187,9 @@ def test_a_split_parse_writes_the_reference_stream(monkeypatch, splices):
                                      HealthCheck.data_too_large])
     def split_parse(body, split, window):
         monkeypatch.setattr(fastlz, "_WINDOW", window)
+        install(InProcessHelper())
         before = splices["spliced"]
-        ending = fastlz._compress(body, InProcessHelper(),
-                                  min(split, len(body)))
+        ending = fastlz._compress(body, min(split, len(body)))
         event("spliced" if splices["spliced"] > before else "fall-back")
         assert ending.stream == reference_compress(body)
         assert fastlz.resume(body, ending, len(body)) in (None, ending.stream)
@@ -175,7 +198,7 @@ def test_a_split_parse_writes_the_reference_stream(monkeypatch, splices):
     assert splices["spliced"] and splices["fall-back"], splices
 
 
-def test_compress_all_writes_each_reference_stream(monkeypatch):
+def test_compress_all_writes_each_reference_stream(monkeypatch, install):
     """Any list of bodies, short ones and an odd count among them, with a
     helper that takes every second body, that declines one partway through
     or that has no reply for one: each output is the one-core stream."""
@@ -189,26 +212,27 @@ def test_compress_all_writes_each_reference_stream(monkeypatch):
               suppress_health_check=[HealthCheck.too_slow,
                                      HealthCheck.data_too_large])
     def compress_all(bodies, how, at):
-        helper = FailingHelper(at, how)
+        helper = install(FailingHelper(at, how))
         event(f"{'odd' if len(bodies) % 2 else 'even'} count, {how}")
-        out = fastlz.compress_all(bodies, helper)
+        out = fastlz.compress_all(bodies)
         assert out == [reference_compress(body) for body in bodies]
         assert helper._frame is None
 
     compress_all()
 
 
-def test_every_stream_is_bytes(monkeypatch, splices):
+def test_every_stream_is_bytes(monkeypatch, install, splices):
     """A memoryview slice of a reply frame compares equal to its bytes, so
     only the type shows which one reaches a memo entry or an envelope:
     spliced, whole from the helper, parsed here or resumed, a stream is
     `bytes`."""
     monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)
     body = _readings_body(1500)
-    helper = InProcessHelper()
-    ending = fastlz.compress_ending(body, helper)
-    streams = [fastlz.compress(body), fastlz.compress(body, helper),
-               ending.stream, *fastlz.compress_all([body, body], helper),
+    one_core = fastlz._compress(body).stream
+    install(InProcessHelper())
+    ending = fastlz.compress_ending(body)
+    streams = [one_core, fastlz.compress(body),
+               ending.stream, *fastlz.compress_all([body, body]),
                fastlz.resume(body[:-1] + b",]", ending, len(body) - 1)]
     assert splices == {"spliced": 2}
     assert [type(stream) for stream in streams] == [bytes] * 6
@@ -219,7 +243,8 @@ def test_every_stream_is_bytes(monkeypatch, splices):
                          ids=["compress", "compress_all"])
 @pytest.mark.parametrize("frame", ["shorter than its ending",
                                    "longer than MAX_OUTPUT"])
-def test_a_bad_reply_frame_closes_the_helper(monkeypatch, frame, batch):
+def test_a_bad_reply_frame_closes_the_helper(monkeypatch, install, frame,
+                                             batch):
     """A helper whose reply frame cannot hold an ending, or is the right
     reply but longer than `MAX_OUTPUT` (patched), is closed after the one
     request it took; every body is still the one-core stream."""
@@ -233,19 +258,18 @@ def test_a_bad_reply_frame_closes_the_helper(monkeypatch, frame, batch):
         reply = reply[:15]
     else:
         monkeypatch.setattr(fastlz, "MAX_OUTPUT", len(reply) - 1)
-    helper = fastlz.Helper()
+    helper = install(fastlz.Helper())
     proc = ReplyingProcess(fastlz._FRAME.pack(len(reply)) + reply)
     helper._proc = proc
     if batch:
-        out = fastlz.compress_all(bodies, helper)
+        out = fastlz.compress_all(bodies)
     else:
-        out = [fastlz.compress(body, helper) for body in bodies]
+        out = [fastlz.compress(body) for body in bodies]
     assert proc.sent == fastlz._FRAME.pack(len(tail)) + tail
     assert helper._proc is None and not helper.send(bodies[0], 0)
     assert out == [reference_compress(body) for body in bodies]
 
 
-@NO_LEAKS
 def test_the_helper_program_answers_one_frame_per_tail():
     """The helper program on any host, without `Helper`: one request frame
     in, one reply frame out, equal to `_parse_tail`'s; at the end of its
@@ -269,7 +293,7 @@ def test_the_helper_program_answers_one_frame_per_tail():
 
 
 @TWO_CPUS
-def test_the_seed7_ingest_batches_through_a_real_helper(monkeypatch):
+def test_the_seed7_ingest_batches_through_a_real_helper(monkeypatch, install):
     """The 36 FASTLZ batches of a 12-node central ingest over the seed-7
     dataset, compressed two at a time with a real helper."""
     text = bench.generate_synthetic(12, 30, 48, seed=7, balance_across=12)
@@ -285,14 +309,14 @@ def test_the_seed7_ingest_batches_through_a_real_helper(monkeypatch):
         return got
 
     monkeypatch.setattr(fastlz.Helper, "reply", recorded)
-    with fastlz.Helper() as helper:
-        two_core = fastlz.compress_all(bodies, helper)
+    install(fastlz.Helper())
+    two_core = fastlz.compress_all(bodies)
     assert len(bodies) == 36 and replies == [True] * 18
-    assert two_core == [fastlz.compress(body) for body in bodies]
+    assert two_core == [fastlz._compress(body).stream for body in bodies]
 
 
 @TWO_CPUS
-def test_the_seed7_arrays_through_a_real_helper(monkeypatch, splices):
+def test_the_seed7_arrays_through_a_real_helper(monkeypatch, install, splices):
     """An ingest batch, a node's partition and the whole readings array of
     the seed-7 dataset, each parsed on two cores by a real helper."""
     text = bench.generate_synthetic(12, 30, 48, seed=7, balance_across=12)
@@ -300,10 +324,10 @@ def test_the_seed7_arrays_through_a_real_helper(monkeypatch, splices):
     batch = encode_readings(parts["node-00"][:500])
     shard = encode_readings(parts["node-00"])
     whole = encode_readings(merge_reading_sets(parts.values()))
-    one_core = [fastlz.compress(body) for body in (batch, shard, whole)]
+    one_core = [fastlz._compress(body).stream for body in (batch, shard, whole)]
     monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)  # the batch too
-    with fastlz.Helper() as helper:
-        two_core = [fastlz.compress(body, helper) for body in (batch, shard, whole)]
+    install(fastlz.Helper())
+    two_core = [fastlz.compress(body) for body in (batch, shard, whole)]
     assert splices == {"spliced": 3}
     assert two_core == one_core
     assert two_core[:2] == [reference_compress(batch), reference_compress(shard)]
@@ -342,7 +366,7 @@ def _shared_prefixes(draw):
     if cut == "extended":
         return kept, kept + draw(_bodies())
     if cut in ("inside a match", "at a match end"):
-        ending = fastlz.compress_ending(kept)
+        ending = fastlz._compress(kept)
         found = fastlz._matches(ending.stream, ending.anchor, ending.reach, n)
         matches = list(zip(found[0::3], found[1::3]))
         start, end = draw(st.sampled_from(matches[-40:] or [(n - 1, n)]))
@@ -368,7 +392,8 @@ def _shared_prefixes(draw):
     return kept, kept[:at] + other
 
 
-def test_a_resumed_parse_writes_the_reference_stream(monkeypatch, splices):
+def test_a_resumed_parse_writes_the_reference_stream(monkeypatch, install,
+                                                     splices):
     """A body resumed from the ending of another with a common prefix, kept
     by a split parse (`SPLIT_MIN_BYTES` patched to 0) or a one-core one: the
     stream is the reference one, whether it resumed or was parsed whole."""
@@ -383,9 +408,10 @@ def test_a_resumed_parse_writes_the_reference_stream(monkeypatch, splices):
         kept_body, body = pair
         common = len(os.path.commonprefix((kept_body, body)))
         expected = reference_compress(body)
-        for helper in (InProcessHelper(), None):
+        for helper in (InProcessHelper(), _closed_helper()):
+            install(helper)
             before = splices["spliced"]
-            kept = fastlz.compress_ending(kept_body, helper)
+            kept = fastlz.compress_ending(kept_body)
             assert kept.stream == reference_compress(kept_body)
             got = fastlz.resume(body, kept, common)
             path = "fall-back" if got is None else "resumed"
@@ -418,9 +444,9 @@ def resumes(monkeypatch):
         calls["resume"].append((data, got))
         return got
 
-    def recorded_whole(data, helper=None):
+    def recorded_whole(data):
         calls["whole"].append(data)
-        return compress_ending(data, helper)
+        return compress_ending(data)
 
     monkeypatch.setattr(fastlz, "resume", recorded_resume)
     monkeypatch.setattr(fastlz, "compress_ending", recorded_whole)
@@ -433,55 +459,54 @@ def _router_body(body) -> bool:
     return b'"contributing_nodes":["node-00","node-01"' in body
 
 
-@NO_LEAKS
 @TWO_CPUS
-def test_every_seed7_router_body_resumes_the_central_parse(started, resumes):
+def test_every_seed7_router_body_resumes_the_central_parse(started, install,
+                                                          resumes):
     """Central, then sharded, collect over every window at 3 and 12 nodes in
     one `MatrixCaches` with a real helper: each router answer has the head
     and array of the central server's, and resumes its kept parse."""
-    with fastlz.Helper() as helper:
-        caches = bench.MatrixCaches(helper=helper)
-        for n_nodes in (3, 12):
-            for system in ("central", "sharded"):
-                for days in bench.WINDOWS_DAYS:
-                    bench.run_scenario(_seed7_config(system, n_nodes, days),
-                                       caches)
+    install(fastlz.Helper())
+    caches = bench.MatrixCaches()
+    for n_nodes in (3, 12):
+        for system in ("central", "sharded"):
+            for days in bench.WINDOWS_DAYS:
+                bench.run_scenario(_seed7_config(system, n_nodes, days), caches)
     routers = [(body, got) for body, got in resumes["resume"]
                if _router_body(body)]
     assert len(routers) == 2 * len(bench.WINDOWS_DAYS)
     assert not any(map(_router_body, resumes["whole"]))
     for body, got in routers:
-        assert got == fastlz.compress(body)
-    assert _exited(started) == [True]
+        assert got == fastlz._compress(body).stream
+    assert _exited(started) == [False]  # one helper, still serving
 
 
-@NO_LEAKS
 @TWO_CPUS
 def test_a_helper_killed_before_the_central_body_leaves_resumes_exact(
-        monkeypatch, started, resumes, splices):
+        monkeypatch, started, install, resumes, splices):
     """The helper dies after a 3-node central ingest and before the server's
     30-day answer, so that answer's ending comes from this process; the
     router's answer still resumes it, to the one-core bytes."""
     compress_ending = fastlz.compress_ending
+    helper = install(fastlz.Helper())
 
-    def kill_first(data, helper=None):
-        if helper is not None and helper._proc is not None:
+    def kill_first(data):
+        if helper._proc is not None:
             helper._proc.kill()
             helper._proc.wait(timeout=10)
-        return compress_ending(data, helper)
+        return compress_ending(data)
 
     monkeypatch.setattr(fastlz, "compress_ending", kill_first)
-    with fastlz.Helper() as helper:
-        caches = bench.MatrixCaches(helper=helper)
-        rows = [bench.run_scenario(_seed7_config(system, 3, 30), caches).rows
-                for system in ("central", "sharded")]
+    caches = bench.MatrixCaches()
+    rows = [bench.run_scenario(_seed7_config(system, 3, 30), caches).rows
+            for system in ("central", "sharded")]
     assert not splices  # no body was split after the kill
     routers = [(body, got) for body, got in resumes["resume"]
                if _router_body(body)]
-    assert len(routers) == 1 and routers[0][1] == fastlz.compress(routers[0][0])
-    assert rows == [_one_core_rows(_seed7_config(system, 3, 30))
-                    for system in ("central", "sharded")]
+    assert (len(routers) == 1
+            and routers[0][1] == fastlz._compress(routers[0][0]).stream)
     assert _exited(started) == [True]
+    assert rows == [_one_core_rows(install, _seed7_config(system, 3, 30))
+                    for system in ("central", "sharded")]
 
 
 def test_a_command_keeps_no_ending_once_it_returns(monkeypatch):
@@ -544,33 +569,51 @@ def _config(system="sharded", scenario="collect") -> bench.ScenarioConfig:
                                 window_days=30, repetitions=2, seed=7)
 
 
-def _one_core_rows(cfg):
+def _one_core_rows(install, cfg):
+    """The rows of `cfg` with every body compressed in this process."""
+    install(_closed_helper())
     return bench.run_scenario(cfg, bench.MatrixCaches()).rows
 
 
-@NO_LEAKS
 @TWO_CPUS
-def test_the_helper_has_exited_when_a_command_returns(started, splices):
-    rows = bench.run_scenario(_config()).rows
+def test_two_commands_in_one_process_start_one_helper(started, install,
+                                                      splices):
+    """A 3-node sharded collect splits four large bodies; a central transform
+    sends no large body, but its nine ingest batches (about 855 KB) go to
+    the helper two at a time. Both commands use the one helper, which
+    serves on after they return."""
+    configs = [_config(), _config("central", "transform")]
+    install(fastlz.Helper())
+    rows = [bench.run_scenario(cfg).rows for cfg in configs]
     assert splices["spliced"] == 4
-    assert _exited(started) == [True]
-    assert rows == _one_core_rows(_config())
+    assert _exited(started) == [False]
+    assert rows == [_one_core_rows(install, cfg) for cfg in configs]
 
 
-@NO_LEAKS
 @TWO_CPUS
-def test_the_helper_has_exited_when_a_command_raises(monkeypatch, started, splices):
-    def fail(*args, **kwargs):
-        raise RuntimeError("a repetition failed")
+def test_no_helper_outlives_the_interpreter():
+    """A program compresses a 300 KB body, which starts its helper, hands
+    the helper a 3 MB body and exits without reading the reply. The exit
+    hook kills the helper, still parsing, and waits for it: its pid is gone
+    once the program has exited."""
+    program = (
+        "from syncmesh import fastlz\n"
+        "body = b''.join(b'{\"t\":%d,\"v\":%d},' % (i, i * 37 % 4000)\n"
+        "                for i in range(16000))\n"
+        "assert len(body) >= 300_000\n"
+        "fastlz.compress(body)\n"
+        "print(fastlz._helper._proc.pid, flush=True)\n"
+        "assert fastlz._helper.send(body * 10, 0)\n")
+    src = str(Path(fastlz.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, check=True, timeout=120)
+    pid = int(done.stdout)
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
 
-    monkeypatch.setattr(bench, "RepetitionRow", fail)
-    with pytest.raises(RuntimeError, match="a repetition failed"):
-        bench.run_scenario(_config())
-    assert splices["spliced"] == 4
-    assert _exited(started) == [True]
 
-
-@NO_LEAKS
 @TWO_CPUS
 @pytest.mark.parametrize("when, system", [
     pytest.param("after the first send", "sharded", id="after the first send"),
@@ -580,7 +623,7 @@ def test_the_helper_has_exited_when_a_command_raises(monkeypatch, started, splic
     pytest.param("after a reply", "central", id="central, after a reply"),
 ])
 def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
-        monkeypatch, started, splices, when, system):
+        monkeypatch, started, install, splices, when, system):
     """A sharded collect splits its large response bodies; a central
     collect sends its helper every second ingest batch first. After the
     kill every body is compressed in this process."""
@@ -606,6 +649,7 @@ def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
 
     monkeypatch.setattr(fastlz.Helper, "send", send_then_kill)
     monkeypatch.setattr(fastlz.Helper, "reply", reply_then_kill)
+    install(fastlz.Helper())
     rows = bench.run_scenario(_config(system)).rows
     killed_at_send = when == "after the first send"
     assert taken.count(True) == 1 and taken[0]
@@ -613,43 +657,66 @@ def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
     assert splices["spliced"] == (
         1 if system == "sharded" and not killed_at_send else 0)
     assert _exited(started) == [True]  # and never restarted
-    assert rows == _one_core_rows(_config(system))
+    assert rows == _one_core_rows(install, _config(system))
 
 
-@NO_LEAKS
+@TWO_CPUS
+def test_a_failed_helper_stays_closed_for_the_process(monkeypatch, started,
+                                                      install, splices):
+    """A helper killed at its first send is closed for good: the commands
+    after it split no body and start no process, and every command writes
+    the one-core rows."""
+    send = fastlz.Helper.send
+
+    def send_then_kill(helper, *args):
+        taken = send(helper, *args)
+        if taken:
+            helper._proc.kill()
+            helper._proc.wait(timeout=10)
+        return taken
+
+    monkeypatch.setattr(fastlz.Helper, "send", send_then_kill)
+    install(fastlz.Helper())
+    configs = [_config(), _config(), _config("central", "transform")]
+    rows = [bench.run_scenario(configs[0]).rows]
+    assert _exited(started) == [True]
+    rows += [bench.run_scenario(cfg).rows for cfg in configs[1:]]
+    assert _exited(started) == []
+    assert not splices
+    assert rows == [_one_core_rows(install, cfg) for cfg in configs]
+
+
 @pytest.mark.parametrize("system, scenario", [
     ("syncmesh", "collect"), ("syncmesh", "transform"), ("p2p", "collect"),
     ("p2p", "transform"), ("sharded", "transform"),
 ])
 def test_a_command_without_a_large_fastlz_body_starts_no_process(
-        started, system, scenario):
+        started, install, system, scenario):
+    install(fastlz.Helper())
     bench.run_scenario(_config(system, scenario))
     assert _exited(started) == []
 
 
-@NO_LEAKS
-@TWO_CPUS
-def test_a_central_ingest_starts_one_helper_and_closes_it(started):
-    """A 3-node central transform sends no large body, but its nine ingest
-    batches (about 855 KB) go to the helper two at a time."""
-    cfg = _config("central", "transform")
-    rows = bench.run_scenario(cfg).rows
-    assert _exited(started) == [True]
-    assert rows == _one_core_rows(cfg)
-
-
-@NO_LEAKS
-def test_one_usable_cpu_starts_no_process(monkeypatch, started, splices):
+def test_one_usable_cpu_starts_no_process(monkeypatch, started, install,
+                                          splices):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    install(fastlz.Helper())
     rows = bench.run_scenario(_config()).rows
     assert _exited(started) == []
     assert not splices
-    assert rows == _one_core_rows(_config())
+    assert rows == _one_core_rows(install, _config())
 
 
-@NO_LEAKS
-@TWO_CPUS
-def test_a_matrix_closes_its_helper(tmp_path, started):
-    bench.run_matrix(7, tmp_path, systems=("sharded",), scenarios=("collect",),
-                     sizes=(3,), windows=(30,), repetitions=1)
-    assert _exited(started) == [True]
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_host_without_sched_getaffinity_counts_its_cpus(
+        monkeypatch, started, install, splices, cpus):
+    """Where `os.sched_getaffinity` is missing (only Linux has it), the
+    helper counts the host's CPUs: one starts no process, two start one.
+    The rows are the one-core rows either way."""
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    install(fastlz.Helper())
+    rows = bench.run_scenario(_config()).rows
+    assert _exited(started) == [False] * (cpus - 1)
+    assert splices["spliced"] == 4 * (cpus - 1)
+    assert rows == _one_core_rows(install, _config())
