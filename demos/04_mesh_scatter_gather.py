@@ -11,6 +11,7 @@ from syncmesh.netsim import Network, build_topology
 from syncmesh.node import MeshClient, SyncMeshNode, run_query
 from syncmesh.payloads import BUILTIN_TRANSFORMERS
 from syncmesh.store import LocalStore
+from syncmesh.wire import MessageKind, read_payload
 
 text = generate_synthetic(n_sensors=3, days=7, readings_per_sensor_per_day=48,
                           seed=3, balance_across=3)  # one sensor per node
@@ -46,9 +47,10 @@ resp, rtt = run_query(net, client, "node-00", transform, net.clock + 500.0)
 temp = resp.payload.as_dict["temperature"]
 print(f"mesh transform: mean temperature {temp.mean:.2f} over {temp.count} "
       f"readings in {rtt:.0f} ms")
-tags = {e.envelope.payload_tag for e in net.envelope_log
-        if e.envelope.payload_tag}
-print(f"payloads that crossed links: {sorted(tags)} (never raw reading sets)")
+carried = {read_payload(e.envelope).payload_kind for e in net.envelope_log
+           if e.envelope.kind is MessageKind.RESPONSE
+           and e.envelope.request_id == transform.request_id}
+print(f"transform responses carried: {sorted(carried)} (never raw reading sets)")
 
 # Churn: a node that stops mid-flight makes the answer partial, not absent.
 net.set_available("node-02", False)

@@ -80,7 +80,7 @@ def _send_batches(net: Network, ops: PayloadOps, kind: MessageKind,
         for receiver in receivers:
             net.send(Envelope(kind=kind, sender=sender, receiver=receiver,
                               body=body, codec=codec, request_id=request_id,
-                              payload_tag="readings", payload=batch), 0.0)
+                              payload=batch), 0.0)
             sent = True
     return net.run_until_quiescent() if sent else 0.0
 
@@ -371,7 +371,7 @@ class P2PBaseline:
             net.send(
                 Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
                          receiver=env.sender, body=env.body,
-                         request_id=env.request_id, payload_tag="echo"),
+                         request_id=env.request_id),
                 now)
             return
         req = read_query(env)

@@ -14,7 +14,7 @@ import io
 import json
 import operator
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain
 from math import cos, exp, log, sin, sqrt, tau
@@ -90,13 +90,7 @@ class ScenarioConfig:
         and the transformers every node runs with, and the gather deadline
         the run derived (`_scenario_gather_timeout`)."""
         return {
-            "system": self.system,
-            "scenario": self.scenario,
-            "n_nodes": self.n_nodes,
-            "window_days": self.window_days,
-            "repetitions": self.repetitions,
-            "seed": self.seed,
-            "dataset": self.dataset,
+            **asdict(self),
             "link_bandwidth_bytes_per_ms": DEFAULT_LINK_BANDWIDTH,
             "node_configs": [
                 {"node_id": f"node-{i:02d}",
@@ -227,14 +221,7 @@ class DatasetManifest:
     per_node_counts: tuple[tuple[str, int], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "row_count": self.row_count,
-            "malformed_rows": self.malformed_rows,
-            "time_start": self.time_start,
-            "time_end": self.time_end,
-            "per_node_counts": dict(self.per_node_counts),
-        }
+        return {**asdict(self), "per_node_counts": dict(self.per_node_counts)}
 
 
 def _parse_timestamp_ms(raw: str) -> int:
@@ -508,6 +495,10 @@ class ScenarioResult:
         return sum(r.bytes_client + r.bytes_internal + r.bytes_server
                    for r in self.rows) / len(self.rows)
 
+    def config_record(self) -> dict:
+        """The config as run, with the gather deadline its dataset gave."""
+        return self.config.to_json_dict(_scenario_gather_timeout(self.manifest))
+
 
 def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
     if cfg.dataset == "synthetic":
@@ -606,20 +597,15 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
         finally:
             net.close()
         by_class = ingest_phase.by_class() + query_phase.by_class()
-
-        def combined(*classes: LinkClass) -> int:
-            return sum(by_class[c] for c in classes)
-
-        digest = ops.payload_digest(resp.payload, req, resp.contributing_nodes)
         rows.append(RepetitionRow(
             rep=rep,
             request_time_ms=rtt,
             ingest_time_ms=ingest_ms,
-            bytes_client=combined(LinkClass.CLIENT_NODE, LinkClass.CLIENT_SERVER),
-            bytes_internal=combined(LinkClass.NODE_NODE),
-            bytes_server=combined(LinkClass.NODE_SERVER),
+            bytes_client=by_class[LinkClass.CLIENT_NODE] + by_class[LinkClass.CLIENT_SERVER],
+            bytes_internal=by_class[LinkClass.NODE_NODE],
+            bytes_server=by_class[LinkClass.NODE_SERVER],
             partial=resp.partial,
-            digest=digest,
+            digest=ops.payload_digest(resp.payload, req, resp.contributing_nodes),
             ingest_bytes_total=ingest_phase.total(),
             query_bytes_total=query_phase.total(),
         ))
@@ -630,71 +616,59 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
 # export
 # ---------------------------------------------------------------------------
 
-CSV_COLUMNS = (
-    "system", "scenario", "n_nodes", "window_days", "rep",
-    "request_time_ms", "ingest_time_ms",
-    "bytes_client", "bytes_internal", "bytes_server",
-    "partial", "digest", "ingest_bytes_total", "query_bytes_total",
-    "request_time_mean_ms", "request_time_std_ms",
-)
+# Each record exported is one dataclass's fields, in order. A column is a
+# field's name, then, by its declared type (the annotation's text), how its
+# value is written to the CSV, read back from it, and written to the JSON.
+# The fields are read once, here: a wrapper put in `RepetitionRow`'s place,
+# as a profiler's, leaves the export as it is.
+_FORMATS = {
+    "str": (str, str, str),
+    "int": (str, int, int),
+    "float": ("{:.3f}".format, float, lambda v: round(v, 3)),
+    "bool": ({True: "true", False: "false"}.get, "true".__eq__, bool),
+}
+# A row's cell of the matrix: system, scenario, n_nodes and window_days.
+_CELL = [(f.name, *_FORMATS[f.type]) for f in fields(ScenarioConfig)[:4]]
+_ROW = [(f.name, *_FORMATS[f.type]) for f in fields(RepetitionRow)]
+_SUMMARY = [(name, *_FORMATS["float"])
+            for name in ("request_time_mean_ms", "request_time_std_ms")]
+CSV_COLUMNS = tuple(column[0] for column in _CELL + _ROW + _SUMMARY)
+
+
+def _csv_cells(record, columns) -> list:
+    return [text(getattr(record, name)) for name, text, _, _ in columns]
+
+
+def _json_fields(record, columns) -> dict:
+    return {name: value(getattr(record, name)) for name, _, _, value in columns}
+
+
+def _read_cells(raw: dict, columns) -> dict:
+    return {name: read(raw[name]) for name, _, read, _ in columns}
 
 
 def results_to_csv(results) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
+    no_summary = [""] * len(_SUMMARY)
+    no_row = ["summary"] + [""] * (len(_ROW) - 1)  # "summary" as its first field
     for result in results:
-        cfg = result.config
-        prefix = [cfg.system, cfg.scenario, cfg.n_nodes, cfg.window_days]
+        cell = _csv_cells(result.config, _CELL)
         for row in result.rows:
-            writer.writerow(prefix + [
-                row.rep,
-                f"{row.request_time_ms:.3f}",
-                f"{row.ingest_time_ms:.3f}",
-                row.bytes_client, row.bytes_internal, row.bytes_server,
-                "true" if row.partial else "false",
-                row.digest,
-                row.ingest_bytes_total, row.query_bytes_total,
-                "", "",
-            ])
-        writer.writerow(prefix + [
-            "summary", "", "", "", "", "", "", "", "", "",
-            f"{result.request_time_mean_ms:.3f}",
-            f"{result.request_time_std_ms:.3f}",
-        ])
+            writer.writerow(cell + _csv_cells(row, _ROW) + no_summary)
+        writer.writerow(cell + no_row + _csv_cells(result, _SUMMARY))
     return out.getvalue()
 
 
 def results_to_json(results) -> str:
-    payload = {
-        "results": [
-            {
-                "config": r.config.to_json_dict(
-                    _scenario_gather_timeout(r.manifest)),
-                "dataset": r.manifest.to_json_dict(),
-                "rows": [
-                    {
-                        "rep": row.rep,
-                        "request_time_ms": round(row.request_time_ms, 3),
-                        "ingest_time_ms": round(row.ingest_time_ms, 3),
-                        "bytes_client": row.bytes_client,
-                        "bytes_internal": row.bytes_internal,
-                        "bytes_server": row.bytes_server,
-                        "partial": row.partial,
-                        "digest": row.digest,
-                        "ingest_bytes_total": row.ingest_bytes_total,
-                        "query_bytes_total": row.query_bytes_total,
-                    }
-                    for row in r.rows
-                ],
-                "summary": {
-                    "request_time_mean_ms": round(r.request_time_mean_ms, 3),
-                    "request_time_std_ms": round(r.request_time_std_ms, 3),
-                },
-            }
-            for r in results
-        ]
-    }
+    payload = {"results": [
+        {"config": r.config_record(),
+         "dataset": r.manifest.to_json_dict(),
+         "rows": [_json_fields(row, _ROW) for row in r.rows],
+         "summary": _json_fields(r, _SUMMARY)}
+        for r in results
+    ]}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -710,33 +684,15 @@ def export_results(results, fmt: str, path) -> None:
 
 def parse_results_csv(text: str) -> tuple[list[dict], list[dict]]:
     """Read an exported CSV back into typed data rows and summary rows."""
-    reader = csv.DictReader(io.StringIO(text))
     data, summaries = [], []
-    for raw in reader:
-        base = {
-            "system": raw["system"],
-            "scenario": raw["scenario"],
-            "n_nodes": int(raw["n_nodes"]),
-            "window_days": int(raw["window_days"]),
-        }
-        if raw["rep"] == "summary":
-            base["request_time_mean_ms"] = float(raw["request_time_mean_ms"])
-            base["request_time_std_ms"] = float(raw["request_time_std_ms"])
-            summaries.append(base)
+    for raw in csv.DictReader(io.StringIO(text)):
+        record = _read_cells(raw, _CELL)
+        if raw[_ROW[0][0]] == "summary":
+            record.update(_read_cells(raw, _SUMMARY))
+            summaries.append(record)
         else:
-            base.update({
-                "rep": int(raw["rep"]),
-                "request_time_ms": float(raw["request_time_ms"]),
-                "ingest_time_ms": float(raw["ingest_time_ms"]),
-                "bytes_client": int(raw["bytes_client"]),
-                "bytes_internal": int(raw["bytes_internal"]),
-                "bytes_server": int(raw["bytes_server"]),
-                "partial": raw["partial"] == "true",
-                "digest": raw["digest"],
-                "ingest_bytes_total": int(raw["ingest_bytes_total"]),
-                "query_bytes_total": int(raw["query_bytes_total"]),
-            })
-            data.append(base)
+            record.update(_read_cells(raw, _ROW))
+            data.append(record)
     return data, summaries
 
 
@@ -761,10 +717,15 @@ def run_matrix(seed: int, out_dir, systems=SYSTEMS, scenarios=SCENARIOS,
                sizes=NETWORK_SIZES, windows=WINDOWS_DAYS,
                repetitions: int = DEFAULT_REPETITIONS,
                progress=None) -> list[ScenarioResult]:
-    """Run the whole experiment grid and write matrix.csv + manifest.json."""
+    """Check every config of the grid, then run them all and write
+    matrix.csv + manifest.json."""
+    configs = matrix_configs(seed, systems, scenarios, sizes, windows, repetitions)
+    if not configs:
+        raise ConfigError("the matrix is empty: give each list at least one value")
+    for cfg in configs:
+        validate_config(cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    configs = matrix_configs(seed, systems, scenarios, sizes, windows, repetitions)
     results = []
     caches = MatrixCaches()
     for i, cfg in enumerate(configs):
@@ -776,8 +737,7 @@ def run_matrix(seed: int, out_dir, systems=SYSTEMS, scenarios=SCENARIOS,
     manifest = {
         "seed": seed,
         "repetitions": repetitions,
-        "configs": [r.config.to_json_dict(_scenario_gather_timeout(r.manifest))
-                    for r in results],
+        "configs": [r.config_record() for r in results],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                        encoding="utf-8")

@@ -422,9 +422,12 @@ class Helper:
     Its process, `sys.executable -I -S` running this file, starts on the
     first body it is sent, and only on a host with two or more usable CPUs;
     it serves until `close`. This module keeps one, `_helper`, which an
-    `atexit` hook closes, so none outlives the interpreter. A helper that
-    cannot start, dies or sends a bad frame is closed for good: `send` then
-    declines, and every body is parsed on one core."""
+    `atexit` hook closes, so none outlives the interpreter. In a forked
+    child it lets go of its parent's process (`_disown`), and starts its own
+    if a body needs one: frames from two processes on one pipe would splice
+    wrong tokens into a body, and the child's exit would stop its parent's
+    helper. A helper that cannot start, dies or sends a bad frame is closed
+    for good: `send` then declines, and every body is parsed on one core."""
 
     def __init__(self):
         self._proc = None  # the subprocess.Popen, once started
@@ -495,6 +498,21 @@ class Helper:
             except OSError:  # bytes it never took
                 pass
 
+    def _disown(self) -> None:
+        """Let go of a process this interpreter did not start, as a forked
+        child's copy of its parent's helper: close this side's copies of its
+        pipes, and neither stop the process nor wait for it."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        proc.stdin.close()  # every `send` flushes, so nothing is written
+        proc.stdout.close()
+        # Only its parent can wait for it; dropped unwaited, a Popen warns.
+        import warnings  # here, as `subprocess` is, for the helper's start
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ResourceWarning)
+            del proc
+
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or the host's, off Linux."""
@@ -505,6 +523,7 @@ def _usable_cpus() -> int:
 
 _helper = Helper()
 atexit.register(lambda: _helper.close())
+os.register_at_fork(after_in_child=lambda: _helper._disown())
 
 
 def _serve(stdin, stdout) -> None:

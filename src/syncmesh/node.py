@@ -191,8 +191,7 @@ class Gather:
             net.send(
                 Envelope(kind=MessageKind.QUERY, sender=self.sender,
                          receiver=target, body=body,
-                         request_id=req.request_id, payload_tag="query",
-                         payload=forwarded),
+                         request_id=req.request_id, payload=forwarded),
                 now)
 
         def deadline(_net, at):
@@ -254,8 +253,7 @@ class MeshClient:
         net.send(
             Envelope(kind=MessageKind.QUERY, sender=CLIENT_ID,
                      receiver=target, body=wire.encode_request(req),
-                     request_id=req.request_id, payload_tag="query",
-                     payload=req),
+                     request_id=req.request_id, payload=req),
             at)
 
 

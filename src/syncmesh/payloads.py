@@ -190,8 +190,7 @@ class PayloadOps:
                           resp.codec), build)
         return wire.Envelope(
             kind=wire.MessageKind.RESPONSE, sender=sender, receiver=receiver,
-            body=body, codec=resp.codec, request_id=resp.request_id,
-            payload_tag=resp.payload_kind, payload=resp)
+            body=body, codec=resp.codec, request_id=resp.request_id, payload=resp)
 
     def _fastlz_body(self, resp: QueryResponse) -> bytes:
         """The FASTLZ stream of resp's body. A readings body resumes the

@@ -6,7 +6,9 @@ and deterministic; equal inputs always produce byte-identical output.
 
 A sender in this process also attaches the object its body encodes, so a
 receiver reads that object through `read_payload` instead of decoding bytes
-that were encoded a moment before. Only the body is ever counted.
+that were encoded a moment before. Only the body is ever counted. What an
+envelope carries (a query, readings, a summary) is read from that object
+too: no label set by the sender restates it.
 
 An uncompressed body may be held as a `Body`: its bytes in parts, so that
 bodies which differ only around one long readings array share that array.
@@ -96,11 +98,10 @@ class MessageKind(enum.IntEnum):
 class Envelope:
     """One framed message between two endpoints.
 
-    `payload_tag` is simulation metadata (e.g. "readings" vs "summary") used
-    by traffic assertions; it is not part of the wire layout. `payload` is the
-    object a receiver gets by decompressing and decoding `body`; senders in
-    this process attach it, and it is neither sent nor counted. An
-    uncompressed body may be a `Body`, counted by its length alone.
+    `payload` is the object a receiver gets by decompressing and decoding
+    `body` (`read_payload`); senders in this process attach it, and it is
+    neither sent nor counted, nor compared. An uncompressed body may be a
+    `Body`, counted by its length alone.
     """
 
     kind: MessageKind
@@ -109,7 +110,6 @@ class Envelope:
     body: bytes | Body = b""
     codec: CodecId = CodecId.NONE
     request_id: str = ""
-    payload_tag: str | None = field(default=None, compare=False)
     payload: object = field(default=None, compare=False, repr=False)
 
     @property

@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from syncmesh.model import SensorReading, canonical_json
+from syncmesh.model import QueryRequest, QueryResponse, SensorReading, canonical_json
 from syncmesh.netsim import Network
 from syncmesh.wire import read_payload
 
@@ -66,6 +66,18 @@ def make_reading(rng: random.Random, node_id="node-00", sensor_id=None,
         humidity=round(rng.uniform(0, 100), 2),
         pressure=None if rng.random() < 0.2 else round(rng.gauss(101325, 300), 1),
     )
+
+
+def payload_kind(env) -> str | None:
+    """What an envelope carries, read from its payload (`read_payload`), not
+    from any label: "query", "summary" or "readings"; None for a heartbeat or
+    an echo, which carry nothing a receiver reads."""
+    payload = read_payload(env)
+    if isinstance(payload, QueryRequest):
+        return "query"
+    if isinstance(payload, QueryResponse):
+        return payload.payload_kind
+    return None if payload is None else "readings"
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import make_reading
+from conftest import make_reading, payload_kind
 from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh.baselines import CentralBaseline, P2PBaseline, P2PReplica, ShardedBaseline
 from syncmesh.bench import (
@@ -241,7 +241,7 @@ def test_c06_data_locality(caches):
     for n_nodes in (3, 6):
         for window_days in (1, 30):
             net = _syncmesh_run(caches, "transform", n_nodes, window_days)
-            tags = [e.envelope.payload_tag for e in net.envelope_log]
+            tags = [payload_kind(e.envelope) for e in net.envelope_log]
             assert "readings" not in tags, (n_nodes, window_days)
             assert "summary" in tags
             scanned += len(tags)

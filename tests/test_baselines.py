@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FASTLZ_BOMB, GZIP_BOMB, HOSTILE_QUERIES, make_reading
+from conftest import (
+    FASTLZ_BOMB, GZIP_BOMB, HOSTILE_QUERIES, make_reading, payload_kind)
 from oracles import (
     ReferenceReplica,
     assert_summary_close,
@@ -164,11 +165,11 @@ class TestSharded:
         resp, _ = system.query(transform_req(), 0.0)
         everything = [r for rs in parts.values() for r in rs]
         assert_summary_close(resp.payload, naive_summary(everything, NUMERIC_FIELDS))
-        node_server_tags = {e.envelope.payload_tag for e in net.envelope_log
+        node_server_tags = {payload_kind(e.envelope) for e in net.envelope_log
                             if e.link_class is LinkClass.NODE_SERVER
                             and e.envelope.kind is MessageKind.RESPONSE}
         assert node_server_tags == {"summary"}
-        assert not any(e.envelope.payload_tag == "readings" for e in net.envelope_log)
+        assert not any(payload_kind(e.envelope) == "readings" for e in net.envelope_log)
 
     def test_router_holds_no_readings(self, rng):
         topo = server_topology(3)
@@ -552,7 +553,7 @@ class TestP2PCollect:
         assert isinstance(resp.payload, Summary)
         assert_summary_close(resp.payload, naive_summary(everything, NUMERIC_FIELDS))
         # peers still shipped raw readings; aggregation happened at the client
-        assert any(e.envelope.payload_tag == "readings"
+        assert any(payload_kind(e.envelope) == "readings"
                    for e in net.envelope_log[mark:])
 
 

@@ -908,3 +908,28 @@ def test_run_at_twelve_nodes_is_golden(system, scenario, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == GOLDEN_RUN_AT_TWELVE_NODES_SHA256[(system, scenario)]
+
+
+# sha256 of the JSON from `bench run ... --seed 7 --format json`: the config
+# record with its node records and gather deadline, the dataset manifest,
+# every row and the summary. A change to any exported field, its order or
+# its rounding moves it.
+GOLDEN_RUN_JSON_SHA256 = {
+    ("p2p", "transform", "3", "7", "3"):
+        "36f49c8477ffb2fb3af72b03516c5d8d0477f609de64b4a12e734dcc1b271531",
+    ("sharded", "collect", "3", "7", "2"):
+        "0dad2629ff301996047b4ad0e126760155b90511178d851b0c873ebaaadfe7d7",
+}
+
+
+@pytest.mark.parametrize("system,scenario,nodes,days,reps",
+                         sorted(GOLDEN_RUN_JSON_SHA256))
+def test_run_json_export_is_golden(system, scenario, nodes, days, reps,
+                                   tmp_path):
+    out = tmp_path / "run.json"
+    code = main(["run", "--system", system, "--scenario", scenario,
+                 "--nodes", nodes, "--days", days, "--reps", reps,
+                 "--seed", "7", "--format", "json", "--out", str(out)])
+    assert code == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == GOLDEN_RUN_JSON_SHA256[(system, scenario, nodes, days, reps)]

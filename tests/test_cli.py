@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from syncmesh import bench
 from syncmesh.bench import parse_results_csv
 from syncmesh.cli import main
 
@@ -115,4 +116,24 @@ class TestMatrix:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err and value in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--systems", "syncmesh,central,foo"), ("--systems", ","),
+        ("--scenarios", ","), ("--sizes", ","), ("--windows", ","),
+    ])
+    def test_a_bad_or_empty_grid_exits_1_before_any_run(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        """A bad value anywhere in the grid, or an empty list, is rejected
+        before the first config runs, and nothing is written."""
+        runs = []
+        monkeypatch.setattr(bench, "run_scenario",
+                            lambda *args, **kwargs: runs.append(args))
+        code = main(["matrix", "--seed", "7", "--reps", "1", "--sizes", "3",
+                     "--windows", "1,7", "--out", str(tmp_path / "m"),
+                     "--quiet", flag, value])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert runs == []
         assert not (tmp_path / "m").exists()

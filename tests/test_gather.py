@@ -79,7 +79,7 @@ class Owner:
     def garbage_at(self, at, sender, request_id):
         env = Envelope(kind=MessageKind.RESPONSE, sender=sender,
                        receiver=self.id, body=b"{not json",
-                       request_id=request_id, payload_tag="readings")
+                       request_id=request_id)
         self.net.call_at(at, lambda net, now: net.send(env, now))
 
     def query(self, request_id, at):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import HOSTILE_QUERIES, make_reading
+from conftest import HOSTILE_QUERIES, make_reading, payload_kind
 from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh.model import (
     NUMERIC_FIELDS,
@@ -243,7 +243,7 @@ class TestTrafficInvariants:
         req = QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH,
                            transformer=TransformerSpec("aggregate_mean"))
         mesh.mesh_query(req)
-        tags = {e.envelope.payload_tag for e in mesh.net.envelope_log}
+        tags = {payload_kind(e.envelope) for e in mesh.net.envelope_log}
         assert "readings" not in tags
         assert "summary" in tags
 
@@ -252,7 +252,7 @@ class TestTrafficInvariants:
         mesh.load(disjoint_data(rng, mesh.node_ids, per_node=5))
         mesh.heartbeat_round()
         mesh.mesh_query()
-        assert any(e.envelope.payload_tag == "readings"
+        assert any(payload_kind(e.envelope) == "readings"
                    for e in mesh.net.envelope_log)
 
     def test_idle_mesh_is_heartbeat_only(self):

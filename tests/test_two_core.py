@@ -8,8 +8,11 @@ import gc
 import io
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
+import warnings
 import weakref
 from pathlib import Path
 
@@ -612,6 +615,52 @@ def test_no_helper_outlives_the_interpreter():
     pid = int(done.stdout)
     with pytest.raises(ProcessLookupError):
         os.kill(pid, 0)
+
+
+@TWO_CPUS
+def test_a_forked_child_never_uses_its_parents_helper(install, splices):
+    """A child forked after the helper started finds its helper unstarted,
+    so it starts its own process for its first large body and writes the
+    one-core stream. It closes only its own process, and nothing in it
+    warns; the parent's helper serves on and splices its next body. The
+    child's exit status has a bit set for each check that failed."""
+    body = _readings_body(3000)
+    assert len(body) >= fastlz.SPLIT_MIN_BYTES
+    helper = install(fastlz.Helper())
+    fastlz.compress(body)
+    parent_pid = helper._proc.pid
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        pid = os.fork()
+        if pid == 0:  # the child: its verdict is its exit status
+            failed = 255
+            try:
+                checks = [
+                    fastlz._helper is helper and helper._proc is None,
+                    fastlz.compress(body[1:]) == fastlz._compress(body[1:]).stream,
+                    fastlz._helper._proc.pid != parent_pid,
+                    splices["spliced"] == 2,
+                ]
+                fastlz._helper.close()
+                gc.collect()
+                checks.append(not caught)
+                failed = sum(1 << i for i, ok in enumerate(checks) if not ok)
+            finally:
+                os._exit(failed)
+    for _ in range(1200):  # up to 60 s
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.05)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not exit within 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert not caught
+    assert helper._proc.pid == parent_pid and helper._proc.poll() is None
+    assert fastlz.compress(body[2:]) == fastlz._compress(body[2:]).stream
+    assert splices["spliced"] == 2
 
 
 @TWO_CPUS
