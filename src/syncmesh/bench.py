@@ -17,9 +17,7 @@ import statistics
 from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from itertools import chain
-from math import cos, exp, log, sin, sqrt, tau
 from pathlib import Path
-from random import Random
 
 from .baselines import CentralBaseline, P2PBaseline, ShardedBaseline
 from .model import (
@@ -35,7 +33,9 @@ from .netsim import LinkClass, Network, TrafficLedger, build_topology
 from .node import HEARTBEAT_TIMEOUT_MS, MeshClient, SyncMeshNode, run_query
 from .payloads import BUILTIN_TRANSFORMERS, PayloadOps
 from .store import LocalStore
-from . import netsim
+# The dataset's epoch is one of bench's names, as its days and rate are.
+from .synthetic import SYNTHETIC_EPOCH_S, rows_request, write_rows
+from . import cores, netsim
 
 SYSTEMS = ("syncmesh", "central", "sharded", "p2p")
 SCENARIOS = ("collect", "transform")
@@ -48,13 +48,15 @@ QUERY_SETTLE_MS = 500.0
 
 SYNTHETIC_DAYS = 30
 SYNTHETIC_READINGS_PER_DAY = 48
-SYNTHETIC_EPOCH_S = 1_672_531_200  # 2023-01-01T00:00:00Z
+# The fewest synthetic rows written on two cores. One core writes a row in
+# about 5.5 us, and a helper's first job waits some 25 ms on its start, so
+# below about 9,000 rows a split would slow a command that starts one.
+SPLIT_MIN_ROWS = 10_000
 
 REQUIRED_COLUMNS = ("sensor_id", "lat", "lon", "timestamp", "P1", "P2",
                     "temperature", "humidity")
+_CSV_HEADER = "sensor_id,lat,lon,timestamp,P1,P2,temperature,humidity,pressure\n"
 _timestamp = operator.attrgetter("timestamp")
-# `random.normalvariate`'s constant, 4 * exp(-0.5) / sqrt(2.0).
-_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
 
 
 class ConfigError(ValueError):
@@ -151,64 +153,41 @@ def balanced_sensor_ids(n_sensors: int, n_buckets: int) -> list[str]:
 
 def generate_synthetic(n_sensors: int, days: int, readings_per_sensor_per_day: int,
                        seed: int, balance_across: int | None = None) -> str:
-    """Deterministic synthetic air-quality CSV; returns the file text.
+    """Deterministic synthetic air-quality CSV; returns the file text: the
+    header, then `synthetic.write_rows` of every sensor.
 
-    Each sensor draws from its own `random.Random` through `random()` alone.
-    The stdlib's `lognormvariate`, `uniform` and `gauss` are written out
-    inline with their formulas and draw order, so the floats, and the text,
-    are the ones those methods give."""
-    if min(n_sensors, days, readings_per_sensor_per_day) < 1:
+    A sensor's rows depend on no other's. So a dataset of two or more
+    sensors and at least `SPLIT_MIN_ROWS` rows is written on two cores,
+    where the process's helper takes a job (`cores.ROWS`): it writes the
+    second half of the sensors while this process writes the first, and
+    the text is the two joined. If the helper declines or fails, this
+    process writes the rest itself; the text is the same either way."""
+    rate = readings_per_sensor_per_day
+    if min(n_sensors, days, rate) < 1:
         raise ConfigError("all synthetic dataset counts must be positive")
+    if rate > 86_400:
+        raise ConfigError(f"at most 86400 readings per sensor per day (one "
+                          f"a second), got {rate}")
     if balance_across:
         sensor_ids = balanced_sensor_ids(n_sensors, balance_across)
     else:
         sensor_ids = [f"sensor-{i:03d}" for i in range(n_sensors)]
-    interval_s = 86_400 // readings_per_sensor_per_day
-    out = io.StringIO()
-    write = out.write
-    write("sensor_id,lat,lon,timestamp,P1,P2,temperature,humidity,pressure\n")
-    for sensor_id in sensor_ids:
-        random = Random(f"{seed}|{sensor_id}").random
-        gauss_next = None  # the second Box-Muller deviate, as `gauss` keeps it
-        lat = round(42.55 + random() * 0.3, 5)
-        lon = round(23.20 + random() * 0.4, 5)
-        prefix = f"{sensor_id},{lat},{lon},"
-        for step in range(days * readings_per_sensor_per_day):
-            ts = SYNTHETIC_EPOCH_S + step * interval_s
-            # lognormvariate(2.6, 0.7) and (2.1, 0.7): exp of a
-            # Kinderman-Monahan normal deviate.
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    break
-            p1 = round(exp(2.6 + z * 0.7), 2)
-            while True:
-                u1 = random()
-                u2 = 1.0 - random()
-                z = _NV_MAGICCONST * (u1 - 0.5) / u2
-                if z * z / 4.0 <= -log(u2):
-                    break
-            p2 = round(exp(2.1 + z * 0.7), 2)
-            # uniform(a, b) is a + (b - a) * random().
-            temperature = round(-10.0 + 50.0 * random(), 2)
-            humidity = round(0.0 + 100.0 * random(), 2)
-            # Every seventh row omits the optional pressure reading; the
-            # others take gauss(101_325.0, 300.0), a Box-Muller pair per two.
-            if step % 7 == 3:
-                pressure = ""
-            else:
-                z = gauss_next
-                gauss_next = None
-                if z is None:
-                    x2pi = random() * tau
-                    g2rad = sqrt(-2.0 * log(1.0 - random()))
-                    z = cos(x2pi) * g2rad
-                    gauss_next = sin(x2pi) * g2rad
-                pressure = f"{101_325.0 + z * 300.0:.1f}"
-            write(f"{prefix}{ts},{p1},{p2},{temperature},{humidity},{pressure}\n")
-    return out.getvalue()
+    cut = n_sensors  # the sensors from here on are the helper's
+    helper = cores.helper
+    if n_sensors >= 2 and n_sensors * days * rate >= SPLIT_MIN_ROWS:
+        # This process keeps the larger half: a helper that has not started
+        # yet answers its first job some 25 ms late.
+        half = (n_sensors + 1) // 2
+        if helper.send(cores.ROWS,
+                       rows_request(sensor_ids[half:], days, rate, seed)):
+            cut = half
+    mine = write_rows(sensor_ids[:cut], days, rate, seed)
+    theirs = ""
+    if cut < n_sensors:
+        theirs = helper.reply(bytes.decode)
+        if theirs is None:
+            theirs = write_rows(sensor_ids[cut:], days, rate, seed)
+    return _CSV_HEADER + mine + theirs
 
 
 @dataclass(frozen=True)

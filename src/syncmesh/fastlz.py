@@ -27,9 +27,9 @@ at a time: the helper takes every second body whole while this process
 compresses the one before it. A whole body is a tail from offset 0, so the
 helper's tokens are the one-core stream.
 
-The helper is a second interpreter running this file, one per process
-and killed at exit (`Helper`). For a split body it parses the tail [x, n)
-from an empty table; this process parses [0, x), then parses on past x
+The helper is the process's one second interpreter (`cores.helper`), sent
+`cores.PARSE` jobs. For a split body it parses the tail [x, n) from an
+empty table; this process parses [0, x), then parses on past x
 until the two parses provably agree, and takes the helper's tokens from
 there on. Each parse's matches are read from its tokens, as `resume` reads
 them (see Resume below). The splice is exact:
@@ -52,14 +52,13 @@ them (see Resume below). The splice is exact:
   on to n alone. The output is still exact; only the helper's work is lost.
 
 The output is the one-core stream, so the split costs no ratio; on reading
-JSON the two parses provably agree some 22-56 KB past x. The helper speaks
-length-prefixed frames over its stdin and stdout, one each way per body:
-a request is the tail, and a reply is the reach and anchor of the tail's
-ending, packed, then its tokens. One body at a time is with the helper:
-its reply is read before the next body is sent, so neither pipe can fill
-in both directions. A helper that cannot start, dies or sends a bad frame
-is closed, and every later body in the process is compressed here alone.
-Only the wall-clock time depends on it, never a byte.
+JSON the two parses provably agree some 22-56 KB past x. A job's body is
+the tail, and its reply is the reach and anchor of the tail's ending,
+packed, then its tokens (`_parse_tail`). One job at a time is with the
+helper, its reply read before the next is sent. A helper that cannot
+start, dies or sends a bad frame is closed for the process, and every
+later body is compressed here alone. Only the wall-clock time depends on
+it, never a byte.
 
 Resume. `compress_ending` returns a body's stream as part of the `Ending`
 of its parse, with a reach and an anchor: as the scan first enters the
@@ -103,10 +102,9 @@ about 3.3 MB.
 
 from __future__ import annotations
 
-import atexit
-import os
 import struct
-import sys
+
+from . import cores
 
 _MAX_DISTANCE = 8192
 _MAX_LITERAL_RUN = 32
@@ -118,7 +116,7 @@ SPLIT_MIN_BYTES = 192 * 1024  # the smallest body parsed on two cores
 _WINDOW = 64 * 1024  # how far past the split the two parses must agree
 _STEP = 2048  # bytes parsed between two looks for agreement
 _KEEP = 12 * 1024  # how far before a body's end its ending's reach lies
-_FRAME = struct.Struct(">Q")  # a frame's length, then its bytes
+_ENDING = struct.Struct(">2Q")  # the reach and anchor a tail reply starts with
 
 
 def compress(data: bytes) -> bytes:
@@ -233,12 +231,13 @@ def compress_all(bodies) -> list[bytes]:
     if len(bodies) < 2 or sum(map(len, bodies)) < SPLIT_MIN_BYTES:
         return [compress(body) for body in bodies]
     out = []
+    helper = cores.helper
     for mine, theirs in zip(bodies[0::2], bodies[1::2]):
         # The reply is read before the next send, and `mine` is compressed
         # on one core: only one body is ever with the helper.
-        taken = _helper.send(theirs, 0)
+        taken = helper.send(cores.PARSE, theirs)
         out.append(_compress(mine).stream)
-        reply = _helper.reply() if taken else None
+        reply = helper.reply(_ending) if taken else None
         out.append(_compress(theirs).stream if reply is None else reply[0])
     if len(bodies) % 2:
         out.append(compress(bodies[-1]))
@@ -260,7 +259,9 @@ def _compress(data: bytes, split: int | None = None) -> Ending:
     out = bytearray()
     table: dict[bytes, int] = {}
     pos = lit_start = 0
-    if split is not None and _helper.send(data, split):
+    helper = cores.helper
+    if split is not None and helper.send(cores.PARSE,
+                                         memoryview(data)[split:]):
         pos, lit_start = _parse(data, 0, split, table, out, 0)
         # An empty match where this parse's tokens past `split` begin; its
         # matches are read on from there.
@@ -268,7 +269,7 @@ def _compress(data: bytes, split: int | None = None) -> Ending:
         pos, lit_start = _parse(data, pos, split + _WINDOW // 2, table, out,
                                 lit_start)
         mine += _matches(out, mine[-1], mine[-2], pos)
-        reply = _helper.reply()
+        reply = helper.reply(_ending)
         if reply is not None:
             tokens, reach, anchor = reply
             pos, lit_start, splice = _parse_to_agreement(
@@ -407,140 +408,18 @@ def _parse_to_agreement(data: bytes, split: int, table: dict,
 
 
 def _parse_tail(tail: bytes) -> bytes:
-    """The helper's reply for a tail: the reach and anchor of its ending,
-    packed, followed by its token stream."""
+    """The helper's reply to a `cores.PARSE` job, a tail: the reach and
+    anchor of its ending, packed, followed by its token stream."""
     out = bytearray()
     ending = _finish(tail, 0, {}, out, 0)
-    return struct.pack(">2Q", *ending) + out
+    return _ENDING.pack(*ending) + out
 
 
-class Helper:
-    """The second interpreter that parses the tail of a large body for
-    `compress`, or a whole body for `compress_all`, one body at a time: the
-    reply to each body is read before the next is sent.
-
-    Its process, `sys.executable -I -S` running this file, starts on the
-    first body it is sent, and only on a host with two or more usable CPUs;
-    it serves until `close`. This module keeps one, `_helper`, which an
-    `atexit` hook closes, so none outlives the interpreter. In a forked
-    child it lets go of its parent's process (`_disown`), and starts its own
-    if a body needs one: frames from two processes on one pipe would splice
-    wrong tokens into a body, and the child's exit would stop its parent's
-    helper. A helper that cannot start, dies or sends a bad frame is closed
-    for good: `send` then declines, and every body is parsed on one core."""
-
-    def __init__(self):
-        self._proc = None  # the subprocess.Popen, once started
-        self._closed = False
-
-    def send(self, data: bytes, split: int) -> bool:
-        """Hand the helper `data[split:]` (`data` whole, for `compress_all`);
-        False if it cannot take it."""
-        if self._closed:
-            return False
-        try:
-            if self._proc is None:
-                if _usable_cpus() < 2:
-                    self._closed = True
-                    return False
-                # Imported here: the helper runs this file, and would take
-                # some 10 ms longer to start with subprocess imported.
-                import subprocess
-                self._proc = subprocess.Popen(
-                    [sys.executable, "-I", "-S", __file__],
-                    stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL)
-            stdin = self._proc.stdin
-            stdin.write(_FRAME.pack(len(data) - split))
-            stdin.write(memoryview(data)[split:])
-            stdin.flush()
-        except (OSError, ValueError):
-            self.close()
-            return False
-        return True
-
-    def reply(self) -> tuple[bytes, int, int] | None:
-        """The helper's token stream, and its ending's reach and anchor, for
-        the tail last sent, from the one frame `_parse_tail` writes; None if
-        the helper failed."""
-        try:
-            frame = self._read()
-            reach, anchor = struct.unpack_from(">2Q", frame)
-        except (OSError, ValueError, struct.error):
-            self.close()
-            return None
-        return frame[16:], reach, anchor  # the tokens follow those two
-
-    def _read(self) -> bytes:
-        stdout = self._proc.stdout
-        head = stdout.read(_FRAME.size)
-        if len(head) != _FRAME.size:
-            raise ValueError("helper closed its output")
-        (size,) = _FRAME.unpack(head)
-        if size > MAX_OUTPUT:
-            raise ValueError(f"helper frame of {size} bytes")
-        body = stdout.read(size)
-        if len(body) != size:
-            raise ValueError("helper frame cut short")
-        return body
-
-    def close(self) -> None:
-        """Stop the helper's process, if it started, and wait for it."""
-        self._closed = True
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        proc.kill()
-        proc.wait()
-        for pipe in (proc.stdin, proc.stdout):
-            try:
-                pipe.close()
-            except OSError:  # bytes it never took
-                pass
-
-    def _disown(self) -> None:
-        """Let go of a process this interpreter did not start, as a forked
-        child's copy of its parent's helper: close this side's copies of its
-        pipes, and neither stop the process nor wait for it."""
-        proc, self._proc = self._proc, None
-        if proc is None:
-            return
-        proc.stdin.close()  # every `send` flushes, so nothing is written
-        proc.stdout.close()
-        # Only its parent can wait for it; dropped unwaited, a Popen warns.
-        import warnings  # here, as `subprocess` is, for the helper's start
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResourceWarning)
-            del proc
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on, or the host's, off Linux."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-_helper = Helper()
-atexit.register(lambda: _helper.close())
-os.register_at_fork(after_in_child=lambda: _helper._disown())
-
-
-def _serve(stdin, stdout) -> None:
-    """The helper's loop: for each request frame, a tail, write its reply
-    frame; return when the input ends."""
-    while True:
-        head = stdin.read(_FRAME.size)
-        if len(head) != _FRAME.size:
-            return
-        (size,) = _FRAME.unpack(head)
-        tail = stdin.read(size)
-        if len(tail) != size:
-            return
-        reply = _parse_tail(tail)
-        stdout.write(_FRAME.pack(len(reply)))
-        stdout.write(reply)
-        stdout.flush()
+def _ending(frame: bytes) -> tuple[bytes, int, int]:
+    """The token stream, reach and anchor of a tail, from the reply
+    `_parse_tail` wrote; `struct.error` if the frame cannot hold them."""
+    reach, anchor = _ENDING.unpack_from(frame)
+    return frame[_ENDING.size:], reach, anchor
 
 
 def decompress(data: bytes) -> bytes:
@@ -611,7 +490,3 @@ def _emit_match(out: bytearray, length: int, distance: int) -> None:
             out.append(chunk - 9)
             out.append(off_lo)
         length -= chunk
-
-
-if __name__ == "__main__":
-    _serve(sys.stdin.buffer, sys.stdout.buffer)

@@ -173,6 +173,12 @@ def _reference_match(out, length, distance):
         length -= chunk
 
 
+# sha256 of generate_synthetic(12, 30, 48, seed=7, balance_across=12), taken
+# from the generator that wrote each row to a StringIO.
+SEED7_12_NODE_CSV_SHA256 = (
+    "709759516662541ce6734b04adab5fd8f2a1b0f3dad025c3bc923e6af9730bc0")
+
+
 def reference_generate(n_sensors, days, readings_per_sensor_per_day, seed,
                        balance_across=None):
     """The synthetic CSV as first written: the stdlib's `lognormvariate`,

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    SEED7_12_NODE_CSV_SHA256,
     ReferenceReplica,
     reference_generate,
     reference_ingest,
@@ -97,6 +98,15 @@ class TestGenerateSynthetic:
         with pytest.raises(ConfigError):
             generate_synthetic(0, 1, 1, seed=0)
 
+    def test_rejects_more_than_one_reading_a_second(self):
+        """Above 86,400 a day, `86_400 // rate` is 0 s and every row of a
+        sensor would have one timestamp; at 86,400 they are 1 s apart."""
+        with pytest.raises(ConfigError, match="86400"):
+            generate_synthetic(1, 1, 86_401, seed=0)
+        manifest, _ = ingest_csv_text(generate_synthetic(1, 1, 86_400, seed=0), 1)
+        assert manifest.row_count == 86_400
+        assert manifest.time_end - manifest.time_start == 86_399_000
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 48),
            st.one_of(st.integers(-2**63, 2**63), st.sampled_from([0, -1, 7, 10**30])),
@@ -113,12 +123,6 @@ class TestGenerateSynthetic:
         """The dataset every 12-node run and golden is built from."""
         text = generate_synthetic(12, 30, 48, seed=7, balance_across=12)
         assert hashlib.sha256(text.encode()).hexdigest() == SEED7_12_NODE_CSV_SHA256
-
-
-# sha256 of generate_synthetic(12, 30, 48, seed=7, balance_across=12), taken
-# from the generator that wrote each row to a StringIO.
-SEED7_12_NODE_CSV_SHA256 = (
-    "709759516662541ce6734b04adab5fd8f2a1b0f3dad025c3bc923e6af9730bc0")
 
 _HEADER = ("sensor_id", "lat", "lon", "timestamp", "P1", "P2",
            "temperature", "humidity", "pressure")

@@ -15,6 +15,14 @@ class TestGen:
         assert code == 0
         assert out.read_text().count("\n") - 1 == 4 * 2 * 12
 
+    def test_a_rate_above_one_reading_a_second_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "data.csv"
+        code = main(["gen", "--sensors", "1", "--days", "1", "--rate", "86401",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: at most 86400")
+        assert not out.exists()
+
     def test_gen_then_run_from_file(self, tmp_path):
         data = tmp_path / "data.csv"
         main(["gen", "--sensors", "6", "--days", "2", "--rate", "24",

@@ -1,10 +1,12 @@
-"""FASTLZ on two cores and resumed parses: the spliced parse and a parse
-resumed from a kept ending write the reference stream, a kept ending does
-not outlive the command that owns it, and the module's one helper process
-does not outlive the interpreter."""
+"""The process's second core: FASTLZ's spliced parse and a parse resumed
+from a kept ending write the reference stream, a kept ending does not
+outlive the command that owns it, the synthetic dataset written on two
+cores is the reference text, and the process's one helper does not outlive
+the interpreter."""
 
 import collections
 import gc
+import hashlib
 import io
 import os
 import random
@@ -20,27 +22,31 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_compress
-from syncmesh import baselines, bench, fastlz
+from oracles import (
+    SEED7_12_NODE_CSV_SHA256,
+    reference_compress,
+    reference_generate,
+)
+from syncmesh import baselines, bench, cores, fastlz, synthetic
 from syncmesh.model import merge_reading_sets
 from syncmesh.wire import encode_readings
 
 # A helper process starts only on a host with two usable CPUs. An unwaited
 # Popen or an unclosed pipe is an error in every test (pyproject.toml).
-TWO_CPUS = pytest.mark.skipif(fastlz._usable_cpus() < 2,
+TWO_CPUS = pytest.mark.skipif(cores._usable_cpus() < 2,
                               reason="one usable CPU starts no helper")
 
 
-class InProcessHelper(fastlz.Helper):
-    """A `fastlz.Helper` whose side of a split parse or a whole body runs in
-    this process: `Helper.reply` reads the one frame `_parse_tail` writes.
-    It holds one body at a time, as a real helper's caller must."""
+class InProcessHelper(cores.Helper):
+    """A `cores.Helper` whose jobs run in this process: `Helper.reply`
+    reads the one frame the helper's loop would write. It holds one job at
+    a time, as a real helper's caller must."""
 
     _frame = None
 
-    def send(self, data, split):
-        assert self._frame is None, "a second body sent before the reply"
-        self._frame = fastlz._parse_tail(data[split:])
+    def send(self, job, body):
+        assert self._frame is None, "a second job sent before the reply"
+        self._frame = cores._answer(job, bytes(body))
         return True
 
     def _read(self):
@@ -57,14 +63,14 @@ class FailingHelper(InProcessHelper):
         super().__init__()
         self.at, self.how, self.sends = at, how, 0
 
-    def send(self, data, split):
+    def send(self, job, body):
         if self._closed:
             return False
         self.sends += 1
         if self.sends == self.at and self.how == "declines":
             self.close()
             return False
-        return super().send(data, split)
+        return super().send(job, body)
 
     def _read(self):
         frame = super()._read()
@@ -96,7 +102,7 @@ def install(monkeypatch):
     installed = []
 
     def install(helper):
-        monkeypatch.setattr(fastlz, "_helper", helper)
+        monkeypatch.setattr(cores, "helper", helper)
         installed.append(helper)
         return helper
 
@@ -105,8 +111,8 @@ def install(monkeypatch):
         helper.close()
 
 
-def _closed_helper() -> fastlz.Helper:
-    helper = fastlz.Helper()
+def _closed_helper() -> cores.Helper:
+    helper = cores.Helper()
     helper.close()
     return helper
 
@@ -249,7 +255,7 @@ def test_every_stream_is_bytes(monkeypatch, install, splices):
 def test_a_bad_reply_frame_closes_the_helper(monkeypatch, install, frame,
                                              batch):
     """A helper whose reply frame cannot hold an ending, or is the right
-    reply but longer than `MAX_OUTPUT` (patched), is closed after the one
+    reply but longer than `cores.MAX_REPLY` (patched), is closed after the one
     request it took; every body is still the one-core stream."""
     monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)
     bodies = [_readings_body(count) for count in (600, 700, 800)]
@@ -260,16 +266,16 @@ def test_a_bad_reply_frame_closes_the_helper(monkeypatch, install, frame,
     if frame == "shorter than its ending":
         reply = reply[:15]
     else:
-        monkeypatch.setattr(fastlz, "MAX_OUTPUT", len(reply) - 1)
-    helper = install(fastlz.Helper())
-    proc = ReplyingProcess(fastlz._FRAME.pack(len(reply)) + reply)
+        monkeypatch.setattr(cores, "MAX_REPLY", len(reply) - 1)
+    helper = install(cores.Helper())
+    proc = ReplyingProcess(cores._REPLY.pack(len(reply)) + reply)
     helper._proc = proc
     if batch:
         out = fastlz.compress_all(bodies)
     else:
         out = [fastlz.compress(body) for body in bodies]
-    assert proc.sent == fastlz._FRAME.pack(len(tail)) + tail
-    assert helper._proc is None and not helper.send(bodies[0], 0)
+    assert proc.sent == cores._REQUEST.pack(cores.PARSE, len(tail)) + tail
+    assert helper._proc is None and not helper.send(cores.PARSE, bodies[0])
     assert out == [reference_compress(body) for body in bodies]
 
 
@@ -280,14 +286,14 @@ def test_the_helper_program_answers_one_frame_per_tail():
     tail = _readings_body(400)
     want = fastlz._parse_tail(tail)
     ending = fastlz.compress_ending(tail)
-    assert want == (fastlz._FRAME.pack(ending.reach)
-                    + fastlz._FRAME.pack(ending.anchor) + ending.stream)
-    proc = subprocess.Popen([sys.executable, "-I", "-S", fastlz.__file__],
+    assert want == (fastlz._ENDING.pack(ending.reach, ending.anchor)
+                    + ending.stream)
+    proc = subprocess.Popen([sys.executable, "-I", "-S", cores.__file__],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
     with proc:
-        proc.stdin.write(fastlz._FRAME.pack(len(tail)) + tail)
+        proc.stdin.write(cores._REQUEST.pack(cores.PARSE, len(tail)) + tail)
         proc.stdin.flush()
-        (size,) = fastlz._FRAME.unpack(proc.stdout.read(fastlz._FRAME.size))
+        (size,) = cores._REPLY.unpack(proc.stdout.read(cores._REPLY.size))
         got = proc.stdout.read(size)
         proc.stdin.close()
         rest = proc.stdout.read()
@@ -304,15 +310,15 @@ def test_the_seed7_ingest_batches_through_a_real_helper(monkeypatch, install):
     bodies = [encode_readings(batch) for node in sorted(parts)
               for _, batch in baselines._batches(parts[node])]
     replies = []
-    reply = fastlz.Helper.reply
+    reply = cores.Helper.reply
 
-    def recorded(helper):
-        got = reply(helper)
+    def recorded(helper, read):
+        got = reply(helper, read)
         replies.append(got is not None)
         return got
 
-    monkeypatch.setattr(fastlz.Helper, "reply", recorded)
-    install(fastlz.Helper())
+    monkeypatch.setattr(cores.Helper, "reply", recorded)
+    install(cores.Helper())
     two_core = fastlz.compress_all(bodies)
     assert len(bodies) == 36 and replies == [True] * 18
     assert two_core == [fastlz._compress(body).stream for body in bodies]
@@ -329,7 +335,7 @@ def test_the_seed7_arrays_through_a_real_helper(monkeypatch, install, splices):
     whole = encode_readings(merge_reading_sets(parts.values()))
     one_core = [fastlz._compress(body).stream for body in (batch, shard, whole)]
     monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)  # the batch too
-    install(fastlz.Helper())
+    install(cores.Helper())
     two_core = [fastlz.compress(body) for body in (batch, shard, whole)]
     assert splices == {"spliced": 3}
     assert two_core == one_core
@@ -468,7 +474,7 @@ def test_every_seed7_router_body_resumes_the_central_parse(started, install,
     """Central, then sharded, collect over every window at 3 and 12 nodes in
     one `MatrixCaches` with a real helper: each router answer has the head
     and array of the central server's, and resumes its kept parse."""
-    install(fastlz.Helper())
+    install(cores.Helper())
     caches = bench.MatrixCaches()
     for n_nodes in (3, 12):
         for system in ("central", "sharded"):
@@ -490,7 +496,7 @@ def test_a_helper_killed_before_the_central_body_leaves_resumes_exact(
     30-day answer, so that answer's ending comes from this process; the
     router's answer still resumes it, to the one-core bytes."""
     compress_ending = fastlz.compress_ending
-    helper = install(fastlz.Helper())
+    helper = install(cores.Helper())
 
     def kill_first(data):
         if helper._proc is not None:
@@ -586,7 +592,7 @@ def test_two_commands_in_one_process_start_one_helper(started, install,
     the helper two at a time. Both commands use the one helper, which
     serves on after they return."""
     configs = [_config(), _config("central", "transform")]
-    install(fastlz.Helper())
+    install(cores.Helper())
     rows = [bench.run_scenario(cfg).rows for cfg in configs]
     assert splices["spliced"] == 4
     assert _exited(started) == [False]
@@ -600,13 +606,13 @@ def test_no_helper_outlives_the_interpreter():
     hook kills the helper, still parsing, and waits for it: its pid is gone
     once the program has exited."""
     program = (
-        "from syncmesh import fastlz\n"
+        "from syncmesh import cores, fastlz\n"
         "body = b''.join(b'{\"t\":%d,\"v\":%d},' % (i, i * 37 % 4000)\n"
         "                for i in range(16000))\n"
         "assert len(body) >= 300_000\n"
         "fastlz.compress(body)\n"
-        "print(fastlz._helper._proc.pid, flush=True)\n"
-        "assert fastlz._helper.send(body * 10, 0)\n")
+        "print(cores.helper._proc.pid, flush=True)\n"
+        "assert cores.helper.send(cores.PARSE, body * 10)\n")
     src = str(Path(fastlz.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
@@ -626,7 +632,7 @@ def test_a_forked_child_never_uses_its_parents_helper(install, splices):
     child's exit status has a bit set for each check that failed."""
     body = _readings_body(3000)
     assert len(body) >= fastlz.SPLIT_MIN_BYTES
-    helper = install(fastlz.Helper())
+    helper = install(cores.Helper())
     fastlz.compress(body)
     parent_pid = helper._proc.pid
     with warnings.catch_warnings(record=True) as caught:
@@ -636,12 +642,12 @@ def test_a_forked_child_never_uses_its_parents_helper(install, splices):
             failed = 255
             try:
                 checks = [
-                    fastlz._helper is helper and helper._proc is None,
+                    cores.helper is helper and helper._proc is None,
                     fastlz.compress(body[1:]) == fastlz._compress(body[1:]).stream,
-                    fastlz._helper._proc.pid != parent_pid,
+                    cores.helper._proc.pid != parent_pid,
                     splices["spliced"] == 2,
                 ]
-                fastlz._helper.close()
+                cores.helper.close()
                 gc.collect()
                 checks.append(not caught)
                 failed = sum(1 << i for i, ok in enumerate(checks) if not ok)
@@ -676,7 +682,7 @@ def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
     """A sharded collect splits its large response bodies; a central
     collect sends its helper every second ingest batch first. After the
     kill every body is compressed in this process."""
-    send, reply = fastlz.Helper.send, fastlz.Helper.reply
+    send, reply = cores.Helper.send, cores.Helper.reply
     taken, replies = [], []
 
     def kill(helper):
@@ -689,16 +695,16 @@ def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
             kill(helper)
         return taken[-1]
 
-    def reply_then_kill(helper):
-        got = reply(helper)
+    def reply_then_kill(helper, read):
+        got = reply(helper, read)
         replies.append(got is not None)
         if when == "after a reply" and got is not None:
             kill(helper)
         return got
 
-    monkeypatch.setattr(fastlz.Helper, "send", send_then_kill)
-    monkeypatch.setattr(fastlz.Helper, "reply", reply_then_kill)
-    install(fastlz.Helper())
+    monkeypatch.setattr(cores.Helper, "send", send_then_kill)
+    monkeypatch.setattr(cores.Helper, "reply", reply_then_kill)
+    install(cores.Helper())
     rows = bench.run_scenario(_config(system)).rows
     killed_at_send = when == "after the first send"
     assert taken.count(True) == 1 and taken[0]
@@ -715,7 +721,7 @@ def test_a_failed_helper_stays_closed_for_the_process(monkeypatch, started,
     """A helper killed at its first send is closed for good: the commands
     after it split no body and start no process, and every command writes
     the one-core rows."""
-    send = fastlz.Helper.send
+    send = cores.Helper.send
 
     def send_then_kill(helper, *args):
         taken = send(helper, *args)
@@ -724,8 +730,8 @@ def test_a_failed_helper_stays_closed_for_the_process(monkeypatch, started,
             helper._proc.wait(timeout=10)
         return taken
 
-    monkeypatch.setattr(fastlz.Helper, "send", send_then_kill)
-    install(fastlz.Helper())
+    monkeypatch.setattr(cores.Helper, "send", send_then_kill)
+    install(cores.Helper())
     configs = [_config(), _config(), _config("central", "transform")]
     rows = [bench.run_scenario(configs[0]).rows]
     assert _exited(started) == [True]
@@ -741,15 +747,24 @@ def test_a_failed_helper_stays_closed_for_the_process(monkeypatch, started,
 ])
 def test_a_command_without_a_large_fastlz_body_starts_no_process(
         started, install, system, scenario):
-    install(fastlz.Helper())
+    install(cores.Helper())
     bench.run_scenario(_config(system, scenario))
+    assert _exited(started) == []
+
+
+def test_a_dataset_under_the_split_minimum_starts_no_process(started, install):
+    """`bench gen --sensors 4 --days 2`'s 384 rows and the 3-node matrix
+    dataset's 4,320 are under `SPLIT_MIN_ROWS`: one core writes them."""
+    install(cores.Helper())
+    bench.generate_synthetic(4, 2, 48, seed=0)
+    bench.generate_synthetic(3, 30, 48, seed=7, balance_across=3)
     assert _exited(started) == []
 
 
 def test_one_usable_cpu_starts_no_process(monkeypatch, started, install,
                                           splices):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    install(fastlz.Helper())
+    install(cores.Helper())
     rows = bench.run_scenario(_config()).rows
     assert _exited(started) == []
     assert not splices
@@ -764,8 +779,142 @@ def test_a_host_without_sched_getaffinity_counts_its_cpus(
     The rows are the one-core rows either way."""
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    install(fastlz.Helper())
+    install(cores.Helper())
     rows = bench.run_scenario(_config()).rows
     assert _exited(started) == [False] * (cpus - 1)
     assert splices["spliced"] == 4 * (cpus - 1)
     assert rows == _one_core_rows(install, _config())
+
+
+# ---------------------------------------------------------------------------
+# the synthetic dataset on two cores
+# ---------------------------------------------------------------------------
+
+def _record_sends(helper) -> list:
+    """(job, taken) for each job `helper` is sent from now on."""
+    sent = []
+    send = helper.send
+
+    def recorded(job, body):
+        sent.append((job, send(job, body)))
+        return sent[-1][1]
+
+    helper.send = recorded
+    return sent
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param("live", marks=TWO_CPUS), "in-process", "declines",
+    "no reply", "closed", "one usable CPU"])
+def test_a_split_dataset_is_the_reference_text(monkeypatch, started, install,
+                                               kind):
+    """The seed-7 12-node dataset at the default `SPLIT_MIN_ROWS`, then 1-13
+    sensors over two days, balanced or not, with the minimum patched to 0 so
+    that every dataset of two or more sensors is offered to the helper: a
+    live helper or an in-process stand-in writes the second half, one that
+    declines its third job or has no reply to it leaves this process to
+    write the rest, and a closed helper, or one on a host with one usable
+    CPU, takes none. The text is the reference generator's every time."""
+    if kind == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if kind == "live" or kind == "one usable CPU":
+        helper = install(cores.Helper())
+    elif kind == "in-process":
+        helper = install(InProcessHelper())
+    elif kind == "closed":
+        helper = install(_closed_helper())
+    else:
+        helper = install(FailingHelper(3, kind))
+    sent = _record_sends(helper)
+    text = bench.generate_synthetic(12, 30, 48, seed=7, balance_across=12)
+    assert _sha256(text) == SEED7_12_NODE_CSV_SHA256
+    monkeypatch.setattr(bench, "SPLIT_MIN_ROWS", 0)
+    for n_sensors in range(1, 14):
+        for balance_across in (None, n_sensors):
+            got = bench.generate_synthetic(n_sensors, 2, 24, seed=7,
+                                           balance_across=balance_across)
+            assert got == reference_generate(n_sensors, 2, 24, 7,
+                                             balance_across)
+    offered = 1 + 2 * 12  # every dataset of two or more sensors
+    taken = {"live": offered, "in-process": offered, "declines": 2,
+             "no reply": 3}.get(kind, 0)
+    assert sent == ([(cores.ROWS, True)] * taken
+                    + [(cores.ROWS, False)] * (offered - taken))
+    if kind in ("in-process", "declines", "no reply"):
+        assert helper._frame is None
+    assert _exited(started) == ([False] if kind == "live" else [])
+
+
+@pytest.mark.parametrize("process", [
+    pytest.param("real", marks=TWO_CPUS), "stand-in"])
+@pytest.mark.parametrize("bad", ["unknown job", "unreadable request"])
+def test_a_job_the_helper_cannot_read_ends_its_loop(monkeypatch, started,
+                                                    install, bad, process):
+    """A rows job of a kind the helper does not know, or whose request it
+    cannot read, ends the helper's loop: it answers neither that job nor a
+    good one after it. The caller reads no reply, closes the helper and
+    writes the rows itself, to the reference text; nothing raises, and the
+    real helper's process has exited and been waited for."""
+    monkeypatch.setattr(bench, "SPLIT_MIN_ROWS", 0)
+    helper = install(cores.Helper())
+    if bad == "unknown job":
+        send = helper.send
+        helper.send = lambda job, body: send(9, body)
+    else:
+        monkeypatch.setattr(bench, "rows_request", lambda *args: b"30\n48")
+    proc = None
+    if process == "stand-in":
+        proc = helper._proc = ReplyingProcess(b"")
+    text = bench.generate_synthetic(4, 2, 24, seed=7, balance_across=4)
+    assert text == reference_generate(4, 2, 24, 7, 4)
+    assert helper._proc is None and not helper.send(cores.PARSE, b"abc")
+    assert _exited(started) == ([True] if process == "real" else [])
+    if proc is not None:  # what it was sent, to the loop itself
+        good = cores._REQUEST.pack(cores.PARSE, 3) + b"abc"
+        out = io.BytesIO()
+        cores._serve(io.BytesIO(proc.sent + good), out)
+        job = 9 if bad == "unknown job" else cores.ROWS
+        assert proc.sent.startswith(cores._REQUEST.pack(
+            job, len(proc.sent) - cores._REQUEST.size))
+        assert out.getvalue() == b""
+
+
+def test_the_helper_program_writes_a_rows_reply():
+    """The helper program on any host, without `Helper`: a rows job's reply
+    frame holds the rows of the sensors it names, and a rows job that
+    cannot be read ends the program with status 0 and no reply."""
+    ids = bench.balanced_sensor_ids(3, 3)
+    request = synthetic.rows_request(ids[1:], 2, 24, 7)
+    lines = reference_generate(3, 2, 24, 7, 3).splitlines(keepends=True)
+    want = "".join(lines[1 + 2 * 24:])  # past the header and the first sensor
+    proc = subprocess.Popen([sys.executable, "-I", "-S", cores.__file__],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    with proc:
+        proc.stdin.write(cores._REQUEST.pack(cores.ROWS, len(request)) + request)
+        proc.stdin.flush()
+        (size,) = cores._REPLY.unpack(proc.stdout.read(cores._REPLY.size))
+        got = proc.stdout.read(size)
+        proc.stdin.write(cores._REQUEST.pack(cores.ROWS, 2) + b"\xff\n")
+        proc.stdin.flush()
+        rest = proc.stdout.read()
+        status = proc.wait(timeout=60)
+    assert got.decode() == want and rest == b"" and status == 0
+
+
+@TWO_CPUS
+def test_a_split_fastlz_body_right_after_a_rows_job(install, started, splices):
+    """One helper writes the 12-node dataset's second half, then parses the
+    tail of a split FASTLZ body: the body's stream is the reference one,
+    and the next dataset is the pinned text again."""
+    install(cores.Helper())
+    texts = [bench.generate_synthetic(12, 30, 48, seed=7, balance_across=12)]
+    body = _readings_body(3000)
+    assert fastlz.compress(body) == reference_compress(body)
+    assert splices == {"spliced": 1}
+    texts.append(bench.generate_synthetic(12, 30, 48, seed=7, balance_across=12))
+    assert [_sha256(t) for t in texts] == [SEED7_12_NODE_CSV_SHA256] * 2
+    assert _exited(started) == [False]
