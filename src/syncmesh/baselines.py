@@ -17,6 +17,7 @@ from .model import (
     QueryRequest,
     QueryResponse,
     ReadingSet,
+    Scope,
     SensorReading,
     TimeRange,
     in_canonical_order,
@@ -163,7 +164,15 @@ class CentralBaseline:
 
 
 class ShardedBaseline:
-    """Shard-per-node store behind a unifying router at the server endpoint."""
+    """Shard-per-node store behind a unifying router at the server endpoint.
+
+    The modeled shards work at the same time, so the router builds every
+    shard's answer and RESPONSE body as it routes a query, before the query
+    is sent, in one `PayloadOps.response_bodies` call: `fastlz.compress_all`
+    then compresses the FASTLZ bodies whole, two at a time. Each shard, when
+    its query arrives, finds its body in the memo. Without a memo nothing
+    is built ahead, and each shard builds its own body once. A body built
+    for a shard that is down is never sent."""
 
     def __init__(self, net: Network, stores: dict[str, LocalStore],
                  ops: PayloadOps | None = None,
@@ -184,16 +193,17 @@ class ShardedBaseline:
         req = read_query(env)
         if req is None:
             return
-        shard = env.receiver
-        resp = QueryResponse(
+        net.send(self.ops.response_envelope(
+            req, self._reply(env.receiver, req), env.receiver, env.sender), now)
+
+    def _reply(self, shard: str, req: QueryRequest) -> QueryResponse:
+        """The shard's answer to req, over its own store alone."""
+        return QueryResponse(
             request_id=req.request_id,
             payload=self.ops.answer(
                 (shard,), req, lambda: evaluate_query(self.stores[shard], req)),
             contributing_nodes=frozenset({shard}),
             partial=False, codec=CodecId.FASTLZ)
-        net.send(
-            self.ops.response_envelope(req, resp, env.receiver, env.sender),
-            now)
 
     # -- router --------------------------------------------------------------
 
@@ -223,7 +233,14 @@ class ShardedBaseline:
             self.net.send(
                 self.ops.response_envelope(req, resp, SERVER_ID, requester), at)
 
-        self.gather.start(self.net, req, sorted(self.stores), now, finish)
+        shards = sorted(self.stores)
+        local = replace(req, scope=Scope.LOCAL)  # what each shard is sent
+        if self.ops.cache is not None:
+            self.ops.response_bodies(local, [
+                (shard, frozenset({shard}), False, CodecId.FASTLZ,
+                 lambda shard=shard: self._reply(shard, local))
+                for shard in shards])
+        self.gather.start(self.net, local, shards, now, finish)
 
     def ingest(self) -> float:
         # Data already lives on the shards.

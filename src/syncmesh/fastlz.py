@@ -25,7 +25,8 @@ least `SPLIT_MIN_BYTES` in two segments at once, and `compress_all`
 compresses a list of bodies of at least that many bytes in all two bodies
 at a time: the helper takes every second body whole while this process
 compresses the one before it. A whole body is a tail from offset 0, so the
-helper's tokens are the one-core stream.
+helper's tokens are the one-core stream, and the reach and anchor its reply
+carries are the body's ending.
 
 The helper is the process's one second interpreter (`cores.helper`), sent
 `cores.PARSE` jobs. For a split body it parses the tail [x, n) from an
@@ -220,27 +221,28 @@ class Ending:
         self.anchor = anchor
 
 
-def compress_all(bodies) -> list[bytes]:
-    """`[compress(b) for b in bodies]`. Two or more bodies of at least
-    `SPLIT_MIN_BYTES` in all are compressed two at a time, on a host with
-    two usable CPUs: every second body goes whole to the helper while this
-    process compresses the body before it, and then the reply is read. A
-    body the helper declines, or whose reply fails, is compressed here; the
-    bytes are the same either way."""
+def compress_all(bodies) -> list["Ending"]:
+    """`[compress_ending(b) for b in bodies]`. Two or more bodies of at
+    least `SPLIT_MIN_BYTES` in all are compressed two at a time, on a host
+    with two usable CPUs: every second body goes whole to the helper while
+    this process compresses the body before it, and then the reply, which
+    carries the reach and anchor of the body's ending, is read. A body the
+    helper declines, or whose reply fails, is compressed here; the bytes
+    and endings are the same either way."""
     bodies = [_as_bytes(body) for body in bodies]
     if len(bodies) < 2 or sum(map(len, bodies)) < SPLIT_MIN_BYTES:
-        return [compress(body) for body in bodies]
+        return [compress_ending(body) for body in bodies]
     out = []
     helper = cores.helper
     for mine, theirs in zip(bodies[0::2], bodies[1::2]):
         # The reply is read before the next send, and `mine` is compressed
         # on one core: only one body is ever with the helper.
         taken = helper.send(cores.PARSE, theirs)
-        out.append(_compress(mine).stream)
+        out.append(_compress(mine))
         reply = helper.reply(_ending) if taken else None
-        out.append(_compress(theirs).stream if reply is None else reply[0])
+        out.append(_compress(theirs) if reply is None else Ending(*reply))
     if len(bodies) % 2:
-        out.append(compress(bodies[-1]))
+        out.append(compress_ending(bodies[-1]))
     return out
 
 

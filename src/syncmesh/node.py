@@ -165,10 +165,11 @@ class Gather:
 
     `start` sends the query, as LOCAL, to every target and sets a deadline:
     `timeout_ms` after the start, or `default_gather_timeout_ms` of the
-    network's topology when that is None. That default covers link latency
-    only, not serialization, so an owner built without a deadline can close
-    before a large reply arrives: a direct 3-node `P2PBaseline` collect of
-    30 days closes with no reply and returns an empty, partial answer.
+    network's topology when that is None. A LOCAL query is sent as it is,
+    not copied. That default covers link latency only, not serialization,
+    so an owner built without a deadline can close before a large reply
+    arrives: a direct 3-node `P2PBaseline` collect of 30 days closes with
+    no reply and returns an empty, partial answer.
     A RESPONSE counts only from a target, only its first reply, and only if
     its body decodes. `finish(responses, timeouts, now)` then runs exactly
     once: when every target has replied, or when the deadline fires. It gets
@@ -185,7 +186,8 @@ class Gather:
               finish: Callable) -> None:
         round_ = _Round(expected=frozenset(targets), finish=finish)
         self._pending[req.request_id] = round_
-        forwarded = replace(req, scope=Scope.LOCAL)
+        forwarded = (req if req.scope is Scope.LOCAL
+                     else replace(req, scope=Scope.LOCAL))
         body = wire.encode_request(forwarded)
         for target in targets:
             net.send(

@@ -118,9 +118,12 @@ class PayloadOps:
     number of that end state to the namespace of its query. Keys of
     different methods differ in length, so they never meet: one part for
     an answer, two for a digest, three for a merge, four for an encoded
-    batch and five for a response body. `batch_bodies` takes a list of
-    batches in one call, and still keys each body on its own, with four
-    parts. With cache=None every call computes afresh.
+    batch and five for a response body. `batch_bodies` and
+    `response_bodies` take a list in one call, and still key each body on
+    its own. So the memo may hold a body built before its query arrives:
+    the sharded router builds every shard's answer and body as it routes
+    a query, and each shard finds its own in the memo. With cache=None
+    every call computes afresh.
 
     An uncompressed (`CodecId.NONE`) response body is sent as a `wire.Body`
     of parts and never joined here: its readings array is encoded once per
@@ -133,14 +136,15 @@ class PayloadOps:
 
     `endings`, a dict owned by the caller (by default this object's own),
     keeps the `fastlz.Ending` of each FASTLZ readings response body parsed
-    whole, under (head bytes, sha256 of the readings array) with the body's
-    tail: the stream the memo already holds, and two integers. A later body
-    with the same key `fastlz.resume`s that parse: it shares the head, the
-    array and the common prefix of the two tails, so only its own tail is
-    parsed. A resumed body keeps the ending it resumed. The array's digest
-    is held beside its answer, as an encoded array is, so `payload_digest`
-    reads it instead of encoding and hashing the array again. The bytes
-    are the same either way.
+    whole, alone or in a `fastlz.compress_all` batch, under (head bytes,
+    sha256 of the readings array) with the body's tail: the stream the
+    memo already holds, and two integers. A later body with the same key
+    `fastlz.resume`s that parse: it shares the head, the array and the
+    common prefix of the two tails, so only its own tail is parsed. A
+    resumed body keeps the ending it resumed. The array's digest is held
+    beside its answer, as an encoded array is, so `payload_digest` reads
+    it instead of encoding and hashing the array again. The bytes are the
+    same either way.
     """
 
     def __init__(self, cache: dict | None = None, scope_key=(),
@@ -175,48 +179,79 @@ class PayloadOps:
 
     def response_envelope(self, req: QueryRequest, resp: QueryResponse,
                           sender: str, receiver: str) -> wire.Envelope:
-        """RESPONSE envelope answering req: the compressed canonical body,
-        and resp itself as payload. The body is the same for every
-        receiver; uncompressed, it is a `wire.Body` that shares its readings
-        array."""
-        def build():
-            if resp.codec is CodecId.NONE:
-                return wire.Body(wire.response_parts(resp, self._readings_array))
-            if resp.codec is CodecId.FASTLZ:
-                return self._fastlz_body(resp)
-            return wire.compress(resp.codec, wire.encode_response(resp))
-
+        """RESPONSE envelope answering req: resp's body, and resp itself as
+        payload. It is `response_bodies`'s one-body case, under the same key
+        and built by the same `_bodies`, without the batch's bookkeeping."""
         body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
-                          resp.codec), build)
+                          resp.codec), lambda: self._bodies([resp])[0])
         return wire.Envelope(
             kind=wire.MessageKind.RESPONSE, sender=sender, receiver=receiver,
             body=body, codec=resp.codec, request_id=resp.request_id, payload=resp)
 
-    def _fastlz_body(self, resp: QueryResponse) -> bytes:
-        """The FASTLZ stream of resp's body. A readings body resumes the
-        ending kept under its head and the sha256 of its array when it can,
-        and is otherwise parsed whole and keeps its ending; any other body
-        is parsed whole."""
-        parts = wire.response_parts(resp)
-        body = b"".join(parts)
-        if len(parts) == 1:
-            return fastlz.compress(body)
-        head, array, tail = parts
-        digest = hashlib.sha256(array).digest()
-        self._digests[id(resp.payload)] = (resp.payload, digest)
-        del parts, array  # the body holds them: free before the parse
-        key = (head, digest)
-        kept = self.endings.get(key)
-        if kept is not None:
-            kept_tail, ending = kept
-            common = (len(body) - len(tail)
-                      + len(os.path.commonprefix((kept_tail, tail))))
-            stream = fastlz.resume(body, ending, common)
-            if stream is not None:
-                return stream
-        ending = fastlz.compress_ending(body)
-        self.endings[key] = (tail, ending)
-        return ending.stream
+    def response_bodies(self, req: QueryRequest, replies) -> list:
+        """The compressed canonical body of each (sender, contributing
+        nodes, partial, codec, respond) of `replies`: that of the
+        `QueryResponse` to req, with those fields, that `respond()` returns.
+        A body is the same for every receiver; uncompressed, it is a
+        `wire.Body` that shares its readings array. Each body is memoized
+        under its own key, with five parts, and `respond` is called only
+        for a body the cache lacks; of those, the FASTLZ bodies that resume
+        no kept ending are compressed together by `fastlz.compress_all`."""
+        keys = [(sender, req, contributing, partial, codec)
+                for sender, contributing, partial, codec, _ in replies]
+        fresh = {}
+
+        def build(i):
+            if not fresh:  # the first miss builds every body the cache lacks
+                missing = [j for j, key in enumerate(keys) if self.cache is None
+                           or (self.scope_key,) + key not in self.cache]
+                fresh.update(zip(missing, self._bodies(
+                    [replies[j][4]() for j in missing])))
+            return fresh[i]
+
+        return [self.memo(key, lambda: build(i)) for i, key in enumerate(keys)]
+
+    def _bodies(self, responses) -> list:
+        """The body of each response. A FASTLZ readings body resumes the
+        ending kept under its head and the sha256 of its array when it can;
+        the rest are compressed whole, in one `fastlz.compress_all`, and a
+        readings body keeps its ending."""
+        bodies = [None] * len(responses)
+        whole = []  # (index, body, (key, tail) or None) to compress whole
+        for i, resp in enumerate(responses):
+            if resp.codec is CodecId.NONE:
+                bodies[i] = wire.Body(
+                    wire.response_parts(resp, self._readings_array))
+                continue
+            if resp.codec is not CodecId.FASTLZ:
+                bodies[i] = wire.compress(resp.codec, wire.encode_response(resp))
+                continue
+            parts = wire.response_parts(resp)
+            body = b"".join(parts)
+            if len(parts) == 1:
+                whole.append((i, body, None))
+                continue
+            head, array, tail = parts
+            digest = hashlib.sha256(array).digest()
+            self._digests[id(resp.payload)] = (resp.payload, digest)
+            del parts, array  # the body holds them: free before the parse
+            key = (head, digest)
+            kept = self.endings.get(key)
+            if kept is not None:
+                kept_tail, ending = kept
+                common = (len(body) - len(tail)
+                          + len(os.path.commonprefix((kept_tail, tail))))
+                bodies[i] = fastlz.resume(body, ending, common)
+                if bodies[i] is not None:
+                    continue
+            whole.append((i, body, (key, tail)))
+        endings = fastlz.compress_all([body for _, body, _ in whole])
+        for (i, _, keep), ending in zip(whole, endings):
+            bodies[i] = ending.stream
+            if keep is not None:
+                key, tail = keep
+                self.endings[key] = (tail, ending)
+        return bodies
 
     def _readings_array(self, readings: ReadingSet) -> bytes:
         """`wire.encode_readings(readings)`, encoded once per object."""
@@ -238,7 +273,7 @@ class PayloadOps:
                    or (self.scope_key,) + key not in self.cache]
         bodies = [wire.encode_readings(batches[i][2]) for i in missing]
         if codec is CodecId.FASTLZ:
-            bodies = fastlz.compress_all(bodies)
+            bodies = [ending.stream for ending in fastlz.compress_all(bodies)]
         else:
             bodies = [wire.compress(codec, body) for body in bodies]
         fresh = dict(zip(missing, bodies))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 from unittest import mock
@@ -190,6 +191,52 @@ class TestSharded:
         assert resp.partial is True
         assert resp.payload == ()
         assert resp.contributing_nodes == frozenset()
+
+
+@pytest.mark.parametrize("scenario, rtt, by_class, digest, router_sha256", [
+    ("collect", 5601.842157070763,
+     {LinkClass.CLIENT_SERVER: 120455, LinkClass.NODE_SERVER: 116205},
+     "36299a86bec9582475eac99cea7d564f3f9eab66a83201a6b9a2d6fb3afd0947",
+     "387d8492ffed7282336cd0317c9b36cbe3be13462648cfa34c6351595cec30d4"),
+    ("transform", 5506.065357070763,
+     {LinkClass.CLIENT_SERVER: 734, LinkClass.NODE_SERVER: 1708},
+     "3f53e0149ebda0f578d263e20c496577ddb422c50351515d59dd5ee4e9af2ed2",
+     "6f0ce3604f4cd6aec52e65f114b87a8926af6d958a079e8dc47b9c799f20612e"),
+], ids=["collect", "transform"])
+def test_a_down_shard_adds_nothing_to_the_answer(scenario, rtt, by_class,
+                                                digest, router_sha256):
+    """The seed-7 3-node, 30-day dataset with node-01 down before the
+    query, on a memo: the router builds node-01's body ahead with the
+    others', but the answer is the two live shards' alone, partial, with
+    the request time, bytes, digest and router body pinned here (those of
+    a router that built no body ahead). The log holds no RESPONSE from
+    node-01."""
+    cfg = bench.ScenarioConfig(system="sharded", scenario=scenario, n_nodes=3,
+                               window_days=30, repetitions=1, seed=7)
+    caches = bench.MatrixCaches()
+    bundle = bench._dataset_bundle(cfg, caches)
+    ops = payloads.PayloadOps(caches.payloads, ("sharded", bundle.key),
+                              caches.endings)
+    net = Network(build_topology(
+        3, seed=7, with_server=True,
+        bandwidth_bytes_per_ms=bench.DEFAULT_LINK_BANDWIDTH))
+    system = ShardedBaseline(net, bundle.stores, ops,
+                             bench._scenario_gather_timeout(bundle.manifest))
+    net.set_available("node-01", False)
+    req = bench._build_request(cfg, bench.trailing_window(bundle.manifest, 30))
+    resp, got_rtt = system.query(req, 500.0)
+    responses = [e.envelope for e in net.envelope_log
+                 if e.envelope.kind is MessageKind.RESPONSE]
+    assert [env.sender for env in responses] == ["node-02", "node-00", "server"]
+    assert any(key[1] == "node-01" and len(key) == 6
+               for key in caches.payloads)  # built, and never sent
+    assert resp.partial is True
+    assert resp.contributing_nodes == {"node-00", "node-02"}
+    assert got_rtt == rtt
+    assert dict(net.ledger.by_class()) == by_class
+    assert ops.payload_digest(resp.payload, req,
+                              resp.contributing_nodes) == digest
+    assert hashlib.sha256(bytes(responses[-1].body)).hexdigest() == router_sha256
 
 
 class TestP2PSync:

@@ -10,12 +10,14 @@ import hashlib
 import io
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
 import time
 import warnings
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,8 +29,8 @@ from oracles import (
     reference_compress,
     reference_generate,
 )
-from syncmesh import baselines, bench, cores, fastlz, synthetic
-from syncmesh.model import merge_reading_sets
+from syncmesh import baselines, bench, cores, fastlz, payloads, synthetic
+from syncmesh.model import CodecId, Scope, merge_reading_sets
 from syncmesh.wire import encode_readings
 
 # A helper process starts only on a host with two usable CPUs. An unwaited
@@ -132,6 +134,24 @@ def splices(monkeypatch):
     return paths
 
 
+@pytest.fixture
+def whole_jobs(monkeypatch, splices):
+    """A function that gives the number of whole bodies the helper has
+    answered so far, `fastlz.compress_all`'s jobs: the PARSE replies read,
+    less the split parses' tails, each of which `splices` counts."""
+    read = []
+    reply = cores.Helper.reply
+
+    def recorded(helper, reader):
+        got = reply(helper, reader)
+        if reader is fastlz._ending and got is not None:
+            read.append(got)
+        return got
+
+    monkeypatch.setattr(cores.Helper, "reply", recorded)
+    return lambda: len(read) - sum(splices.values())
+
+
 def _reading_json(sensor: int, ts: int, value: int) -> bytes:
     return (b'{"node_id":"node-%02d","sensor_id":"sensor-%03d","timestamp":%d,'
             b'"temperature":%d.%02d},' % (sensor % 12, sensor, ts, value // 100,
@@ -223,7 +243,7 @@ def test_compress_all_writes_each_reference_stream(monkeypatch, install):
     def compress_all(bodies, how, at):
         helper = install(FailingHelper(at, how))
         event(f"{'odd' if len(bodies) % 2 else 'even'} count, {how}")
-        out = fastlz.compress_all(bodies)
+        out = [ending.stream for ending in fastlz.compress_all(bodies)]
         assert out == [reference_compress(body) for body in bodies]
         assert helper._frame is None
 
@@ -241,11 +261,50 @@ def test_every_stream_is_bytes(monkeypatch, install, splices):
     install(InProcessHelper())
     ending = fastlz.compress_ending(body)
     streams = [one_core, fastlz.compress(body),
-               ending.stream, *fastlz.compress_all([body, body]),
+               ending.stream,
+               *(e.stream for e in fastlz.compress_all([body, body])),
                fastlz.resume(body[:-1] + b",]", ending, len(body) - 1)]
     assert splices == {"spliced": 2}
     assert [type(stream) for stream in streams] == [bytes] * 6
     assert streams[1:5] == [streams[0]] * 4
+
+
+@pytest.mark.parametrize("kind, at", [
+    pytest.param("live", None, marks=TWO_CPUS), ("in-process", None),
+    ("declines", 1), ("declines", 2), ("no reply", 1), ("no reply", 2),
+    ("closed", None)])
+def test_compress_all_keeps_each_bodys_ending(started, install, splices,
+                                              kind, at):
+    """Three bodies, the last of at least `SPLIT_MIN_BYTES`: the first two
+    go as a pair, the helper taking the second whole, and the last is split.
+    With a live helper, an in-process one, one that declines or has no
+    reply to its first job (the whole body) or its second (the split
+    tail), or a closed one, each stream is the one-core stream, and each
+    ending resumes its body, extended by more readings, to `compress`'s
+    bytes."""
+    bodies = [_readings_body(count) for count in (600, 700, 2200)]
+    assert len(bodies[-1]) >= fastlz.SPLIT_MIN_BYTES
+    if kind == "live":
+        helper = install(cores.Helper())
+    elif kind == "in-process":
+        helper = install(InProcessHelper())
+    elif kind == "closed":
+        helper = install(_closed_helper())
+    else:
+        helper = install(FailingHelper(at, kind))
+    endings = fastlz.compress_all(bodies)
+    assert [e.stream for e in endings] == [
+        fastlz._compress(body).stream for body in bodies]
+    assert splices == ({"spliced": 1} if kind in ("live", "in-process")
+                       else {})
+    more = _readings_body(40)[1:]
+    for body, ending in zip(bodies, endings):
+        extended = body[:-1] + b"," + more
+        got = fastlz.resume(extended, ending, len(body) - 1)
+        assert got is not None and got == fastlz._compress(extended).stream
+    if kind != "live":
+        assert getattr(helper, "_frame", None) is None
+    assert _exited(started) == ([False] if kind == "live" else [])
 
 
 @pytest.mark.parametrize("batch", [False, True],
@@ -271,7 +330,7 @@ def test_a_bad_reply_frame_closes_the_helper(monkeypatch, install, frame,
     proc = ReplyingProcess(cores._REPLY.pack(len(reply)) + reply)
     helper._proc = proc
     if batch:
-        out = fastlz.compress_all(bodies)
+        out = [ending.stream for ending in fastlz.compress_all(bodies)]
     else:
         out = [fastlz.compress(body) for body in bodies]
     assert proc.sent == cores._REQUEST.pack(cores.PARSE, len(tail)) + tail
@@ -319,7 +378,7 @@ def test_the_seed7_ingest_batches_through_a_real_helper(monkeypatch, install):
 
     monkeypatch.setattr(cores.Helper, "reply", recorded)
     install(cores.Helper())
-    two_core = fastlz.compress_all(bodies)
+    two_core = [ending.stream for ending in fastlz.compress_all(bodies)]
     assert len(bodies) == 36 and replies == [True] * 18
     assert two_core == [fastlz._compress(body).stream for body in bodies]
 
@@ -518,6 +577,67 @@ def test_a_helper_killed_before_the_central_body_leaves_resumes_exact(
                     for system in ("central", "sharded")]
 
 
+_SHARD_BODY = re.compile(rb'"contributing_nodes":\["node-\d+"\]')
+
+
+def test_a_cold_12_node_sharded_collect_builds_each_shard_body_once(
+        monkeypatch, install):
+    """A cold 12-node, 30-day sharded collect, with an in-process helper so
+    that every parse is seen: its router builds the twelve shard bodies
+    ahead, and each is parsed once, whole; each shard's own answer and
+    `response_envelope` are memo hits. The same command again on the same
+    caches parses nothing, and its fan-out costs one memo lookup per shard:
+    12 in all, beside each shard's answer and body and the router's merge,
+    body and digest."""
+    install(InProcessHelper())
+    parsed, lookups = [], []
+    compress, parse_tail, resume = (fastlz._compress, fastlz._parse_tail,
+                                    fastlz.resume)
+    memo = payloads.PayloadOps.memo
+
+    def compressed(data, split=None):
+        parsed.append(bytes(data))
+        return compress(data, split)
+
+    def tail_parsed(tail):
+        parsed.append(bytes(tail))
+        return parse_tail(tail)
+
+    def resumed(data, kept, common):
+        parsed.append(bytes(data))
+        return resume(data, kept, common)
+
+    def looked_up(ops, key, fn):
+        lookups.append((key, (ops.scope_key,) + key in ops.cache))
+        return memo(ops, key, fn)
+
+    monkeypatch.setattr(fastlz, "_compress", compressed)
+    monkeypatch.setattr(fastlz, "_parse_tail", tail_parsed)
+    monkeypatch.setattr(fastlz, "resume", resumed)
+    monkeypatch.setattr(payloads.PayloadOps, "memo", looked_up)
+    caches = bench.MatrixCaches()
+    cfg = _seed7_config("sharded", 12, 30)
+    rows = bench.run_scenario(cfg, caches).rows
+    shard_bodies = [body for body in parsed if _SHARD_BODY.search(body)]
+    assert len(shard_bodies) == len(set(shard_bodies)) == 12
+    assert all(body.startswith(b'{"request_id":') for body in shard_bodies)
+    by_key = collections.defaultdict(list)
+    for key, hit in lookups:
+        by_key[key].append(hit)
+    window = bench.trailing_window(caches.datasets[("synthetic", 7, 12)]
+                                   .manifest, 30)
+    local = replace(bench._build_request(cfg, window), scope=Scope.LOCAL)
+    for shard in (f"node-{i:02d}" for i in range(12)):
+        answer = (((shard,), local),)
+        body = (shard, local, frozenset({shard}), False, CodecId.FASTLZ)
+        assert by_key[answer] == by_key[body] == [False, True]
+    parsed.clear()
+    lookups.clear()
+    assert bench.run_scenario(cfg, caches).rows == rows
+    assert parsed == []
+    assert len(lookups) == 12 + 2 * 12 + 3 and all(hit for _, hit in lookups)
+
+
 def test_a_command_keeps_no_ending_once_it_returns(monkeypatch):
     """`run_scenario` without caches keeps its endings in caches of its own,
     which go when it returns; caches passed in keep theirs."""
@@ -586,15 +706,17 @@ def _one_core_rows(install, cfg):
 
 @TWO_CPUS
 def test_two_commands_in_one_process_start_one_helper(started, install,
-                                                      splices):
-    """A 3-node sharded collect splits four large bodies; a central transform
-    sends no large body, but its nine ingest batches (about 855 KB) go to
-    the helper two at a time. Both commands use the one helper, which
-    serves on after they return."""
+                                                      splices, whole_jobs):
+    """A 3-node sharded collect compresses its three large shard bodies
+    together, the first two as a pair (one whole-body job) and the third
+    split, and then splits the router's; a central transform sends no
+    large body, but its nine ingest batches (about 855 KB) go to the helper
+    two at a time (four whole-body jobs). Both commands use the one helper,
+    which serves on after they return."""
     configs = [_config(), _config("central", "transform")]
     install(cores.Helper())
     rows = [bench.run_scenario(cfg).rows for cfg in configs]
-    assert splices["spliced"] == 4
+    assert splices["spliced"] == 2 and whole_jobs() == 5
     assert _exited(started) == [False]
     assert rows == [_one_core_rows(install, cfg) for cfg in configs]
 
@@ -678,10 +800,11 @@ def test_a_forked_child_never_uses_its_parents_helper(install, splices):
     pytest.param("after a reply", "central", id="central, after a reply"),
 ])
 def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
-        monkeypatch, started, install, splices, when, system):
-    """A sharded collect splits its large response bodies; a central
-    collect sends its helper every second ingest batch first. After the
-    kill every body is compressed in this process."""
+        monkeypatch, started, install, splices, whole_jobs, when, system):
+    """A sharded collect sends its helper a whole shard body first, the
+    second of the pair its router builds ahead; a central collect sends it
+    every second ingest batch first. After the kill every body is
+    compressed in this process."""
     send, reply = cores.Helper.send, cores.Helper.reply
     taken, replies = [], []
 
@@ -709,8 +832,7 @@ def test_a_helper_killed_mid_command_leaves_the_bytes_exact(
     killed_at_send = when == "after the first send"
     assert taken.count(True) == 1 and taken[0]
     assert replies == [not killed_at_send]
-    assert splices["spliced"] == (
-        1 if system == "sharded" and not killed_at_send else 0)
+    assert not splices and whole_jobs() == (0 if killed_at_send else 1)
     assert _exited(started) == [True]  # and never restarted
     assert rows == _one_core_rows(install, _config(system))
 
@@ -773,7 +895,7 @@ def test_one_usable_cpu_starts_no_process(monkeypatch, started, install,
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_host_without_sched_getaffinity_counts_its_cpus(
-        monkeypatch, started, install, splices, cpus):
+        monkeypatch, started, install, splices, whole_jobs, cpus):
     """Where `os.sched_getaffinity` is missing (only Linux has it), the
     helper counts the host's CPUs: one starts no process, two start one.
     The rows are the one-core rows either way."""
@@ -782,7 +904,8 @@ def test_a_host_without_sched_getaffinity_counts_its_cpus(
     install(cores.Helper())
     rows = bench.run_scenario(_config()).rows
     assert _exited(started) == [False] * (cpus - 1)
-    assert splices["spliced"] == 4 * (cpus - 1)
+    assert splices["spliced"] == 2 * (cpus - 1)
+    assert whole_jobs() == cpus - 1
     assert rows == _one_core_rows(install, _config())
 
 
