@@ -5,7 +5,8 @@ a query for a transformer that is not built in, dropped.
 Run: python demos/04_mesh_scatter_gather.py
 """
 
-from syncmesh.bench import generate_synthetic, ingest_csv_text
+from syncmesh.bench import (
+    _scenario_gather_timeout, generate_synthetic, ingest_csv_text)
 from syncmesh.model import QueryRequest, Scope, TimeRange, TransformerSpec
 from syncmesh.netsim import Network, build_topology
 from syncmesh.node import MeshClient, SyncMeshNode, run_query
@@ -19,23 +20,32 @@ manifest, partitions = ingest_csv_text(text, 3)
 
 topo = build_topology(3, seed=3)
 net = Network(topo)
+# Every node is given its gather deadline, the one bench derives from the
+# dataset's size.
+deadline = _scenario_gather_timeout(manifest)
 nodes = []
 for node_id, readings in sorted(partitions.items()):
     store = LocalStore(node_id)
     store.load_many(readings)
-    node = SyncMeshNode(store)
+    node = SyncMeshNode(store, gather_timeout_ms=deadline)
     node.attach(net, topo)
     nodes.append(node)
 client = MeshClient()
 client.attach(net)
 
-# Nodes announce themselves; the coordinator only contacts fresh neighbors.
-for node in nodes:
-    node.broadcast_heartbeat(0.0)
+
+def mesh_query(req):
+    """Nodes announce themselves, then the client asks node-00 500 ms later.
+    The coordinator only contacts neighbors heard from in the last 3,000 ms,
+    and a query ends at its deadline, so each query gets its own round."""
+    for node in nodes:
+        node.broadcast_heartbeat(net.clock)
+    return run_query(net, client, "node-00", req, net.clock + 500.0)
+
 
 full = TimeRange(1, manifest.time_end + 1)
 collect = QueryRequest(request_id="q-collect", range=full, scope=Scope.MESH)
-resp, rtt = run_query(net, client, "node-00", collect, 500.0)
+resp, rtt = mesh_query(collect)
 print(f"mesh collect: {len(resp.payload)} readings from "
       f"{sorted(resp.contributing_nodes)} in {rtt:.0f} virtual ms "
       f"(partial={resp.partial})")
@@ -43,7 +53,7 @@ print(f"mesh collect: {len(resp.payload)} readings from "
 # Transform queries ship per-node summaries instead of raw readings.
 transform = QueryRequest(request_id="q-mean", range=full, scope=Scope.MESH,
                          transformer=TransformerSpec("aggregate_mean"))
-resp, rtt = run_query(net, client, "node-00", transform, net.clock + 500.0)
+resp, rtt = mesh_query(transform)
 temp = resp.payload.as_dict["temperature"]
 print(f"mesh transform: mean temperature {temp.mean:.2f} over {temp.count} "
       f"readings in {rtt:.0f} ms")
@@ -52,10 +62,11 @@ carried = {read_payload(e.envelope).payload_kind for e in net.envelope_log
            and e.envelope.request_id == transform.request_id}
 print(f"transform responses carried: {sorted(carried)} (never raw reading sets)")
 
-# Churn: a node that stops mid-flight makes the answer partial, not absent.
+# Churn: a node that goes down sends no heartbeat, so the coordinator skips
+# it once its last one is stale, and the answer is partial, not absent.
 net.set_available("node-02", False)
 churned = QueryRequest(request_id="q-churn", range=full, scope=Scope.MESH)
-resp, rtt = run_query(net, client, "node-00", churned, net.clock + 500.0)
+resp, rtt = mesh_query(churned)
 print(f"after node-02 drops: {len(resp.payload)} readings, "
       f"partial={resp.partial}, contributors={sorted(resp.contributing_nodes)}")
 

@@ -5,7 +5,8 @@ Run: python demos/05_baseline_systems.py
 """
 
 from syncmesh.baselines import CentralBaseline, P2PBaseline, ShardedBaseline
-from syncmesh.bench import generate_synthetic, ingest_csv_text
+from syncmesh.bench import (
+    _scenario_gather_timeout, generate_synthetic, ingest_csv_text)
 from syncmesh.model import QueryRequest, Scope, TimeRange
 from syncmesh.netsim import Network, build_topology
 from syncmesh.store import LocalStore
@@ -14,6 +15,7 @@ text = generate_synthetic(n_sensors=3, days=7, readings_per_sensor_per_day=48, s
 manifest, partitions = ingest_csv_text(text, 3)
 full = TimeRange(1, manifest.time_end + 1)
 req = QueryRequest(request_id="q", range=full, scope=Scope.MESH)
+deadline = _scenario_gather_timeout(manifest)  # how long a gather waits
 
 
 def fresh(with_server):
@@ -33,14 +35,14 @@ net = fresh(True)
 sharded = ShardedBaseline(net, {
     nid: (lambda s: (s.load_many(rs), s)[1])(LocalStore(nid))
     for nid, rs in partitions.items()
-})
+}, gather_timeout_ms=deadline)
 resp, rtt = sharded.query(req, 0.0)
 print(f"sharded: no ingest, query {rtt:.0f} ms, "
       f"{net.ledger.total():,} total bytes")
 
 # p2p: full replication, uncompressed, every data envelope echoed back.
 net = fresh(False)
-p2p = P2PBaseline(net, partitions)
+p2p = P2PBaseline(net, partitions, gather_timeout_ms=deadline)
 sync_ms = p2p.sync()
 resp, rtt = p2p.client_collect(req, net.clock + 100.0)
 digests = {r.digest() for r in p2p.replicas.values()}

@@ -175,8 +175,8 @@ class ShardedBaseline:
     for a shard that is down is never sent."""
 
     def __init__(self, net: Network, stores: dict[str, LocalStore],
-                 ops: PayloadOps | None = None,
-                 gather_timeout_ms: float | None = None):
+                 ops: PayloadOps | None = None, *,
+                 gather_timeout_ms: float):
         self.net = net
         self.stores = stores
         self.ops = ops or PayloadOps()
@@ -317,8 +317,8 @@ class P2PBaseline:
     is no write, on every peer that receives it."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
-                 ops: PayloadOps | None = None,
-                 gather_timeout_ms: float | None = None):
+                 ops: PayloadOps | None = None, *,
+                 gather_timeout_ms: float):
         self.net = net
         self.partitions = partitions
         self.ops = ops or PayloadOps()

@@ -323,11 +323,12 @@ class SyncMeshSystem:
     """Mesh of autonomous nodes; the lowest-id node coordinates client queries."""
 
     def __init__(self, net: Network, stores: dict[str, LocalStore],
-                 ops: PayloadOps, gather_timeout_ms: float | None):
+                 ops: PayloadOps, gather_timeout_ms: float):
         self.net = net
         self.nodes = []
         for node_id in sorted(stores):
-            node = SyncMeshNode(stores[node_id], ops, gather_timeout_ms)
+            node = SyncMeshNode(stores[node_id], ops,
+                                gather_timeout_ms=gather_timeout_ms)
             node.attach(net, net.topology)
             self.nodes.append(node)
         self.coordinator_id = self.nodes[0].node_id
@@ -507,10 +508,11 @@ def _dataset_bundle(cfg: ScenarioConfig, caches: MatrixCaches) -> DatasetBundle:
 
 
 def _scenario_gather_timeout(manifest: DatasetManifest) -> float:
-    """The gather deadline of every scenario run on this dataset: the
-    default deadline of a topology whose slowest link is the top of the
-    latency range (`node.default_gather_timeout_ms`), plus headroom for
-    serializing the largest conceivable transfer."""
+    """The gather deadline of every owner run on this dataset, the one
+    deadline rule: a round trip over a link at the top of the latency range
+    (`netsim.LATENCY_RANGE_MS`) plus 100 ms, plus headroom for serializing
+    the largest conceivable transfer, 4 x 300 bytes per dataset row at
+    `DEFAULT_LINK_BANDWIDTH`, plus 500 ms."""
     return (2.0 * netsim.LATENCY_RANGE_MS[1] + 100.0
             + (4.0 * manifest.row_count * 300.0 / DEFAULT_LINK_BANDWIDTH + 500.0))
 
@@ -560,9 +562,11 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
         elif cfg.system == "central":
             system = CentralBaseline(net, bundle.partitions, ops)
         elif cfg.system == "sharded":
-            system = ShardedBaseline(net, bundle.stores, ops, gather_timeout)
+            system = ShardedBaseline(net, bundle.stores, ops,
+                                     gather_timeout_ms=gather_timeout)
         else:
-            system = P2PBaseline(net, bundle.partitions, ops, gather_timeout)
+            system = P2PBaseline(net, bundle.partitions, ops,
+                                 gather_timeout_ms=gather_timeout)
         try:
             if replay is None:
                 ingest_ms = system.ingest()

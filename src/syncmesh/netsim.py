@@ -118,9 +118,6 @@ class Topology:
                 out.append(other)
         return sorted(out)
 
-    def max_latency_ms(self) -> float:
-        return max((l.latency_ms for l in self.links.values()), default=0.0)
-
 
 def _link_latency(seed: int, a: str, b: str) -> float:
     """Uniform draw from [20, 300] ms, seeded by (seed, ordered endpoint pair)."""

@@ -59,8 +59,8 @@ class NeighborModel:
 class SyncMeshNode:
     """One autonomous mesh node around a local store."""
 
-    def __init__(self, store: LocalStore, ops: PayloadOps | None = None,
-                 gather_timeout_ms: float | None = None):
+    def __init__(self, store: LocalStore, ops: PayloadOps | None = None, *,
+                 gather_timeout_ms: float):
         self.store = store
         self.node_id = store.node_id
         self.ops = ops or PayloadOps()
@@ -163,13 +163,14 @@ class _Round:
 class Gather:
     """Scatter-gather of LOCAL queries on behalf of one endpoint.
 
-    `start` sends the query, as LOCAL, to every target and sets a deadline:
-    `timeout_ms` after the start, or `default_gather_timeout_ms` of the
-    network's topology when that is None. A LOCAL query is sent as it is,
-    not copied. That default covers link latency only, not serialization,
-    so an owner built without a deadline can close before a large reply
-    arrives: a direct 3-node `P2PBaseline` collect of 30 days closes with
-    no reply and returns an empty, partial answer.
+    `start` sends the query, as LOCAL, to every target and sets a deadline
+    `timeout_ms` after the start. Every owner is built with its deadline;
+    bench gives each one the scenario's (`bench._scenario_gather_timeout`).
+    A LOCAL query is sent as it is, not copied. The deadline's timer stays
+    queued when every target replies first, so a run to quiescence ends at
+    the deadline at the earliest: mesh nodes that answer chained queries
+    need a heartbeat round before each, as `bench.SyncMeshSystem.query`
+    sends, or their neighbors read stale (`HEARTBEAT_TIMEOUT_MS`).
     A RESPONSE counts only from a target, only its first reply, and only if
     its body decodes. `finish(responses, timeouts, now)` then runs exactly
     once: when every target has replied, or when the deadline fires. It gets
@@ -177,7 +178,7 @@ class Gather:
     out; what they mean is the owner's to decide.
     """
 
-    def __init__(self, sender: str, timeout_ms: float | None = None):
+    def __init__(self, sender: str, timeout_ms: float):
         self.sender = sender
         self.timeout_ms = timeout_ms
         self._pending: dict[str, _Round] = {}
@@ -200,10 +201,7 @@ class Gather:
             if self._pending.get(req.request_id) is round_:
                 self._close(req.request_id, at)
 
-        timeout_ms = self.timeout_ms
-        if timeout_ms is None:
-            timeout_ms = default_gather_timeout_ms(net.topology)
-        net.call_at(now + timeout_ms, deadline)
+        net.call_at(now + self.timeout_ms, deadline)
 
     def on_response(self, env: Envelope, now: float) -> None:
         round_ = self._pending.get(env.request_id)
@@ -221,16 +219,6 @@ class Gather:
         round_ = self._pending.pop(request_id)
         responses = {s: round_.responses[s] for s in sorted(round_.responses)}
         round_.finish(responses, round_.expected.difference(responses), now)
-
-
-def default_gather_timeout_ms(topology: Topology) -> float:
-    """The gather deadline used when none is configured: a round trip over
-    the topology's slowest link plus 100 ms. It covers link latency only,
-    not serialization, and does not grow with the reply: an owner with no
-    deadline can close before a large reply arrives (a direct 3-node,
-    30-day `P2PBaseline` collect returns an empty, partial answer). Bench
-    runs pass the scenario's deadline instead."""
-    return 2.0 * topology.max_latency_ms() + 100.0
 
 
 class MeshClient:

@@ -13,6 +13,11 @@ from syncmesh.netsim import Network
 from syncmesh.wire import read_payload
 
 
+# A gather deadline for test networks whose links have no bandwidth limit:
+# longer than a round trip over any `build_topology` link (at most 300 ms
+# each way).
+GATHER_TIMEOUT_MS = 1000.0
+
 # Short streams that decompress to far more than they hold: an empty JSON
 # array padded with spaces, so a receiver would take each as an empty batch.
 # FASTLZ: the literal "[ ", 40 long-match tokens that each copy 264 spaces

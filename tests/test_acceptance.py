@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from conftest import make_reading, payload_kind
+from conftest import GATHER_TIMEOUT_MS, make_reading, payload_kind
 from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh.baselines import CentralBaseline, P2PBaseline, P2PReplica, ShardedBaseline
 from syncmesh.bench import (
@@ -32,6 +32,7 @@ from syncmesh.model import (
 )
 from syncmesh.netsim import LinkClass, Network, build_topology
 from syncmesh.node import MeshClient, SyncMeshNode, run_query
+from syncmesh.payloads import PayloadOps
 from syncmesh.store import LocalStore
 from syncmesh.wire import HEADER_SIZE, MessageKind, compress, decompress, encode_readings
 
@@ -77,11 +78,12 @@ def _fresh_systems(parts):
     for nid, readings in parts.items():
         stores[nid] = LocalStore(nid)
         stores[nid].load_many(readings)
-    out["sharded"] = (net2, ShardedBaseline(net2, stores))
+    out["sharded"] = (net2, ShardedBaseline(
+        net2, stores, gather_timeout_ms=GATHER_TIMEOUT_MS))
 
     topo3 = build_topology(len(parts), seed=11, with_server=False)
     net3 = Network(topo3)
-    p2p = P2PBaseline(net3, parts)
+    p2p = P2PBaseline(net3, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
     p2p.sync()
     out["p2p"] = (net3, p2p)
 
@@ -91,26 +93,9 @@ def _fresh_systems(parts):
     for nid, readings in parts.items():
         mesh_stores[nid] = LocalStore(nid)
         mesh_stores[nid].load_many(readings)
-    nodes = []
-    for nid in sorted(mesh_stores):
-        node = SyncMeshNode(mesh_stores[nid])
-        node.attach(net4, topo4)
-        nodes.append(node)
-    client = MeshClient()
-    client.attach(net4)
-    for node in nodes:
-        node.broadcast_heartbeat(0.0)
-    out["syncmesh"] = (net4, (client, nodes[0].node_id))
+    out["syncmesh"] = (net4, SyncMeshSystem(net4, mesh_stores, PayloadOps(),
+                                            GATHER_TIMEOUT_MS))
     return out
-
-
-def _query_system(name, net, system, req):
-    if name == "syncmesh":
-        client, coordinator = system
-        resp, _ = run_query(net, client, coordinator, req, net.clock + 500.0)
-        return resp
-    resp, _ = system.query(req, net.clock + 500.0)
-    return resp
 
 
 def test_c01_oracle_equivalence():
@@ -134,12 +119,12 @@ def test_c01_oracle_equivalence():
         systems = _fresh_systems(parts)
         for name, (net, system) in systems.items():
             collect = QueryRequest(request_id=f"c{case}", range=window, scope=Scope.MESH)
-            resp = _query_system(name, net, system, collect)
+            resp, _ = system.query(collect, net.clock + 500.0)
             assert list(resp.payload) == expected_collect, (name, case)
             transform = QueryRequest(
                 request_id=f"t{case}", range=window, scope=Scope.MESH,
                 transformer=TransformerSpec("aggregate_mean"))
-            resp_t = _query_system(name, net, system, transform)
+            resp_t, _ = system.query(transform, net.clock + 500.0)
             assert_summary_close(resp_t.payload, expected_summary, rel=1e-9)
         cases += 1
     elapsed = time.perf_counter() - t0
@@ -173,12 +158,14 @@ def test_c03_transform_traffic(caches):
 def test_c04_p2p_amplification(caches):
     cfg = ScenarioConfig(system="p2p", scenario="collect", n_nodes=3,
                          window_days=30, repetitions=1, seed=MASTER_SEED)
-    from syncmesh.bench import _dataset_bundle
+    from syncmesh.bench import _dataset_bundle, _scenario_gather_timeout
     bundle = _dataset_bundle(cfg, caches)
     n = cfg.n_nodes
     topo = build_topology(n, seed=MASTER_SEED, with_server=False)
     net = Network(topo)
-    system = P2PBaseline(net, bundle.partitions)
+    system = P2PBaseline(
+        net, bundle.partitions,
+        gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
     system.sync()
     body_bytes = 0
     envelopes = 0
@@ -219,7 +206,6 @@ def _syncmesh_run(caches, scenario, n_nodes, window_days, send_query=True):
     topo = build_topology(n_nodes, seed=MASTER_SEED,
                           bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
     net = Network(topo)
-    from syncmesh.payloads import PayloadOps
     system = SyncMeshSystem(net, bundle.stores, PayloadOps(),
                             gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
     if send_query:
@@ -404,7 +390,7 @@ def test_c10_eventual_consistency(rng):
                         for j in range(200)) for nid in node_ids}
     topo = build_topology(3, seed=2, with_server=False)
     net = Network(topo)
-    system = P2PBaseline(net, parts)
+    system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
     system.sync()
     digests = {replica.digest() for replica in system.replicas.values()}
     report(10, schedules_ok == 20 and len(digests) == 1,

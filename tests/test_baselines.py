@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    FASTLZ_BOMB, GZIP_BOMB, HOSTILE_QUERIES, make_reading, payload_kind)
+    FASTLZ_BOMB, GATHER_TIMEOUT_MS, GZIP_BOMB, HOSTILE_QUERIES, make_reading,
+    payload_kind)
 from oracles import (
     ReferenceReplica,
     assert_summary_close,
@@ -153,7 +154,8 @@ class TestSharded:
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = ShardedBaseline(net, stores_from(parts))
+        system = ShardedBaseline(net, stores_from(parts),
+                                 gather_timeout_ms=GATHER_TIMEOUT_MS)
         resp, _ = system.query(collect_req(), 0.0)
         assert list(resp.payload) == union_collect(parts, FULL.start, FULL.end)
         assert resp.contributing_nodes == frozenset(parts)
@@ -162,7 +164,8 @@ class TestSharded:
         topo = server_topology(3)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
-        system = ShardedBaseline(net, stores_from(parts))
+        system = ShardedBaseline(net, stores_from(parts),
+                                 gather_timeout_ms=GATHER_TIMEOUT_MS)
         resp, _ = system.query(transform_req(), 0.0)
         everything = [r for rs in parts.values() for r in rs]
         assert_summary_close(resp.payload, naive_summary(everything, NUMERIC_FIELDS))
@@ -176,7 +179,8 @@ class TestSharded:
         topo = server_topology(3)
         net = Network(topo)
         system = ShardedBaseline(
-            net, stores_from(partitions_for(rng, ["node-00", "node-01", "node-02"])))
+            net, stores_from(partitions_for(rng, ["node-00", "node-01", "node-02"])),
+            gather_timeout_ms=GATHER_TIMEOUT_MS)
         assert not hasattr(system, "store")
 
     def test_all_shards_down_gives_partial_empty(self, rng):
@@ -220,8 +224,9 @@ def test_a_down_shard_adds_nothing_to_the_answer(scenario, rtt, by_class,
     net = Network(build_topology(
         3, seed=7, with_server=True,
         bandwidth_bytes_per_ms=bench.DEFAULT_LINK_BANDWIDTH))
-    system = ShardedBaseline(net, bundle.stores, ops,
-                             bench._scenario_gather_timeout(bundle.manifest))
+    system = ShardedBaseline(
+        net, bundle.stores, ops,
+        gather_timeout_ms=bench._scenario_gather_timeout(bundle.manifest))
     net.set_available("node-01", False)
     req = bench._build_request(cfg, bench.trailing_window(bundle.manifest, 30))
     resp, got_rtt = system.query(req, 500.0)
@@ -246,7 +251,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=5, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)], per_node=60)
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         body_bytes = 0
         envelopes = 0
@@ -267,7 +272,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=6, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         digests = {nid: replica.digest() for nid, replica in system.replicas.items()}
         assert len(set(digests.values())) == 1
@@ -279,7 +284,7 @@ class TestP2PSync:
         n = 3
         net = Network(build_topology(n, seed=6, with_server=False))
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         for replica in system.replicas.values():
             assert len(replica) == sum(map(len, parts.values()))
@@ -292,7 +297,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=6, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         reference = ReferenceReplica()
         for origin, readings in parts.items():
@@ -308,7 +313,7 @@ class TestP2PSync:
         topo = build_topology(n, seed=6, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         net.set_available("node-02", False)  # receives no gossip
         system.sync()
         replicas = system.replicas
@@ -339,7 +344,7 @@ class TestP2PSync:
 
         monkeypatch.setattr(P2PReplica, "apply_batch", counted_apply)
         monkeypatch.setattr(baselines, "all_valid", counted_valid)
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         replicas = list(system.replicas.values())
         total = sum(map(len, parts.values()))
@@ -530,7 +535,8 @@ class TestP2PReplicasFollowTheirWrites:
         partitions, toggles, before_read, conflicts, after_read = run
         net = Network(build_topology(len(partitions), seed=3))
         with mock.patch.object(baselines, "INGEST_BATCH_SIZE", 2):
-            system = P2PBaseline(net, partitions)
+            system = P2PBaseline(net, partitions,
+                                 gather_timeout_ms=GATHER_TIMEOUT_MS)
             for peer, at, up in toggles:
                 net.call_at(at, lambda net, now, peer=peer, up=up:
                             net.set_available(peer, up))
@@ -564,7 +570,7 @@ class TestP2PCollect:
         topo = build_topology(n, seed=8, with_server=False)
         net = Network(topo)
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         return net, parts, system, len(net.envelope_log)
 
@@ -620,7 +626,8 @@ class TestP2PSharedResponseArray:
     def test_every_peer_body_holds_one_array(self, dataset, monkeypatch, days):
         manifest, parts = dataset
         net = Network(build_topology(4, seed=8))
-        system = P2PBaseline(net, parts)
+        system = P2PBaseline(
+            net, parts, gather_timeout_ms=bench._scenario_gather_timeout(manifest))
         system.sync()
         mark = len(net.envelope_log)
         encoded = []
@@ -667,12 +674,13 @@ class TestCrossSystemEquivalence:
 
         topo2 = server_topology(3)
         net2 = Network(topo2)
-        sharded = ShardedBaseline(net2, stores_from(parts))
+        sharded = ShardedBaseline(net2, stores_from(parts),
+                                  gather_timeout_ms=GATHER_TIMEOUT_MS)
         got_sharded, _ = sharded.query(collect_req(), 0.0)
 
         topo3 = build_topology(3, seed=5, with_server=False)
         net3 = Network(topo3)
-        p2p = P2PBaseline(net3, parts)
+        p2p = P2PBaseline(net3, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         p2p.sync()
         got_p2p, _ = p2p.client_collect(collect_req(), net3.clock + 10.0)
 
@@ -693,9 +701,11 @@ class TestInvalidBodies:
         if kind == "central":
             system = CentralBaseline(net, parts)
         elif kind == "sharded":
-            system = ShardedBaseline(net, stores_from(parts))
+            system = ShardedBaseline(net, stores_from(parts),
+                                     gather_timeout_ms=GATHER_TIMEOUT_MS)
         else:
-            system = P2PBaseline(net, parts)
+            system = P2PBaseline(net, parts,
+                                 gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.ingest()
         return net, system, parts
 
@@ -787,7 +797,8 @@ class TestDeliveredBatches:
 
     def _p2p(self):
         return P2PBaseline(Network(build_topology(3, seed=5)),
-                           {f"node-{i:02d}": () for i in range(3)})
+                           {f"node-{i:02d}": () for i in range(3)},
+                           gather_timeout_ms=GATHER_TIMEOUT_MS)
 
     @pytest.mark.parametrize("request_id", ["", "i000000"])
     def test_two_ingests_under_one_name_are_both_stored(self, rng, request_id):

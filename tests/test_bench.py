@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import GATHER_TIMEOUT_MS
 from oracles import (
     SEED7_12_NODE_CSV_SHA256,
     ReferenceReplica,
@@ -51,7 +52,6 @@ from syncmesh.model import (
     reading_key,
 )
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import default_gather_timeout_ms
 from syncmesh.payloads import PayloadOps, fingerprint
 from syncmesh.wire import encode_readings
 
@@ -298,11 +298,10 @@ class TestTrailingWindow:
         assert window.start == 5_000_001 - MS_PER_DAY
 
 
-def test_default_gather_deadline_follows_the_latency_range(monkeypatch):
-    """A scenario's deadline is the one `default_gather_timeout_ms` gives a
-    topology whose slowest link is the top of `netsim.LATENCY_RANGE_MS`,
-    plus the time to serialize 4 x 300 bytes per dataset row at
-    `DEFAULT_LINK_BANDWIDTH`, plus 500 ms."""
+def test_scenario_gather_deadline_follows_the_latency_range(monkeypatch):
+    """A scenario's deadline is a round trip over a link at the top of
+    `netsim.LATENCY_RANGE_MS` plus 100 ms, plus the time to serialize
+    4 x 300 bytes per dataset row at `DEFAULT_LINK_BANDWIDTH`, plus 500 ms."""
     manifest = DatasetManifest(source="x", row_count=1000, malformed_rows=0,
                                time_start=0, time_end=1,
                                per_node_counts=(("node-00", 1000),))
@@ -311,9 +310,6 @@ def test_default_gather_deadline_follows_the_latency_range(monkeypatch):
     assert _scenario_gather_timeout(manifest) == 2.0 * 300.0 + 100.0 + transfer
     monkeypatch.setattr(netsim, "LATENCY_RANGE_MS", (20.0, 900.0))
     assert _scenario_gather_timeout(manifest) == 2.0 * 900.0 + 100.0 + transfer
-    topo = build_topology(6, seed=7)
-    assert topo.max_latency_ms() > 300.0
-    assert _scenario_gather_timeout(manifest) >= default_gather_timeout_ms(topo)
 
 
 def _gather_timeouts(config: dict) -> set:
@@ -407,7 +403,8 @@ class TestRunScenario:
         def lww_state(replica):
             return [(r, replica.writer(reading_key(r))) for r in replica.readings()]
 
-        partitions = caches.datasets[dataset].partitions
+        bundle = caches.datasets[dataset]
+        partitions = bundle.partitions
         for seed in (8, 9):
             topo = build_topology(3, seed=seed, with_server=True,
                                   bandwidth_bytes_per_ms=1250.0)
@@ -416,7 +413,9 @@ class TestRunScenario:
             assert (central.server_store.all_readings()
                     == kept_store.all_readings())
             topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
-            p2p = P2PBaseline(Network(topo), partitions)
+            p2p = P2PBaseline(
+                Network(topo), partitions,
+                gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
             p2p.sync()
             assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
                 {n: lww_state(r) for n, r in kept_replicas.items()}
@@ -712,7 +711,8 @@ def test_the_stream_key_is_exact(system, data):
             shipped = CentralBaseline(net, {})
             kind = wire.MessageKind.INGEST
         else:
-            shipped = P2PBaseline(net, dict.fromkeys(_STREAM_NODES, ()))
+            shipped = P2PBaseline(net, dict.fromkeys(_STREAM_NODES, ()),
+                                  gather_timeout_ms=GATHER_TIMEOUT_MS)
             kind = wire.MessageKind.GOSSIP
         for i, ((sender, receiver), batch) in enumerate(order):
             net.send(wire.Envelope(kind=kind, sender=sender, receiver=receiver,

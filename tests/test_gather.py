@@ -4,14 +4,11 @@ client use it: which replies count, and that the owner finishes once."""
 import pytest
 
 from conftest import make_reading
+from syncmesh import bench
 from syncmesh.baselines import P2PBaseline, ShardedBaseline
 from syncmesh.model import CodecId, QueryRequest, QueryResponse, Scope, TimeRange
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import (
-    MeshClient,
-    SyncMeshNode,
-    default_gather_timeout_ms,
-)
+from syncmesh.node import Gather, MeshClient, SyncMeshNode
 from syncmesh.payloads import PayloadOps
 from syncmesh.store import LocalStore
 from syncmesh.wire import Envelope, MessageKind
@@ -25,22 +22,19 @@ OUTSIDER = "node-03"  # linked to the owner, never asked
 class Owner:
     """One gather owner on a 4-node topology whose targets never answer on
     their own: every reply the owner sees is one the test sends. The owner
-    is built with `timeout_ms` as its gather deadline (None: the default)."""
+    is built with `timeout_ms` as its gather deadline."""
 
     def __init__(self, kind, rng, timeout_ms=TIMEOUT_MS):
         self.kind = kind
         self.net = Network(build_topology(4, seed=3, with_server=kind == "router"))
+        self.heartbeating = []
         if kind == "node":
             nodes = [SyncMeshNode(LocalStore(f"node-{i:02d}"),
                                   gather_timeout_ms=timeout_ms)
                      for i in range(4)]
             for node in nodes:
                 node.attach(self.net, self.net.topology)
-                # Gathers start long after the one heartbeat round below.
-                node.neighbors.timeout_ms = 1e9
-            for node in nodes[1:3]:  # node-03 sends no heartbeat: skipped
-                node.broadcast_heartbeat(0.0)
-            self.net.run_until_quiescent()
+            self.heartbeating = nodes[1:3]  # node-03 sends none: skipped
             self.id, self.gather = "node-00", nodes[0].gather
             self.client = MeshClient()
             self.client.attach(self.net)
@@ -62,11 +56,19 @@ class Owner:
         def counted_start(net, req, targets, now, finish):
             def counted(responses, timeouts, at):
                 self.finished.append((req.request_id, tuple(responses), timeouts,
-                                      at - now))
+                                      now, at))
                 finish(responses, timeouts, at)
             start(net, req, targets, now, counted)
 
         self.gather.start = counted_start
+
+    def next_start(self):
+        """A time to start the next gather at: 100 ms after a heartbeat
+        round, once the round is heard, so the node's targets are fresh."""
+        for node in self.heartbeating:
+            node.broadcast_heartbeat(self.net.clock)
+        self.net.run_until_quiescent()
+        return self.net.clock + 100.0
 
     def reply_at(self, at, sender, request_id, payload=()):
         resp = QueryResponse(request_id=request_id, payload=payload,
@@ -103,7 +105,7 @@ class Owner:
 @pytest.mark.parametrize("kind", ["node", "router", "p2p"])
 def test_gather_counts_first_reply_of_each_target_once(rng, kind):
     owner = Owner(kind, rng)
-    t0 = owner.net.clock + 100.0
+    t0 = owner.next_start()
 
     first, second, outsiders, late = ((r,) for r in owner.readings)
 
@@ -116,23 +118,23 @@ def test_gather_counts_first_reply_of_each_target_once(rng, kind):
     resp = owner.query("g1", t0)
     assert owner.net.clock >= t0 + TIMEOUT_MS  # the deadline fired, and did nothing
     assert len(owner.finished) == 1
-    request_id, responders, timeouts, elapsed = owner.finished[0]
+    request_id, responders, timeouts, started, at = owner.finished[0]
     assert (request_id, responders, timeouts) == ("g1", TARGETS, frozenset())
-    assert elapsed < TIMEOUT_MS
+    assert at < started + TIMEOUT_MS
     assert resp.payload == first
     assert {"node-01", "node-02"} <= resp.contributing_nodes
     assert OUTSIDER not in resp.contributing_nodes
 
     # One target replies in time and one late: the deadline finishes it.
-    t1 = owner.net.clock + 100.0
+    t1 = owner.next_start()
     owner.reply_at(t1 + 500, "node-02", "g2")
     owner.reply_at(t1 + TIMEOUT_MS + 500, "node-01", "g2", late)
     resp = owner.query("g2", t1)
     assert len(owner.finished) == 2
-    request_id, responders, timeouts, elapsed = owner.finished[1]
+    request_id, responders, timeouts, started, at = owner.finished[1]
     assert (request_id, responders, timeouts) == ("g2", ("node-02",),
                                                   frozenset({"node-01"}))
-    assert elapsed == TIMEOUT_MS
+    assert at == started + TIMEOUT_MS
     assert resp.payload == ()
     assert "node-01" not in resp.contributing_nodes
 
@@ -140,17 +142,49 @@ def test_gather_counts_first_reply_of_each_target_once(rng, kind):
         assert len(owner.answers("g1")) == len(owner.answers("g2")) == 1
 
 
-@pytest.mark.parametrize("configured", [None, 1234.5])
+@pytest.mark.parametrize("configured", [1234.5])
 @pytest.mark.parametrize("kind", ["node", "router", "p2p"])
 def test_deadline_is_the_configured_one_or_the_topology_default(rng, kind,
                                                                configured):
-    """With no deadline configured, a gather that gets no reply finishes at
-    the default of the network's topology; with one configured, at that."""
+    """A gather that gets no reply finishes at the owner's deadline."""
     owner = Owner(kind, rng, timeout_ms=configured)
-    default = default_gather_timeout_ms(owner.net.topology)
-    assert default != 1234.5
-    resp = owner.query("d1", owner.net.clock + 100.0)
-    ((request_id, responders, timeouts, elapsed),) = owner.finished
+    resp = owner.query("d1", owner.next_start())
+    ((request_id, responders, timeouts, started, at),) = owner.finished
     assert (request_id, responders, timeouts) == ("d1", (), frozenset(TARGETS))
-    assert elapsed == (default if configured is None else configured)
+    assert at == started + configured
     assert resp.payload == () and resp.partial is True
+
+
+@pytest.mark.parametrize("build", [
+    lambda net, stores: Gather("node-00"),
+    lambda net, stores: SyncMeshNode(stores["node-00"]),
+    lambda net, stores: bench.SyncMeshSystem(net, stores, PayloadOps()),
+    lambda net, stores: ShardedBaseline(net, stores),
+    lambda net, stores: P2PBaseline(net, dict.fromkeys(stores, ())),
+], ids=["Gather", "SyncMeshNode", "SyncMeshSystem", "ShardedBaseline",
+        "P2PBaseline"])
+def test_no_gather_is_built_without_a_deadline(build):
+    net = Network(build_topology(3, seed=3, with_server=True))
+    stores = {n: LocalStore(n) for n in net.topology.node_ids()}
+    with pytest.raises(TypeError, match="timeout_ms"):
+        build(net, stores)
+
+
+def test_a_p2p_collect_over_bandwidth_limited_links_gets_every_reply():
+    """The 3-node, 30-day, seed-7 dataset over 1,250 B/ms links: each
+    peer's reply of the whole replica takes seconds to serialize, and the
+    scenario's deadline waits for all three."""
+    cfg = bench.ScenarioConfig(system="p2p", scenario="collect", n_nodes=3,
+                               window_days=30, repetitions=1, seed=7)
+    bundle = bench._dataset_bundle(cfg, bench.MatrixCaches())
+    net = Network(build_topology(
+        3, seed=7, bandwidth_bytes_per_ms=bench.DEFAULT_LINK_BANDWIDTH))
+    system = P2PBaseline(
+        net, bundle.partitions,
+        gather_timeout_ms=bench._scenario_gather_timeout(bundle.manifest))
+    system.sync()
+    req = bench._build_request(cfg, bench.trailing_window(bundle.manifest, 30))
+    resp, _ = system.client_collect(req, net.clock + 100.0)
+    assert len(resp.payload) == bundle.manifest.row_count == 4320
+    assert resp.partial is False
+    assert resp.contributing_nodes == set(bundle.partitions)

@@ -1,6 +1,7 @@
 import pytest
 
-from conftest import HOSTILE_QUERIES, make_reading, payload_kind
+from conftest import (
+    GATHER_TIMEOUT_MS, HOSTILE_QUERIES, make_reading, payload_kind)
 from oracles import assert_summary_close, naive_summary, union_collect
 from syncmesh.model import (
     NUMERIC_FIELDS,
@@ -38,7 +39,7 @@ class Mesh:
     """Small fully meshed test network with one client."""
 
     def __init__(self, n=3, node_latency=50.0, client_latency=10.0,
-                 latencies=None, gather_timeout_ms=None):
+                 latencies=None, gather_timeout_ms=GATHER_TIMEOUT_MS):
         self.topo = Topology()
         self.node_ids = [f"node-{i:02d}" for i in range(n)]
         for node_id in self.node_ids:
@@ -304,7 +305,7 @@ class TestMalformedBodies:
         for node_id in topo.node_ids():
             store = LocalStore(node_id)
             store.load_many(make_reading(rng, node_id=node_id) for _ in range(5))
-            node = SyncMeshNode(store)
+            node = SyncMeshNode(store, gather_timeout_ms=GATHER_TIMEOUT_MS)
             node.attach(net, topo)
             nodes.append(node)
         client = MeshClient()
