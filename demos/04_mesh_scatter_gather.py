@@ -28,7 +28,7 @@ for node_id, readings in sorted(partitions.items()):
     store = LocalStore(node_id)
     store.load_many(readings)
     node = SyncMeshNode(store, gather_timeout_ms=deadline)
-    node.attach(net, topo)
+    node.attach(net)
     nodes.append(node)
 client = MeshClient()
 client.attach(net)
@@ -36,8 +36,9 @@ client.attach(net)
 
 def mesh_query(req):
     """Nodes announce themselves, then the client asks node-00 500 ms later.
-    The coordinator only contacts neighbors heard from in the last 3,000 ms,
-    and a query ends at its deadline, so each query gets its own round."""
+    The coordinator only contacts neighbors heard from in the last 3,000 ms;
+    each query gets its own heartbeat round, as `SyncMeshSystem.query` sends
+    one."""
     for node in nodes:
         node.broadcast_heartbeat(net.clock)
     return run_query(net, client, "node-00", req, net.clock + 500.0)

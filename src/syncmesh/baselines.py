@@ -209,7 +209,7 @@ class ShardedBaseline:
 
     def _on_router_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.RESPONSE:
-            self.gather.on_response(env, now)
+            self.gather.on_response(net, env, now)
             return
         req = read_query(env)
         if req is not None:
@@ -374,7 +374,7 @@ class P2PBaseline:
 
     def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.RESPONSE:
-            self.gather.on_response(env, now)
+            self.gather.on_response(net, env, now)
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         me = env.receiver

@@ -43,7 +43,6 @@ NETWORK_SIZES = (3, 6, 9, 12)
 WINDOWS_DAYS = (1, 7, 14, 30)
 
 DEFAULT_REPETITIONS = 20
-DEFAULT_LINK_BANDWIDTH = 1250.0  # bytes per virtual ms (10 Mbit/s)
 QUERY_SETTLE_MS = 500.0
 
 SYNTHETIC_DAYS = 30
@@ -93,7 +92,7 @@ class ScenarioConfig:
         the run derived (`_scenario_gather_timeout`)."""
         return {
             **asdict(self),
-            "link_bandwidth_bytes_per_ms": DEFAULT_LINK_BANDWIDTH,
+            "link_bandwidth_bytes_per_ms": netsim.LINK_BANDWIDTH,
             "node_configs": [
                 {"node_id": f"node-{i:02d}",
                  "heartbeat_timeout_ms": HEARTBEAT_TIMEOUT_MS,
@@ -329,7 +328,7 @@ class SyncMeshSystem:
         for node_id in sorted(stores):
             node = SyncMeshNode(stores[node_id], ops,
                                 gather_timeout_ms=gather_timeout_ms)
-            node.attach(net, net.topology)
+            node.attach(net)
             self.nodes.append(node)
         self.coordinator_id = self.nodes[0].node_id
         self.client = MeshClient()
@@ -512,9 +511,9 @@ def _scenario_gather_timeout(manifest: DatasetManifest) -> float:
     deadline rule: a round trip over a link at the top of the latency range
     (`netsim.LATENCY_RANGE_MS`) plus 100 ms, plus headroom for serializing
     the largest conceivable transfer, 4 x 300 bytes per dataset row at
-    `DEFAULT_LINK_BANDWIDTH`, plus 500 ms."""
+    `netsim.LINK_BANDWIDTH`, plus 500 ms."""
     return (2.0 * netsim.LATENCY_RANGE_MS[1] + 100.0
-            + (4.0 * manifest.row_count * 300.0 / DEFAULT_LINK_BANDWIDTH + 500.0))
+            + (4.0 * manifest.row_count * 300.0 / netsim.LINK_BANDWIDTH + 500.0))
 
 
 def _build_request(cfg: ScenarioConfig, window: TimeRange) -> QueryRequest:
@@ -554,8 +553,7 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
         topo = caches.topologies.get(topo_key)
         if topo is None:
             topo = caches.topologies[topo_key] = build_topology(
-                cfg.n_nodes, seed=cfg.seed + rep, with_server=with_server,
-                bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
+                cfg.n_nodes, seed=cfg.seed + rep, with_server=with_server)
         net = Network(topo)
         if cfg.system == "syncmesh":
             system = SyncMeshSystem(net, bundle.stores, ops, gather_timeout)

@@ -1,9 +1,10 @@
 """Deterministic virtual-time network with byte-exact traffic accounting.
 
-Envelopes are delivered after a per-link one-way latency (plus an optional
-per-link serialization delay when a finite bandwidth is configured). Each
-send is logged, and a TrafficLedger sums log entries by (link class, message
-kind). A single event loop owns all state; ties break by insertion order.
+Every link serializes at `LINK_BANDWIDTH`, one queue per direction, and then
+adds its one-way latency: an envelope sent on an idle link arrives
+`wire_size / LINK_BANDWIDTH + latency_ms` later. Each send is logged, and a
+TrafficLedger sums log entries by (link class, message kind). A single event
+loop owns all state; ties break by insertion order.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from types import MappingProxyType
 from .wire import Envelope, MessageKind
 
 LATENCY_RANGE_MS = (20.0, 300.0)
+LINK_BANDWIDTH = 1250.0  # bytes per virtual ms (10 Mbit/s), on every link
 CLIENT_ID = "client"
 SERVER_ID = "server"
 
@@ -69,7 +71,6 @@ class Link:
     b: str
     latency_ms: float
     link_class: LinkClass
-    bandwidth_bytes_per_ms: float | None = None
 
 
 def link_class_of(kind_a: EndpointKind, kind_b: EndpointKind) -> LinkClass:
@@ -91,12 +92,10 @@ class Topology:
             raise ValueError(f"duplicate endpoint id: {endpoint.id}")
         self.endpoints[endpoint.id] = endpoint
 
-    def add_link(self, a: str, b: str, latency_ms: float,
-                 bandwidth_bytes_per_ms: float | None = None) -> Link:
+    def add_link(self, a: str, b: str, latency_ms: float) -> Link:
         ka, kb = self.endpoints[a].kind, self.endpoints[b].kind
         link = Link(*sorted((a, b)), latency_ms=latency_ms,
-                    link_class=link_class_of(ka, kb),
-                    bandwidth_bytes_per_ms=bandwidth_bytes_per_ms)
+                    link_class=link_class_of(ka, kb))
         self.links[(link.a, link.b)] = link
         return link
 
@@ -127,8 +126,7 @@ def _link_latency(seed: int, a: str, b: str) -> float:
     return rng.uniform(*LATENCY_RANGE_MS)
 
 
-def build_topology(n_nodes: int, seed: int, with_server: bool = False,
-                   bandwidth_bytes_per_ms: float | None = None) -> Topology:
+def build_topology(n_nodes: int, seed: int, with_server: bool = False) -> Topology:
     """Full node mesh plus one client linked to every node (and to the server
     when present); link latencies are drawn deterministically from the seed."""
     topo = Topology()
@@ -140,7 +138,7 @@ def build_topology(n_nodes: int, seed: int, with_server: bool = False,
         topo.add_endpoint(Endpoint(SERVER_ID, EndpointKind.SERVER))
 
     def connect(a: str, b: str) -> None:
-        topo.add_link(a, b, _link_latency(seed, a, b), bandwidth_bytes_per_ms)
+        topo.add_link(a, b, _link_latency(seed, a, b))
 
     for i, a in enumerate(node_ids):
         for b in node_ids[i + 1:]:
@@ -202,7 +200,8 @@ class Network:
         self.topology = topology
         self.clock = 0.0
         self.envelope_log: list[LogEntry] = []
-        self._queue: list[tuple[float, int, object]] = []
+        # Events are [at, seq, item]; `cancel` sets item to None.
+        self._queue: list[list] = []
         self._seq = 0
         self._handlers: dict[str, object] = {}
         self._available: dict[str, bool] = {e: True for e in topology.endpoints}
@@ -224,9 +223,14 @@ class Network:
 
     # -- scheduling --------------------------------------------------------
 
-    def call_at(self, at: float, fn) -> None:
-        """Schedule fn(net, now); ties with equal time run in insertion order."""
-        self._push(at, fn)
+    def call_at(self, at: float, fn) -> list:
+        """Schedule fn(net, now); ties with equal time run in insertion order.
+        Returns the event, which `cancel` takes."""
+        return self._push(at, fn)
+
+    def cancel(self, event: list) -> None:
+        """Drop a scheduled event: it neither runs nor advances `clock`."""
+        event[2] = None
 
     def send(self, env: Envelope, at: float) -> LogEntry | None:
         """Schedule delivery of env and log it on the link.
@@ -240,12 +244,10 @@ class Network:
             raise NoRoute(f"{env.sender} -> {env.receiver}")
         if not self._available[env.sender]:
             return None
-        depart = at
-        if link.bandwidth_bytes_per_ms:
-            direction = (env.sender, env.receiver)
-            start = max(at, self._link_busy_until.get(direction, 0.0))
-            depart = start + env.wire_size / link.bandwidth_bytes_per_ms
-            self._link_busy_until[direction] = depart
+        direction = (env.sender, env.receiver)
+        start = max(at, self._link_busy_until.get(direction, 0.0))
+        depart = start + env.wire_size / LINK_BANDWIDTH
+        self._link_busy_until[direction] = depart
         deliver_at = depart + link.latency_ms
         entry = LogEntry(sent_at=at, deliver_at=deliver_at,
                          link_class=link.link_class, envelope=env)
@@ -253,9 +255,11 @@ class Network:
         self._push(deliver_at, entry)
         return entry
 
-    def _push(self, at: float, item) -> None:
+    def _push(self, at: float, item) -> list:
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._seq, item))
+        event = [at, self._seq, item]
+        heapq.heappush(self._queue, event)
+        return event
 
     # -- event loop --------------------------------------------------------
 
@@ -264,10 +268,13 @@ class Network:
 
         Raises TimeLimitExceeded when events would remain beyond `limit`.
         """
-        while self._queue:
-            if self._queue[0][0] > limit:
+        queue = self._queue
+        while queue:
+            if queue[0][0] > limit and queue[0][2] is not None:
                 raise TimeLimitExceeded(f"events pending beyond t={limit}")
-            at, _, item = heapq.heappop(self._queue)
+            at, _, item = heapq.heappop(queue)
+            if item is None:  # cancelled
+                continue
             self.clock = max(self.clock, at)
             if isinstance(item, LogEntry):
                 env = item.envelope

@@ -19,45 +19,22 @@ from .model import (
     Summary,
     validate_request,
 )
-from .netsim import CLIENT_ID, EndpointKind, Network, Topology
+from .netsim import CLIENT_ID, EndpointKind, Network
 from .payloads import PayloadOps, evaluate_query, read_query
 from .store import LocalStore
 from . import wire
 from .wire import Envelope, MessageKind
 
 
-class UnknownNode(Exception):
-    """Heartbeat or request from an id that is not a topology member."""
-
-
-# How long a neighbor counts as available after its last heartbeat.
+# How long a neighbor counts as available after its last heartbeat; the
+# boundary is inclusive.
 HEARTBEAT_TIMEOUT_MS = 3000.0
 
 
-class NeighborModel:
-    """Availability map of proximate nodes, driven by heartbeats."""
-
-    def __init__(self, members, timeout_ms: float):
-        self.members = frozenset(members)
-        self.timeout_ms = timeout_ms
-        self.last_heartbeat: dict[str, float] = {}
-
-    def record(self, node_id: str, at: float) -> None:
-        if node_id not in self.members:
-            raise UnknownNode(node_id)
-        prev = self.last_heartbeat.get(node_id)
-        self.last_heartbeat[node_id] = at if prev is None else max(prev, at)
-
-    def is_available(self, node_id: str, now: float) -> bool:
-        last = self.last_heartbeat.get(node_id)
-        return last is not None and now - last <= self.timeout_ms
-
-    def available_at(self, now: float) -> list[str]:
-        return sorted(m for m in self.members if self.is_available(m, now))
-
-
 class SyncMeshNode:
-    """One autonomous mesh node around a local store."""
+    """One autonomous mesh node around a local store. Its neighbors are the
+    nodes it is linked to; each counts as available for
+    `HEARTBEAT_TIMEOUT_MS` after the latest heartbeat heard from it."""
 
     def __init__(self, store: LocalStore, ops: PayloadOps | None = None, *,
                  gather_timeout_ms: float):
@@ -65,27 +42,29 @@ class SyncMeshNode:
         self.node_id = store.node_id
         self.ops = ops or PayloadOps()
         self.net: Network | None = None
-        self.neighbors: NeighborModel | None = None
+        self.neighbor_ids: list[str] = []
+        self.last_heard: dict[str, float] = {}
         self.gather = Gather(self.node_id, gather_timeout_ms)
 
     # -- lifecycle -----------------------------------------------------------
 
-    def attach(self, net: Network, topology: Topology) -> None:
+    def attach(self, net: Network) -> None:
         self.net = net
-        members = topology.neighbors_of(self.node_id, EndpointKind.NODE)
-        self.neighbors = NeighborModel(members, HEARTBEAT_TIMEOUT_MS)
+        self.neighbor_ids = net.topology.neighbors_of(self.node_id,
+                                                      EndpointKind.NODE)
         net.register(self.node_id, self._on_envelope)
 
     # -- heartbeats ------------------------------------------------------------
 
     def broadcast_heartbeat(self, at: float) -> None:
-        for member in sorted(self.neighbors.members):
+        for neighbor in self.neighbor_ids:
             self.net.send(
                 Envelope(kind=MessageKind.HEARTBEAT, sender=self.node_id,
-                         receiver=member), at)
+                         receiver=neighbor), at)
 
-    def on_heartbeat(self, sender: str, at: float) -> None:
-        self.neighbors.record(sender, at)
+    def available_neighbors(self, now: float) -> list[str]:
+        return [n for n in self.neighbor_ids if n in self.last_heard
+                and now - self.last_heard[n] <= HEARTBEAT_TIMEOUT_MS]
 
     # -- request handling ----------------------------------------------------
 
@@ -106,8 +85,8 @@ class SyncMeshNode:
                           contributing=frozenset({self.node_id}),
                           partial=False, now=now)
             return
-        available = self.neighbors.available_at(now)
-        skipped = self.neighbors.members - frozenset(available)
+        available = self.available_neighbors(now)
+        skipped = len(available) < len(self.neighbor_ids)
 
         def finish(responses, timeouts, at):
             # The local payload merges first; a neighbor's reply brings the
@@ -140,11 +119,12 @@ class SyncMeshNode:
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.HEARTBEAT:
-            if env.sender in self.neighbors.members:
-                self.on_heartbeat(env.sender, now)
+            if env.sender in self.neighbor_ids:
+                self.last_heard[env.sender] = max(
+                    now, self.last_heard.get(env.sender, now))
             # else dropped: a heartbeat from a non-neighbor must not end the run
         elif env.kind is MessageKind.RESPONSE:
-            self.gather.on_response(env, now)
+            self.gather.on_response(net, env, now)
         elif env.kind is MessageKind.QUERY:
             req = read_query(env)
             if req is not None:  # else dropped: it must not end the run
@@ -158,6 +138,7 @@ class _Round:
     expected: frozenset[str]
     finish: Callable
     responses: dict[str, QueryResponse] = field(default_factory=dict)
+    deadline: list | None = None  # the scheduled event (`Network.call_at`)
 
 
 class Gather:
@@ -166,11 +147,8 @@ class Gather:
     `start` sends the query, as LOCAL, to every target and sets a deadline
     `timeout_ms` after the start. Every owner is built with its deadline;
     bench gives each one the scenario's (`bench._scenario_gather_timeout`).
-    A LOCAL query is sent as it is, not copied. The deadline's timer stays
-    queued when every target replies first, so a run to quiescence ends at
-    the deadline at the earliest: mesh nodes that answer chained queries
-    need a heartbeat round before each, as `bench.SyncMeshSystem.query`
-    sends, or their neighbors read stale (`HEARTBEAT_TIMEOUT_MS`).
+    A LOCAL query is sent as it is, not copied. The deadline is cancelled
+    when the round closes, so it neither runs nor moves the clock.
     A RESPONSE counts only from a target, only its first reply, and only if
     its body decodes. `finish(responses, timeouts, now)` then runs exactly
     once: when every target has replied, or when the deadline fires. It gets
@@ -186,6 +164,9 @@ class Gather:
     def start(self, net: Network, req: QueryRequest, targets, now: float,
               finish: Callable) -> None:
         round_ = _Round(expected=frozenset(targets), finish=finish)
+        abandoned = self._pending.get(req.request_id)
+        if abandoned is not None:  # a second start of one id replaces the first
+            net.cancel(abandoned.deadline)
         self._pending[req.request_id] = round_
         forwarded = (req if req.scope is Scope.LOCAL
                      else replace(req, scope=Scope.LOCAL))
@@ -196,14 +177,11 @@ class Gather:
                          receiver=target, body=body,
                          request_id=req.request_id, payload=forwarded),
                 now)
+        round_.deadline = net.call_at(
+            now + self.timeout_ms,
+            lambda net, at: self._close(net, req.request_id, at))
 
-        def deadline(_net, at):
-            if self._pending.get(req.request_id) is round_:
-                self._close(req.request_id, at)
-
-        net.call_at(now + self.timeout_ms, deadline)
-
-    def on_response(self, env: Envelope, now: float) -> None:
+    def on_response(self, net: Network, env: Envelope, now: float) -> None:
         round_ = self._pending.get(env.request_id)
         if (round_ is None or env.sender not in round_.expected
                 or env.sender in round_.responses):
@@ -213,10 +191,11 @@ class Gather:
         except wire.MalformedBody:
             return  # an undecodable reply counts as no reply
         if len(round_.responses) == len(round_.expected):
-            self._close(env.request_id, now)
+            self._close(net, env.request_id, now)
 
-    def _close(self, request_id: str, now: float) -> None:
+    def _close(self, net: Network, request_id: str, now: float) -> None:
         round_ = self._pending.pop(request_id)
+        net.cancel(round_.deadline)
         responses = {s: round_.responses[s] for s in sorted(round_.responses)}
         round_.finish(responses, round_.expected.difference(responses), now)
 

@@ -13,9 +13,9 @@ from syncmesh.netsim import Network
 from syncmesh.wire import read_payload
 
 
-# A gather deadline for test networks whose links have no bandwidth limit:
-# longer than a round trip over any `build_topology` link (at most 300 ms
-# each way).
+# A gather deadline for the small test networks: longer than a round trip
+# over any `build_topology` link (at most 300 ms each way) plus the time to
+# serialize a test's query and replies at `netsim.LINK_BANDWIDTH`.
 GATHER_TIMEOUT_MS = 1000.0
 
 # Short streams that decompress to far more than they hold: an empty JSON

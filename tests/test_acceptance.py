@@ -30,7 +30,7 @@ from syncmesh.model import (
     TimeRange,
     TransformerSpec,
 )
-from syncmesh.netsim import LinkClass, Network, build_topology
+from syncmesh.netsim import LINK_BANDWIDTH, LinkClass, Network, build_topology
 from syncmesh.node import MeshClient, SyncMeshNode, run_query
 from syncmesh.payloads import PayloadOps
 from syncmesh.store import LocalStore
@@ -200,11 +200,9 @@ def test_c05_scaling_growth(caches):
 def _syncmesh_run(caches, scenario, n_nodes, window_days, send_query=True):
     cfg = ScenarioConfig(system="syncmesh", scenario=scenario, n_nodes=n_nodes,
                          window_days=window_days, repetitions=1, seed=MASTER_SEED)
-    from syncmesh.bench import (DEFAULT_LINK_BANDWIDTH, _dataset_bundle,
-                                _scenario_gather_timeout)
+    from syncmesh.bench import _dataset_bundle, _scenario_gather_timeout
     bundle = _dataset_bundle(cfg, caches)
-    topo = build_topology(n_nodes, seed=MASTER_SEED,
-                          bandwidth_bytes_per_ms=DEFAULT_LINK_BANDWIDTH)
+    topo = build_topology(n_nodes, seed=MASTER_SEED)
     net = Network(topo)
     system = SyncMeshSystem(net, bundle.stores, PayloadOps(),
                             gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
@@ -298,7 +296,7 @@ def test_c08_churn_partial_results(rng):
         store = LocalStore(nid)
         store.load_many(parts[nid])
         node = SyncMeshNode(store, gather_timeout_ms=gather_timeout)
-        node.attach(net, topo)
+        node.attach(net)
         nodes.append(node)
     client = MeshClient()
     client.attach(net)
@@ -310,7 +308,11 @@ def test_c08_churn_partial_results(rng):
     resp, rtt = run_query(net, client, "node-00", req, net.clock + 10.0)
     expected = union_collect({k: parts[k] for k in ("node-00", "node-01")},
                              FULL.start, FULL.end)
-    client_leg = 2 * topo.link_between("client", "node-00").latency_ms
+    # The client leg: the query and the response, each serialized and sent
+    # over the client link.
+    client_leg = 2 * topo.link_between("client", "node-00").latency_ms + sum(
+        e.envelope.wire_size / LINK_BANDWIDTH for e in net.envelope_log
+        if {e.envelope.sender, e.envelope.receiver} == {"client", "node-00"})
     gather_time = rtt - client_leg
     ok = (resp.partial is True
           and list(resp.payload) == expected

@@ -35,6 +35,7 @@ from syncmesh.model import (
     reading_key,
 )
 from syncmesh.netsim import (
+    LINK_BANDWIDTH,
     Endpoint,
     EndpointKind,
     LinkClass,
@@ -97,7 +98,7 @@ class TestCentral:
         assert system.ingest() == 0.0
         assert net.ledger.total() == 0
 
-    def test_single_batch_duration_is_link_latency(self, rng):
+    def test_single_batch_duration_is_serialization_plus_latency(self, rng):
         topo = Topology()
         topo.add_endpoint(Endpoint("node-00", EndpointKind.NODE))
         topo.add_endpoint(Endpoint("server", EndpointKind.SERVER))
@@ -109,7 +110,10 @@ class TestCentral:
             net, {"node-00": tuple(make_reading(rng, node_id="node-00",
                                                 timestamp=i + 1)
                                    for i in range(100))})
-        assert system.ingest() == pytest.approx(80.0)
+        duration = system.ingest()
+        (batch,) = net.envelope_log
+        assert duration == pytest.approx(
+            batch.envelope.wire_size / LINK_BANDWIDTH + 80.0)
 
     def test_ingested_store_equals_union_oracle(self, rng):
         topo = server_topology(3)
@@ -221,9 +225,7 @@ def test_a_down_shard_adds_nothing_to_the_answer(scenario, rtt, by_class,
     bundle = bench._dataset_bundle(cfg, caches)
     ops = payloads.PayloadOps(caches.payloads, ("sharded", bundle.key),
                               caches.endings)
-    net = Network(build_topology(
-        3, seed=7, with_server=True,
-        bandwidth_bytes_per_ms=bench.DEFAULT_LINK_BANDWIDTH))
+    net = Network(build_topology(3, seed=7, with_server=True))
     system = ShardedBaseline(
         net, bundle.stores, ops,
         gather_timeout_ms=bench._scenario_gather_timeout(bundle.manifest))

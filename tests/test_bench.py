@@ -301,11 +301,11 @@ class TestTrailingWindow:
 def test_scenario_gather_deadline_follows_the_latency_range(monkeypatch):
     """A scenario's deadline is a round trip over a link at the top of
     `netsim.LATENCY_RANGE_MS` plus 100 ms, plus the time to serialize
-    4 x 300 bytes per dataset row at `DEFAULT_LINK_BANDWIDTH`, plus 500 ms."""
+    4 x 300 bytes per dataset row at `netsim.LINK_BANDWIDTH`, plus 500 ms."""
     manifest = DatasetManifest(source="x", row_count=1000, malformed_rows=0,
                                time_start=0, time_end=1,
                                per_node_counts=(("node-00", 1000),))
-    transfer = 4.0 * 1000 * 300.0 / bench.DEFAULT_LINK_BANDWIDTH + 500.0
+    transfer = 4.0 * 1000 * 300.0 / netsim.LINK_BANDWIDTH + 500.0
     assert transfer == 1460.0
     assert _scenario_gather_timeout(manifest) == 2.0 * 300.0 + 100.0 + transfer
     monkeypatch.setattr(netsim, "LATENCY_RANGE_MS", (20.0, 900.0))
@@ -406,13 +406,12 @@ class TestRunScenario:
         bundle = caches.datasets[dataset]
         partitions = bundle.partitions
         for seed in (8, 9):
-            topo = build_topology(3, seed=seed, with_server=True,
-                                  bandwidth_bytes_per_ms=1250.0)
+            topo = build_topology(3, seed=seed, with_server=True)
             central = CentralBaseline(Network(topo), partitions)
             central.ingest()
             assert (central.server_store.all_readings()
                     == kept_store.all_readings())
-            topo = build_topology(3, seed=seed, bandwidth_bytes_per_ms=1250.0)
+            topo = build_topology(3, seed=seed)
             p2p = P2PBaseline(
                 Network(topo), partitions,
                 gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
@@ -532,8 +531,7 @@ def test_the_end_state_follows_what_was_delivered(system):
     req = bench._build_request(small_cfg(window_days=30), TimeRange(0, 10**15))
 
     def run(seed, down=()):
-        net = Network(build_topology(3, seed=seed, with_server=system == "central",
-                                     bandwidth_bytes_per_ms=1250.0))
+        net = Network(build_topology(3, seed=seed, with_server=system == "central"))
         if system == "central":
             shipped = CentralBaseline(net, partitions, ops)
         else:  # a deadline that every peer's full replica can meet
@@ -578,8 +576,7 @@ def test_a_replayed_ingest_logs_nothing_and_returns_the_kept_ledger():
     replay = bench._PhaseReplay("server_store", scope)
     runs = []
     for _ in range(2):
-        net = Network(build_topology(3, seed=7, with_server=True,
-                                     bandwidth_bytes_per_ms=1250.0))
+        net = Network(build_topology(3, seed=7, with_server=True))
         central = CentralBaseline(net, partitions, PayloadOps({}, scope))
         duration, ledger = replay.ingest(central, net, 7)
         runs.append((duration, ledger, list(net.envelope_log), net.clock))
@@ -594,8 +591,7 @@ def _two_orders(first, second):
     `second`, each a (sender, reading), in opposite orders."""
     runs = []
     for order in ((first, second), (second, first)):
-        topo = build_topology(2, seed=7, with_server=True,
-                              bandwidth_bytes_per_ms=1250.0)
+        topo = build_topology(2, seed=7, with_server=True)
         central = CentralBaseline(Network(topo), {})
         for at, (sender, reading) in zip((0.0, 1000.0), order):
             central.net.send(wire.Envelope(

@@ -8,7 +8,7 @@ from syncmesh import bench
 from syncmesh.baselines import P2PBaseline, ShardedBaseline
 from syncmesh.model import CodecId, QueryRequest, QueryResponse, Scope, TimeRange
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import Gather, MeshClient, SyncMeshNode
+from syncmesh.node import Gather, MeshClient, SyncMeshNode, run_query
 from syncmesh.payloads import PayloadOps
 from syncmesh.store import LocalStore
 from syncmesh.wire import Envelope, MessageKind
@@ -33,7 +33,7 @@ class Owner:
                                   gather_timeout_ms=timeout_ms)
                      for i in range(4)]
             for node in nodes:
-                node.attach(self.net, self.net.topology)
+                node.attach(self.net)
             self.heartbeating = nodes[1:3]  # node-03 sends none: skipped
             self.id, self.gather = "node-00", nodes[0].gather
             self.client = MeshClient()
@@ -116,7 +116,7 @@ def test_gather_counts_first_reply_of_each_target_once(rng, kind):
     owner.reply_at(t0 + 1500, "node-01", "g1", second)
     owner.reply_at(t0 + 2000, "node-02", "g1")
     resp = owner.query("g1", t0)
-    assert owner.net.clock >= t0 + TIMEOUT_MS  # the deadline fired, and did nothing
+    assert owner.net.clock < t0 + TIMEOUT_MS  # the deadline was cancelled
     assert len(owner.finished) == 1
     request_id, responders, timeouts, started, at = owner.finished[0]
     assert (request_id, responders, timeouts) == ("g1", TARGETS, frozenset())
@@ -177,8 +177,7 @@ def test_a_p2p_collect_over_bandwidth_limited_links_gets_every_reply():
     cfg = bench.ScenarioConfig(system="p2p", scenario="collect", n_nodes=3,
                                window_days=30, repetitions=1, seed=7)
     bundle = bench._dataset_bundle(cfg, bench.MatrixCaches())
-    net = Network(build_topology(
-        3, seed=7, bandwidth_bytes_per_ms=bench.DEFAULT_LINK_BANDWIDTH))
+    net = Network(build_topology(3, seed=7))
     system = P2PBaseline(
         net, bundle.partitions,
         gather_timeout_ms=bench._scenario_gather_timeout(bundle.manifest))
@@ -188,3 +187,45 @@ def test_a_p2p_collect_over_bandwidth_limited_links_gets_every_reply():
     assert len(resp.payload) == bundle.manifest.row_count == 4320
     assert resp.partial is False
     assert resp.contributing_nodes == set(bundle.partitions)
+
+
+def test_chained_queries_after_one_heartbeat_round_reach_every_neighbor():
+    """A round that closes cancels its deadline, so the clock stops at the
+    answer: two queries chained after one heartbeat round, each gathering
+    with a 2,500 ms deadline, both find their neighbors fresh
+    (`HEARTBEAT_TIMEOUT_MS` is 3,000 ms). Were the deadline left to run, the
+    second query would start after it and find them stale."""
+    net = Network(build_topology(3, seed=3))
+    nodes = [SyncMeshNode(LocalStore(node_id), gather_timeout_ms=2500.0)
+             for node_id in net.topology.node_ids()]
+    for node in nodes:
+        node.attach(net)
+        node.broadcast_heartbeat(0.0)
+    client = MeshClient()
+    client.attach(net)
+    net.run_until_quiescent()
+    for request_id in ("c1", "c2"):
+        req = QueryRequest(request_id=request_id, range=FULL, scope=Scope.MESH)
+        resp, _ = run_query(net, client, "node-00", req, net.clock + 100.0)
+        assert resp.partial is False
+        assert resp.contributing_nodes == set(net.topology.node_ids())
+
+
+@pytest.mark.parametrize("kind", ["node", "router"])
+def test_a_second_start_of_one_request_id_replaces_the_first(rng, kind):
+    """A second query with the id of a gather still open replaces that
+    gather: the replies close the second one, the first one's deadline is
+    dropped with it, and the run ends with one answer."""
+    owner = Owner(kind, rng)
+    t0 = owner.next_start()
+    target = "node-00" if kind == "node" else "server"
+    req = QueryRequest(request_id="dup", range=FULL, scope=Scope.MESH)
+    owner.client.send_query(owner.net, target, req, t0)
+    owner.client.send_query(owner.net, target, req, t0 + 1.0)
+    for sender in TARGETS:
+        owner.reply_at(t0 + 1000, sender, "dup")
+    owner.net.run_until_quiescent()
+    ((request_id, responders, timeouts, started, at),) = owner.finished
+    assert (request_id, responders, timeouts) == ("dup", TARGETS, frozenset())
+    assert owner.net.clock < t0 + TIMEOUT_MS
+    assert len(owner.answers("dup")) == 1

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from syncmesh.netsim import (
     LATENCY_RANGE_MS,
+    LINK_BANDWIDTH,
     Endpoint,
     EndpointKind,
     LinkClass,
@@ -15,8 +16,10 @@ from syncmesh.netsim import (
 )
 from syncmesh.wire import Envelope, MessageKind
 
-# Frozen once from seed 42; guards the latency PRNG and event ordering.
-GOLDEN_CLOCK = 278.71458347651026
+# Frozen from seed 42; guards the latency PRNG and event ordering. The last
+# delivery is the 64-byte heartbeat over node-01/node-02 (278.7146 ms):
+# its latency plus 64 / LINK_BANDWIDTH.
+GOLDEN_CLOCK = 278.76578347651025
 GOLDEN_LEDGER_CSV = (
     "link_class,message_kind,bytes\n"
     "client_node,QUERY,74\n"
@@ -25,11 +28,11 @@ GOLDEN_LEDGER_CSV = (
 )
 
 
-def two_nodes(latency=50.0, bandwidth=None):
+def two_nodes(latency=50.0):
     topo = Topology()
     topo.add_endpoint(Endpoint("node-00", EndpointKind.NODE))
     topo.add_endpoint(Endpoint("node-01", EndpointKind.NODE))
-    topo.add_link("node-00", "node-01", latency, bandwidth)
+    topo.add_link("node-00", "node-01", latency)
     return topo
 
 
@@ -75,7 +78,7 @@ class TestSend:
         net = Network(two_nodes(50.0))
         ev = net.send(Envelope(kind=MessageKind.QUERY, sender="node-00",
                                receiver="node-01", body=b"x" * 100), 0.0)
-        assert ev.deliver_at == 50.0
+        assert ev.deliver_at == 164 / LINK_BANDWIDTH + 50.0
         assert net.ledger.get(LinkClass.NODE_NODE, MessageKind.QUERY) == 164
 
     def test_unlinked_pair_is_no_route(self):
@@ -106,13 +109,30 @@ class TestSend:
         assert net.ledger.total() == sum(sizes)
 
     def test_bandwidth_serializes_same_link(self):
-        net = Network(two_nodes(50.0, bandwidth=10.0))  # 10 bytes/ms
+        # 1,250 bytes on the wire: 1 ms at LINK_BANDWIDTH.
+        net = Network(two_nodes(50.0))
         e1 = net.send(Envelope(kind=MessageKind.INGEST, sender="node-00",
-                               receiver="node-01", body=b"x" * 36), 0.0)
+                               receiver="node-01", body=b"x" * 1186), 0.0)
         e2 = net.send(Envelope(kind=MessageKind.INGEST, sender="node-00",
-                               receiver="node-01", body=b"x" * 36), 0.0)
-        assert e1.deliver_at == pytest.approx(10.0 + 50.0)   # 100 bytes / 10
-        assert e2.deliver_at == pytest.approx(20.0 + 50.0)   # queued behind e1
+                               receiver="node-01", body=b"x" * 1186), 0.0)
+        assert e1.envelope.wire_size == LINK_BANDWIDTH
+        assert e1.deliver_at == pytest.approx(1.0 + 50.0)
+        assert e2.deliver_at == pytest.approx(2.0 + 50.0)   # queued behind e1
+
+    def test_serialization_is_per_direction(self):
+        net = Network(two_nodes(50.0))
+        out = net.send(Envelope(kind=MessageKind.INGEST, sender="node-00",
+                                receiver="node-01", body=b"x" * 1186), 0.0)
+        back = net.send(Envelope(kind=MessageKind.INGEST, sender="node-01",
+                                 receiver="node-00", body=b"y" * 36), 0.0)
+        # Opposite directions do not queue behind each other...
+        assert out.deliver_at == out.envelope.wire_size / LINK_BANDWIDTH + 50.0
+        assert back.deliver_at == back.envelope.wire_size / LINK_BANDWIDTH + 50.0
+        # ...but a second send in one direction queues behind the first.
+        again = net.send(Envelope(kind=MessageKind.INGEST, sender="node-01",
+                                  receiver="node-00", body=b"z" * 36), 0.0)
+        assert again.deliver_at == pytest.approx(
+            2 * back.envelope.wire_size / LINK_BANDWIDTH + 50.0)
 
 
 class TestRunUntilQuiescent:
@@ -124,7 +144,7 @@ class TestRunUntilQuiescent:
         net = Network(two_nodes(50.0))
         net.send(Envelope(kind=MessageKind.QUERY, sender="node-00",
                           receiver="node-01"), 0.0)
-        assert net.run_until_quiescent() == 50.0
+        assert net.run_until_quiescent() == 64 / LINK_BANDWIDTH + 50.0
 
     def test_request_response_pair(self):
         net = Network(two_nodes(50.0))
@@ -137,7 +157,9 @@ class TestRunUntilQuiescent:
         net.register("node-01", answer)
         net.send(Envelope(kind=MessageKind.QUERY, sender="node-00",
                           receiver="node-01"), 0.0)
-        assert net.run_until_quiescent() == 100.0
+        # 64 bytes each way: the query arrives, then the response is sent.
+        arrived = 64 / LINK_BANDWIDTH + 50.0
+        assert net.run_until_quiescent() == arrived + 64 / LINK_BANDWIDTH + 50.0
 
     def test_limit_exceeded(self):
         net = Network(two_nodes(50.0))
@@ -153,6 +175,19 @@ class TestRunUntilQuiescent:
         net.call_at(5.0, lambda n, t: seen.append("second"))
         net.run_until_quiescent()
         assert seen == ["first", "second"]
+
+    def test_cancelled_event_neither_runs_nor_moves_clock(self):
+        net = Network(two_nodes(50.0))
+        seen = []
+        net.call_at(5.0, lambda n, t: seen.append("kept"))
+        net.cancel(net.call_at(9.0, lambda n, t: seen.append("cancelled")))
+        assert net.run_until_quiescent() == 5.0
+        assert seen == ["kept"]
+
+    def test_cancelled_event_beyond_limit_is_not_pending(self):
+        net = Network(two_nodes(50.0))
+        net.cancel(net.call_at(100.0, lambda n, t: None))
+        assert net.run_until_quiescent(limit=10.0) == 0.0
 
 
 class TestAvailability:

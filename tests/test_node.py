@@ -15,18 +15,13 @@ from syncmesh.model import (
 from syncmesh.netsim import (
     Endpoint,
     EndpointKind,
+    LINK_BANDWIDTH,
     LinkClass,
     Network,
     Topology,
     build_topology,
 )
-from syncmesh.node import (
-    MeshClient,
-    NeighborModel,
-    SyncMeshNode,
-    UnknownNode,
-    run_query,
-)
+from syncmesh.node import MeshClient, SyncMeshNode, run_query
 from syncmesh.payloads import TransformerUnknown, apply_transformer, read_query
 from syncmesh.store import LocalStore
 from syncmesh.wire import MessageKind, encode_readings, encode_request
@@ -56,7 +51,7 @@ class Mesh:
         for nid in self.node_ids:
             node = SyncMeshNode(self.stores[nid],
                                 gather_timeout_ms=gather_timeout_ms)
-            node.attach(self.net, self.topo)
+            node.attach(self.net)
             self.nodes[nid] = node
         self.client = MeshClient()
         self.client.attach(self.net)
@@ -72,6 +67,14 @@ class Mesh:
     def mesh_query(self, req=None, at=500.0, target=None):
         req = req or QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH)
         return run_query(self.net, self.client, target or self.node_ids[0], req, at)
+
+    def serialization_ms(self, kind, sender, receiver) -> float:
+        """The time to serialize the one envelope of `kind` sent from
+        `sender` to `receiver`."""
+        (size,) = [e.envelope.wire_size for e in self.net.envelope_log
+                   if (e.envelope.kind, e.envelope.sender, e.envelope.receiver)
+                   == (kind, sender, receiver)]
+        return size / LINK_BANDWIDTH
 
 
 def disjoint_data(rng, node_ids, per_node=40):
@@ -145,8 +148,16 @@ class TestScatterGather:
         mesh.load(disjoint_data(rng, mesh.node_ids, per_node=2))
         mesh.heartbeat_round()
         resp, rtt = mesh.mesh_query(at=500.0)
-        # client->coord 10, fan-out max(2*50, 2*100) = 200, coord->client 10
-        assert rtt == pytest.approx(220.0)
+        # client->coord 10, fan-out max(2*50, 2*100) = 200, coord->client 10,
+        # each leg after serializing its envelope
+        ser = mesh.serialization_ms
+        query, response = MessageKind.QUERY, MessageKind.RESPONSE
+        fan_out = max(
+            ser(query, "node-00", peer) + 2 * latency + ser(response, peer, "node-00")
+            for peer, latency in (("node-01", 50.0), ("node-02", 100.0)))
+        assert rtt == pytest.approx(
+            ser(query, "client", "node-00") + 10.0 + fan_out
+            + ser(response, "node-00", "client") + 10.0)
 
     def test_down_neighbor_not_contacted(self, rng):
         mesh = Mesh(n=3)
@@ -155,7 +166,7 @@ class TestScatterGather:
         mesh.net.run_until_quiescent()  # deliver heartbeats
         mesh.net.set_available("node-02", False)
         # node-02's heartbeat is stale only after the timeout; drop it instead
-        mesh.nodes["node-00"].neighbors.last_heartbeat.pop("node-02")
+        mesh.nodes["node-00"].last_heard.pop("node-02")
         resp, _ = mesh.mesh_query(at=500.0)
         queries = [e for e in mesh.net.envelope_log
                    if e.envelope.kind is MessageKind.QUERY
@@ -174,8 +185,12 @@ class TestScatterGather:
         resp, rtt = mesh.mesh_query(at=500.0)
         assert resp.partial is True
         assert resp.contributing_nodes == {"node-00", "node-01"}
-        # dispatch at 510 (client latency), timeout fires 400ms later, +10 home
-        assert rtt == pytest.approx(10.0 + 400.0 + 10.0)
+        # dispatch at 510 (client latency), timeout fires 400ms later, +10 home,
+        # each client leg after serializing its envelope
+        ser = mesh.serialization_ms
+        assert rtt == pytest.approx(
+            ser(MessageKind.QUERY, "client", "node-00") + 10.0 + 400.0
+            + ser(MessageKind.RESPONSE, "node-00", "client") + 10.0)
 
     def test_fanout_bound_and_depth_one(self, rng):
         mesh = Mesh(n=4)
@@ -192,17 +207,30 @@ class TestScatterGather:
 
 
 class TestHeartbeats:
+    @staticmethod
+    def heard(mesh, sender, at):
+        """Deliver one heartbeat from `sender` to node-00 at `at`."""
+        node = mesh.nodes["node-00"]
+        node._on_envelope(mesh.net, Envelope(
+            kind=MessageKind.HEARTBEAT, sender=sender, receiver="node-00"), at)
+        return node
+
     def test_boundary_inclusive(self):
-        model = NeighborModel(["node-01"], timeout_ms=3000.0)
-        model.record("node-01", 1000.0)
-        assert model.is_available("node-01", 3999.0) is True   # 2999 elapsed
-        assert model.is_available("node-01", 4000.0) is True   # exactly 3000
-        assert model.is_available("node-01", 4001.0) is False  # 3001 elapsed
+        node = self.heard(Mesh(n=2), "node-01", 1000.0)
+        assert node.available_neighbors(3999.0) == ["node-01"]  # 2999 elapsed
+        assert node.available_neighbors(4000.0) == ["node-01"]  # exactly 3000
+        assert node.available_neighbors(4001.0) == []           # 3001 elapsed
+
+    def test_latest_heartbeat_counts(self):
+        mesh = Mesh(n=2)
+        self.heard(mesh, "node-01", 1000.0)
+        node = self.heard(mesh, "node-01", 500.0)  # an older one changes nothing
+        assert node.available_neighbors(4000.0) == ["node-01"]
 
     def test_unknown_sender_rejected(self):
-        model = NeighborModel(["node-01"], timeout_ms=3000.0)
-        with pytest.raises(UnknownNode):
-            model.record("intruder", 0.0)
+        node = self.heard(Mesh(n=2), "intruder", 0.0)
+        assert node.last_heard == {}
+        assert node.available_neighbors(0.0) == []
 
     def test_never_heartbeating_member_never_contacted(self, rng):
         mesh = Mesh(n=3)
@@ -306,7 +334,7 @@ class TestMalformedBodies:
             store = LocalStore(node_id)
             store.load_many(make_reading(rng, node_id=node_id) for _ in range(5))
             node = SyncMeshNode(store, gather_timeout_ms=GATHER_TIMEOUT_MS)
-            node.attach(net, topo)
+            node.attach(net)
             nodes.append(node)
         client = MeshClient()
         client.attach(net)
