@@ -166,13 +166,14 @@ class CentralBaseline:
 class ShardedBaseline:
     """Shard-per-node store behind a unifying router at the server endpoint.
 
-    The modeled shards work at the same time, so the router builds every
-    shard's answer and RESPONSE body as it routes a query, before the query
-    is sent, in one `PayloadOps.response_bodies` call: `fastlz.compress_all`
-    then compresses the FASTLZ bodies whole, two at a time. Each shard, when
-    its query arrives, finds its body in the memo. Without a memo nothing
-    is built ahead, and each shard builds its own body once. A body built
-    for a shard that is down is never sent."""
+    The modeled shards work at the same time, so as it routes a query the
+    router builds every shard's answer and RESPONSE body before the query
+    is sent, by `PayloadOps.build_ahead`, the build-ahead rule the mesh
+    coordinator's fan-out follows too: `fastlz.compress_all` then
+    compresses the FASTLZ bodies whole, two at a time. Each shard, when its
+    query arrives, finds its body in the memo. Without a memo nothing is
+    built ahead, and each shard builds its own body once. A body built for
+    a shard that is down is never sent."""
 
     def __init__(self, net: Network, stores: dict[str, LocalStore],
                  ops: PayloadOps | None = None, *,
@@ -193,17 +194,10 @@ class ShardedBaseline:
         req = read_query(env)
         if req is None:
             return
-        net.send(self.ops.response_envelope(
-            req, self._reply(env.receiver, req), env.receiver, env.sender), now)
-
-    def _reply(self, shard: str, req: QueryRequest) -> QueryResponse:
-        """The shard's answer to req, over its own store alone."""
-        return QueryResponse(
-            request_id=req.request_id,
-            payload=self.ops.answer(
-                (shard,), req, lambda: evaluate_query(self.stores[shard], req)),
-            contributing_nodes=frozenset({shard}),
-            partial=False, codec=CodecId.FASTLZ)
+        shard = env.receiver
+        resp = self.ops.local_response(shard, self.stores[shard], req,
+                                       CodecId.FASTLZ)
+        net.send(self.ops.response_envelope(req, resp, shard, env.sender), now)
 
     # -- router --------------------------------------------------------------
 
@@ -235,11 +229,7 @@ class ShardedBaseline:
 
         shards = sorted(self.stores)
         local = replace(req, scope=Scope.LOCAL)  # what each shard is sent
-        if self.ops.cache is not None:
-            self.ops.response_bodies(local, [
-                (shard, frozenset({shard}), False, CodecId.FASTLZ,
-                 lambda shard=shard: self._reply(shard, local))
-                for shard in shards])
+        self.ops.build_ahead(local, shards, self.stores, CodecId.FASTLZ)
         self.gather.start(self.net, local, shards, now, finish)
 
     def ingest(self) -> float:

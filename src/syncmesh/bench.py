@@ -14,7 +14,7 @@ import io
 import json
 import operator
 import statistics
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -22,6 +22,7 @@ from pathlib import Path
 from .baselines import CentralBaseline, P2PBaseline, ShardedBaseline
 from .model import (
     MS_PER_DAY,
+    CodecId,
     QueryRequest,
     Scope,
     SensorReading,
@@ -319,11 +320,22 @@ def trailing_window(manifest: DatasetManifest, days: int) -> TimeRange:
 # ---------------------------------------------------------------------------
 
 class SyncMeshSystem:
-    """Mesh of autonomous nodes; the lowest-id node coordinates client queries."""
+    """Mesh of autonomous nodes; the lowest-id node coordinates client queries.
+
+    The nodes work at the same time, each next to its own data, so before a
+    MESH query is sent every neighbor's LOCAL answer and GZIP body is built
+    by `PayloadOps.build_ahead`, the build-ahead rule the sharded router
+    follows too: the helper deflates each body while the next is encoded.
+    Each neighbor finds its body in the memo when its LOCAL query arrives;
+    one built for a neighbor the coordinator skips is never sent. The
+    coordinator's own answer merges the replies, so it is built when they
+    have arrived, on one core."""
 
     def __init__(self, net: Network, stores: dict[str, LocalStore],
                  ops: PayloadOps, gather_timeout_ms: float):
         self.net = net
+        self.stores = stores
+        self.ops = ops
         self.nodes = []
         for node_id in sorted(stores):
             node = SyncMeshNode(stores[node_id], ops,
@@ -340,6 +352,10 @@ class SyncMeshSystem:
     def query(self, req: QueryRequest, at: float) -> tuple:
         for node in self.nodes:
             node.broadcast_heartbeat(self.net.clock)
+        if req.scope is Scope.MESH:
+            self.ops.build_ahead(replace(req, scope=Scope.LOCAL),
+                                 self.nodes[0].neighbor_ids, self.stores,
+                                 CodecId.GZIP)
         return run_query(self.net, self.client, self.coordinator_id, req, at)
 
 

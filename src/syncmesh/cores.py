@@ -2,24 +2,28 @@
 
 On a host with two usable CPUs, a process hands one job at a time to a
 second interpreter while it does other work, then reads the reply. There
-are two kinds of job:
+are three kinds of job:
 
 - `PARSE`: `fastlz._parse_tail` of a FASTLZ body's tail, or of a whole
   body, for `fastlz.compress` and `fastlz.compress_all`;
 - `ROWS`: `synthetic.rows_reply`, the synthetic rows of a list of sensors,
-  for `bench.generate_synthetic`.
+  for `bench.generate_synthetic`;
+- `GZIP`: `zlib.compress(body, GZIP_LEVEL)`, a GZIP response body, for
+  `payloads.PayloadOps`'s fan-out bodies.
 
 The helper runs this file as `sys.executable -I -S`, and imports only the
 module of each kind of job it is sent, without the package's `__init__`
 and what it imports: `fastlz` and `synthetic` import only the stdlib and
-this module. It speaks length-prefixed frames over its stdin and stdout,
-one each way per job: a request is the job's kind, its body's length and
-its body; a reply is its length and its bytes. The reply to each job is
-read before the next is sent, so neither pipe can fill in both directions.
-A helper that cannot start, dies or sends a bad frame is closed for good,
-and the caller does the work itself; so does a helper sent a job it does
-not know or cannot read, which ends its loop. Only the wall-clock time
-depends on it, never a byte.
+this module, and `GZIP` needs `zlib` alone. It speaks length-prefixed
+frames over its stdin and stdout, one each way per job: a request is the
+job's kind, its body's length and its body; a reply is its length and its
+bytes. The reply to each job is read before the next is sent, so neither
+pipe can fill in both directions. A helper that cannot start, dies or
+sends a bad frame is closed for good, and the caller does the work itself;
+so does a helper sent a job it does not know or cannot read, which ends
+its loop. Only the wall-clock time depends on it, never a byte. A `GZIP`
+job saves some 6 ms, less than the helper's start costs (some 25 ms), so
+it is sent only to a helper already `running`.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ import sys
 
 PARSE = 0  # a FASTLZ tail, for `fastlz._parse_tail`
 ROWS = 1  # a rows request, for `synthetic.rows_reply`
+GZIP = 2  # a GZIP body, for `zlib.compress` at `GZIP_LEVEL`
+GZIP_LEVEL = 6  # zlib's level for every GZIP body (`wire.compress`)
 MAX_REPLY = 64 * 1024 * 1024  # the most bytes a reply frame may hold
 _REQUEST = struct.Struct(">BQ")  # a job's kind and its body's length
 _REPLY = struct.Struct(">Q")  # a reply's length, then its bytes
@@ -79,6 +85,12 @@ class Helper:
             self.close()
             return False
         return True
+
+    @property
+    def running(self) -> bool:
+        """Whether its process has started and not been closed: a job that
+        saves less than the helper's start costs is sent only then."""
+        return self._proc is not None
 
     def reply(self, read):
         """`read` of the reply to the job last sent; None, with the helper
@@ -154,6 +166,9 @@ def _answer(job: int, body: bytes) -> bytes:
     if job == ROWS:
         from .synthetic import rows_reply
         return rows_reply(body)
+    if job == GZIP:
+        import zlib
+        return zlib.compress(body, GZIP_LEVEL)
     raise ValueError(f"unknown job {job}")
 
 

@@ -219,12 +219,29 @@ class TransformerSpec:
 @dataclass(frozen=True, slots=True)
 class QueryRequest:
     """Unified request schema: time range, optional transformer, scope. Its
-    JSON keeps a `projection` list, which is always empty."""
+    JSON keeps a `projection` list, which is always empty.
+
+    Every memo key holds a request, so its hash, that of its fields' tuple,
+    is computed once, at construction, into `_hash`, which is not part of
+    its value. A str's hash differs between processes, so a pickled request
+    is rebuilt from its fields (`__reduce__`), never given its hash."""
 
     request_id: str
     range: TimeRange
     transformer: TransformerSpec | None = None
     scope: Scope = Scope.LOCAL
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(
+            (self.request_id, self.range, self.transformer, self.scope)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return QueryRequest, (self.request_id, self.range, self.transformer,
+                              self.scope)
 
     def to_json_dict(self) -> dict:
         return {

@@ -76,15 +76,15 @@ class SyncMeshNode:
         requester is answered when it completes (or times out).
         """
         validate_request(req)
+        if req.scope is Scope.LOCAL:
+            resp = self.ops.local_response(self.node_id, self.store, req,
+                                           CodecId.GZIP)
+            self.net.send(self.ops.response_envelope(
+                req, resp, self.node_id, requester), now)
+            return
         payload = self.ops.answer(
             (self.node_id,), req,
             lambda: evaluate_query(self.store, req))
-        if req.scope is Scope.LOCAL:
-            self._respond(req, requester,
-                          payload=payload,
-                          contributing=frozenset({self.node_id}),
-                          partial=False, now=now)
-            return
         available = self.available_neighbors(now)
         skipped = len(available) < len(self.neighbor_ids)
 

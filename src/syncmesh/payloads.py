@@ -29,7 +29,7 @@ from .model import (
     validate_reading,
     validate_request,
 )
-from . import fastlz, wire
+from . import cores, fastlz, wire
 
 
 class TransformerUnknown(Exception):
@@ -103,6 +103,33 @@ def fingerprint(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _gzip_bodies(responses) -> list[bytes]:
+    """`[wire.compress(GZIP, wire.encode_response(r)) for r in responses]`,
+    encoded in turn. While this process encodes a body, a running helper
+    (`cores.helper`) deflates the one before it, if that one has at least
+    `fastlz.SPLIT_MIN_BYTES`: it is sent as a `cores.GZIP` job as soon as
+    it is encoded, and the reply is read once the next body is, so the
+    helper holds one job at a time. The last body, with nothing left to
+    encode beside it, is deflated here, and so is one the helper declines
+    or fails; the bytes are the same either way."""
+    helper = cores.helper
+    out = []
+    held = None  # the body the helper is deflating
+    for i, resp in enumerate(responses, 1):
+        body = wire.encode_response(resp)
+        if held is not None:
+            reply = helper.reply(bytes)
+            out.append(wire.compress(CodecId.GZIP, held) if reply is None
+                       else reply)
+            held = None
+        if (i < len(responses) and len(body) >= fastlz.SPLIT_MIN_BYTES
+                and helper.running and helper.send(cores.GZIP, body)):
+            held = body
+        else:
+            out.append(wire.compress(CodecId.GZIP, body))
+    return out
+
+
 class PayloadOps:
     """Response assembly with optional cross-repetition memoization.
 
@@ -118,11 +145,12 @@ class PayloadOps:
     number of that end state to the namespace of its query. Keys of
     different methods differ in length, so they never meet: one part for
     an answer, two for a digest, three for a merge, four for an encoded
-    batch and five for a response body. `batch_bodies` and
-    `response_bodies` take a list in one call, and still key each body on
-    its own. So the memo may hold a body built before its query arrives:
-    the sharded router builds every shard's answer and body as it routes
-    a query, and each shard finds its own in the memo. With cache=None
+    batch and five for a response body. `batch_bodies` takes a list in one
+    call, and still keys each body on its own. So the memo may hold a body
+    built before its query arrives: a fan-out, the sharded router's or the
+    mesh coordinator's, is preceded by one `build_ahead`, the one
+    build-ahead rule, which builds every target's answer and body
+    together, and each target finds its own in the memo. With cache=None
     every call computes afresh.
 
     An uncompressed (`CodecId.NONE`) response body is sent as a `wire.Body`
@@ -177,54 +205,75 @@ class PayloadOps:
 
     # -- outgoing ----------------------------------------------------------
 
+    def local_response(self, owner: str, store, req: QueryRequest,
+                       codec: CodecId) -> QueryResponse:
+        """`owner`'s complete answer to req over its own `store` alone, to
+        be sent with `codec`: a shard's answer to any query, and a mesh
+        node's to a LOCAL one."""
+        return QueryResponse(
+            request_id=req.request_id,
+            payload=self.answer((owner,), req,
+                                lambda: evaluate_query(store, req)),
+            contributing_nodes=frozenset({owner}), partial=False, codec=codec)
+
     def response_envelope(self, req: QueryRequest, resp: QueryResponse,
                           sender: str, receiver: str) -> wire.Envelope:
         """RESPONSE envelope answering req: resp's body, and resp itself as
-        payload. It is `response_bodies`'s one-body case, under the same key
-        and built by the same `_bodies`, without the batch's bookkeeping."""
+        payload. The body is memoized under a key of five parts (sender,
+        req, contributing nodes, partial, codec), the same for every
+        receiver, so it may have been built by `build_ahead`."""
         body = self.memo((sender, req, resp.contributing_nodes, resp.partial,
                           resp.codec), lambda: self._bodies([resp])[0])
         return wire.Envelope(
             kind=wire.MessageKind.RESPONSE, sender=sender, receiver=receiver,
             body=body, codec=resp.codec, request_id=resp.request_id, payload=resp)
 
-    def response_bodies(self, req: QueryRequest, replies) -> list:
-        """The compressed canonical body of each (sender, contributing
-        nodes, partial, codec, respond) of `replies`: that of the
-        `QueryResponse` to req, with those fields, that `respond()` returns.
-        A body is the same for every receiver; uncompressed, it is a
-        `wire.Body` that shares its readings array. Each body is memoized
-        under its own key, with five parts, and `respond` is called only
-        for a body the cache lacks; of those, the FASTLZ bodies that resume
-        no kept ending are compressed together by `fastlz.compress_all`."""
-        keys = [(sender, req, contributing, partial, codec)
-                for sender, contributing, partial, codec, _ in replies]
+    def build_ahead(self, req: QueryRequest, owners, stores: dict,
+                    codec: CodecId) -> None:
+        """Before a fan-out sends req to `owners`, build each one's
+        `local_response` over its store in `stores` (owner -> store), and
+        its body, into the memo under `response_envelope`'s key. The
+        targets of a modeled fan-out work at the same time, so their bodies
+        are built together, in one `_bodies` call: FASTLZ bodies two at a
+        time, GZIP ones each deflated by the helper while the next is
+        encoded. Each target then finds its body in the memo when req
+        arrives; one built for a target that never gets req is never sent.
+        Without a memo nothing is built ahead, so no body is built twice.
+        On a cache hit it costs one memo lookup per target."""
+        if self.cache is None:
+            return
+        keys = {owner: (owner, req, frozenset({owner}), False, codec)
+                for owner in owners}
         fresh = {}
 
-        def build(i):
+        def build(owner):
             if not fresh:  # the first miss builds every body the cache lacks
-                missing = [j for j, key in enumerate(keys) if self.cache is None
-                           or (self.scope_key,) + key not in self.cache]
-                fresh.update(zip(missing, self._bodies(
-                    [replies[j][4]() for j in missing])))
-            return fresh[i]
+                missing = [o for o, key in keys.items()
+                           if (self.scope_key,) + key not in self.cache]
+                fresh.update(zip(missing, self._bodies([
+                    self.local_response(o, stores[o], req, codec)
+                    for o in missing])))
+            return fresh[owner]
 
-        return [self.memo(key, lambda: build(i)) for i, key in enumerate(keys)]
+        for owner, key in keys.items():
+            self.memo(key, lambda: build(owner))
 
     def _bodies(self, responses) -> list:
-        """The body of each response. A FASTLZ readings body resumes the
-        ending kept under its head and the sha256 of its array when it can;
-        the rest are compressed whole, in one `fastlz.compress_all`, and a
-        readings body keeps its ending."""
+        """The body of each response. GZIP bodies are deflated as
+        `_gzip_bodies` says. A FASTLZ readings body resumes the ending kept
+        under its head and the sha256 of its array when it can; the rest are
+        compressed whole, in one `fastlz.compress_all`, and a readings body
+        keeps its ending."""
         bodies = [None] * len(responses)
+        gzip = []  # the index of each GZIP body
         whole = []  # (index, body, (key, tail) or None) to compress whole
         for i, resp in enumerate(responses):
             if resp.codec is CodecId.NONE:
                 bodies[i] = wire.Body(
                     wire.response_parts(resp, self._readings_array))
                 continue
-            if resp.codec is not CodecId.FASTLZ:
-                bodies[i] = wire.compress(resp.codec, wire.encode_response(resp))
+            if resp.codec is CodecId.GZIP:
+                gzip.append(i)
                 continue
             parts = wire.response_parts(resp)
             body = b"".join(parts)
@@ -245,6 +294,8 @@ class PayloadOps:
                 if bodies[i] is not None:
                     continue
             whole.append((i, body, (key, tail)))
+        for i, body in zip(gzip, _gzip_bodies([responses[i] for i in gzip])):
+            bodies[i] = body
         endings = fastlz.compress_all([body for _, body, _ in whole])
         for (i, _, keep), ending in zip(whole, endings):
             bodies[i] = ending.stream

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from . import fastlz
+from .cores import GZIP_LEVEL
 from .model import (
     CodecId,
     QueryRequest,
@@ -42,7 +43,6 @@ from .model import (
 )
 
 HEADER_SIZE = 64
-_GZIP_LEVEL = 6
 
 _HEADER = struct.Struct(">BB6x16s16s16sQ")
 
@@ -163,7 +163,7 @@ def compress(codec: CodecId, data: bytes | Body) -> bytes | Body:
     if codec is CodecId.NONE:
         return data
     if codec is CodecId.GZIP:
-        return zlib.compress(bytes(data), _GZIP_LEVEL)
+        return zlib.compress(bytes(data), GZIP_LEVEL)
     if codec is CodecId.FASTLZ:
         return fastlz.compress(bytes(data))
     raise ValueError(f"unknown codec: {codec}")

@@ -3,7 +3,11 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -435,3 +439,54 @@ def test_pickled_reading_keeps_its_bytes():
         data = pickle.dumps(reading)
         assert hashlib.sha256(data).hexdigest() == _FIXED_PICKLE_SHA256
         assert pickle.loads(data) == reading
+
+
+# -- the request's kept hash ----------------------------------------------------
+
+def _fields_hash(req) -> int:
+    return hash((req.request_id, req.range, req.transformer, req.scope))
+
+
+_REQUEST_CONSTRUCTIONS = {
+    "keyword": lambda q: QueryRequest(
+        request_id=q.request_id, range=q.range, transformer=q.transformer,
+        scope=q.scope),
+    "replace": lambda q: dataclasses.replace(q, scope=Scope.MESH),
+    "from_json_dict": lambda q: QueryRequest.from_json_dict(q.to_json_dict()),
+    "pickle": lambda q: pickle.loads(pickle.dumps(q)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("path", sorted(_REQUEST_CONSTRUCTIONS))
+def test_every_request_hashes_as_its_fields(path):
+    """However it is built, a request hashes as the tuple of its fields,
+    and its kept hash is not part of its value or its repr."""
+    source = _req(transformer=TransformerSpec("aggregate_mean"))
+    built = _REQUEST_CONSTRUCTIONS[path](source)
+    assert hash(built) == _fields_hash(built)
+    assert (built == source) == (path != "replace")
+    assert "_hash" not in repr(built)
+
+
+def test_a_pickled_request_hashes_as_its_fields_in_another_process():
+    """A str's hash differs between processes, so a request unpickled in a
+    process with another hash seed hashes as its fields there, not as it
+    did where it was pickled."""
+    req = _req(request_id="q-pickled", scope=Scope.MESH)
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    program = (
+        "import pickle, sys\n"
+        "r = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(hash(r) == hash((r.request_id, r.range, r.transformer,"
+        " r.scope)), hash(r))\n")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(Path(wire.__file__).resolve().parent.parent),
+                      os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", program],
+                          input=pickle.dumps(req), env=env,
+                          capture_output=True, check=True, timeout=60)
+    same, there = done.stdout.split()
+    assert same == b"True"
+    assert int(there) != hash(req)

@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from conftest import (
     GATHER_TIMEOUT_MS, HOSTILE_QUERIES, make_reading, payload_kind)
 from oracles import assert_summary_close, naive_summary, union_collect
+from syncmesh import bench, payloads
 from syncmesh.model import (
     NUMERIC_FIELDS,
     CodecId,
@@ -204,6 +207,53 @@ class TestScatterGather:
         fanned = [e for e in queries if e.sender == "node-00"]
         assert len(fanned) == 3  # one per available neighbor
         assert all(e.sender in ("client", "node-00") for e in queries)  # depth 1
+
+
+@pytest.mark.parametrize(
+        "scenario, rtt, by_class, digest, coordinator_sha256", [
+    ("collect", 794.5686155336286,
+     {LinkClass.NODE_NODE: 32445, LinkClass.CLIENT_NODE: 65461},
+     "36299a86bec9582475eac99cea7d564f3f9eab66a83201a6b9a2d6fb3afd0947",
+     "6399a5aeac2477a81d5b5179955357940b105314ae24a59241829ca9ed6d17bb"),
+    ("transform", 717.4126155336285,
+     {LinkClass.NODE_NODE: 860, LinkClass.CLIENT_NODE: 601},
+     "3f53e0149ebda0f578d263e20c496577ddb422c50351515d59dd5ee4e9af2ed2",
+     "8c988aae0eece259ca475a513ea506623c13b40058abf8b3f44ad3d30310c073"),
+], ids=["collect", "transform"])
+def test_a_down_neighbor_adds_nothing_to_the_answer(scenario, rtt, by_class,
+                                                   digest, coordinator_sha256):
+    """The seed-7 3-node, 30-day dataset with node-01 down before the
+    query, on a memo: node-01's body is built ahead with node-02's, but the
+    answer is node-00's and node-02's alone, partial, with the request
+    time, bytes, digest and coordinator body pinned here (those of a mesh
+    that built no body ahead). The log holds no RESPONSE from node-01."""
+    cfg = bench.ScenarioConfig(system="syncmesh", scenario=scenario,
+                               n_nodes=3, window_days=30, repetitions=1,
+                               seed=7)
+    caches = bench.MatrixCaches()
+    bundle = bench._dataset_bundle(cfg, caches)
+    ops = payloads.PayloadOps(caches.payloads, ("syncmesh", bundle.key),
+                              caches.endings)
+    net = Network(build_topology(3, seed=7))
+    system = bench.SyncMeshSystem(
+        net, bundle.stores, ops,
+        bench._scenario_gather_timeout(bundle.manifest))
+    net.set_available("node-01", False)
+    req = bench._build_request(cfg, bench.trailing_window(bundle.manifest, 30))
+    resp, got_rtt = system.query(req, 500.0)
+    responses = [e.envelope for e in net.envelope_log
+                 if e.envelope.kind is MessageKind.RESPONSE]
+    assert [env.sender for env in responses] == ["node-02", "node-00"]
+    assert any(key[1] == "node-01" and len(key) == 6
+               for key in caches.payloads)  # built, and never sent
+    assert resp.partial is True
+    assert resp.contributing_nodes == {"node-00", "node-02"}
+    assert got_rtt == rtt
+    assert dict(net.ledger.by_class()) == by_class
+    assert ops.payload_digest(resp.payload, req,
+                              resp.contributing_nodes) == digest
+    assert (hashlib.sha256(bytes(responses[-1].body)).hexdigest()
+            == coordinator_sha256)
 
 
 class TestHeartbeats:

@@ -1,8 +1,8 @@
 """The process's second core: FASTLZ's spliced parse and a parse resumed
 from a kept ending write the reference stream, a kept ending does not
-outlive the command that owns it, the synthetic dataset written on two
-cores is the reference text, and the process's one helper does not outlive
-the interpreter."""
+outlive the command that owns it, a GZIP body the helper deflates is
+zlib's, the synthetic dataset written on two cores is the reference text,
+and the process's one helper does not outlive the interpreter."""
 
 import collections
 import gc
@@ -17,6 +17,7 @@ import sys
 import time
 import warnings
 import weakref
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,13 +25,15 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from conftest import make_reading
 from oracles import (
     SEED7_12_NODE_CSV_SHA256,
     reference_compress,
+    reference_encode_response,
     reference_generate,
 )
 from syncmesh import baselines, bench, cores, fastlz, payloads, synthetic
-from syncmesh.model import CodecId, Scope, merge_reading_sets
+from syncmesh.model import CodecId, QueryResponse, Scope, merge_reading_sets
 from syncmesh.wire import encode_readings
 
 # A helper process starts only on a host with two usable CPUs. An unwaited
@@ -42,9 +45,14 @@ TWO_CPUS = pytest.mark.skipif(cores._usable_cpus() < 2,
 class InProcessHelper(cores.Helper):
     """A `cores.Helper` whose jobs run in this process: `Helper.reply`
     reads the one frame the helper's loop would write. It holds one job at
-    a time, as a real helper's caller must."""
+    a time, as a real helper's caller must. It runs until it is closed, as
+    a started helper does."""
 
     _frame = None
+
+    @property
+    def running(self):
+        return not self._closed
 
     def send(self, job, body):
         assert self._frame is None, "a second job sent before the reply"
@@ -338,10 +346,68 @@ def test_a_bad_reply_frame_closes_the_helper(monkeypatch, install, frame,
     assert out == [reference_compress(body) for body in bodies]
 
 
+def _gzip_responses(sizes) -> list[QueryResponse]:
+    """A GZIP response of `size` seeded readings of one node for each of
+    `sizes`."""
+    rng = random.Random(11)
+    return [QueryResponse(
+        request_id=f"r{i}", codec=CodecId.GZIP,
+        payload=tuple(make_reading(rng, f"node-{i:02d}") for _ in range(size)),
+        contributing_nodes=frozenset({f"node-{i:02d}"}))
+        for i, size in enumerate(sizes)]
+
+
+@pytest.mark.parametrize("kind", [
+    pytest.param("live", marks=TWO_CPUS), "in-process", "declines",
+    "no reply", "bad frame", "closed", "one usable CPU"])
+def test_every_gzip_body_is_zlibs(monkeypatch, started, install, kind):
+    """Four GZIP bodies, the second under `fastlz.SPLIT_MIN_BYTES` and the
+    others over it: a running helper, live or an in-process stand-in, is
+    sent the first and the third, each while the next is encoded; the
+    second and the last are deflated here. A helper that declines its first
+    job, has no reply to it or sends a bad frame is closed, and this
+    process deflates the rest; a closed helper, and one on a host with one
+    usable CPU, which cannot start, are sent nothing. Every body is
+    `zlib.compress(body, 6)` of the reference encoding."""
+    if kind == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    if kind in ("live", "one usable CPU", "bad frame"):
+        helper = install(cores.Helper())
+    elif kind == "in-process":
+        helper = install(InProcessHelper())
+    elif kind == "closed":
+        helper = install(_closed_helper())
+    else:
+        helper = install(FailingHelper(1, kind))
+    if kind in ("live", "one usable CPU"):  # a job that starts its process
+        if helper.send(cores.GZIP, b""):
+            assert helper.reply(bytes) == zlib.compress(b"", 6)
+    proc = None
+    if kind == "bad frame":
+        proc = helper._proc = ReplyingProcess(cores._REPLY.pack(9) + b"cut")
+    sent = _record_sends(helper)
+    responses = _gzip_responses([1100, 10, 1100, 1100])
+    want = [reference_encode_response(resp) for resp in responses]
+    assert [len(body) >= fastlz.SPLIT_MIN_BYTES for body in want] == [
+        True, False, True, True]
+    assert payloads.PayloadOps()._bodies(responses) == [
+        zlib.compress(body, 6) for body in want]
+    taken = {"live": 2, "in-process": 2, "no reply": 1, "bad frame": 1}
+    assert sent == ([(cores.GZIP, True)] * taken.get(kind, 0)
+                    + [(cores.GZIP, False)] * (kind == "declines"))
+    if proc is not None:
+        assert proc.sent == cores._REQUEST.pack(
+            cores.GZIP, len(want[0])) + want[0]
+    assert helper.running == (kind in ("live", "in-process"))
+    assert getattr(helper, "_frame", None) is None
+    assert _exited(started) == ([False] if kind == "live" else [])
+
+
 def test_the_helper_program_answers_one_frame_per_tail():
     """The helper program on any host, without `Helper`: one request frame
-    in, one reply frame out, equal to `_parse_tail`'s; at the end of its
-    input it exits with status 0."""
+    in, one reply frame out, equal to `_parse_tail`'s for a tail and to
+    `zlib.compress(body, 6)` for a GZIP body; at the end of its input it
+    exits with status 0."""
     tail = _readings_body(400)
     want = fastlz._parse_tail(tail)
     ending = fastlz.compress_ending(tail)
@@ -349,15 +415,18 @@ def test_the_helper_program_answers_one_frame_per_tail():
                     + ending.stream)
     proc = subprocess.Popen([sys.executable, "-I", "-S", cores.__file__],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    got = []
     with proc:
-        proc.stdin.write(cores._REQUEST.pack(cores.PARSE, len(tail)) + tail)
-        proc.stdin.flush()
-        (size,) = cores._REPLY.unpack(proc.stdout.read(cores._REPLY.size))
-        got = proc.stdout.read(size)
+        for job in (cores.PARSE, cores.GZIP):
+            proc.stdin.write(cores._REQUEST.pack(job, len(tail)) + tail)
+            proc.stdin.flush()
+            (size,) = cores._REPLY.unpack(proc.stdout.read(cores._REPLY.size))
+            got.append(proc.stdout.read(size))
         proc.stdin.close()
         rest = proc.stdout.read()
         status = proc.wait(timeout=60)
-    assert got == want and rest == b"" and status == 0
+    assert got == [want, zlib.compress(tail, 6)]
+    assert rest == b"" and status == 0
 
 
 @TWO_CPUS
@@ -636,6 +705,55 @@ def test_a_cold_12_node_sharded_collect_builds_each_shard_body_once(
     assert bench.run_scenario(cfg, caches).rows == rows
     assert parsed == []
     assert len(lookups) == 12 + 2 * 12 + 3 and all(hit for _, hit in lookups)
+
+
+def test_a_cold_12_node_syncmesh_collect_deflates_each_neighbor_body_once(
+        monkeypatch, install):
+    """A cold 12-node, 30-day syncmesh collect with an in-process helper,
+    which writes half the dataset first: before the query is sent, the
+    eleven neighbors' GZIP bodies are built ahead, each deflated once, the
+    first ten by the helper while the next is encoded and the last in this
+    process; each neighbor's own answer
+    and `response_envelope` are memo hits. The same command again on the
+    same caches deflates nothing, and its build-ahead costs one memo lookup
+    per neighbor: 11 in all, beside each neighbor's answer and body and the
+    coordinator's answer, merge, body and digest."""
+    sent = _record_sends(install(InProcessHelper()))
+    deflated, lookups = [], []
+    compress, memo = zlib.compress, payloads.PayloadOps.memo
+
+    def deflate(data, level=-1):
+        deflated.append(bytes(data))
+        return compress(data, level)
+
+    def looked_up(ops, key, fn):
+        lookups.append((key, (ops.scope_key,) + key in ops.cache))
+        return memo(ops, key, fn)
+
+    monkeypatch.setattr(zlib, "compress", deflate)
+    monkeypatch.setattr(payloads.PayloadOps, "memo", looked_up)
+    caches = bench.MatrixCaches()
+    cfg = _seed7_config("syncmesh", 12, 30)
+    rows = bench.run_scenario(cfg, caches).rows
+    neighbor_bodies = [body for body in deflated if _SHARD_BODY.search(body)]
+    assert len(neighbor_bodies) == len(set(neighbor_bodies)) == 11
+    assert sent == [(cores.ROWS, True)] + [(cores.GZIP, True)] * 10
+    by_key = collections.defaultdict(list)
+    for key, hit in lookups:
+        by_key[key].append(hit)
+    window = bench.trailing_window(caches.datasets[("synthetic", 7, 12)]
+                                   .manifest, 30)
+    local = replace(bench._build_request(cfg, window), scope=Scope.LOCAL)
+    for node in (f"node-{i:02d}" for i in range(1, 12)):
+        answer = (((node,), local),)
+        body = (node, local, frozenset({node}), False, CodecId.GZIP)
+        assert by_key[answer] == by_key[body] == [False, True]
+    deflated.clear()
+    lookups.clear()
+    sent.clear()
+    assert bench.run_scenario(cfg, caches).rows == rows
+    assert deflated == [] and sent == []
+    assert len(lookups) == 11 + 2 * 11 + 4 and all(hit for _, hit in lookups)
 
 
 def test_a_command_keeps_no_ending_once_it_returns(monkeypatch):
