@@ -9,7 +9,9 @@ from syncmesh.bench import (
     _scenario_gather_timeout, generate_synthetic, ingest_csv_text)
 from syncmesh.model import QueryRequest, Scope, TimeRange
 from syncmesh.netsim import Network, build_topology
+from syncmesh.payloads import fingerprint
 from syncmesh.store import LocalStore
+from syncmesh.wire import encode_readings
 
 text = generate_synthetic(n_sensors=3, days=7, readings_per_sensor_per_day=48, seed=5)
 manifest, partitions = ingest_csv_text(text, 3)
@@ -45,7 +47,8 @@ net = fresh(False)
 p2p = P2PBaseline(net, partitions, gather_timeout_ms=deadline)
 sync_ms = p2p.sync()
 resp, rtt = p2p.client_collect(req, net.clock + 100.0)
-digests = {r.digest() for r in p2p.replicas.values()}
+digests = {fingerprint(encode_readings(r.all_readings()))
+           for r in p2p.replicas.values()}
 print(f"p2p: sync {sync_ms:.0f} ms ({len(digests)} distinct replica digest), "
       f"query {rtt:.0f} ms, {net.ledger.total():,} total bytes")
 

@@ -20,9 +20,6 @@ from .model import (
     Scope,
     SensorReading,
     TimeRange,
-    in_canonical_order,
-    reading_key,
-    time_slice,
 )
 from .netsim import CLIENT_ID, SERVER_ID, Network
 from .node import QUERY_TIME_LIMIT_MS, Gather, MeshClient, run_query
@@ -31,7 +28,6 @@ from .payloads import (
     all_valid,
     apply_transformer,
     evaluate_query,
-    fingerprint,
     read_query,
 )
 from .store import LocalStore
@@ -41,18 +37,11 @@ from .wire import Envelope, MessageKind
 INGEST_BATCH_SIZE = 500
 
 
-class _Validity:
-    """Whether every reading of a batch is valid, judged once per batch
-    object; the owner holds each batch it judges, so no id is reused."""
-
-    def __init__(self):
-        self._by_id: dict[int, bool] = {}
-
-    def __call__(self, batch: ReadingSet) -> bool:
-        valid = self._by_id.get(id(batch))
-        if valid is None:
-            valid = self._by_id[id(batch)] = all_valid(batch)
-        return valid
+def _admitted(writer: str, batch: ReadingSet) -> bool:
+    """Whether a store loads `batch` from `writer`: a node ships only its own
+    readings, all of them valid. So every key has one writer, and the first
+    copy of it that a store loads stays."""
+    return all(r.node_id == writer for r in batch) and all_valid(batch)
 
 
 def _batches(readings: ReadingSet):
@@ -89,16 +78,16 @@ def _send_batches(net: Network, ops: PayloadOps, kind: MessageKind,
 class CentralBaseline:
     """Central cloud store: ingest everything, answer queries server-side.
 
-    A node ships only its own readings: the server drops an INGEST batch
-    holding a reading of another node, as it drops a body that does not
-    decode. It notes each other batch in `delivered`, in arrival order,
-    with the envelope that carried it. So no two senders write one key,
-    and `server_store`, the first copy of each key, depends only on each
-    sender's stream of batches in its own order. The store is built when
-    first read and dropped by the next batch that arrives. Nothing writes
-    a store once it is built, so one set from outside (a
-    `bench._PhaseReplay` end state of the same streams) is read as it was
-    kept until the next batch arrives."""
+    The server notes every INGEST batch that decodes in `delivered`, in
+    arrival order, with the envelope that carried it; it drops a body that
+    does not decode. `server_store` loads each batch that `_admitted` lets
+    in: one holding a reading of another node, or an invalid one, loads
+    nothing. So no two senders write one key, and the store, the first
+    copy of each key, depends only on each sender's stream of batches in
+    its own order. The store is built when first read and dropped by the
+    next batch that arrives. Nothing writes a store once it is built, so
+    one set from outside (a `bench._PhaseReplay` end state of the same
+    streams) is read as it was kept until the next batch arrives."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None):
@@ -113,13 +102,12 @@ class CentralBaseline:
 
     @property
     def server_store(self) -> LocalStore:
-        """Every valid delivered batch loaded in arrival order, so the first
-        copy of a reading key stays; a batch with an invalid reading loads
-        none."""
+        """Every delivered batch `_admitted` lets in, loaded in arrival
+        order, so the first copy of a reading key stays."""
         if self._store is None:
             self._store = LocalStore(SERVER_ID)
-            for _, batch in self.delivered:
-                if all_valid(batch):
+            for env, batch in self.delivered:
+                if _admitted(env.sender, batch):
                     self._store.load_many(batch)
         return self._store
 
@@ -133,8 +121,6 @@ class CentralBaseline:
                 batch = wire.read_payload(env)
             except wire.MalformedBody:
                 return  # dropped: one bad envelope must not end the run
-            if any(r.node_id != env.sender for r in batch):
-                return  # dropped: a node ships only its own readings
             self.delivered.append((env, batch))
             self._store = None
             return
@@ -240,71 +226,47 @@ class ShardedBaseline:
         return run_query(self.net, self.client, SERVER_ID, req, at)
 
 
-class P2PReplica:
-    """Replicated key-value view with last-write-wins conflict resolution.
+class P2PReplica(LocalStore):
+    """A peer's replica: a `LocalStore` that several peers may share, named
+    for the first of them. It keeps each range's slice until the next
+    write, so every peer that holds it answers one range with one tuple."""
 
-    A write's version is (timestamp, writer) and its timestamp is part of the
-    key, so two writes to one key differ only in writer: the greater writer
-    wins and an equal one (a retransmit) keeps the first write. The replica
-    keeps one key -> reading and one key -> writer dict, and caches its
-    readings in canonical order until the next apply changes them, and each
-    range's slice of them until the next apply: every peer that holds this
-    replica answers one range with one tuple.
-    """
-
-    def __init__(self):
-        self._readings: dict[tuple, SensorReading] = {}
-        self._writers: dict[tuple, str] = {}
-        self._ordered: ReadingSet | None = None
+    def __init__(self, node_id: str):
+        super().__init__(node_id)
         self._slices: dict[TimeRange, ReadingSet] = {}
 
-    def __len__(self) -> int:
-        return len(self._readings)
-
-    def apply_batch(self, readings: ReadingSet, writer: str) -> None:
-        """LWW-apply a gossip batch; version is (reading timestamp, writer)."""
+    def insert(self, reading: SensorReading) -> bool:
         self._slices = {}
-        by_key = self._readings
-        writers = self._writers
-        for key, r in zip(map(reading_key, readings), readings):
-            current = writers.get(key)
-            if current is None or writer > current:
-                by_key[key] = r
-                writers[key] = writer
-                self._ordered = None
+        return super().insert(reading)
 
-    def writer(self, key: tuple) -> str | None:
-        """The writer whose write to `key` (node, sensor, timestamp) won."""
-        return self._writers.get(key)
+    def load_many(self, readings) -> int:
+        self._slices = {}
+        return super().load_many(readings)
 
-    def readings(self) -> ReadingSet:
-        if self._ordered is None:
-            self._ordered = in_canonical_order(self._readings.values())
-        return self._ordered
+    def apply_batch(self, readings: ReadingSet) -> None:
+        """Load a gossip batch that `_admitted` has let in."""
+        self.load_many(readings)
 
     def query_range(self, time_range: TimeRange) -> ReadingSet:
         sliced = self._slices.get(time_range)
         if sliced is None:
-            sliced = self._slices[time_range] = time_slice(
-                self.readings(), time_range)
+            sliced = self._slices[time_range] = self.query(time_range)
         return sliced
-
-    def digest(self) -> str:
-        return fingerprint(wire.encode_readings(self.readings()))
 
 
 class P2PBaseline:
     """Eventually-consistent full replication over uncompressed gossip.
 
-    Each peer notes the GOSSIP batches it receives in `delivered`, in
-    arrival order, with the envelope that carried it. `replicas` is the end
-    state of `sync`'s own partitions and those batches: built from them
-    when first read and dropped by the next batch that arrives (or by the
-    first `sync`), so the read after it builds again. Nothing writes a
-    replica once it is built, so replicas set from outside (a
-    `bench._PhaseReplay` end state of the same streams) are read as they
-    were kept until the next batch arrives. A batch with an invalid reading
-    is no write, on every peer that receives it."""
+    Each peer notes every GOSSIP batch that decodes in `delivered`, in
+    arrival order, with the envelope that carried it, and echoes it.
+    `replicas` is the end state of `sync`'s own partitions and those
+    batches, loaded by central's rule, `_admitted`: a batch holding a
+    reading of another node, or an invalid one, loads nothing on any peer.
+    The replicas are built when first read and dropped by the next batch
+    that arrives (or by the first `sync`), so the read after it builds
+    again. Nothing writes a replica once it is built, so replicas set from
+    outside (a `bench._PhaseReplay` end state of the same streams) are read
+    as they were kept until the next batch arrives."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None, *,
@@ -316,7 +278,6 @@ class P2PBaseline:
         # Each peer's own partition in the (offset, batch) pairs `sync`
         # gossips; None until it runs.
         self._seeds: dict[str, list[tuple[int, ReadingSet]]] | None = None
-        self._valid = _Validity()  # judges batches held in delivered or _seeds
         self._replicas: dict[str, P2PReplica] | None = None
         for node_id in sorted(partitions):
             net.register(node_id, self._on_envelope)
@@ -328,32 +289,32 @@ class P2PBaseline:
     @property
     def replicas(self) -> dict[str, P2PReplica]:
         """Each peer's replica: its own partition once `sync` has run, then
-        each valid batch it received, LWW-applied in arrival order.
+        each batch it received, in arrival order, each loaded if `_admitted`.
 
-        The greater writer wins a key and one writer's first write to it
-        stays, so a replica depends only on each writer's writes in that
-        writer's order. Peers whose (writer, batch object) writes are the
-        same after a stable sort by writer hold one replica, built once."""
+        Every key has one writer and its first copy stays, so a replica
+        depends only on each writer's batches in that writer's order. Peers
+        whose (writer, batch object) arrivals are the same after a stable
+        sort by writer share one replica, built once, which judges each
+        batch once."""
         if self._replicas is None:
-            writes = {node_id: [] for node_id in sorted(self.partitions)}
-            arrivals = [(origin, origin, batch)
-                        for origin, batches in (self._seeds or {}).items()
-                        for _, batch in batches]
-            arrivals += [(env.receiver, env.sender, batch)
-                         for env, batch in self.delivered]
-            for peer, writer, batch in arrivals:
-                if self._valid(batch):
-                    writes[peer].append((writer, batch))
+            arrivals = {node_id: [] for node_id in sorted(self.partitions)}
+            for origin, batches in (self._seeds or {}).items():
+                arrivals[origin] += [(origin, batch) for _, batch in batches]
+            for env, batch in self.delivered:
+                arrivals[env.receiver].append((env.sender, batch))
             replicas: dict[str, P2PReplica] = {}
             built: dict[tuple, P2PReplica] = {}
-            for node_id, peer_writes in writes.items():
-                peer_writes.sort(key=itemgetter(0))
-                group = tuple((writer, id(batch)) for writer, batch in peer_writes)
+            for node_id, writes in arrivals.items():
+                # A peer's own batches come first in its arrivals; sorted,
+                # they sit where every other peer holds them.
+                writes.sort(key=itemgetter(0))
+                group = tuple((writer, id(batch)) for writer, batch in writes)
                 replica = built.get(group)
                 if replica is None:
-                    replica = built[group] = P2PReplica()
-                    for writer, batch in peer_writes:
-                        replica.apply_batch(batch, writer)
+                    replica = built[group] = P2PReplica(node_id)
+                    for writer, batch in writes:
+                        if _admitted(writer, batch):
+                            replica.apply_batch(batch)
                 replicas[node_id] = replica
             self._replicas = replicas
         return self._replicas

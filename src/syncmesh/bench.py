@@ -364,12 +364,14 @@ class _PhaseReplay:
     p2p) on one dataset, installed on later runs instead of re-simulating
     identical events.
 
-    The end state of the phase (the central server store, the p2p replicas)
-    is a function of its streams: the batches one sender delivered to one
-    receiver, in arrival order. So one end state is kept per distinct key,
-    the delivered envelopes stably sorted by (receiver, sender), and equal
-    keys mean equal states however the streams interleave; the states are
-    numbered in the order they were built. A link serializes its sends in
+    The end state of the phase (the central server store, the p2p replicas:
+    `LocalStore`s loaded by one rule, `baselines._admitted`) is a function
+    of its streams: the batches one sender delivered to one receiver, in
+    arrival order, those the rule refuses included. So one end state is
+    kept per distinct key, the delivered envelopes stably sorted by
+    (receiver, sender), and since every key has one writer, equal keys mean
+    equal states however the streams interleave; the states are numbered
+    in the order they were built. A link serializes its sends in
     order, so every seed that delivers every batch gives one key. The
     duration, the traffic ledger and the number of the end state depend
     on the latency seed, so they are kept per seed: a new seed simulates

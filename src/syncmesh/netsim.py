@@ -153,22 +153,30 @@ def build_topology(n_nodes: int, seed: int, with_server: bool = False) -> Topolo
 
 
 class TrafficLedger:
-    """Sent bytes per (link class, message kind) of log entries, delivered or not."""
+    """Sent bytes per (link class, message kind) of log entries, delivered or
+    not.
+
+    The entries are summed under each class's name, a str: a `LinkClass`
+    key would run the Python-level `Enum.__hash__` twice an entry. So the
+    enum keys are built once per (class, kind) and once per class."""
 
     def __init__(self, entries):
-        totals: Counter[tuple[LinkClass, MessageKind]] = Counter()
+        sums: dict[tuple[str, MessageKind], int] = {}
         for entry in entries:
-            totals[entry.link_class, entry.envelope.kind] += entry.envelope.wire_size
-        self.bytes = MappingProxyType(totals)
+            key = entry.link_class._name_, entry.envelope.kind
+            sums[key] = sums.get(key, 0) + entry.envelope.wire_size
+        per_class: dict[str, int] = {}
+        for (name, _), n in sums.items():
+            per_class[name] = per_class.get(name, 0) + n
+        self.bytes = MappingProxyType(Counter(
+            {(LinkClass[name], kind): n for (name, kind), n in sums.items()}))
+        self._by_class = {LinkClass[name]: n for name, n in per_class.items()}
 
     def get(self, link_class: LinkClass, kind: MessageKind) -> int:
         return self.bytes.get((link_class, kind), 0)
 
     def by_class(self) -> Counter[LinkClass]:
-        out: Counter[LinkClass] = Counter()
-        for (link_class, _), n in self.bytes.items():
-            out[link_class] += n
-        return out
+        return Counter(self._by_class)
 
     def total(self) -> int:
         return sum(self.bytes.values())

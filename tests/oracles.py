@@ -50,45 +50,29 @@ def assert_summary_close(summary, expected, rel=1e-9):
         assert abs(agg.mean - exp["mean"]) <= rel * max(1.0, abs(exp["mean"])), name
 
 
-class ReferenceReplica:
-    """The p2p replica as first written: one (version, reading) entry per key.
+def reference_fold(batches):
+    """The readings, in canonical order, of the store that central's server
+    or a p2p peer builds from the (writer, batch) pairs it holds, given in
+    arrival order.
 
-    `syncmesh.baselines.P2PReplica` must give the same readings, winning
-    writers and digest. Every write compares whole (timestamp, writer)
-    versions, and every read sorts and filters the full replica.
-    """
+    `syncmesh.baselines` must load the same readings. A batch counts only
+    when it is valid and holds only its writer's readings; of those, the
+    first copy of each (node, sensor, timestamp) key stays."""
+    from syncmesh.model import ValidationError, validate_reading
 
-    def __init__(self):
-        self._entries = {}
-
-    def apply(self, reading, version):
-        key = (reading.node_id, reading.sensor_id, reading.timestamp)
-        current = self._entries.get(key)
-        if current is not None and version <= current[0]:
-            return False
-        self._entries[key] = (version, reading)
-        return True
-
-    def apply_batch(self, readings, writer):
-        for r in readings:
-            self.apply(r, (r.timestamp, writer))
-
-    def writer(self, key):
-        entry = self._entries.get(key)
-        return None if entry is None else entry[0][1]
-
-    def readings(self):
-        return tuple(sorted((r for _, r in self._entries.values()),
-                            key=lambda r: (r.timestamp, r.sensor_id, r.node_id)))
-
-    def query_range(self, time_range):
-        return tuple(r for r in self.readings() if time_range.contains(r.timestamp))
-
-    def digest(self):
-        from syncmesh.payloads import fingerprint
-        from syncmesh.wire import encode_readings
-
-        return fingerprint(encode_readings(self.readings()))
+    first = {}
+    for writer, batch in batches:
+        try:
+            for r in batch:
+                validate_reading(r)
+        except ValidationError:
+            continue
+        if any(r.node_id != writer for r in batch):
+            continue
+        for r in batch:
+            first.setdefault((r.node_id, r.sensor_id, r.timestamp), r)
+    return tuple(sorted(first.values(),
+                        key=lambda r: (r.timestamp, r.sensor_id, r.node_id)))
 
 
 def reference_encode_response(resp):

@@ -7,12 +7,15 @@ lines; the whole suite completes in a few minutes on a laptop.
 import hashlib
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
 from conftest import GATHER_TIMEOUT_MS, make_reading, payload_kind
-from oracles import assert_summary_close, naive_summary, union_collect
-from syncmesh.baselines import CentralBaseline, P2PBaseline, P2PReplica, ShardedBaseline
+from oracles import (
+    assert_summary_close, naive_summary, reference_fold, union_collect)
+from syncmesh import baselines
+from syncmesh.baselines import CentralBaseline, P2PBaseline, ShardedBaseline
 from syncmesh.bench import (
     MatrixCaches,
     ScenarioConfig,
@@ -32,9 +35,11 @@ from syncmesh.model import (
 )
 from syncmesh.netsim import LINK_BANDWIDTH, LinkClass, Network, build_topology
 from syncmesh.node import MeshClient, SyncMeshNode, run_query
-from syncmesh.payloads import PayloadOps
+from syncmesh.payloads import PayloadOps, fingerprint
 from syncmesh.store import LocalStore
-from syncmesh.wire import HEADER_SIZE, MessageKind, compress, decompress, encode_readings
+from syncmesh.wire import (
+    HEADER_SIZE, Envelope, MessageKind, compress, decompress, encode_readings,
+    read_payload)
 
 MASTER_SEED = 7
 FULL = TimeRange(1, 10**15)
@@ -352,49 +357,68 @@ def test_c09_codecs(caches):
            f"{checked} collect payloads >= 4 KiB")
 
 
-def test_c10_eventual_consistency(rng):
+def _c10_schedule(sched_rng, node_ids, batch_size):
+    """Each node's own readings, and GOSSIP deliveries in a shuffled order:
+    every batch of every node to every other peer, retransmits of some (as
+    the same object or as bytes to decode), other writers' copies of a
+    node's keys with other data, and a node's invalid copies of its own."""
+    parts = {nid: tuple(SensorReading(nid, f"s{k % 3}", 1000 + k,
+                                      temperature=float(sched_rng.randrange(100)))
+                        for k in range(sched_rng.randrange(4, 13)))
+             for nid in node_ids}
+    genuine = [(nid, parts[nid][i:i + batch_size]) for nid in node_ids
+               for i in range(0, len(parts[nid]), batch_size)]
+    batches = genuine + [sched_rng.choice(genuine) for _ in range(5)]
+    for _ in range(3):
+        writer, owner = sched_rng.sample(node_ids, 2)
+        batches.append((writer, (replace(sched_rng.choice(parts[owner]),
+                                         temperature=-1.0),)))
+    for _ in range(2):
+        writer = sched_rng.choice(node_ids)
+        batches.append((writer, (replace(sched_rng.choice(parts[writer]),
+                                         humidity=200.0),)))
+    deliveries = [(writer, peer, batch, sched_rng.random() < 0.5)
+                  for writer, batch in batches
+                  for peer in node_ids if peer != writer]
+    sched_rng.shuffle(deliveries)
+    return parts, deliveries
+
+
+def test_c10_eventual_consistency(monkeypatch):
+    """G-Set convergence, driven through `P2PBaseline`: every key has one
+    writer, so a replica is a grow-only set whose union is commutative,
+    associative and idempotent. However GOSSIP deliveries are ordered,
+    retransmitted, forged by another writer or invalid, every peer reaches
+    one digest, the reference fold of what it received."""
+    monkeypatch.setattr(baselines, "INGEST_BATCH_SIZE", 4)
+    node_ids = ["node-00", "node-01", "node-02"]
     schedules_ok = 0
     for schedule in range(20):
         sched_rng = random.Random(1000 + schedule)
-        keys = [("node-00", f"s{k}", 1000 + k) for k in range(4)]
-        writes = []
-        for _ in range(sched_rng.randrange(15, 40)):
-            node, sensor, ts = sched_rng.choice(keys)  # collisions guaranteed
-            writer = f"node-{sched_rng.randrange(3):02d}"
-            value = float(ts % 97) + float(int(writer[-2:]))
-            writes.append((SensorReading(node, sensor, ts, temperature=value),
-                           writer))
+        parts, deliveries = _c10_schedule(sched_rng, node_ids, 4)
+        net = Network(build_topology(3, seed=schedule, with_server=False))
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
+        for i, (writer, peer, batch, as_bytes) in enumerate(deliveries):
+            net.send(Envelope(kind=MessageKind.GOSSIP, sender=writer,
+                              receiver=peer, body=encode_readings(batch),
+                              payload=None if as_bytes else batch), 10.0 * i)
+        net.run_until_quiescent()
+        system.sync()  # seeds each peer's own partition, then gossips it again
+        arrived = sorted((e for e in net.envelope_log
+                          if e.envelope.kind is MessageKind.GOSSIP),
+                         key=lambda e: e.deliver_at)
         digests = set()
-        winners = {}
-        for trial in range(6):
-            replica = P2PReplica()
-            order = writes[:]
-            sched_rng.shuffle(order)
-            for reading, writer in order:
-                replica.apply_batch((reading,), writer)
-            digests.add(replica.digest())
-            for r in replica.readings():
-                winners[(r.node_id, r.sensor_id, r.timestamp)] = r.temperature
+        for peer, replica in system.replicas.items():
+            own = parts[peer]
+            writes = [(peer, own[i:i + 4]) for i in range(0, len(own), 4)]
+            writes += [(e.envelope.sender, read_payload(e.envelope))
+                       for e in arrived if e.envelope.receiver == peer]
+            assert replica.all_readings() == reference_fold(writes), (schedule, peer)
+            digests.add(fingerprint(encode_readings(replica.all_readings())))
         assert len(digests) == 1, schedule
-        # LWW winner is the max (timestamp, writer) version for each key
-        expected = {}
-        for reading, writer in writes:
-            version = (reading.timestamp, writer)
-            k = (reading.node_id, reading.sensor_id, reading.timestamp)
-            if k not in expected or version > expected[k][0]:
-                expected[k] = (version, reading.temperature)
-        for k, (_, temp) in expected.items():
-            assert winners[k] == temp, (schedule, k)
+        assert replica.all_readings() == tuple(
+            union_collect(parts, FULL.start, FULL.end))
         schedules_ok += 1
-    # and the full-system view: after a real sync, replica digests agree
-    node_ids = ["node-00", "node-01", "node-02"]
-    parts = {nid: tuple(make_reading(rng, node_id=nid, timestamp=j + 1)
-                        for j in range(200)) for nid in node_ids}
-    topo = build_topology(3, seed=2, with_server=False)
-    net = Network(topo)
-    system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
-    system.sync()
-    digests = {replica.digest() for replica in system.replicas.values()}
-    report(10, schedules_ok == 20 and len(digests) == 1,
-           f"20 collision-bearing write schedules converge; "
-           f"synced replica digests identical")
+    report(10, schedules_ok == 20,
+           "20 shuffled GOSSIP schedules with retransmits, forged and invalid "
+           "batches converge: every peer holds the reference fold")

@@ -11,10 +11,10 @@ from conftest import (
     FASTLZ_BOMB, GATHER_TIMEOUT_MS, GZIP_BOMB, HOSTILE_QUERIES, make_reading,
     payload_kind)
 from oracles import (
-    ReferenceReplica,
     assert_summary_close,
     naive_summary,
     reference_encode_response,
+    reference_fold,
     union_collect,
 )
 from syncmesh import baselines, bench, fastlz, payloads
@@ -44,7 +44,7 @@ from syncmesh.netsim import (
     TrafficLedger,
     build_topology,
 )
-from syncmesh.payloads import all_valid
+from syncmesh.payloads import all_valid, fingerprint
 from syncmesh.store import LocalStore
 from syncmesh.model import CodecId
 from syncmesh.wire import (
@@ -66,6 +66,10 @@ def partitions_for(rng, node_ids, per_node=40):
                    for j in range(per_node))
         for nid in node_ids
     }
+
+
+def digest(store):
+    return fingerprint(encode_readings(store.all_readings()))
 
 
 def server_topology(n):
@@ -276,10 +280,10 @@ class TestP2PSync:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
-        digests = {nid: replica.digest() for nid, replica in system.replicas.items()}
+        digests = {nid: digest(replica) for nid, replica in system.replicas.items()}
         assert len(set(digests.values())) == 1
         expected = union_collect(parts, FULL.start, FULL.end)
-        assert list(system.replicas["node-00"].readings()) == expected
+        assert list(system.replicas["node-00"].all_readings()) == expected
 
     def test_replicas_key_on_each_readings_own_key(self, rng):
         """No replica allocates a key tuple of its own."""
@@ -290,9 +294,7 @@ class TestP2PSync:
         system.sync()
         for replica in system.replicas.values():
             assert len(replica) == sum(map(len, parts.values()))
-            assert all(key is r._key for key, r in replica._readings.items())
-            assert all(key is replica._readings[key]._key
-                       for key in replica._writers)
+            assert all(key is r._key for key, r in replica._by_key.items())
 
     def test_synced_replicas_share_one_view(self, rng):
         n = 3
@@ -301,14 +303,11 @@ class TestP2PSync:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
-        reference = ReferenceReplica()
-        for origin, readings in parts.items():
-            reference.apply_batch(readings, origin)
         replicas = list(system.replicas.values())
         assert all(replica is replicas[0] for replica in replicas)
-        views = [replica.readings() for replica in replicas]
+        views = [replica.all_readings() for replica in replicas]
         assert all(view is views[0] for view in views)
-        assert views[0] == reference.readings()
+        assert views[0] == reference_fold(parts.items())
 
     def test_a_replica_that_missed_gossip_keeps_its_own_view(self, rng):
         n = 3
@@ -319,143 +318,166 @@ class TestP2PSync:
         net.set_available("node-02", False)  # receives no gossip
         system.sync()
         replicas = system.replicas
-        assert replicas["node-01"].readings() is replicas["node-00"].readings()
-        assert replicas["node-02"].readings() is not replicas["node-00"].readings()
-        alone = ReferenceReplica()
-        alone.apply_batch(parts["node-02"], "node-02")
-        assert replicas["node-02"].readings() == alone.readings()
+        assert (replicas["node-01"].all_readings()
+                is replicas["node-00"].all_readings())
+        assert (replicas["node-02"].all_readings()
+                is not replicas["node-00"].all_readings())
+        assert replicas["node-02"].all_readings() == reference_fold(
+            [("node-02", parts["node-02"])])
 
     def test_a_full_sync_builds_one_replica_for_every_peer(self, rng, monkeypatch):
-        """Every peer got the same writes, so all share one reading map: each
-        delivered reading is applied once, not once per peer, and each batch
-        is validated once, not once per delivery."""
+        """Every peer got the same batches, so all share one store: each
+        delivered reading is loaded once, not once per peer, and each batch
+        is admitted once per built replica, not once per delivery."""
         monkeypatch.setattr(baselines, "INGEST_BATCH_SIZE", 15)
         n = 4
         net = Network(build_topology(n, seed=6, with_server=False))
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         applied, judged = [], []
         apply_batch = P2PReplica.apply_batch
+        admitted = baselines._admitted
 
-        def counted_apply(replica, readings, writer):
+        def counted_apply(replica, readings):
             applied.append(len(readings))
-            apply_batch(replica, readings, writer)
+            apply_batch(replica, readings)
 
-        def counted_valid(batch):
-            judged.append(id(batch))
-            return all_valid(batch)  # payloads.all_valid; only baselines is patched
+        def counted_admitted(writer, batch):
+            judged.append((writer, id(batch)))
+            return admitted(writer, batch)
 
         monkeypatch.setattr(P2PReplica, "apply_batch", counted_apply)
-        monkeypatch.setattr(baselines, "all_valid", counted_valid)
+        monkeypatch.setattr(baselines, "_admitted", counted_admitted)
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
         replicas = list(system.replicas.values())
         total = sum(map(len, parts.values()))
-        assert all(r._readings is replicas[0]._readings
-                   and r._writers is replicas[0]._writers for r in replicas)
+        assert all(r is replicas[0] for r in replicas)
         assert len(replicas[0]) == total
         assert sum(applied) == total
-        # 40 readings a peer in batches of 15: 3 batches each.
+        # 40 readings a peer in batches of 15: 3 batches each, judged once
+        # in all, although each was delivered to n - 1 = 3 peers.
         assert len(judged) == len(set(judged)) == n * 3
+        assert len(system.delivered) == n * 3 * (n - 1)
 
     def test_query_range_returns_one_tuple_per_range_until_an_apply(self, rng):
-        replica = P2PReplica()
+        replica = P2PReplica("node-00")
         replica.apply_batch(
-            tuple(make_reading(rng, timestamp=t) for t in range(1, 21)), "node-00")
+            tuple(make_reading(rng, timestamp=t) for t in range(1, 21)))
         window = TimeRange(5, 15)
         first = replica.query_range(window)
         assert replica.query_range(TimeRange(5, 15)) is first
         assert replica.query_range(TimeRange(5, 16)) is not first
         assert [r.timestamp for r in first] == list(range(5, 15))
-        replica.apply_batch(
-            (make_reading(rng, node_id="node-01", timestamp=7),), "node-01")
+        replica.apply_batch((make_reading(rng, node_id="node-01", timestamp=7),))
         after_apply = replica.query_range(window)
         assert after_apply is not first and len(after_apply) == 11
-        replica.apply_batch(
-            (make_reading(rng, node_id="node-02", timestamp=8),), "node-02")
+        replica.apply_batch((make_reading(rng, node_id="node-02", timestamp=8),))
         after_batch = replica.query_range(window)
         assert after_batch is not after_apply and len(after_batch) == 12
         assert replica.query_range(window) is after_batch
 
-    def test_lww_last_writer_wins_any_order(self):
-        base = SensorReading("node-00", "s0", 1000, temperature=1.0)
-        contender = SensorReading("node-00", "s0", 1000, temperature=2.0)
-        writes = [(base, "node-00"), (contender, "node-01")]
-        for order in (writes, writes[::-1]):
-            replica = P2PReplica()
-            for reading, writer in order:
-                replica.apply_batch((reading,), writer)
-            assert replica.readings()[0].temperature == 2.0  # node-01 wins tie
+    @pytest.mark.parametrize("write", ["insert", "load_many"])
+    def test_query_range_gives_a_fresh_slice_after_a_write(self, rng, write):
+        """A replica is a `LocalStore`: its own writes, `insert` and
+        `load_many`, drop the kept slices too."""
+        replica = P2PReplica("node-00")
+        replica.apply_batch(tuple(make_reading(rng, timestamp=t) for t in (1, 2)))
+        window = TimeRange(1, 10)
+        before = replica.query_range(window)
+        added = make_reading(rng, node_id="node-01", timestamp=3)
+        if write == "insert":
+            assert replica.insert(added) is True
+        else:
+            assert replica.load_many((added,)) == 1
+        after = replica.query_range(window)
+        assert after is not before and after == before + (added,)
+        assert replica.query_range(window) is after
 
     def test_random_write_schedules_converge(self):
-        # One value per version: a writer may retransmit a write but never
-        # reuses its version for different data.
+        """Each key has one writer, who may retransmit a batch but never
+        writes a key twice with different data; other writers' copies of
+        its keys and invalid batches are sent too. Every shuffled order of
+        the admitted batches loads one store, the reference fold."""
         rng = random.Random(5150)
-        keys = [("node-00", "s0", ts) for ts in range(1, 6)]
-        writes = []
-        for _ in range(40):
-            node, sensor, ts = rng.choice(keys)
-            writer = f"node-{rng.randrange(3):02d}"
-            value = float(ts * 7 + int(writer[-2:]))
-            reading = SensorReading(node, sensor, ts, temperature=value)
-            writes.append((reading, writer))
+        writers = [f"node-{i:02d}" for i in range(3)]
+        batches = []
+        for writer in writers:
+            readings = [SensorReading(writer, "s0", ts,
+                                      temperature=float(ts * 7 + int(writer[-2:])))
+                        for ts in range(1, 6)]
+            batches += [(writer, tuple(readings[i:i + 2])) for i in (0, 2, 4)]
+        batches += [rng.choice(batches) for _ in range(5)]  # retransmits
+        batches += [("node-01", (SensorReading("node-00", "s0", 1,
+                                               temperature=-1.0),)),
+                    ("node-02", (SensorReading("node-02", "s0", 9,
+                                               humidity=200.0),))]
+        expected = reference_fold(batches)
         digests = set()
         for _ in range(20):
-            replica = P2PReplica()
-            shuffled = writes[:]
+            replica = P2PReplica("node-00")
+            shuffled = batches[:]
             rng.shuffle(shuffled)
-            for reading, writer in shuffled:
-                replica.apply_batch((reading,), writer)
-            digests.add(replica.digest())
-        assert len(digests) == 1
+            for writer, batch in shuffled:
+                if baselines._admitted(writer, batch):
+                    replica.apply_batch(batch)
+            assert replica.all_readings() == expected
+            digests.add(digest(replica))
+        assert len(digests) == 1 and len(expected) == 15
 
 
-# Few keys and writers, so writes collide, retransmit an equal version (with
-# the same or different data) and arrive in any writer order.
-_writers = st.sampled_from(("node-00", "node-01", "node-02"))
+# Valid readings of two nodes over few keys, so batches retransmit a key
+# with the same or other data, in batches of one writer each.
 _replica_readings = st.builds(
-    SensorReading, st.sampled_from(("node-00", "node-01")),
+    SensorReading, st.just("node-00"),
     st.sampled_from(("s0", "s1")), st.integers(1, 4),
     temperature=st.sampled_from((0.0, 1.0, 2.0)))
 _replica_ops = st.lists(st.one_of(
-    st.tuples(st.just("apply"), _replica_readings, _writers),
-    st.tuples(st.just("batch"), st.lists(_replica_readings, max_size=6), _writers),
+    st.tuples(st.just("insert"), _replica_readings, st.booleans()),
+    st.tuples(st.just("batch"), st.lists(_replica_readings, max_size=6),
+              st.booleans()),
     st.tuples(st.just("query"), st.integers(0, 5), st.integers(1, 5))),
     max_size=30)
 
 
 class TestP2PReplicaModel:
-    """`P2PReplica` against the tuple-per-entry `ReferenceReplica`."""
+    """`P2PReplica`, written by `apply_batch` and `insert`, against the
+    reference fold of the same admitted batches."""
 
     @given(_replica_ops)
     @settings(max_examples=300)
     def test_matches_reference(self, ops):
-        replica, reference = P2PReplica(), ReferenceReplica()
+        replica, batches = P2PReplica("node-00"), []
         for op, arg, other in ops:
-            if op == "apply":
-                replica.apply_batch((arg,), other)
-                reference.apply(arg, (arg.timestamp, other))
-            elif op == "batch":
-                replica.apply_batch(tuple(arg), other)
-                reference.apply_batch(arg, other)
+            if op in ("insert", "batch"):
+                # `other` moves the readings to node-01, a second writer.
+                batch = tuple(replace(r, node_id="node-01") if other else r
+                              for r in ((arg,) if op == "insert" else arg))
+                writer = "node-01" if other else "node-00"
+                batches.append((writer, batch))
+                if op == "insert":
+                    replica.insert(batch[0])
+                else:
+                    replica.apply_batch(batch)
             else:
                 time_range = TimeRange(arg, arg + other)
-                assert (replica.query_range(time_range)
-                        == reference.query_range(time_range))
-        assert replica.readings() == reference.readings()
-        assert len(replica) == len(reference.readings())
-        for r in reference.readings():
-            key = (r.node_id, r.sensor_id, r.timestamp)
-            assert replica.writer(key) == reference.writer(key)
-        assert replica.digest() == reference.digest()
+                sliced = replica.query_range(time_range)
+                assert sliced == tuple(r for r in reference_fold(batches)
+                                       if time_range.contains(r.timestamp))
+                assert replica.query_range(time_range) is sliced
+        assert replica.all_readings() == reference_fold(batches)
+        assert len(replica) == len(reference_fold(batches))
+        assert digest(replica) == fingerprint(
+            encode_readings(reference_fold(batches)))
 
 
 @st.composite
 def _p2p_runs(draw):
     """A small mesh: partitions (over a key space that origins share when
-    `collide`, so writes to one key conflict), some invalid readings, peers
-    going down and up during sync, then resends of gossip batches, as the same
-    batch object or as bytes to decode, and two batches of one writer that
-    write one key with different data, sent to peers in any order."""
+    `collide`, so a batch may hold another node's reading), some invalid
+    readings, peers going down and up during sync, then resends of gossip
+    batches, as the same batch object or as bytes to decode, and two
+    batches of one writer that write one key with different data, sent to
+    peers in any order."""
     node_ids = [f"node-{i:02d}" for i in range(draw(st.integers(2, 4)))]
     collide = draw(st.booleans())
     partitions = {}
@@ -484,12 +506,10 @@ def _p2p_runs(draw):
 class TestP2PReplicasFollowTheirWrites:
     """However the batches arrive, each peer's replica is the reference fold
     of that peer's own writes in arrival order: its partition, then each
-    valid GOSSIP batch delivered to it, and it stays so after a later
-    GOSSIP."""
+    GOSSIP batch delivered to it, and it stays so after a later GOSSIP."""
 
     @staticmethod
     def _reference(system, net, peer):
-        replica = ReferenceReplica()
         own = system.partitions[peer]
         writes = [(peer, own[i:i + baselines.INGEST_BATCH_SIZE])
                   for i in range(0, len(own), baselines.INGEST_BATCH_SIZE)]
@@ -498,10 +518,7 @@ class TestP2PReplicasFollowTheirWrites:
                           and e.envelope.kind is MessageKind.GOSSIP),
                          key=lambda e: e.deliver_at)
         writes += [(e.envelope.sender, read_payload(e.envelope)) for e in arrived]
-        for writer, batch in writes:
-            if all_valid(batch):
-                replica.apply_batch(batch, writer)
-        return replica
+        return reference_fold(writes)
 
     @staticmethod
     def _resend(net, pick, peer, as_bytes):
@@ -518,13 +535,13 @@ class TestP2PReplicasFollowTheirWrites:
 
     @staticmethod
     def _send_conflicting(net, peers, orders):
-        """Two batches of the greatest writer to one key, with different
-        data, to each other peer in its drawn order: the first to arrive
-        stays, so peers with the same writes can end up different."""
-        writer = peers[-1]
-        batches = [(SensorReading("node-00", "s0", 1, temperature=t),)
+        """node-00's own two batches to one key, with different data, to
+        each other peer in its drawn order: the first to arrive stays, so
+        peers with the same writes can end up different."""
+        writer = peers[0]
+        batches = [(SensorReading(writer, "s0", 1, temperature=t),)
                    for t in (5.0, 6.0)]
-        for peer, order in zip(peers, orders):
+        for peer, order in zip(peers[1:], orders):
             for i in order:
                 net.send(Envelope(kind=MessageKind.GOSSIP, sender=writer,
                                   receiver=peer, body=encode_readings(batches[i]),
@@ -553,11 +570,7 @@ class TestP2PReplicasFollowTheirWrites:
 
             def check():
                 for peer, replica in system.replicas.items():
-                    reference = references[peer]
-                    assert replica.readings() == reference.readings(), peer
-                    for r in reference.readings():
-                        assert replica.writer(reading_key(r)) == \
-                            reference.writer(reading_key(r))
+                    assert replica.all_readings() == references[peer], peer
 
             check()
             for resend in after_read:
@@ -738,7 +751,7 @@ class TestInvalidBodies:
         def held():
             if kind == "central":
                 return system.server_store.all_readings()
-            return system.replicas[receiver].readings()
+            return system.replicas[receiver].all_readings()
 
         batch = (make_reading(rng, node_id="node-00", timestamp=7),
                  SensorReading("node-00", "sensor-x", 9, humidity=200.0, p1=-5.0))
@@ -844,21 +857,52 @@ class TestDeliveredBatches:
         assert len(judged) == len(set(judged)) == len(system.delivered) == 4
 
     def test_a_batch_holding_another_nodes_reading_is_dropped(self, rng):
-        """node-01's batch holds node-00's reading: it is not delivered,
+        """node-01's batch holds node-00's reading: it is delivered, but
         nothing of it is loaded, the run goes on, and node-00's own copy,
-        arriving later, stays."""
-        system = self._central()
+        arriving later, stays. Central's server, then a p2p mesh, in one
+        test: there each other peer echoes the forged GOSSIP batch, and
+        every replica is that of the same run without it."""
         foreign = make_reading(rng, timestamp=5)
         own = make_reading(rng, sensor_id=foreign.sensor_id, timestamp=5)
         mixed = (make_reading(rng, node_id="node-01", timestamp=6), foreign)
+
+        system = self._central()
         system.net.send(_batch_envelope(
             MessageKind.INGEST, "node-01", "server", mixed), 0.0)
         system.net.send(_batch_envelope(
             MessageKind.INGEST, "node-00", "server", (own,)), 1000.0)
         system.net.run_until_quiescent()
-        assert [env.sender for env, _ in system.delivered] == ["node-00"]
+        assert [env.sender for env, _ in system.delivered] == [
+            "node-01", "node-00"]
         assert system.server_store.all_readings() == (own,)
         resp, _ = system.query(collect_req(), system.net.clock + 10.0)
+        assert resp.payload == (own,) and resp.partial is False
+
+        def p2p_run(forge):
+            system = self._p2p()
+            if forge:
+                for peer in ("node-00", "node-02"):
+                    system.net.send(_batch_envelope(
+                        MessageKind.GOSSIP, "node-01", peer, mixed, "forged"), 0.0)
+            for peer in ("node-01", "node-02"):
+                system.net.send(_batch_envelope(
+                    MessageKind.GOSSIP, "node-00", peer, (own,)), 1000.0)
+            system.net.run_until_quiescent()
+            return system
+
+        forged, clean = p2p_run(True), p2p_run(False)
+        echoes = [e.envelope for e in forged.net.envelope_log
+                  if e.envelope.kind is MessageKind.GOSSIP_ECHO
+                  and e.envelope.request_id == "forged"]
+        assert sorted((env.sender, env.receiver) for env in echoes) == [
+            ("node-00", "node-01"), ("node-02", "node-01")]
+        assert len(forged.delivered) == len(clean.delivered) + 2
+        held = {peer: replica.all_readings()
+                for peer, replica in forged.replicas.items()}
+        assert held == {peer: replica.all_readings()
+                        for peer, replica in clean.replicas.items()}
+        assert held == {"node-00": (), "node-01": (own,), "node-02": (own,)}
+        resp, _ = forged.query(collect_req(), forged.net.clock + 10.0)
         assert resp.payload == (own,) and resp.partial is False
 
     def test_the_first_arrival_of_a_key_stays(self, rng):
@@ -880,7 +924,7 @@ class TestDeliveredBatches:
             system.net.send(_batch_envelope(
                 MessageKind.GOSSIP, "node-00", "node-01", batch, "g000000"), at)
         system.net.run_until_quiescent()
-        assert system.replicas["node-01"].readings() == batches[0] + batches[1]
+        assert system.replicas["node-01"].all_readings() == batches[0] + batches[1]
 
     def test_one_writers_first_gossip_of_a_key_stays(self, rng):
         system = self._p2p()
@@ -890,7 +934,7 @@ class TestDeliveredBatches:
             system.net.send(_batch_envelope(
                 MessageKind.GOSSIP, "node-00", "node-01", (reading,)), at)
         system.net.run_until_quiescent()
-        assert system.replicas["node-01"].readings() == (early,)
+        assert system.replicas["node-01"].all_readings() == (early,)
 
     @pytest.mark.parametrize("kind", ["central", "p2p"])
     def test_a_batch_after_the_first_read_leaves_the_read_state_and_is_in_the_next(
@@ -908,9 +952,7 @@ class TestDeliveredBatches:
         def contents(held):
             if kind == "central":
                 return held.all_readings(), len(held)
-            return {peer: (replica.readings(), len(replica),
-                           [replica.writer(reading_key(r))
-                            for r in replica.readings()])
+            return {peer: (replica.all_readings(), len(replica))
                     for peer, replica in held.items()}
 
         def deliver(batch):
@@ -921,7 +963,7 @@ class TestDeliveredBatches:
         def held():
             current = state()
             return (current.all_readings() if kind == "central"
-                    else current["node-01"].readings())
+                    else current["node-01"].all_readings())
 
         first = (make_reading(rng, timestamp=1),)
         second = (make_reading(rng, timestamp=2),)
@@ -935,7 +977,7 @@ class TestDeliveredBatches:
         assert state() is not read
 
         installed = LocalStore("server") if kind == "central" else {
-            node_id: P2PReplica() for node_id in system.partitions}
+            node_id: P2PReplica(node_id) for node_id in system.partitions}
         if kind == "central":
             system.server_store = installed
         else:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import GATHER_TIMEOUT_MS
 from oracles import (
     SEED7_12_NODE_CSV_SHA256,
-    ReferenceReplica,
+    reference_fold,
     reference_generate,
     reference_ingest,
     union_collect,
@@ -41,7 +41,7 @@ from syncmesh.bench import (
     validate_config,
     _scenario_gather_timeout,
 )
-from syncmesh import bench, netsim, payloads, wire
+from syncmesh import baselines, bench, netsim, payloads, wire
 from syncmesh.baselines import CentralBaseline, P2PBaseline
 from syncmesh.cli import main
 from syncmesh.model import (
@@ -49,7 +49,6 @@ from syncmesh.model import (
     SensorReading,
     TimeRange,
     in_canonical_order,
-    reading_key,
 )
 from syncmesh.netsim import Network, build_topology
 from syncmesh.payloads import PayloadOps, fingerprint
@@ -398,11 +397,8 @@ class TestRunScenario:
         (kept_store,) = caches.phases[("central", dataset)].states
         (kept_replicas,) = caches.phases[("p2p", dataset)].states
 
-        # The kept state equals the one each later seed builds itself, LWW
-        # versions included: each reading with the writer whose write won.
-        def lww_state(replica):
-            return [(r, replica.writer(reading_key(r))) for r in replica.readings()]
-
+        # The kept state equals the one each later seed builds itself, and
+        # the reference fold of what that seed delivered.
         bundle = caches.datasets[dataset]
         partitions = bundle.partitions
         for seed in (8, 9):
@@ -410,14 +406,16 @@ class TestRunScenario:
             central = CentralBaseline(Network(topo), partitions)
             central.ingest()
             assert (central.server_store.all_readings()
-                    == kept_store.all_readings())
+                    == kept_store.all_readings()
+                    == _reference_state(central))
             topo = build_topology(3, seed=seed)
             p2p = P2PBaseline(
                 Network(topo), partitions,
                 gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
             p2p.sync()
-            assert {n: lww_state(r) for n, r in p2p.replicas.items()} == \
-                {n: lww_state(r) for n, r in kept_replicas.items()}
+            assert (_end_state_contents(p2p.replicas)
+                    == _end_state_contents(kept_replicas)
+                    == _reference_state(p2p))
 
     def test_a_second_pass_over_the_matrix_adds_no_memo_entry(self):
         """Memo keys name only what the work depends on: running every
@@ -486,17 +484,15 @@ def test_topologies_are_shared_and_never_mutated(monkeypatch):
 
 def _end_state_contents(state):
     """What a kept end state holds: the central store's readings, or each
-    peer's readings and the writer whose write to each one won."""
+    peer's."""
     if isinstance(state, dict):
-        return {peer: (replica.readings(),
-                       [replica.writer(reading_key(r)) for r in replica.readings()])
-                for peer, replica in state.items()}
+        return {peer: replica.all_readings() for peer, replica in state.items()}
     return state.all_readings()
 
 
 def test_kept_end_states_are_never_written(monkeypatch):
     """Each end state a `_PhaseReplay` keeps is the same object, holding the
-    same readings and writers, after every later config has answered from it."""
+    same readings, after every later config has answered from it."""
     end_state = bench._PhaseReplay._end_state
     kept = {}
 
@@ -554,10 +550,10 @@ def test_the_end_state_follows_what_was_delivered(system):
         assert full.server_store.all_readings() == union(*everyone)
         assert partial_answer == union("node-00", "node-02")
     else:
-        assert {n: r.readings() for n, r in partial.replicas.items()} == {
+        assert {n: r.all_readings() for n, r in partial.replicas.items()} == {
             "node-00": union("node-00", "node-02"), "node-01": union("node-01"),
             "node-02": union("node-00", "node-02")}
-        assert {n: r.readings() for n, r in full.replicas.items()} == {
+        assert {n: r.all_readings() for n, r in full.replicas.items()} == {
             n: union(*everyone) for n in everyone}
     assert full_answer == union(*everyone)
     assert len(replay.states) == 2
@@ -656,28 +652,26 @@ def _interleaving(draw, streams):
     return [(stream, next(batches[stream])) for stream in tags]
 
 
-def _reference_state(system, net):
-    """The end state folded from the batches `net` delivered, in arrival
-    order: for central the first copy of each key of each valid batch
-    holding only its sender's readings, for p2p each peer's LWW fold of its
-    valid batches."""
-    arrived = sorted((e for e in net.envelope_log if e.delivered
+def _reference_state(shipped):
+    """The end state folded from the batches `shipped`'s network delivered,
+    in arrival order, by one rule for both systems: `reference_fold` of what
+    the server received, or of each peer's own partition in the batches
+    `sync` gossips and then what the peer received."""
+    arrived = sorted((e for e in shipped.net.envelope_log if e.delivered
                       and e.envelope.kind in (wire.MessageKind.INGEST,
                                               wire.MessageKind.GOSSIP)),
                      key=lambda e: e.deliver_at)
-    batches = [(e.envelope, e.envelope.payload) for e in arrived
-               if payloads.all_valid(e.envelope.payload)]
-    if system == "central":
-        first = {}
-        for env, batch in batches:
-            if all(r.node_id == env.sender for r in batch):
-                for r in batch:
-                    first.setdefault(reading_key(r), r)
-        return in_canonical_order(first.values())
-    replicas = {peer: ReferenceReplica() for peer in _STREAM_NODES}
-    for env, batch in batches:
-        replicas[env.receiver].apply_batch(batch, env.sender)
-    return _end_state_contents(replicas)
+    if isinstance(shipped, CentralBaseline):
+        return reference_fold((e.envelope.sender, e.envelope.payload)
+                              for e in arrived)
+    size = baselines.INGEST_BATCH_SIZE
+    states = {}
+    for peer, own in shipped.partitions.items():
+        writes = [(peer, own[i:i + size]) for i in range(0, len(own), size)]
+        writes += [(e.envelope.sender, e.envelope.payload) for e in arrived
+                   if e.envelope.receiver == peer]
+        states[peer] = reference_fold(writes)
+    return states
 
 
 @pytest.mark.parametrize("system", ["central", "p2p"])
@@ -718,11 +712,13 @@ def test_the_stream_key_is_exact(system, data):
         replay.ingest(shipped, net, seed)
         number = replay.traffic[seed][2]
         numbers.append(number)
-        assert (_end_state_contents(replay.states[number])
-                == _reference_state(system, net))
-        if system == "central":
-            assert all(r.node_id == env.sender
-                       for env, batch in shipped.delivered for r in batch)
+        state = replay.states[number]
+        assert _end_state_contents(state) == _reference_state(shipped)
+        # Each reading held came from its own node, whatever was delivered.
+        own_sends = {r for env, batch in shipped.delivered for r in batch
+                     if r.node_id == env.sender}
+        stores = state.values() if system == "p2p" else (state,)
+        assert all(set(store.all_readings()) <= own_sends for store in stores)
     assert numbers[0] == numbers[1]
 
 
