@@ -20,12 +20,12 @@ from .model import (
     Scope,
     SensorReading,
     TimeRange,
+    ValidationError,
 )
 from .netsim import CLIENT_ID, SERVER_ID, Network
 from .node import QUERY_TIME_LIMIT_MS, Gather, MeshClient, run_query
 from .payloads import (
     PayloadOps,
-    all_valid,
     apply_transformer,
     evaluate_query,
     read_query,
@@ -39,9 +39,18 @@ INGEST_BATCH_SIZE = 500
 
 def _admitted(writer: str, batch: ReadingSet) -> bool:
     """Whether a store loads `batch` from `writer`: a node ships only its own
-    readings, all of them valid. So every key has one writer, and the first
-    copy of it that a store loads stays."""
-    return all(r.node_id == writer for r in batch) and all_valid(batch)
+    readings. So every key has one writer, and the first copy of it that a
+    store loads stays. A batch must be valid too, which `_load` checks."""
+    return all(r.node_id == writer for r in batch)
+
+
+def _load(store: LocalStore, batch: ReadingSet) -> None:
+    """Load an admitted batch into `store`, or none of it if a reading is
+    invalid: `LocalStore.load_many` validates each reading once."""
+    try:
+        store.load_many(batch)
+    except (ValidationError, TypeError):
+        pass  # refused: one bad batch must not end the run
 
 
 def _batches(readings: ReadingSet):
@@ -81,13 +90,14 @@ class CentralBaseline:
     The server notes every INGEST batch that decodes in `delivered`, in
     arrival order, with the envelope that carried it; it drops a body that
     does not decode. `server_store` loads each batch that `_admitted` lets
-    in: one holding a reading of another node, or an invalid one, loads
-    nothing. So no two senders write one key, and the store, the first
-    copy of each key, depends only on each sender's stream of batches in
-    its own order. The store is built when first read and dropped by the
-    next batch that arrives. Nothing writes a store once it is built, so
-    one set from outside (a `bench._PhaseReplay` end state of the same
-    streams) is read as it was kept until the next batch arrives."""
+    in, by `_load`: one holding a reading of another node, or an invalid
+    one, loads nothing. So no two senders write one key, and the store,
+    the first copy of each key, depends only on each sender's stream of
+    batches in its own order. The store is built when first read and
+    dropped by the next batch that arrives. Nothing writes a store once it
+    is built, so one set from outside (a `bench._PhaseReplay` end state of
+    the same streams) is read as it was kept until the next batch
+    arrives."""
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None):
@@ -108,7 +118,7 @@ class CentralBaseline:
             self._store = LocalStore(SERVER_ID)
             for env, batch in self.delivered:
                 if _admitted(env.sender, batch):
-                    self._store.load_many(batch)
+                    _load(self._store, batch)
         return self._store
 
     @server_store.setter
@@ -244,8 +254,8 @@ class P2PReplica(LocalStore):
         return super().load_many(readings)
 
     def apply_batch(self, readings: ReadingSet) -> None:
-        """Load a gossip batch that `_admitted` has let in."""
-        self.load_many(readings)
+        """Load a gossip batch that `_admitted` has let in, by `_load`."""
+        _load(self, readings)
 
     def query_range(self, time_range: TimeRange) -> ReadingSet:
         sliced = self._slices.get(time_range)

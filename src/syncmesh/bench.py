@@ -14,6 +14,7 @@ import io
 import json
 import operator
 import statistics
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -447,11 +448,12 @@ class MatrixCaches:
     topology built, under (n_nodes, seed, with_server); no run changes one
     after `build_topology`, so every run with that key shares it.
     `endings` holds the `fastlz.Ending` of each FASTLZ readings response
-    parsed whole, under (head bytes, sha256 of the readings array): its
-    stream, which `payloads` holds too, and two integers per body, kept for
-    the command so that a later body with the same head and array, such as
-    the sharded router's answer after central's, resumes that parse
-    (`PayloadOps`)."""
+    parsed whole or rejoined, under its head and its array's last reading:
+    its stream, which `payloads` holds too, a few integers and the body's
+    tail, kept for the command so that a later body with the same head and
+    array, such as the sharded router's answer after central's, resumes
+    that parse, and one whose array ends with that array, such as a longer
+    window's, rejoins it (`PayloadOps`)."""
 
     datasets: dict = field(default_factory=dict)
     topologies: dict = field(default_factory=dict)
@@ -542,6 +544,12 @@ def _build_request(cfg: ScenarioConfig, window: TimeRange) -> QueryRequest:
                         scope=Scope.MESH)
 
 
+# The names of the link classes a row's byte columns sum.
+_CLIENT_NODE, _CLIENT_SERVER, _NODE_NODE, _NODE_SERVER = (
+    c.name for c in (LinkClass.CLIENT_NODE, LinkClass.CLIENT_SERVER,
+                     LinkClass.NODE_NODE, LinkClass.NODE_SERVER))
+
+
 def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
                  unsafe: bool = False) -> ScenarioResult:
     """Execute one configuration: per repetition, build a network over the
@@ -595,14 +603,16 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
             query_phase = TrafficLedger(net.envelope_log[mark:])
         finally:
             net.close()
-        by_class = ingest_phase.by_class() + query_phase.by_class()
+        # Both phases' bytes per link class, by name (`TrafficLedger`).
+        sent = Counter(ingest_phase.class_bytes)
+        sent.update(query_phase.class_bytes)
         rows.append(RepetitionRow(
             rep=rep,
             request_time_ms=rtt,
             ingest_time_ms=ingest_ms,
-            bytes_client=by_class[LinkClass.CLIENT_NODE] + by_class[LinkClass.CLIENT_SERVER],
-            bytes_internal=by_class[LinkClass.NODE_NODE],
-            bytes_server=by_class[LinkClass.NODE_SERVER],
+            bytes_client=sent[_CLIENT_NODE] + sent[_CLIENT_SERVER],
+            bytes_internal=sent[_NODE_NODE],
+            bytes_server=sent[_NODE_SERVER],
             partial=resp.partial,
             digest=ops.payload_digest(resp.payload, req, resp.contributing_nodes),
             ingest_bytes_total=ingest_phase.total(),

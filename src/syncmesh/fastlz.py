@@ -22,78 +22,64 @@ compressor wrote.
 
 Two cores. On a host with two usable CPUs, `compress` parses a body of at
 least `SPLIT_MIN_BYTES` in two segments at once, and `compress_all`
-compresses a list of bodies of at least that many bytes in all two bodies
-at a time: the helper takes every second body whole while this process
-compresses the one before it. A whole body is a tail from offset 0, so the
-helper's tokens are the one-core stream, and the reach and anchor its reply
-carries are the body's ending.
-
+compresses a list of bodies of at least that many bytes in all two at a
+time, the helper taking every second body whole (a tail from offset 0).
 The helper is the process's one second interpreter (`cores.helper`), sent
-`cores.PARSE` jobs. For a split body it parses the tail [x, n) from an
-empty table; this process parses [0, x), then parses on past x
-until the two parses provably agree, and takes the helper's tokens from
-there on. Each parse's matches are read from its tokens, as `resume` reads
-them (see Resume below). The splice is exact:
+`cores.PARSE` jobs: a tail, to which it replies with the reach and anchor
+of the tail's ending, packed, then its tokens (`_parse_tail`). For a split
+body it parses the tail [x, n) from an empty table, while this process
+parses [0, x) and on past x, `_STEP` bytes at a time and at most `_WINDOW`
+bytes past x, until the two parses agree (below); on reading JSON they do
+some 22-56 KB past x. One job at a time is with the helper. A helper that
+cannot start, dies or sends a bad frame is closed for the process, and
+every later body is compressed here alone. Only the wall-clock time
+depends on it, never a byte.
 
-- The table holds, for each 3-byte key, the last inserted position.
-  Inserts are every scanned position and every match tail, in increasing
-  order.
-- A lookup at `pos` rejects any candidate more than 8192 bytes back.
-- Take a position p that both parses reach as a token start with no
-  pending literals: it ends a match in both. Suppose both parses scanned
-  exactly the same positions over [q, p), with p - q >= 8192; here q ends a
-  match in both, and both made the same matches (start and end) in between.
-- Then for every key both tables hold the same position in [q, p), or both
-  hold one before q or none, which no lookup from p on accepts. Every
-  lookup from p on sees the same candidates in both parses, so every later
-  token and insert is the same.
-- So the output is this process's bytes up to p followed by the helper's
-  bytes from p on.
-- If no such p turns up within `_WINDOW` bytes past x, this process parses
-  on to n alone. The output is still exact; only the helper's work is lost.
+An `Ending` is a body's stream with a reach and an anchor: as the scan
+first enters the body's last `_KEEP` (12 KiB) bytes, where its pending
+literals (or its next token) start, and the stream's length there.
+`_matches` reads the matches of a stream's tokens from such a token start:
+consecutive match tokens of one distance are one match that `_emit_match`
+split, since two matches in a row never share a distance (the first
+stopped at a byte that differs from the byte that distance back).
 
-The output is the one-core stream, so the split costs no ratio; on reading
-JSON the two parses provably agree some 22-56 KB past x. A job's body is
-the tail, and its reply is the reach and anchor of the tail's ending,
-packed, then its tokens (`_parse_tail`). One job at a time is with the
-helper, its reply read before the next is sent. A helper that cannot
-start, dies or sends a bad frame is closed for the process, and every
-later body is compressed here alone. Only the wall-clock time depends on
-it, never a byte.
+One splice rule. A parse of D takes a kept parse's tokens from a point p
+on. The kept input's bytes from an entry on are D's, `shift` bytes
+earlier, up to the end of the shared bytes. It is the helper's parse of
+a split body's tail (shift x, to D's end); a kept body with D's first
+bytes (`resume`: shift 0, from 0); or a kept body whose readings array
+D's array ends with (`rejoin`: from past the kept array's `[`).
+`_agreements` finds p and `_copy` copies from it, for all three:
 
-Resume. `compress_ending` returns a body's stream as part of the `Ending`
-of its parse, with a reach and an anchor: as the scan first enters the
-body's last `_KEEP` (12 KiB) bytes, where its pending literals (or its
-next token) start, and the stream's length there. The process that parses
-those bytes notes them: this one, or the helper for a split body's tail,
-whose reply carries them; this process shifts them by the split and the
-splice, or takes the splice itself if the helper's reach lies before it.
-`compress` is `compress_ending`'s stream. The tokens from the reach on
-give every match made from there: consecutive match tokens of one
-distance are one match that `_emit_match` split, since two matches in a
-row never share a distance: the first stopped at a byte that differs
-from the byte that distance back, and a second match of that distance
-would begin by matching the two. `resume` takes a body D whose first d
-bytes are those of a kept body K. It copies K's stream up to
-r, the last match end in those tokens with r + 2 <= d; rebuilds the table
-by replaying the inserts over [r - 8192, r) (every scanned position, every
-match start and every match tail), with keys read from D; and parses D
-from r to its end. If there is no such r, or r - 8192 lies before the
-reach, D is compressed whole. The stream is the one `compress` writes
-for D:
+- The parse state at p is the stream written so far, `lit_start`, and
+  every table entry a lookup from p on can accept. The table holds, for
+  each 3-byte key, the last inserted position; inserts are every scanned
+  position and every match tail, in increasing order; a lookup at pos
+  accepts only a candidate in [pos - 8192, pos). A token before p was
+  decided by the bytes before p + 2: a match that ends at p was stopped by
+  the byte at p, and its tail, the last insert, is keyed by D[p-1:p+2].
+- p ends a match in both parses, so no literals are pending, and either
+  both parses began there (from empty tables: `resume`'s 0), or both made
+  the same matches over [q, p), for a match end q of both past the entry,
+  with p - q >= 8192. Then both scanned the same positions there, keyed by
+  the same bytes, so for every key both tables hold the same position in
+  [p - 8192, p), or none a lookup from p on accepts. From p on, until a
+  token reads past the shared bytes, every token and insert is the same.
+- So `_copy` appends the kept tokens from p: all of them if the shared
+  bytes run to the end of both, as a tail's do. Else it appends them up to
+  r, the last match end with r + 2 <= the end of the shared bytes, read
+  from the kept reach; rebuilds the table at r by replaying the inserts
+  over [r - 8192, r) (every scanned position, match start and match tail)
+  from the kept matches, keyed by D's bytes; and parses D on from r. That
+  needs r - 8192 past p and past the kept reach.
+- The output is the stream `compress` writes for D. Where no p or r turns
+  up, D is parsed on alone: only the work saved differs, never a byte.
 
-- The parse state at a scan position p depends only on data[:p+2]. That
-  state is the stream written so far, `lit_start`, and every table entry
-  that a lookup from p on can accept. A token before p was decided by the
-  bytes before p and, for a match that ends at p, by the byte at p that
-  stopped it; the last insert before p, that match's tail p - 1, is keyed
-  by data[p-1:p+2].
-- Lookups from p on accept only positions in [p - 8192, p). The inserts
-  there are the ones the replay makes, in the same increasing order, so
-  for every key the rebuilt table holds the position D's table would, or
-  one that no lookup from p on accepts.
-- At r, a match end (so `lit_start` is r) with r + 2 <= d, D's parse is
-  therefore in K's state, and its tokens from r on are the tail's parse.
+A rejoin has D's prefix [0, entry + `_WINDOW`), or to the end of the shared
+bytes if sooner, parsed through the two-core paths above, and compares its
+matches from its reach on with the kept ones; only those that end by the
+prefix's last 2 bytes, as its last tokens may not be D's. Without an
+agreement, D is parsed on from the prefix's ending, as `resume` does.
 
 Decompression writes at most `MAX_OUTPUT` bytes: a stream that would write
 more raises ValueError before it does, so a few hundred bytes of long-match
@@ -139,36 +125,68 @@ def compress_ending(data: bytes) -> "Ending":
 
 def resume(data: bytes, kept: "Ending", common: int) -> bytes | None:
     """The token stream of `data`, whose first `common` bytes are those of
-    the body that `kept` ended, from `kept`'s stream up to r, the last
-    match end past its reach with r + 2 <= common, and a parse of the rest
-    over the table rebuilt from its matches; None if there is no such r or
-    r - 8192 lies before the reach. The module docstring says why the bytes
-    are `compress(data)`'s."""
+    the body that `kept` ended, copied from `kept`'s by the module
+    docstring's splice rule; None if it finds no r."""
+    ending = _resume(_as_bytes(data), kept, common)
+    return ending and ending.stream
+
+
+def _resume(data: bytes, kept: "Ending", common: int) -> "Ending | None":
+    # Both parses begin at 0, so they agree there.
+    at, _, length = next(_agreements([0, 0, 0], kept.stream, [0, 0, 0], 0))
+    return _copy(data, bytearray(), kept, 0, at, length, common)
+
+
+def rejoin_prefix(entry: int, end: int) -> int:
+    """How many bytes of a body `rejoin` is given the parse of: `_WINDOW`
+    past the entry, or to the end of the shared bytes if sooner."""
+    return min(entry + _WINDOW, end)
+
+
+def rejoin(data: bytes, prefix: "Ending", kept: "Ending", entry: int,
+           kept_entry: int, end: int) -> "Ending":
+    """`compress_ending(data)`, given `prefix`, the ending of the first
+    `rejoin_prefix(entry, end)` bytes of `data`, and `kept`, the ending of a
+    body whose bytes from `kept_entry` on are data's from `entry` (past
+    `kept_entry`) to `end`, by the module docstring's splice rule. An `end`
+    of None says that the two bodies end there alike."""
     data = _as_bytes(data)
-    n = len(data)
-    matches = _matches(kept.stream, kept.anchor, kept.reach, common - 2)
-    if not matches:
-        return None
-    r, length = matches[-2], matches[-1]
-    start = max(r - _MAX_DISTANCE, 0)
-    if start < kept.reach:
-        return None
-    table: dict[bytes, int] = {}
-    scan = start  # the first position whose insert is not replayed yet
-    for i in range(0, len(matches), 3):
-        begin, end = matches[i], matches[i + 1]
-        if end <= start:
-            continue
-        # The literals before the match and its start are scanned positions;
-        # a match that begins before `start` leaves only its tail.
-        for pos in range(scan, begin + 1):
-            table[data[pos : pos + 3]] = pos
-        table[data[end - 1 : end + 2]] = end - 1
-        scan = end
-    tail = bytearray()
-    _, lit_start = _parse(data, r, n, table, tail, r)
-    _flush_literals(tail, data, lit_start, n)
-    return b"".join((memoryview(kept.stream)[:length], tail))
+    cut = rejoin_prefix(entry, len(data) if end is None else end)
+    shift = entry - kept_entry
+    mine = [prefix.reach, prefix.reach, prefix.anchor]
+    mine += _matches(prefix.stream, prefix.anchor, prefix.reach, cut - 2)
+    # The kept matches from past the entry and the prefix's reach on.
+    theirs = _skip(kept.stream, max(kept_entry, prefix.reach - shift))
+    splice = next(_agreements(mine, kept.stream, theirs, shift))
+    if splice is not None:
+        at, mine_length, their_length = splice
+        out = bytearray(memoryview(prefix.stream)[:mine_length])
+        ending = _copy(data, out, kept, shift, at, their_length, end)
+        if ending is not None:
+            return ending
+    return _resume(data, prefix, cut) or compress_ending(data)
+
+
+def _skip(stream: bytes, stop: int) -> list[int]:
+    """An empty match, [pos, pos, stream length], where the first literal
+    run token of `stream` at or past input position `stop` starts (a
+    literal run never continues a match), or where the stream ends."""
+    pos = length = 0
+    size = len(stream)
+    while length < size:
+        ctrl = stream[length]
+        if ctrl < 0x20:  # a literal run
+            if pos >= stop:
+                break
+            pos += ctrl + 1
+            length += ctrl + 2
+        elif ctrl < 0xE0:  # a short match
+            pos += (ctrl >> 5) + 2
+            length += 2
+        else:  # a long match
+            pos += stream[length + 1] + 9
+            length += 3
+    return [pos, pos, length]
 
 
 def _matches(stream: bytes, length: int, pos: int, stop: int) -> list[int]:
@@ -222,13 +240,11 @@ class Ending:
 
 
 def compress_all(bodies) -> list["Ending"]:
-    """`[compress_ending(b) for b in bodies]`. Two or more bodies of at
-    least `SPLIT_MIN_BYTES` in all are compressed two at a time, on a host
-    with two usable CPUs: every second body goes whole to the helper while
-    this process compresses the body before it, and then the reply, which
-    carries the reach and anchor of the body's ending, is read. A body the
-    helper declines, or whose reply fails, is compressed here; the bytes
-    and endings are the same either way."""
+    """`[compress_ending(b) for b in bodies]`; two or more bodies of at
+    least `SPLIT_MIN_BYTES` in all two at a time, the helper taking every
+    second one whole while this process compresses the one before it. A
+    body the helper declines or fails is compressed here, to the same
+    bytes and ending."""
     bodies = [_as_bytes(body) for body in bodies]
     if len(bodies) < 2 or sum(map(len, bodies)) < SPLIT_MIN_BYTES:
         return [compress_ending(body) for body in bodies]
@@ -240,7 +256,7 @@ def compress_all(bodies) -> list["Ending"]:
         taken = helper.send(cores.PARSE, theirs)
         out.append(_compress(mine))
         reply = helper.reply(_ending) if taken else None
-        out.append(_compress(theirs) if reply is None else Ending(*reply))
+        out.append(_compress(theirs) if reply is None else reply)
     if len(bodies) % 2:
         out.append(compress_ending(bodies[-1]))
     return out
@@ -253,11 +269,9 @@ def _as_bytes(data) -> bytes:
 
 
 def _compress(data: bytes, split: int | None = None) -> Ending:
-    """The token stream of `data`, as the stream of its `Ending`; given a
-    `split`, the tail from there on is parsed by the helper if it takes it,
-    and the two parses must agree within `_WINDOW` bytes past `split`. This
-    process parses half the window past `split`, and reads its matches
-    there, before it waits for the helper, since they rarely agree sooner."""
+    """The `Ending` of the parse of `data`; given a `split`, the helper
+    parses the tail from there if it takes it, and this process parses
+    half the window past it before it waits, as they rarely agree sooner."""
     out = bytearray()
     table: dict[bytes, int] = {}
     pos = lit_start = 0
@@ -271,19 +285,14 @@ def _compress(data: bytes, split: int | None = None) -> Ending:
         pos, lit_start = _parse(data, pos, split + _WINDOW // 2, table, out,
                                 lit_start)
         mine += _matches(out, mine[-1], mine[-2], pos)
-        reply = helper.reply(_ending)
-        if reply is not None:
-            tokens, reach, anchor = reply
+        tail = helper.reply(_ending)
+        if tail is not None:
             pos, lit_start, splice = _parse_to_agreement(
-                data, split, table, out, pos, lit_start, mine, tokens)
+                data, split, table, out, pos, lit_start, mine, tail.stream)
             if splice is not None:
                 at, mine_length, their_length = splice
                 del out[mine_length:]
-                out += memoryview(tokens)[their_length:]
-                if reach + split < at:  # the helper's reach is not spliced in
-                    reach, anchor = at - split, their_length
-                return Ending(bytes(out), reach + split,
-                              anchor + mine_length - their_length)
+                return _copy(data, out, tail, split, at, their_length, None)
     reach, anchor = _finish(data, pos, table, out, lit_start)
     return Ending(bytes(out), reach, anchor)
 
@@ -376,22 +385,36 @@ def _parse_to_agreement(data: bytes, split: int, table: dict,
                         out: bytearray, pos: int, lit_start: int, mine: list,
                         tokens: bytes) -> tuple[int, int, tuple | None]:
     """Parse on from `pos`, `_STEP` bytes at a time and at most `_WINDOW`
-    bytes past `split`, until this parse and the helper's provably agree.
-    `mine` holds this parse's matches past `split`, as `_matches` reads
-    them, after an empty one where its tokens there begin; the helper's
-    `tokens` are read likewise, as far as this parse has reached. Returns
-    where the scan stopped, its literal start, and the splice: the first
-    match end p where both parses made the same matches over [q, p), for a
-    match end q of both with p - q >= 8192, and the lengths there of `out`
-    and of `tokens`; or None if there is none in the window."""
-    theirs = [0, 0, 0]  # likewise, with positions counted from `split`
+    bytes past `split`, until `_agreements` finds p in `mine`, this parse's
+    matches past `split`, and the helper's `tokens`. Returns where the scan
+    stopped, its literal start, and what `_agreements` yielded last."""
     end = min(split + _WINDOW, len(data) - 2)
+    agreements = _agreements(mine, tokens, [0, 0, 0], split)
+    while True:
+        splice = next(agreements)
+        if splice is not None or pos >= end:
+            return pos, lit_start, splice
+        pos, lit_start = _parse(data, pos, min(pos + _STEP, end), table, out,
+                                lit_start)
+        mine += _matches(out, mine[-1], mine[-2], pos)
+
+
+def _agreements(mine: list, stream: bytes, theirs: list, shift: int):
+    """Yield, each time it is resumed, p of the module docstring's splice
+    rule for this parse and a kept one `shift` bytes behind, as (p, the
+    lengths there of this stream and of the kept `stream`), or None if the
+    matches in `mine` so far hold none. `mine` and `theirs`, as `_matches`
+    reads them, start with an empty match where the tokens read begin;
+    `theirs` is read on from `stream` as far as `mine` has reached."""
+    if mine[2] == theirs[2] == 0 and mine[0] - shift == theirs[0]:
+        yield mine[0], 0, 0  # both parses begin here
+        return
     run = None  # (q, its index in mine, in theirs) of the matches in common
     i = j = 3  # the next match of each to compare, past the empty ones
     while True:
-        theirs += _matches(tokens, theirs[-1], theirs[-2], pos - split)
+        theirs += _matches(stream, theirs[-1], theirs[-2], mine[-2] - shift)
         while i < len(mine):
-            start, stop = mine[i] - split, mine[i + 1] - split
+            start, stop = mine[i] - shift, mine[i + 1] - shift
             while j < len(theirs) and theirs[j] < start:
                 j += 3
             if j == len(theirs) or theirs[j] != start or theirs[j + 1] != stop:
@@ -399,14 +422,49 @@ def _parse_to_agreement(data: bytes, split: int, table: dict,
             elif run is None or j - run[2] != i - run[1]:
                 run = (stop, i, j)
             elif stop - run[0] >= _MAX_DISTANCE:
-                return pos, lit_start, (split + stop, mine[i + 2],
-                                        theirs[j + 2])
+                yield shift + stop, mine[i + 2], theirs[j + 2]
+                return
             i += 3
-        if pos >= end:
-            return pos, lit_start, None
-        pos, lit_start = _parse(data, pos, min(pos + _STEP, end), table, out,
-                                lit_start)
-        mine += _matches(out, mine[-1], mine[-2], pos)
+        yield None
+
+
+def _copy(data: bytes, out: bytearray, kept: "Ending", shift: int, at: int,
+          length: int, end: int | None) -> "Ending | None":
+    """Data's ending by the module docstring's splice rule: `out`, this
+    stream up to p = `at`, where `kept`'s stream is `length` bytes long,
+    then `kept`'s tokens from p (all of them if `end` is None), then a
+    parse from r; None if it finds no r."""
+    base = len(out) - length  # a kept token's offset in `out`, less its own
+    reach, anchor = kept.reach + shift, kept.anchor + base
+    if reach < at:  # the kept reach is not copied
+        reach, anchor = at, len(out)
+    if end is None:
+        out += memoryview(kept.stream)[length:]
+        return Ending(bytes(out), reach, anchor)
+    matches = _matches(kept.stream, kept.anchor, kept.reach, end - shift - 2)
+    if not matches:
+        return None
+    r, copied = matches[-2] + shift, matches[-1]
+    start = max(r - _MAX_DISTANCE, 0)
+    if start < reach:
+        return None
+    out += memoryview(kept.stream)[length:copied]
+    table: dict[bytes, int] = {}
+    scan = start  # the first position whose insert is not replayed yet
+    for i in range(0, len(matches), 3):
+        begin, stop = matches[i] + shift, matches[i + 1] + shift
+        if stop <= start:
+            continue
+        # The literals before the match and its start are scanned positions;
+        # a match that begins before `start` leaves only its tail.
+        for pos in range(scan, begin + 1):
+            table[data[pos : pos + 3]] = pos
+        table[data[stop - 1 : stop + 2]] = stop - 1
+        scan = stop
+    reached, anchored = _finish(data, r, table, out, r)
+    if reached > r:  # the scan entered the last `_KEEP` bytes past r
+        reach, anchor = reached, anchored
+    return Ending(bytes(out), reach, anchor)
 
 
 def _parse_tail(tail: bytes) -> bytes:
@@ -417,11 +475,10 @@ def _parse_tail(tail: bytes) -> bytes:
     return _ENDING.pack(*ending) + out
 
 
-def _ending(frame: bytes) -> tuple[bytes, int, int]:
-    """The token stream, reach and anchor of a tail, from the reply
-    `_parse_tail` wrote; `struct.error` if the frame cannot hold them."""
-    reach, anchor = _ENDING.unpack_from(frame)
-    return frame[_ENDING.size:], reach, anchor
+def _ending(frame: bytes) -> Ending:
+    """The ending of a tail, from the reply `_parse_tail` wrote;
+    `struct.error` if the frame cannot hold it."""
+    return Ending(frame[_ENDING.size:], *_ENDING.unpack_from(frame))
 
 
 def decompress(data: bytes) -> bytes:

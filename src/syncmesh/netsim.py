@@ -158,7 +158,8 @@ class TrafficLedger:
 
     The entries are summed under each class's name, a str: a `LinkClass`
     key would run the Python-level `Enum.__hash__` twice an entry. So the
-    enum keys are built once per (class, kind) and once per class."""
+    enum keys are built once per (class, kind), and `class_bytes` keeps
+    the sum per class under its name."""
 
     def __init__(self, entries):
         sums: dict[tuple[str, MessageKind], int] = {}
@@ -170,13 +171,10 @@ class TrafficLedger:
             per_class[name] = per_class.get(name, 0) + n
         self.bytes = MappingProxyType(Counter(
             {(LinkClass[name], kind): n for (name, kind), n in sums.items()}))
-        self._by_class = {LinkClass[name]: n for name, n in per_class.items()}
+        self.class_bytes = MappingProxyType(per_class)
 
     def get(self, link_class: LinkClass, kind: MessageKind) -> int:
         return self.bytes.get((link_class, kind), 0)
-
-    def by_class(self) -> Counter[LinkClass]:
-        return Counter(self._by_class)
 
     def total(self) -> int:
         return sum(self.bytes.values())

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import os.path
+from operator import itemgetter
 
 from .model import (
     NUMERIC_FIELDS,
@@ -21,12 +22,11 @@ from .model import (
     QueryResponse,
     ReadingSet,
     Summary,
-    ValidationError,
     canonical_json,
     merge_reading_sets,
     merge_summaries,
+    reading_key,
     summarize,
-    validate_reading,
     validate_request,
 )
 from . import cores, fastlz, wire
@@ -69,17 +69,6 @@ def read_query(env: wire.Envelope) -> QueryRequest | None:
     except (ValueError, TypeError):
         return None
     return req
-
-
-def all_valid(readings) -> bool:
-    """Whether every reading passes `validate_reading`. Handlers load none of
-    a received batch that does not."""
-    try:
-        for r in readings:
-            validate_reading(r)
-    except (ValidationError, TypeError):
-        return False
-    return True
 
 
 def evaluate_query(store, req: QueryRequest) -> "ReadingSet | Summary":
@@ -164,15 +153,28 @@ class PayloadOps:
 
     `endings`, a dict owned by the caller (by default this object's own),
     keeps the `fastlz.Ending` of each FASTLZ readings response body parsed
-    whole, alone or in a `fastlz.compress_all` batch, under (head bytes,
-    sha256 of the readings array) with the body's tail: the stream the
-    memo already holds, and two integers. A later body with the same key
-    `fastlz.resume`s that parse: it shares the head, the array and the
-    common prefix of the two tails, so only its own tail is parsed. A
-    resumed body keeps the ending it resumed. The array's digest is held
-    beside its answer, as an encoded array is, so `payload_digest` reads
-    it instead of encoding and hashing the array again. The bytes are the
-    same either way.
+    whole or rejoined, under its suffix key: the head bytes and the key of
+    the array's last reading. Beside each ending, longest array first, it
+    keeps the array's length and sha256, the answer's readings and the
+    body's tail: the memo holds the stream and the readings already, so a
+    body costs a few integers and its tail. Readings sort by timestamp
+    first, so a trailing window's array ends with every shorter one's, and
+    a later body finds the parses of the windows it nests under its own
+    key (`_kept_parse`):
+    - one with its array, by length and sha256, it `fastlz.resume`s: the
+      two share the head, the array and the common prefix of the tails,
+      so only its own tail is parsed (the sharded router's answer after
+      central's); a resumed body keeps the ending it resumed;
+    - else one whose array its own ends with, confirmed byte for byte
+      against the kept array rebuilt from its readings' kept texts, it
+      `fastlz.rejoin`s: its prefix up to `fastlz.rejoin_prefix` goes
+      through `fastlz.compress_all` with the bodies parsed whole, on two
+      cores, and the kept tokens are copied past the point where the two
+      parses agree. A kept array that leaves less than that past the
+      prefix is passed over.
+    The array's digest is held beside its answer, as an encoded array is,
+    so `payload_digest` reads it instead of encoding and hashing the array
+    again. The bytes are the same either way.
     """
 
     def __init__(self, cache: dict | None = None, scope_key=(),
@@ -260,13 +262,18 @@ class PayloadOps:
 
     def _bodies(self, responses) -> list:
         """The body of each response. GZIP bodies are deflated as
-        `_gzip_bodies` says. A FASTLZ readings body resumes the ending kept
-        under its head and the sha256 of its array when it can; the rest are
-        compressed whole, in one `fastlz.compress_all`, and a readings body
-        keeps its ending."""
+        `_gzip_bodies` says. A FASTLZ readings body looks up the parses
+        kept under its head and its array's last reading, longest array
+        first, and takes the first whose array its own is, by length and
+        sha256, or ends with, byte for byte: it resumes that parse, or is
+        parsed up to the `fastlz.rejoin_prefix` and rejoins it. The rest
+        are compressed whole, and the prefixes too, in one
+        `fastlz.compress_all`; a body parsed whole or rejoined keeps its
+        ending."""
         bodies = [None] * len(responses)
         gzip = []  # the index of each GZIP body
-        whole = []  # (index, body, (key, tail) or None) to compress whole
+        whole = []  # (index, body, its key or None, its rejoin or None)
+        parts = []  # what of each to parse: the body, or its rejoin prefix
         for i, resp in enumerate(responses):
             if resp.codec is CodecId.NONE:
                 bodies[i] = wire.Body(
@@ -275,34 +282,70 @@ class PayloadOps:
             if resp.codec is CodecId.GZIP:
                 gzip.append(i)
                 continue
-            parts = wire.response_parts(resp)
-            body = b"".join(parts)
-            if len(parts) == 1:
-                whole.append((i, body, None))
+            got = wire.response_parts(resp)
+            body = b"".join(got)
+            if len(got) == 1:
+                whole.append((i, body, None, None))
+                parts.append(body)
                 continue
-            head, array, tail = parts
+            head, array, tail = got
             digest = hashlib.sha256(array).digest()
             self._digests[id(resp.payload)] = (resp.payload, digest)
-            del parts, array  # the body holds them: free before the parse
-            key = (head, digest)
-            kept = self.endings.get(key)
-            if kept is not None:
-                kept_tail, ending = kept
-                common = (len(body) - len(tail)
-                          + len(os.path.commonprefix((kept_tail, tail))))
-                bodies[i] = fastlz.resume(body, ending, common)
-                if bodies[i] is not None:
-                    continue
-            whole.append((i, body, (key, tail)))
+            key = (head, tuple(map(reading_key, resp.payload[-1:])))
+            bodies[i], part, rejoin = self._kept_parse(key, body, array,
+                                                       digest, tail)
+            keep = (key, (len(array), digest, resp.payload, tail))
+            if bodies[i] is None:
+                whole.append((i, body, keep, rejoin))
+                parts.append(part)
+            del got, array, part  # the body holds them: free before the parse
         for i, body in zip(gzip, _gzip_bodies([responses[i] for i in gzip])):
             bodies[i] = body
-        endings = fastlz.compress_all([body for _, body, _ in whole])
-        for (i, _, keep), ending in zip(whole, endings):
+        endings = fastlz.compress_all(parts)
+        del parts  # free the prefixes before the rejoins
+        for (i, body, keep, rejoin), ending in zip(whole, endings):
+            if rejoin is not None:
+                ending = fastlz.rejoin(body, ending, *rejoin)
             bodies[i] = ending.stream
             if keep is not None:
-                key, tail = keep
-                self.endings[key] = (tail, ending)
+                key, kept = keep
+                held = self.endings.setdefault(key, [])
+                held.append(kept + (ending,))
+                held.sort(key=itemgetter(0), reverse=True)
         return bodies
+
+    def _kept_parse(self, key, body: bytes, array: bytes, digest: bytes,
+                    tail: bytes):
+        """How a FASTLZ readings body reuses the parses kept under `key`,
+        its head and its array's last reading, longest array first, as
+        (its stream or None, what of it to parse, its rejoin or None): its
+        stream resumed from the first kept array its own is, by length and
+        sha256 (None if it finds no r, and the body is parsed whole); else
+        the prefix and the rejoin of the first kept array its own ends
+        with, by `fastlz.rejoin`'s arguments past the prefix's ending; else
+        the body, whole. A kept array that leaves the prefix the whole body
+        is passed over."""
+        head = len(body) - len(array) - len(tail)
+        for size, kept_digest, readings, kept_tail, ending in self.endings.get(
+                key, ()):
+            # The bytes past the shared head and array that match.
+            common = head + len(array) + len(
+                os.path.commonprefix((kept_tail, tail)))
+            if size >= len(array):
+                if size == len(array) and kept_digest == digest:
+                    return fastlz.resume(body, ending, common), body, None
+                continue
+            entry = head + len(array) - size + 1
+            cut = fastlz.rejoin_prefix(entry, common)
+            # Its first reading first: a shard's array under the key of its
+            # router's, say, fails there, before the whole is rebuilt.
+            if (cut < len(body) and array.startswith(
+                    wire.encode_readings(readings[:1])[1:-1], entry - head)
+                    and array.endswith(
+                        memoryview(wire.encode_readings(readings))[1:])):
+                return None, body[:cut], (ending, entry, head + 1, (
+                    None if kept_tail == tail else common))
+        return None, body, None
 
     def _readings_array(self, readings: ReadingSet) -> bytes:
         """`wire.encode_readings(readings)`, encoded once per object."""

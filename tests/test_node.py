@@ -249,7 +249,8 @@ def test_a_down_neighbor_adds_nothing_to_the_answer(scenario, rtt, by_class,
     assert resp.partial is True
     assert resp.contributing_nodes == {"node-00", "node-02"}
     assert got_rtt == rtt
-    assert dict(net.ledger.by_class()) == by_class
+    assert dict(net.ledger.class_bytes) == {
+        link_class.name: n for link_class, n in by_class.items()}
     assert ops.payload_digest(resp.payload, req,
                               resp.contributing_nodes) == digest
     assert (hashlib.sha256(bytes(responses[-1].body)).hexdigest()

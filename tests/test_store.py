@@ -14,6 +14,7 @@ from syncmesh.model import (
     canonical_order,
     reading_key,
     summarize,
+    validate_reading,
 )
 from syncmesh.store import LocalStore
 
@@ -180,7 +181,11 @@ _invalid_readings = st.builds(
 
 
 def _insert_loop(store, readings):
-    """What `load_many` must equal: `insert` on each reading in turn."""
+    """What `load_many` must equal: `insert` on each reading in turn, once
+    every reading has passed `validate_reading`; the first that fails
+    raises, and nothing is inserted."""
+    for r in readings:
+        validate_reading(r)
     n = 0
     for r in readings:
         n += store.insert(r) is True
@@ -233,7 +238,7 @@ class TestLoadMany:
         assert len(store) == 8
         assert store.all_readings() == (*readings, at_50, at_70)
 
-    def test_invalid_reading_partway_keeps_the_readings_before_it(self, rng):
+    def test_an_invalid_reading_partway_loads_none_of_the_batch(self, rng):
         store = LocalStore("node-00")
         first = make_reading(rng, timestamp=5, sensor_id="s0")
         store.insert(first)
@@ -243,8 +248,8 @@ class TestLoadMany:
         after = make_reading(rng, timestamp=2, sensor_id="s3")
         with pytest.raises(ValidationError):
             store.load_many([before[0], first, before[1], bad, after])
-        assert store.all_readings() == (before[0], first, before[1])
-        assert store.insert(after) is True
+        assert store.all_readings() == (first,) and len(store) == 1
+        assert store.load_many([before[0], first, before[1], after]) == 3
         assert store.all_readings() == (before[0], after, first, before[1])
 
 

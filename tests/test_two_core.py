@@ -1,8 +1,9 @@
-"""The process's second core: FASTLZ's spliced parse and a parse resumed
-from a kept ending write the reference stream, a kept ending does not
-outlive the command that owns it, a GZIP body the helper deflates is
-zlib's, the synthetic dataset written on two cores is the reference text,
-and the process's one helper does not outlive the interpreter."""
+"""The process's second core: FASTLZ's spliced parse, a parse resumed
+from a kept ending and one rejoined onto the kept parse of a nested window
+write the reference stream, a kept ending does not outlive the command
+that owns it, a GZIP body the helper deflates is zlib's, the synthetic
+dataset written on two cores is the reference text, and the process's one
+helper does not outlive the interpreter."""
 
 import collections
 import gc
@@ -563,6 +564,94 @@ def test_a_resumed_parse_writes_the_reference_stream(monkeypatch, install,
     assert paths["resumed from a spliced ending"], paths
 
 
+_HEAD = b'{"request_id":"q","payload_kind":"readings","payload":'
+_TAILS = (b',"contributing_nodes":["node-00"],"partial":false,'
+          b'"codec":"FASTLZ"}',
+          b',"contributing_nodes":["node-00","node-01"],"partial":false,'
+          b'"codec":"FASTLZ"}')
+
+
+@st.composite
+def _nested_arrays(draw):
+    """A kept body and a body whose readings array ends with the kept
+    array, as the windows of a matrix nest; each under the one head, with
+    a tail of its own or the same. The kept array holds up to 1400
+    readings (some 130 KB), so that many of them are long enough for the
+    two parses to agree past the entry and many are too short; a drawn
+    fragment of `_bodies` sits inside it or before it in the longer array."""
+    count = draw(st.integers(0, 1400))
+    first = draw(st.integers(0, 10**6))
+    inner = b"".join(
+        _reading_json(i % 41, 1_600_000_000_000 + 60_000 * i, i * 37 % 4000)
+        for i in range(first, first + count))[:-1]
+    fragment = draw(_bodies())[1:]
+    at = draw(st.integers(0, len(inner)))
+    if draw(st.booleans()):
+        inner = inner[:at] + fragment + inner[at:]
+        fragment = _readings_body(draw(st.integers(1, 300)))[1:-1]
+    kept_array = b"[" + inner + b"]"
+    kept_tail, tail = (draw(st.sampled_from(_TAILS)) for _ in range(2))
+    body = _HEAD + b"[" + fragment + b"," + kept_array[1:] + tail
+    # The shared bytes: the kept array past its `[`, and the tails' common
+    # prefix; to the end of both bodies if the tails are the same.
+    entry = len(body) - len(tail) - len(kept_array) + 1
+    end = len(body) - len(tail) + len(os.path.commonprefix((kept_tail, tail)))
+    return (_HEAD + kept_array + kept_tail, body, entry, end,
+            None if kept_tail == tail else end)
+
+
+def test_a_rejoined_parse_writes_the_reference_stream(monkeypatch, install):
+    """A body whose array ends with a kept body's array, rejoined as
+    `PayloadOps` does it: its prefix is parsed on two cores
+    (`SPLIT_MIN_BYTES` patched to 0), with an in-process helper, a closed
+    one, or one that has no reply to the prefix's tail; the stream is the
+    reference one, whether the parses agreed or the body was parsed on from
+    the prefix's ending, and its ending resumes the body extended."""
+    monkeypatch.setattr(fastlz, "SPLIT_MIN_BYTES", 0)
+    paths = collections.Counter()
+    copy = fastlz._copy
+    held = []  # the kept body's ending
+
+    def recorded(data, out, kept, shift, at, length, end):
+        got = copy(data, out, kept, shift, at, length, end)
+        if held and kept is held[-1]:  # not the prefix's, nor a tail's
+            paths["agreed" if got is not None else "agreed, no r"] += 1
+        return got
+
+    monkeypatch.setattr(fastlz, "_copy", recorded)
+    outcomes = collections.Counter()
+
+    @given(nested=_nested_arrays())
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    def rejoined(nested):
+        kept_body, body, entry, end, rejoin_end = nested
+        kept_entry = len(_HEAD) + 1
+        expected = reference_compress(body)
+        more = (body[:-1] + b',"more":' + body[len(_HEAD):len(_HEAD) + 300]
+                + b"}")
+        for helper in (InProcessHelper(), _closed_helper(),
+                       FailingHelper(2, "no reply")):
+            install(helper)
+            before = paths["agreed"]
+            kept = fastlz.compress_ending(kept_body)
+            held.append(kept)
+            prefix = fastlz.compress_all(
+                [body[:fastlz.rejoin_prefix(entry, end)]])[0]
+            got = fastlz.rejoin(body, prefix, kept, entry, kept_entry,
+                                rejoin_end)
+            path = "agreed" if paths["agreed"] > before else "alone"
+            event(f"{path}, {(end - entry) // 32768 * 32} KB or more shared")
+            outcomes[path] += 1
+            assert got.stream == expected
+            resumed = fastlz.resume(more, got, len(body) - 1)
+            assert resumed is None or resumed == reference_compress(more)
+
+    rejoined()
+    assert outcomes["agreed"] and outcomes["alone"], outcomes
+
+
 def _seed7_config(system, n_nodes, days):
     return bench.ScenarioConfig(system=system, scenario="collect",
                                 n_nodes=n_nodes, window_days=days,
@@ -571,14 +660,21 @@ def _seed7_config(system, n_nodes, days):
 
 @pytest.fixture
 def resumes(monkeypatch):
-    """(body, stream or None) for each `fastlz.resume` call, and the bodies
-    of each `fastlz.compress_ending` call."""
-    calls = {"resume": [], "whole": []}
-    resume, compress_ending = fastlz.resume, fastlz.compress_ending
+    """(body, stream or None) for each `fastlz.resume` call, (body, stream)
+    for each `fastlz.rejoin` call, and the bodies of each
+    `fastlz.compress_ending` call."""
+    calls = {"resume": [], "rejoin": [], "whole": []}
+    resume, rejoin, compress_ending = (fastlz.resume, fastlz.rejoin,
+                                       fastlz.compress_ending)
 
     def recorded_resume(data, kept, common):
         got = resume(data, kept, common)
         calls["resume"].append((data, got))
+        return got
+
+    def recorded_rejoin(data, *args):
+        got = rejoin(data, *args)
+        calls["rejoin"].append((data, got.stream))
         return got
 
     def recorded_whole(data):
@@ -586,6 +682,7 @@ def resumes(monkeypatch):
         return compress_ending(data)
 
     monkeypatch.setattr(fastlz, "resume", recorded_resume)
+    monkeypatch.setattr(fastlz, "rejoin", recorded_rejoin)
     monkeypatch.setattr(fastlz, "compress_ending", recorded_whole)
     return calls
 
@@ -601,7 +698,12 @@ def test_every_seed7_router_body_resumes_the_central_parse(started, install,
                                                           resumes):
     """Central, then sharded, collect over every window at 3 and 12 nodes in
     one `MatrixCaches` with a real helper: each router answer has the head
-    and array of the central server's, and resumes its kept parse."""
+    and array of the central server's, and resumes its kept parse. The
+    windows nest, so a central or shard body whose array ends with a kept
+    one at least `fastlz._WINDOW` long rejoins that parse: central's 14-
+    and 30-day bodies at 3 nodes, and its 7-day one too at 12; and every
+    30-day shard body but node-01's at 12 nodes, whose array is the one it
+    has at 3 nodes, so that it resumes that parse."""
     install(cores.Helper())
     caches = bench.MatrixCaches()
     for n_nodes in (3, 12):
@@ -612,9 +714,48 @@ def test_every_seed7_router_body_resumes_the_central_parse(started, install,
                if _router_body(body)]
     assert len(routers) == 2 * len(bench.WINDOWS_DAYS)
     assert not any(map(_router_body, resumes["whole"]))
-    for body, got in routers:
+    for body, got in routers + resumes["rejoin"]:
         assert got == fastlz._compress(body).stream
+    rejoined = [body for body, _ in resumes["rejoin"]]
+    central = [body for body in rejoined if _CENTRAL_BODY in body]
+    shards = [body for body in rejoined if _SHARD_BODY.search(body)]
+    assert (len(central), len(shards), len(rejoined)) == (5, 14, 19)
     assert _exited(started) == [False]  # one helper, still serving
+
+
+@TWO_CPUS
+def test_a_helper_killed_mid_rejoin_gives_the_one_core_rows(
+        monkeypatch, started, install, resumes):
+    """The helper dies as soon as it is sent the tail of the prefix of the
+    3-node central 14-day body, which rejoins the 7-day parse: that prefix
+    is parsed here alone, and the rows of every window are the one-core
+    rows."""
+    helper = install(cores.Helper())
+    kept_parse, send = payloads.PayloadOps._kept_parse, cores.Helper.send
+    rejoins = []
+
+    def noted(ops, *args):
+        got = kept_parse(ops, *args)
+        rejoins.append(got[2] is not None)
+        return got
+
+    def killed_first(self, job, body):
+        taken = send(self, job, body)
+        if any(rejoins) and self._proc is not None:  # parsing the prefix
+            self._proc.kill()
+            self._proc.wait(timeout=10)
+        return taken
+
+    monkeypatch.setattr(payloads.PayloadOps, "_kept_parse", noted)
+    monkeypatch.setattr(cores.Helper, "send", killed_first)
+    caches = bench.MatrixCaches()
+    configs = [_seed7_config("central", 3, days) for days in (1, 7, 14)]
+    rows = [bench.run_scenario(cfg, caches).rows for cfg in configs]
+    assert rejoins == [False, False, True] and len(resumes["rejoin"]) == 1
+    ((body, got),) = resumes["rejoin"]
+    assert got == fastlz._compress(body).stream
+    assert helper._closed and _exited(started) == [True]
+    assert rows == [_one_core_rows(install, cfg) for cfg in configs]
 
 
 @TWO_CPUS
@@ -647,6 +788,7 @@ def test_a_helper_killed_before_the_central_body_leaves_resumes_exact(
 
 
 _SHARD_BODY = re.compile(rb'"contributing_nodes":\["node-\d+"\]')
+_CENTRAL_BODY = b'"contributing_nodes":["server"]'
 
 
 def test_a_cold_12_node_sharded_collect_builds_each_shard_body_once(
@@ -774,7 +916,8 @@ def test_a_command_keeps_no_ending_once_it_returns(monkeypatch):
     assert made and all(ref() is None for ref in made)
     caches = bench.MatrixCaches()
     bench.run_scenario(_seed7_config("sharded", 3, 30), caches)
-    kept = [ending for _, ending in caches.endings.values()]
+    kept = [ending for held in caches.endings.values()
+            for *_, ending in held]
     assert len(kept) == 4 and all(isinstance(e, Tracked) for e in kept)
 
 
