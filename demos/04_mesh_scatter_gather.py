@@ -9,7 +9,7 @@ from syncmesh.bench import (
     _scenario_gather_timeout, generate_synthetic, ingest_csv_text)
 from syncmesh.model import QueryRequest, Scope, TimeRange, TransformerSpec
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import MeshClient, SyncMeshNode, run_query
+from syncmesh.node import MeshClient, SyncMeshNode, heartbeat_round, run_query
 from syncmesh.payloads import BUILTIN_TRANSFORMERS
 from syncmesh.store import LocalStore
 from syncmesh.wire import MessageKind, read_payload
@@ -39,8 +39,7 @@ def mesh_query(req):
     The coordinator only contacts neighbors heard from in the last 3,000 ms;
     each query gets its own heartbeat round, as `SyncMeshSystem.query` sends
     one."""
-    for node in nodes:
-        node.broadcast_heartbeat(net.clock)
+    heartbeat_round(nodes, net.clock)
     return run_query(net, client, "node-00", req, net.clock + 500.0)
 
 

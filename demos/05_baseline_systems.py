@@ -48,7 +48,7 @@ p2p = P2PBaseline(net, partitions, gather_timeout_ms=deadline)
 sync_ms = p2p.sync()
 resp, rtt = p2p.client_collect(req, net.clock + 100.0)
 digests = {fingerprint(encode_readings(r.all_readings()))
-           for r in p2p.replicas.values()}
+           for r in p2p.stores.values()}
 print(f"p2p: sync {sync_ms:.0f} ms ({len(digests)} distinct replica digest), "
       f"query {rtt:.0f} ms, {net.ledger.total():,} total bytes")
 

@@ -20,7 +20,6 @@ from .model import (
     Scope,
     SensorReading,
     TimeRange,
-    ValidationError,
 )
 from .netsim import CLIENT_ID, SERVER_ID, Network
 from .node import QUERY_TIME_LIMIT_MS, Gather, MeshClient, run_query
@@ -40,17 +39,9 @@ INGEST_BATCH_SIZE = 500
 def _admitted(writer: str, batch: ReadingSet) -> bool:
     """Whether a store loads `batch` from `writer`: a node ships only its own
     readings. So every key has one writer, and the first copy of it that a
-    store loads stays. A batch must be valid too, which `_load` checks."""
+    store loads stays. A batch must be valid too, which
+    `LocalStore.apply_batch` checks."""
     return all(r.node_id == writer for r in batch)
-
-
-def _load(store: LocalStore, batch: ReadingSet) -> None:
-    """Load an admitted batch into `store`, or none of it if a reading is
-    invalid: `LocalStore.load_many` validates each reading once."""
-    try:
-        store.load_many(batch)
-    except (ValidationError, TypeError):
-        pass  # refused: one bad batch must not end the run
 
 
 def _batches(readings: ReadingSet):
@@ -84,55 +75,100 @@ def _send_batches(net: Network, ops: PayloadOps, kind: MessageKind,
     return net.run_until_quiescent() if sent else 0.0
 
 
-class CentralBaseline:
-    """Central cloud store: ingest everything, answer queries server-side.
+class _Shipping:
+    """The shipped data of a system that ships readings away from the node
+    that made them: central, whose one receiver is the server, and p2p,
+    whose receivers are the peers. Each receiver notes every batch that
+    decodes in `delivered`, in arrival order, with the envelope that
+    carried it, and drops a body that does not (`_receive`). The end
+    state, `stores`, is built from them when first read and dropped by the
+    next batch that arrives. Nothing writes a store once it is built, so
+    stores set from outside (a `bench._PhaseReplay` end state of the same
+    streams) are read as they were kept until the next batch arrives."""
 
-    The server notes every INGEST batch that decodes in `delivered`, in
-    arrival order, with the envelope that carried it; it drops a body that
-    does not decode. `server_store` loads each batch that `_admitted` lets
-    in, by `_load`: one holding a reading of another node, or an invalid
-    one, loads nothing. So no two senders write one key, and the store,
-    the first copy of each key, depends only on each sender's stream of
-    batches in its own order. The store is built when first read and
-    dropped by the next batch that arrives. Nothing writes a store once it
-    is built, so one set from outside (a `bench._PhaseReplay` end state of
-    the same streams) is read as it was kept until the next batch
-    arrives."""
+    store_type = LocalStore  # each receiver's store
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
-                 ops: PayloadOps | None = None):
+                 ops: PayloadOps | None, receivers):
         self.net = net
         self.partitions = partitions
         self.ops = ops or PayloadOps()
         self.delivered: list[tuple[Envelope, ReadingSet]] = []
-        self._store: LocalStore | None = None
+        self.receivers = tuple(receivers)
+        # Each receiver's own (offset, batch) pairs, loaded before what it
+        # receives; None until a p2p `sync` gossips them.
+        self.seeds: dict[str, list[tuple[int, ReadingSet]]] | None = None
+        self._stores: dict[str, LocalStore] | None = None
+
+    @property
+    def stores(self) -> dict[str, LocalStore]:
+        """Each receiver's store: its own batches (`seeds`; central's server
+        has none), then each batch it received, in arrival order, stably
+        sorted by writer, each loaded if `_admitted`. A batch holding a
+        reading of another node, or an invalid one, loads nothing, so every
+        key has one writer, its first copy stays, and the sort loads the
+        same readings. Receivers whose (writer, batch object) lists are the
+        same share one store, built once, which judges each batch once."""
+        if self._stores is None:
+            seeds = self.seeds or {}
+            arrivals = {receiver: [(receiver, batch)
+                                   for _, batch in seeds.get(receiver, ())]
+                        for receiver in self.receivers}
+            for env, batch in self.delivered:
+                arrivals[env.receiver].append((env.sender, batch))
+            stores: dict[str, LocalStore] = {}
+            built: dict[tuple, LocalStore] = {}
+            for receiver, writes in arrivals.items():
+                # A peer's own batches come first in its arrivals; sorted,
+                # they sit where every other peer holds them.
+                writes.sort(key=itemgetter(0))
+                group = tuple((writer, id(batch)) for writer, batch in writes)
+                store = built.get(group)
+                if store is None:
+                    store = built[group] = self.store_type(receiver)
+                    for writer, batch in writes:
+                        if _admitted(writer, batch):
+                            store.apply_batch(batch)
+                stores[receiver] = store
+            self._stores = stores
+        return self._stores
+
+    @stores.setter
+    def stores(self, stores: dict[str, LocalStore]) -> None:
+        self._stores = stores
+
+    def _receive(self, env: Envelope) -> bool:
+        """Note the batch `env` carries and drop the built stores; False,
+        noting nothing, when its body does not decode."""
+        try:
+            batch = wire.read_payload(env)
+        except wire.MalformedBody:
+            return False  # dropped: one bad envelope must not end the run
+        self.delivered.append((env, batch))
+        self._stores = None
+        return True
+
+
+class CentralBaseline(_Shipping):
+    """Central cloud store: ingest everything, answer queries server-side.
+
+    The p2p case with one receiver, the server, and no batches of its own:
+    `server_store` is `stores[SERVER_ID]`, a plain `LocalStore`."""
+
+    def __init__(self, net: Network, partitions: dict[str, ReadingSet],
+                 ops: PayloadOps | None = None):
+        super().__init__(net, partitions, ops, (SERVER_ID,))
         self.client = MeshClient()
         self.client.attach(net)
         net.register(SERVER_ID, self._on_envelope)
 
     @property
     def server_store(self) -> LocalStore:
-        """Every delivered batch `_admitted` lets in, loaded in arrival
-        order, so the first copy of a reading key stays."""
-        if self._store is None:
-            self._store = LocalStore(SERVER_ID)
-            for env, batch in self.delivered:
-                if _admitted(env.sender, batch):
-                    _load(self._store, batch)
-        return self._store
-
-    @server_store.setter
-    def server_store(self, store: LocalStore) -> None:
-        self._store = store
+        return self.stores[SERVER_ID]
 
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.INGEST:
-            try:
-                batch = wire.read_payload(env)
-            except wire.MalformedBody:
-                return  # dropped: one bad envelope must not end the run
-            self.delivered.append((env, batch))
-            self._store = None
+            self._receive(env)
             return
         req = read_query(env)
         if req is None:
@@ -253,10 +289,6 @@ class P2PReplica(LocalStore):
         self._slices = {}
         return super().load_many(readings)
 
-    def apply_batch(self, readings: ReadingSet) -> None:
-        """Load a gossip batch that `_admitted` has let in, by `_load`."""
-        _load(self, readings)
-
     def query_range(self, time_range: TimeRange) -> ReadingSet:
         sliced = self._slices.get(time_range)
         if sliced is None:
@@ -264,74 +296,25 @@ class P2PReplica(LocalStore):
         return sliced
 
 
-class P2PBaseline:
+class P2PBaseline(_Shipping):
     """Eventually-consistent full replication over uncompressed gossip.
 
-    Each peer notes every GOSSIP batch that decodes in `delivered`, in
-    arrival order, with the envelope that carried it, and echoes it.
-    `replicas` is the end state of `sync`'s own partitions and those
-    batches, loaded by central's rule, `_admitted`: a batch holding a
-    reading of another node, or an invalid one, loads nothing on any peer.
-    The replicas are built when first read and dropped by the next batch
-    that arrives (or by the first `sync`), so the read after it builds
-    again. Nothing writes a replica once it is built, so replicas set from
-    outside (a `bench._PhaseReplay` end state of the same streams) are read
-    as they were kept until the next batch arrives."""
+    Every peer is a receiver, with its own partition as its own batches
+    once `sync` has run, and echoes every GOSSIP batch that decodes. Its
+    store is a `P2PReplica`; peers that got the same batches share one."""
+
+    store_type = P2PReplica
 
     def __init__(self, net: Network, partitions: dict[str, ReadingSet],
                  ops: PayloadOps | None = None, *,
                  gather_timeout_ms: float):
-        self.net = net
-        self.partitions = partitions
-        self.ops = ops or PayloadOps()
-        self.delivered: list[tuple[Envelope, ReadingSet]] = []
-        # Each peer's own partition in the (offset, batch) pairs `sync`
-        # gossips; None until it runs.
-        self._seeds: dict[str, list[tuple[int, ReadingSet]]] | None = None
-        self._replicas: dict[str, P2PReplica] | None = None
-        for node_id in sorted(partitions):
+        super().__init__(net, partitions, ops, sorted(partitions))
+        for node_id in self.receivers:
             net.register(node_id, self._on_envelope)
         # The client pulls from every peer and merges on its own side.
         self.gather = Gather(CLIENT_ID, gather_timeout_ms)
         self.received: dict[str, tuple[QueryResponse, float]] = {}
         net.register(CLIENT_ID, self._on_client_envelope)
-
-    @property
-    def replicas(self) -> dict[str, P2PReplica]:
-        """Each peer's replica: its own partition once `sync` has run, then
-        each batch it received, in arrival order, each loaded if `_admitted`.
-
-        Every key has one writer and its first copy stays, so a replica
-        depends only on each writer's batches in that writer's order. Peers
-        whose (writer, batch object) arrivals are the same after a stable
-        sort by writer share one replica, built once, which judges each
-        batch once."""
-        if self._replicas is None:
-            arrivals = {node_id: [] for node_id in sorted(self.partitions)}
-            for origin, batches in (self._seeds or {}).items():
-                arrivals[origin] += [(origin, batch) for _, batch in batches]
-            for env, batch in self.delivered:
-                arrivals[env.receiver].append((env.sender, batch))
-            replicas: dict[str, P2PReplica] = {}
-            built: dict[tuple, P2PReplica] = {}
-            for node_id, writes in arrivals.items():
-                # A peer's own batches come first in its arrivals; sorted,
-                # they sit where every other peer holds them.
-                writes.sort(key=itemgetter(0))
-                group = tuple((writer, id(batch)) for writer, batch in writes)
-                replica = built.get(group)
-                if replica is None:
-                    replica = built[group] = P2PReplica(node_id)
-                    for writer, batch in writes:
-                        if _admitted(writer, batch):
-                            replica.apply_batch(batch)
-                replicas[node_id] = replica
-            self._replicas = replicas
-        return self._replicas
-
-    @replicas.setter
-    def replicas(self, replicas: dict[str, P2PReplica]) -> None:
-        self._replicas = replicas
 
     def _on_client_envelope(self, net: Network, env: Envelope, now: float) -> None:
         if env.kind is MessageKind.RESPONSE:
@@ -340,24 +323,19 @@ class P2PBaseline:
     def _on_envelope(self, net: Network, env: Envelope, now: float) -> None:
         me = env.receiver
         if env.kind is MessageKind.GOSSIP:
-            try:
-                batch = wire.read_payload(env)
-            except wire.MalformedBody:
-                return  # dropped: one bad envelope must not end the run
-            self.delivered.append((env, batch))
-            self._replicas = None
-            net.send(
-                Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
-                         receiver=env.sender, body=env.body,
-                         request_id=env.request_id),
-                now)
+            if self._receive(env):
+                net.send(
+                    Envelope(kind=MessageKind.GOSSIP_ECHO, sender=me,
+                             receiver=env.sender, body=env.body,
+                             request_id=env.request_id),
+                    now)
             return
         req = read_query(env)
         if req is None:
             return  # GOSSIP_ECHO, an ack with no new data, or a query to drop
         resp = QueryResponse(
             request_id=req.request_id,
-            payload=self.replicas[me].query_range(req.range),
+            payload=self.stores[me].query_range(req.range),
             contributing_nodes=frozenset({me}), partial=False,
             codec=CodecId.NONE)
         net.send(
@@ -365,14 +343,14 @@ class P2PBaseline:
 
     def sync(self) -> float:
         """Push every reading, uncompressed, from its origin to every peer."""
-        if self._seeds is None:
-            self._seeds = {origin: list(_batches(self.partitions[origin]))
-                           for origin in sorted(self.partitions)}
-            self._replicas = None
+        if self.seeds is None:
+            self.seeds = {origin: list(_batches(self.partitions[origin]))
+                          for origin in self.receivers}
+            self._stores = None
         return _send_batches(
             self.net, self.ops, MessageKind.GOSSIP, CodecId.NONE, "g",
-            ((origin, batches, [p for p in self._seeds if p != origin])
-             for origin, batches in self._seeds.items()))
+            ((origin, batches, [p for p in self.seeds if p != origin])
+             for origin, batches in self.seeds.items()))
 
     # Alias so all systems share the ingest/query surface.
     def ingest(self) -> float:

@@ -32,7 +32,8 @@ from .model import (
     validate_reading,
 )
 from .netsim import LinkClass, Network, TrafficLedger, build_topology
-from .node import HEARTBEAT_TIMEOUT_MS, MeshClient, SyncMeshNode, run_query
+from .node import (
+    HEARTBEAT_TIMEOUT_MS, MeshClient, SyncMeshNode, heartbeat_round, run_query)
 from .payloads import BUILTIN_TRANSFORMERS, PayloadOps
 from .store import LocalStore
 # The dataset's epoch is one of bench's names, as its days and rate are.
@@ -351,8 +352,7 @@ class SyncMeshSystem:
         return 0.0  # data is born local; there is nothing to ship
 
     def query(self, req: QueryRequest, at: float) -> tuple:
-        for node in self.nodes:
-            node.broadcast_heartbeat(self.net.clock)
+        heartbeat_round(self.nodes, self.net.clock)
         if req.scope is Scope.MESH:
             self.ops.build_ahead(replace(req, scope=Scope.LOCAL),
                                  self.nodes[0].neighbor_ids, self.stores,
@@ -365,9 +365,10 @@ class _PhaseReplay:
     p2p) on one dataset, installed on later runs instead of re-simulating
     identical events.
 
-    The end state of the phase (the central server store, the p2p replicas:
-    `LocalStore`s loaded by one rule, `baselines._admitted`) is a function
-    of its streams: the batches one sender delivered to one receiver, in
+    The end state of the phase is the system's `stores`, a dict from each
+    receiver (central's server, the p2p peers) to a `LocalStore`, built by
+    one rule for both (`baselines._Shipping`). It is a function of its
+    streams: the batches one sender delivered to one receiver, in
     arrival order, those the rule refuses included. So one end state is
     kept per distinct key, the delivered envelopes stably sorted by
     (receiver, sender), and since every key has one writer, equal keys mean
@@ -383,8 +384,7 @@ class _PhaseReplay:
     query that follows answers from the installed end state, so its
     entries live in `scope` plus that state's number."""
 
-    def __init__(self, state_attr: str, scope: tuple):
-        self.state_attr = state_attr
+    def __init__(self, scope: tuple):
         self.scope = scope
         self.states: list = []
         self.numbers: dict[tuple, int] = {}
@@ -404,7 +404,7 @@ class _PhaseReplay:
             duration, ledger, number = hit
             net.clock = max(net.clock, duration)
         # Every run answers from a kept state, never from one it just built.
-        setattr(system, self.state_attr, self.states[number])
+        system.stores = self.states[number]
         system.ops.scope_key = self.scope + (number,)
         return duration, ledger
 
@@ -416,12 +416,8 @@ class _PhaseReplay:
         number = self.numbers.get(streams)
         if number is None:
             number = self.numbers[streams] = len(self.states)
-            self.states.append(getattr(system, self.state_attr))
+            self.states.append(system.stores)
         return number
-
-
-# Where each system that ships data keeps its ingest end state.
-_SHIPPED_STATE = {"central": "server_store", "p2p": "replicas"}
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +440,8 @@ class MatrixCaches:
     The ingest/sync phase of a repetition is fully determined by (dataset,
     topology seed); configs that differ only in scenario or window
     replay the recorded outcome instead of re-simulating it. `phases` holds
-    one `_PhaseReplay` per (system, dataset). `topologies` holds each
+    one `_PhaseReplay` per (system, dataset) of central and p2p, which
+    keeps each end state, the system's `stores`. `topologies` holds each
     topology built, under (n_nodes, seed, with_server); no run changes one
     after `build_topology`, so every run with that key shares it.
     `endings` holds the `fastlz.Ending` of each FASTLZ readings response
@@ -569,9 +566,8 @@ def run_scenario(cfg: ScenarioConfig, caches: MatrixCaches | None = None,
     req = _build_request(cfg, window)
     with_server = cfg.system in ("central", "sharded")
     replay = None
-    if cfg.system in _SHIPPED_STATE:
-        replay = caches.phases.setdefault(
-            scope, _PhaseReplay(_SHIPPED_STATE[cfg.system], scope))
+    if cfg.system in ("central", "p2p"):
+        replay = caches.phases.setdefault(scope, _PhaseReplay(scope))
 
     rows: list[RepetitionRow] = []
     for rep in range(cfg.repetitions):

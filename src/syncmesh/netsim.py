@@ -16,6 +16,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .wire import Envelope, MessageKind
@@ -105,7 +106,8 @@ class Topology:
     def node_ids(self) -> list[str]:
         return sorted(e.id for e in self.endpoints.values() if e.kind is EndpointKind.NODE)
 
-    def neighbors_of(self, endpoint_id: str, kind: EndpointKind | None = None) -> list[str]:
+    def neighbors_of(self, endpoint_id: str) -> list[str]:
+        """The nodes linked to `endpoint_id`, sorted."""
         out = []
         for link in self.links.values():
             other = None
@@ -113,7 +115,7 @@ class Topology:
                 other = link.b
             elif link.b == endpoint_id:
                 other = link.a
-            if other is not None and (kind is None or self.endpoints[other].kind is kind):
+            if other is not None and self.endpoints[other].kind is EndpointKind.NODE:
                 out.append(other)
         return sorted(out)
 
@@ -157,9 +159,9 @@ class TrafficLedger:
     not.
 
     The entries are summed under each class's name, a str: a `LinkClass`
-    key would run the Python-level `Enum.__hash__` twice an entry. So the
-    enum keys are built once per (class, kind), and `class_bytes` keeps
-    the sum per class under its name."""
+    key would run the Python-level `Enum.__hash__` twice an entry.
+    `class_bytes` keeps the sum per class under its name, and `total` sums
+    it; the `bytes` map, keyed on the enums, is built on its first read."""
 
     def __init__(self, entries):
         sums: dict[tuple[str, MessageKind], int] = {}
@@ -169,15 +171,19 @@ class TrafficLedger:
         per_class: dict[str, int] = {}
         for (name, _), n in sums.items():
             per_class[name] = per_class.get(name, 0) + n
-        self.bytes = MappingProxyType(Counter(
-            {(LinkClass[name], kind): n for (name, kind), n in sums.items()}))
+        self._sums = sums
         self.class_bytes = MappingProxyType(per_class)
+
+    @cached_property
+    def bytes(self) -> MappingProxyType:
+        return MappingProxyType(Counter(
+            {(LinkClass[name], kind): n for (name, kind), n in self._sums.items()}))
 
     def get(self, link_class: LinkClass, kind: MessageKind) -> int:
         return self.bytes.get((link_class, kind), 0)
 
     def total(self) -> int:
-        return sum(self.bytes.values())
+        return sum(self.class_bytes.values())
 
     def to_csv(self) -> str:
         lines = ["link_class,message_kind,bytes"]

@@ -19,7 +19,7 @@ from .model import (
     Summary,
     validate_request,
 )
-from .netsim import CLIENT_ID, EndpointKind, Network
+from .netsim import CLIENT_ID, Network
 from .payloads import PayloadOps, evaluate_query, read_query
 from .store import LocalStore
 from . import wire
@@ -50,8 +50,7 @@ class SyncMeshNode:
 
     def attach(self, net: Network) -> None:
         self.net = net
-        self.neighbor_ids = net.topology.neighbors_of(self.node_id,
-                                                      EndpointKind.NODE)
+        self.neighbor_ids = net.topology.neighbors_of(self.node_id)
         net.register(self.node_id, self._on_envelope)
 
     # -- heartbeats ------------------------------------------------------------
@@ -131,6 +130,13 @@ class SyncMeshNode:
                 self.handle_request(req, now, requester=env.sender)
         # INGEST / GOSSIP / GOSSIP_ECHO are baseline-system kinds, ignored
         # here: nothing a mesh node receives writes to its store.
+
+
+def heartbeat_round(nodes, at: float) -> None:
+    """One heartbeat round: each of `nodes`, in order, heartbeats every
+    neighbor at `at`."""
+    for node in nodes:
+        node.broadcast_heartbeat(at)
 
 
 @dataclass

@@ -12,6 +12,7 @@ from .model import (
     ReadingSet,
     SensorReading,
     TimeRange,
+    ValidationError,
     in_canonical_order,
     reading_key,
     time_slice,
@@ -62,6 +63,14 @@ class LocalStore:
         if added:
             self._ordered = None
         return added
+
+    def apply_batch(self, readings: ReadingSet) -> None:
+        """Load a shipped batch whole, or none of it if a reading is invalid:
+        one bad batch must not end the run."""
+        try:
+            self.load_many(readings)
+        except (ValidationError, TypeError):
+            pass
 
     def all_readings(self) -> ReadingSet:
         """Every reading in canonical order, cached until the next insert."""

@@ -34,7 +34,7 @@ from syncmesh.model import (
     TransformerSpec,
 )
 from syncmesh.netsim import LINK_BANDWIDTH, LinkClass, Network, build_topology
-from syncmesh.node import MeshClient, SyncMeshNode, run_query
+from syncmesh.node import MeshClient, SyncMeshNode, heartbeat_round, run_query
 from syncmesh.payloads import PayloadOps, fingerprint
 from syncmesh.store import LocalStore
 from syncmesh.wire import (
@@ -219,8 +219,7 @@ def _syncmesh_run(caches, scenario, n_nodes, window_days, send_query=True):
                            transformer=transformer)
         system.query(req, 500.0)
     else:
-        for node in system.nodes:
-            node.broadcast_heartbeat(0.0)
+        heartbeat_round(system.nodes, 0.0)
         net.run_until_quiescent()
     return net
 
@@ -305,8 +304,7 @@ def test_c08_churn_partial_results(rng):
         nodes.append(node)
     client = MeshClient()
     client.attach(net)
-    for node in nodes:
-        node.broadcast_heartbeat(0.0)
+    heartbeat_round(nodes, 0.0)
     net.run_until_quiescent()
     net.set_available("node-02", False)  # churn after announcing itself
     req = QueryRequest(request_id="q", range=FULL, scope=Scope.MESH)
@@ -408,7 +406,7 @@ def test_c10_eventual_consistency(monkeypatch):
                           if e.envelope.kind is MessageKind.GOSSIP),
                          key=lambda e: e.deliver_at)
         digests = set()
-        for peer, replica in system.replicas.items():
+        for peer, replica in system.stores.items():
             own = parts[peer]
             writes = [(peer, own[i:i + 4]) for i in range(0, len(own), 4)]
             writes += [(e.envelope.sender, read_payload(e.envelope))

@@ -282,10 +282,10 @@ class TestP2PSync:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
-        digests = {nid: digest(replica) for nid, replica in system.replicas.items()}
+        digests = {nid: digest(replica) for nid, replica in system.stores.items()}
         assert len(set(digests.values())) == 1
         expected = union_collect(parts, FULL.start, FULL.end)
-        assert list(system.replicas["node-00"].all_readings()) == expected
+        assert list(system.stores["node-00"].all_readings()) == expected
 
     def test_replicas_key_on_each_readings_own_key(self, rng):
         """No replica allocates a key tuple of its own."""
@@ -294,7 +294,7 @@ class TestP2PSync:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
-        for replica in system.replicas.values():
+        for replica in system.stores.values():
             assert len(replica) == sum(map(len, parts.values()))
             assert all(key is r._key for key, r in replica._by_key.items())
 
@@ -305,7 +305,7 @@ class TestP2PSync:
         parts = partitions_for(rng, [f"node-{i:02d}" for i in range(n)])
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
-        replicas = list(system.replicas.values())
+        replicas = list(system.stores.values())
         assert all(replica is replicas[0] for replica in replicas)
         views = [replica.all_readings() for replica in replicas]
         assert all(view is views[0] for view in views)
@@ -319,7 +319,7 @@ class TestP2PSync:
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         net.set_available("node-02", False)  # receives no gossip
         system.sync()
-        replicas = system.replicas
+        replicas = system.stores
         assert (replicas["node-01"].all_readings()
                 is replicas["node-00"].all_readings())
         assert (replicas["node-02"].all_readings()
@@ -351,7 +351,7 @@ class TestP2PSync:
         monkeypatch.setattr(baselines, "_admitted", counted_admitted)
         system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
         system.sync()
-        replicas = list(system.replicas.values())
+        replicas = list(system.stores.values())
         total = sum(map(len, parts.values()))
         assert all(r is replicas[0] for r in replicas)
         assert len(replicas[0]) == total
@@ -360,6 +360,43 @@ class TestP2PSync:
         # in all, although each was delivered to n - 1 = 3 peers.
         assert len(judged) == len(set(judged)) == n * 3
         assert len(system.delivered) == n * 3 * (n - 1)
+
+    def test_only_p2p_stores_are_replicas(self, rng, monkeypatch):
+        """Central's server store is a plain `LocalStore`: a central ingest
+        makes no `P2PReplica.apply_batch` call. A 3-node p2p sync with
+        node-02 down, so that two replicas are built, makes one per (batch,
+        built replica)."""
+        monkeypatch.setattr(baselines, "INGEST_BATCH_SIZE", 15)
+        calls = []
+        apply_batch = P2PReplica.apply_batch
+
+        def counted(replica, readings):
+            calls.append((id(replica), id(readings)))
+            apply_batch(replica, readings)
+
+        monkeypatch.setattr(P2PReplica, "apply_batch", counted)
+        parts = partitions_for(rng, [f"node-{i:02d}" for i in range(3)])
+        central = CentralBaseline(Network(server_topology(3)), parts)
+        central.ingest()
+        assert type(central.server_store) is LocalStore
+        assert len(central.server_store) == sum(map(len, parts.values()))
+        assert calls == []
+
+        net = Network(build_topology(3, seed=6))
+        system = P2PBaseline(net, parts, gather_timeout_ms=GATHER_TIMEOUT_MS)
+        net.set_available("node-02", False)
+        system.sync()
+        stores = system.stores
+        assert all(type(store) is P2PReplica for store in stores.values())
+        shared, alone = stores["node-00"], stores["node-02"]
+        assert stores["node-01"] is shared and alone is not shared
+        expected = [(id(shared), id(batch))
+                    for writer in ("node-00", "node-01")
+                    for _, batch in system.seeds[writer]]
+        expected += [(id(alone), id(batch))
+                     for _, batch in system.seeds["node-02"]]
+        assert len(calls) == len(set(calls)) == 9
+        assert sorted(calls) == sorted(expected)
 
     def test_query_range_returns_one_tuple_per_range_until_an_apply(self, rng):
         replica = P2PReplica("node-00")
@@ -571,7 +608,7 @@ class TestP2PReplicasFollowTheirWrites:
                           for peer in partitions}
 
             def check():
-                for peer, replica in system.replicas.items():
+                for peer, replica in system.stores.items():
                     assert replica.all_readings() == references[peer], peer
 
             check()
@@ -751,9 +788,7 @@ class TestInvalidBodies:
         message = MessageKind.INGEST if kind == "central" else MessageKind.GOSSIP
 
         def held():
-            if kind == "central":
-                return system.server_store.all_readings()
-            return system.replicas[receiver].all_readings()
+            return system.stores[receiver].all_readings()
 
         batch = (make_reading(rng, node_id="node-00", timestamp=7),
                  SensorReading("node-00", "sensor-x", 9, humidity=200.0, p1=-5.0))
@@ -902,9 +937,9 @@ class TestDeliveredBatches:
             ("node-00", "node-01"), ("node-02", "node-01")]
         assert len(forged.delivered) == len(clean.delivered) + 2
         held = {peer: replica.all_readings()
-                for peer, replica in forged.replicas.items()}
+                for peer, replica in forged.stores.items()}
         assert held == {peer: replica.all_readings()
-                        for peer, replica in clean.replicas.items()}
+                        for peer, replica in clean.stores.items()}
         assert held == {"node-00": (), "node-01": (own,), "node-02": (own,)}
         resp, _ = forged.query(collect_req(), forged.net.clock + 10.0)
         assert resp.payload == (own,) and resp.partial is False
@@ -928,7 +963,7 @@ class TestDeliveredBatches:
             system.net.send(_batch_envelope(
                 MessageKind.GOSSIP, "node-00", "node-01", batch, "g000000"), at)
         system.net.run_until_quiescent()
-        assert system.replicas["node-01"].all_readings() == batches[0] + batches[1]
+        assert system.stores["node-01"].all_readings() == batches[0] + batches[1]
 
     def test_one_writers_first_gossip_of_a_key_stays(self, rng):
         system = self._p2p()
@@ -938,7 +973,7 @@ class TestDeliveredBatches:
             system.net.send(_batch_envelope(
                 MessageKind.GOSSIP, "node-00", "node-01", (reading,)), at)
         system.net.run_until_quiescent()
-        assert system.replicas["node-01"].all_readings() == (early,)
+        assert system.stores["node-01"].all_readings() == (early,)
 
     @pytest.mark.parametrize("kind", ["central", "p2p"])
     def test_a_batch_after_the_first_read_leaves_the_read_state_and_is_in_the_next(
@@ -950,14 +985,9 @@ class TestDeliveredBatches:
         receiver = "server" if kind == "central" else "node-01"
         message = MessageKind.INGEST if kind == "central" else MessageKind.GOSSIP
 
-        def state():
-            return system.server_store if kind == "central" else system.replicas
-
         def contents(held):
-            if kind == "central":
-                return held.all_readings(), len(held)
-            return {peer: (replica.all_readings(), len(replica))
-                    for peer, replica in held.items()}
+            return {peer: (store.all_readings(), len(store))
+                    for peer, store in held.items()}
 
         def deliver(batch):
             system.net.send(_batch_envelope(
@@ -965,29 +995,22 @@ class TestDeliveredBatches:
             system.net.run_until_quiescent()
 
         def held():
-            current = state()
-            return (current.all_readings() if kind == "central"
-                    else current["node-01"].all_readings())
+            return system.stores[receiver].all_readings()
 
         first = (make_reading(rng, timestamp=1),)
         second = (make_reading(rng, timestamp=2),)
         deliver(first)
         assert held() == first
-        read = state()
+        read = system.stores
         before = contents(read)
         deliver(second)
         assert contents(read) == before
         assert held() == first + second
-        assert state() is not read
+        assert system.stores is not read
 
-        installed = LocalStore("server") if kind == "central" else {
-            node_id: P2PReplica(node_id) for node_id in system.partitions}
-        if kind == "central":
-            system.server_store = installed
-        else:
-            system.replicas = installed
+        installed = {peer: type(store)(peer) for peer, store in read.items()}
+        system.stores = installed
         assert held() == ()
         deliver((make_reading(rng, timestamp=3),))
         assert len(held()) == 3
-        assert (len(installed) if kind == "central"
-                else sum(map(len, installed.values()))) == 0
+        assert sum(map(len, installed.values())) == 0

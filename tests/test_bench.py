@@ -394,28 +394,21 @@ class TestRunScenario:
             assert sorted(replay.traffic) == [7, 8, 9]
             assert len(replay.states) == 1
             assert {number for _, _, number in replay.traffic.values()} == {0}
-        (kept_store,) = caches.phases[("central", dataset)].states
-        (kept_replicas,) = caches.phases[("p2p", dataset)].states
 
         # The kept state equals the one each later seed builds itself, and
         # the reference fold of what that seed delivered.
         bundle = caches.datasets[dataset]
-        partitions = bundle.partitions
-        for seed in (8, 9):
-            topo = build_topology(3, seed=seed, with_server=True)
-            central = CentralBaseline(Network(topo), partitions)
-            central.ingest()
-            assert (central.server_store.all_readings()
-                    == kept_store.all_readings()
-                    == _reference_state(central))
-            topo = build_topology(3, seed=seed)
-            p2p = P2PBaseline(
-                Network(topo), partitions,
-                gather_timeout_ms=_scenario_gather_timeout(bundle.manifest))
-            p2p.sync()
-            assert (_end_state_contents(p2p.replicas)
-                    == _end_state_contents(kept_replicas)
-                    == _reference_state(p2p))
+        for system in ("central", "p2p"):
+            (kept,) = caches.phases[(system, dataset)].states
+            for seed in (8, 9):
+                shipped = _shipped(system, Network(build_topology(
+                    3, seed=seed, with_server=system == "central")),
+                    bundle.partitions,
+                    _scenario_gather_timeout(bundle.manifest))
+                shipped.ingest()
+                assert (_end_state_contents(shipped.stores)
+                        == _end_state_contents(kept)
+                        == _reference_state(shipped))
 
     def test_a_second_pass_over_the_matrix_adds_no_memo_entry(self):
         """Memo keys name only what the work depends on: running every
@@ -482,12 +475,16 @@ def test_topologies_are_shared_and_never_mutated(monkeypatch):
         assert topo.endpoints == endpoints and topo.links == links
 
 
-def _end_state_contents(state):
-    """What a kept end state holds: the central store's readings, or each
-    peer's."""
-    if isinstance(state, dict):
-        return {peer: replica.all_readings() for peer, replica in state.items()}
-    return state.all_readings()
+def _end_state_contents(stores):
+    """What a kept end state holds: each receiver's readings."""
+    return {receiver: store.all_readings() for receiver, store in stores.items()}
+
+
+def _shipped(system, net, partitions, gather_timeout_ms=GATHER_TIMEOUT_MS, ops=None):
+    """A central or p2p system on `net`."""
+    if system == "central":
+        return CentralBaseline(net, partitions, ops)
+    return P2PBaseline(net, partitions, ops, gather_timeout_ms=gather_timeout_ms)
 
 
 def test_kept_end_states_are_never_written(monkeypatch):
@@ -522,16 +519,14 @@ def test_the_end_state_follows_what_was_delivered(system):
     the memo both seeds share."""
     partitions = bench._dataset_bundle(small_cfg(), MatrixCaches()).partitions
     scope = (system, "dataset")
-    replay = bench._PhaseReplay(bench._SHIPPED_STATE[system], scope)
+    replay = bench._PhaseReplay(scope)
     ops = PayloadOps({}, scope)
     req = bench._build_request(small_cfg(window_days=30), TimeRange(0, 10**15))
 
     def run(seed, down=()):
         net = Network(build_topology(3, seed=seed, with_server=system == "central"))
-        if system == "central":
-            shipped = CentralBaseline(net, partitions, ops)
-        else:  # a deadline that every peer's full replica can meet
-            shipped = P2PBaseline(net, partitions, ops, gather_timeout_ms=1e6)
+        # A deadline that every peer's full replica can meet.
+        shipped = _shipped(system, net, partitions, 1e6, ops)
         for node_id in down:
             net.set_available(node_id, False)
         replay.ingest(shipped, net, seed)
@@ -546,20 +541,21 @@ def test_the_end_state_follows_what_was_delivered(system):
     (partial, partial_answer), (full, full_answer) = (
         run(7, down=["node-01"]), run(8))
     if system == "central":
-        assert partial.server_store.all_readings() == union("node-00", "node-02")
-        assert full.server_store.all_readings() == union(*everyone)
+        assert _end_state_contents(partial.stores) == {
+            "server": union("node-00", "node-02")}
+        assert _end_state_contents(full.stores) == {"server": union(*everyone)}
         assert partial_answer == union("node-00", "node-02")
     else:
-        assert {n: r.all_readings() for n, r in partial.replicas.items()} == {
+        assert _end_state_contents(partial.stores) == {
             "node-00": union("node-00", "node-02"), "node-01": union("node-01"),
             "node-02": union("node-00", "node-02")}
-        assert {n: r.all_readings() for n, r in full.replicas.items()} == {
+        assert _end_state_contents(full.stores) == {
             n: union(*everyone) for n in everyone}
     assert full_answer == union(*everyone)
     assert len(replay.states) == 2
     assert [replay.traffic[seed][2] for seed in (7, 8)] == [0, 1]
-    assert getattr(partial, replay.state_attr) is replay.states[0]
-    assert getattr(full, replay.state_attr) is replay.states[1]
+    assert partial.stores is replay.states[0]
+    assert full.stores is replay.states[1]
     assert ops.scope_key == scope + (1,)
 
 
@@ -569,7 +565,7 @@ def test_a_replayed_ingest_logs_nothing_and_returns_the_kept_ledger():
     duration and clock."""
     partitions = bench._dataset_bundle(small_cfg(), MatrixCaches()).partitions
     scope = ("central", "dataset")
-    replay = bench._PhaseReplay("server_store", scope)
+    replay = bench._PhaseReplay(scope)
     runs = []
     for _ in range(2):
         net = Network(build_topology(3, seed=7, with_server=True))
@@ -603,15 +599,15 @@ def test_the_senders_streams_name_the_end_state():
     """Two senders' batches leave one end state in either interleaving; one
     sender's two batches that write one key with different data leave the
     first arrival's copy, so each order keeps its own."""
-    replay = bench._PhaseReplay("server_store", ("central", "dataset"))
+    replay = bench._PhaseReplay(("central", "dataset"))
     one = ("node-00", SensorReading("node-00", "s", 1_000, temperature=1.0))
     other = ("node-01", SensorReading("node-01", "s", 1_000, temperature=2.0))
     rewrite = ("node-00", SensorReading("node-00", "s", 1_000, temperature=2.0))
     assert [replay._end_state(run) for run in _two_orders(one, other)] == [0, 0]
     assert [replay._end_state(run) for run in _two_orders(one, rewrite)] \
         == [1, 2]
-    assert [[r.temperature for r in store.all_readings()]
-            for store in replay.states] == [[1.0, 2.0], [1.0], [2.0]]
+    assert [[r.temperature for r in stores["server"].all_readings()]
+            for stores in replay.states] == [[1.0, 2.0], [1.0], [2.0]]
     assert [replay._end_state(run) for run in _two_orders(one, rewrite)] \
         == [1, 2]
     assert len(replay.states) == 3
@@ -654,23 +650,22 @@ def _interleaving(draw, streams):
 
 def _reference_state(shipped):
     """The end state folded from the batches `shipped`'s network delivered,
-    in arrival order, by one rule for both systems: `reference_fold` of what
-    the server received, or of each peer's own partition in the batches
-    `sync` gossips and then what the peer received."""
+    in arrival order, by one rule for both systems: per receiver,
+    `reference_fold` of its own readings in the batches `sync` gossips
+    (the server has none), then of what it received."""
     arrived = sorted((e for e in shipped.net.envelope_log if e.delivered
                       and e.envelope.kind in (wire.MessageKind.INGEST,
                                               wire.MessageKind.GOSSIP)),
                      key=lambda e: e.deliver_at)
-    if isinstance(shipped, CentralBaseline):
-        return reference_fold((e.envelope.sender, e.envelope.payload)
-                              for e in arrived)
+    owned = ({netsim.SERVER_ID: ()} if isinstance(shipped, CentralBaseline)
+             else shipped.partitions)
     size = baselines.INGEST_BATCH_SIZE
     states = {}
-    for peer, own in shipped.partitions.items():
-        writes = [(peer, own[i:i + size]) for i in range(0, len(own), size)]
+    for receiver, own in owned.items():
+        writes = [(receiver, own[i:i + size]) for i in range(0, len(own), size)]
         writes += [(e.envelope.sender, e.envelope.payload) for e in arrived
-                   if e.envelope.receiver == peer]
-        states[peer] = reference_fold(writes)
+                   if e.envelope.receiver == receiver]
+        states[receiver] = reference_fold(writes)
     return states
 
 
@@ -692,18 +687,14 @@ def test_the_stream_key_is_exact(system, data):
         backwards = iter(streams[flipped][::-1])
         runs.append([(stream, next(backwards) if stream == flipped else batch)
                      for stream, batch in first])
-    replay = bench._PhaseReplay(bench._SHIPPED_STATE[system], (system, "data"))
+    replay = bench._PhaseReplay((system, "data"))
+    kind = (wire.MessageKind.INGEST if system == "central"
+            else wire.MessageKind.GOSSIP)
     numbers = []
     for seed, order in enumerate(runs):
         net = Network(build_topology(len(_STREAM_NODES), seed=seed,
                                      with_server=system == "central"))
-        if system == "central":
-            shipped = CentralBaseline(net, {})
-            kind = wire.MessageKind.INGEST
-        else:
-            shipped = P2PBaseline(net, dict.fromkeys(_STREAM_NODES, ()),
-                                  gather_timeout_ms=GATHER_TIMEOUT_MS)
-            kind = wire.MessageKind.GOSSIP
+        shipped = _shipped(system, net, dict.fromkeys(_STREAM_NODES, ()))
         for i, ((sender, receiver), batch) in enumerate(order):
             net.send(wire.Envelope(kind=kind, sender=sender, receiver=receiver,
                                    body=encode_readings(batch), payload=batch),
@@ -717,8 +708,8 @@ def test_the_stream_key_is_exact(system, data):
         # Each reading held came from its own node, whatever was delivered.
         own_sends = {r for env, batch in shipped.delivered for r in batch
                      if r.node_id == env.sender}
-        stores = state.values() if system == "p2p" else (state,)
-        assert all(set(store.all_readings()) <= own_sends for store in stores)
+        assert all(set(store.all_readings()) <= own_sends
+                   for store in state.values())
     assert numbers[0] == numbers[1]
 
 

@@ -8,7 +8,8 @@ from syncmesh import bench
 from syncmesh.baselines import P2PBaseline, ShardedBaseline
 from syncmesh.model import CodecId, QueryRequest, QueryResponse, Scope, TimeRange
 from syncmesh.netsim import Network, build_topology
-from syncmesh.node import Gather, MeshClient, SyncMeshNode, run_query
+from syncmesh.node import (
+    Gather, MeshClient, SyncMeshNode, heartbeat_round, run_query)
 from syncmesh.payloads import PayloadOps
 from syncmesh.store import LocalStore
 from syncmesh.wire import Envelope, MessageKind
@@ -65,8 +66,7 @@ class Owner:
     def next_start(self):
         """A time to start the next gather at: 100 ms after a heartbeat
         round, once the round is heard, so the node's targets are fresh."""
-        for node in self.heartbeating:
-            node.broadcast_heartbeat(self.net.clock)
+        heartbeat_round(self.heartbeating, self.net.clock)
         self.net.run_until_quiescent()
         return self.net.clock + 100.0
 
@@ -200,7 +200,7 @@ def test_chained_queries_after_one_heartbeat_round_reach_every_neighbor():
              for node_id in net.topology.node_ids()]
     for node in nodes:
         node.attach(net)
-        node.broadcast_heartbeat(0.0)
+    heartbeat_round(nodes, 0.0)
     client = MeshClient()
     client.attach(net)
     net.run_until_quiescent()

@@ -24,7 +24,7 @@ from syncmesh.netsim import (
     Topology,
     build_topology,
 )
-from syncmesh.node import MeshClient, SyncMeshNode, run_query
+from syncmesh.node import MeshClient, SyncMeshNode, heartbeat_round, run_query
 from syncmesh.payloads import TransformerUnknown, apply_transformer, read_query
 from syncmesh.store import LocalStore
 from syncmesh.wire import MessageKind, encode_readings, encode_request
@@ -64,8 +64,7 @@ class Mesh:
             self.stores[nid].load_many(readings)
 
     def heartbeat_round(self, at=0.0) -> None:
-        for node in self.nodes.values():
-            node.broadcast_heartbeat(at)
+        heartbeat_round(self.nodes.values(), at)
 
     def mesh_query(self, req=None, at=500.0, target=None):
         req = req or QueryRequest(request_id="q1", range=FULL, scope=Scope.MESH)
@@ -389,8 +388,7 @@ class TestMalformedBodies:
             nodes.append(node)
         client = MeshClient()
         client.attach(net)
-        for node in nodes:
-            node.broadcast_heartbeat(0.0)
+        heartbeat_round(nodes, 0.0)
         stored = [len(node.store) for node in nodes]
 
         net.send(Envelope(kind=kind, sender=sender, receiver="node-00", body=body), 0.0)
